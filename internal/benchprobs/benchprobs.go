@@ -26,9 +26,8 @@ func Analysis32() *trace.Analysis {
 	return analysisN(32)
 }
 
-// Analysis12 is a mid-size (12-receiver) variant used for the
-// feasibility before/after comparison: unlike Analysis32 it is small
-// enough for the legacy cold-solve path to finish.
+// Analysis12 is a mid-size (12-receiver) variant for the feasibility
+// benchmarks, between Analysis8 and the architectural maximum.
 func Analysis12() *trace.Analysis {
 	return analysisN(12)
 }

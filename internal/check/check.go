@@ -14,8 +14,8 @@
 //     structured violations rather than a bool; and
 //   - a differential harness (Diff, RandomCase) that runs the
 //     specialized assignment solver, the warm-started MILP and the
-//     legacy cold MILP path on the same seeded random problem and
-//     asserts identical feasibility verdicts and optimal objectives.
+//     racing portfolio on the same seeded random problem and asserts
+//     identical feasibility verdicts and optimal objectives.
 //
 // The auditor deliberately shares no code with the solvers' pruned
 // search state: it re-derives loads and overlaps from the Analysis

@@ -21,10 +21,9 @@ type SolverPath struct {
 
 // Paths returns the solver paths pinned by the harness: the
 // specialized exact assignment search, the warm-started incremental
-// MILP, the legacy cold-restart MILP kept behind Options.MILPLegacy
-// (milp.Options.Cold), and the racing portfolio, which must land on
-// the same bus count and objective as the engines it races no matter
-// which contestant wins each probe.
+// MILP, and the racing portfolio, which must land on the same bus
+// count and objective as the engines it races no matter which
+// contestant wins each probe.
 func Paths() []SolverPath {
 	return []SolverPath{
 		{Name: "assign", Configure: func(o core.Options) core.Options {
@@ -33,12 +32,6 @@ func Paths() []SolverPath {
 		}},
 		{Name: "milp-warm", Configure: func(o core.Options) core.Options {
 			o.Engine = core.EngineMILP
-			o.MILPLegacy = false
-			return o
-		}},
-		{Name: "milp-cold", Configure: func(o core.Options) core.Options {
-			o.Engine = core.EngineMILP
-			o.MILPLegacy = true
 			return o
 		}},
 		{Name: "portfolio", Configure: func(o core.Options) core.Options {

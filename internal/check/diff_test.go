@@ -38,7 +38,7 @@ func TestRandomTraceValid(t *testing.T) {
 
 // TestDifferentialSolvers is the solver-agreement gate: ≥200 seeded
 // cases solved by the specialized assignment search, the warm MILP and
-// the legacy cold MILP must produce identical feasibility verdicts,
+// the portfolio must produce identical feasibility verdicts,
 // identical minimal bus counts, identical optimal objectives (binding
 // mode), and constraint-clean designs under the independent auditor.
 func TestDifferentialSolvers(t *testing.T) {

@@ -24,8 +24,8 @@ type GenParams struct {
 	CriticalFrac float64
 }
 
-// DefaultGenParams sizes cases so that even the cold MILP path solves
-// them in milliseconds, keeping a multi-hundred-case differential run
+// DefaultGenParams sizes cases so that the MILP path solves them in
+// milliseconds, keeping a multi-hundred-case differential run
 // affordable in CI.
 func DefaultGenParams() GenParams {
 	return GenParams{

@@ -111,11 +111,6 @@ type Options struct {
 	Engine Engine
 	// MaxNodes bounds the search effort per solve (0 = default).
 	MaxNodes int64
-	// MILPLegacy runs EngineMILP with the pre-incremental solver: cold
-	// per-node LP rebuilds and weak symmetry breaking only. It exists
-	// to benchmark the warm-started engine against its predecessor and
-	// as an escape hatch; it does not affect the other engines.
-	MILPLegacy bool
 	// Workers bounds the solver parallelism on two levels: up to Workers
 	// candidate bus counts are probed concurrently during the
 	// feasibility search (obsoleted probes canceled as soon as a sibling
@@ -386,11 +381,7 @@ func DesignCrossbarCtx(ctx context.Context, a *trace.Analysis, opts Options) (*D
 	// including the speculative parallel ones.
 	var formulator *Formulator
 	if opts.Engine == EngineMILP {
-		sym := SymFull
-		if opts.MILPLegacy {
-			sym = SymWeak
-		}
-		formulator = NewFormulator(a, conflicts, maxPerBus, sym)
+		formulator = NewFormulator(a, conflicts, maxPerBus)
 	}
 	workers := conc.Workers(opts.Workers)
 	var pf *portfolio
@@ -401,7 +392,7 @@ func DesignCrossbarCtx(ctx context.Context, a *trace.Analysis, opts Options) (*D
 	rawSolve := func(ctx context.Context, k int, optimize bool) (*assignResult, error) {
 		switch {
 		case opts.Engine == EngineMILP:
-			return solveFormulated(ctx, formulator, k, optimize, milp.Options{Cold: opts.MILPLegacy})
+			return solveFormulated(ctx, formulator, k, optimize, milp.Options{})
 		case opts.Engine == EnginePortfolio:
 			return pf.solve(ctx, k, optimize)
 		case opts.Engine == EngineAnneal && optimize:

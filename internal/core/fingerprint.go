@@ -20,9 +20,7 @@ const optionsFPTag = "stbus.options.v1"
 //     negatives collapse to -1;
 //   - MaxPerBus <= 0 means "no cap" and collapses to 0 (the solve-time
 //     clamp to the receiver count depends on the analysis, not the
-//     options, and the analysis fingerprint covers the receiver count);
-//   - MILPLegacy is documented to affect EngineMILP only, so it is
-//     normalized to false under the other engines.
+//     options, and the analysis fingerprint covers the receiver count).
 //
 // Fields that provably do not change the designed crossbar are
 // excluded: Workers (the speculative search is deterministic across
@@ -51,8 +49,11 @@ func (o Options) Fingerprint() trace.Fingerprint {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(o.MaxBuses))
 	buf = append(buf, b2u8(o.OptimizeBinding))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(o.Engine))
-	legacy := o.MILPLegacy && o.Engine == EngineMILP
-	buf = append(buf, b2u8(legacy))
+	// The last byte once held a legacy-MILP solver flag. That solver is
+	// gone and the byte is always 0; writing it keeps every option set
+	// hashing as before, so existing stbus.options.v1 cache entries
+	// stay valid.
+	buf = append(buf, 0)
 
 	h.Write(buf)
 	var f trace.Fingerprint

@@ -1,109 +1,33 @@
 package lp
 
-import (
-	"errors"
-	"fmt"
-	"math"
-)
+import "math"
 
-// SolveBounded solves
+// boundedTableau is the bounded-variable simplex working state behind
+// NodeSolver. rows holds B⁻¹A (no RHS column); basic values are carried
+// in xB. Nonbasic variables sit at 0 (their lower bound) or at
+// upper[j]. Two overlays carry a node's fix set without rewriting the
+// constraint rows: noEnter marks columns that may never be chosen as an
+// entering column (artificial variables and branch-fixed binaries), and
+// fixVal pins a column to an exact value — its effective bounds
+// collapse to [fixVal, fixVal].
 //
-//	minimize    c·x
-//	subject to  a_r·x {≤,≥,=} b_r
-//	            0 ≤ x_j ≤ upper[j]
-//
-// with the bounded-variable simplex method: upper bounds are handled
-// implicitly by the pivoting rules instead of as explicit constraint
-// rows, which keeps the tableau at the structural constraint count.
-// This is the LP engine the MILP branch-and-bound uses — binaries get
-// upper bound 1 without inflating the basis. Pass math.Inf(1) for
-// unbounded variables; upper == nil means all variables unbounded.
-func SolveBounded(p *Problem, upper []float64) (*Solution, error) {
-	if p.NumVars < 0 {
-		return nil, errors.New("lp: negative variable count")
-	}
-	if p.Objective != nil && len(p.Objective) != p.NumVars {
-		return nil, fmt.Errorf("lp: objective has %d coefficients, want %d", len(p.Objective), p.NumVars)
-	}
-	if upper != nil && len(upper) != p.NumVars {
-		return nil, fmt.Errorf("lp: upper has %d entries, want %d", len(upper), p.NumVars)
-	}
-	for _, c := range p.Constraints {
-		for _, t := range c.Terms {
-			if t.Var < 0 || t.Var >= p.NumVars {
-				return nil, fmt.Errorf("lp: constraint references variable %d outside [0,%d)", t.Var, p.NumVars)
-			}
-		}
-	}
-	if upper != nil {
-		for j, u := range upper {
-			if u < 0 {
-				return nil, fmt.Errorf("lp: negative upper bound on variable %d", j)
-			}
-		}
-	}
-
-	t := newBoundedTableau(p, upper)
-	// Phase 1: minimize the artificial sum.
-	if t.numArtificial > 0 {
-		if err := t.run(t.phase1Costs()); err != nil {
-			return nil, err
-		}
-		if t.phase1Value() > 1e-7 {
-			return &Solution{Status: Infeasible, Iterations: t.pivots}, nil
-		}
-		t.pinArtificials()
-	}
-	costs := make([]float64, t.numCols)
-	for j := 0; j < p.NumVars && p.Objective != nil; j++ {
-		costs[j] = p.Objective[j]
-	}
-	if err := t.run(costs); err != nil {
-		if errors.Is(err, errUnbounded) {
-			return &Solution{Status: Unbounded, Iterations: t.pivots}, nil
-		}
-		return nil, err
-	}
-	x := make([]float64, p.NumVars)
-	vals := t.values()
-	copy(x, vals[:p.NumVars])
-	var obj float64
-	for j := 0; j < p.NumVars && p.Objective != nil; j++ {
-		obj += p.Objective[j] * x[j]
-	}
-	return &Solution{Status: Optimal, X: x, Objective: obj, Iterations: t.pivots}, nil
-}
-
-// boundedTableau is the bounded-variable simplex working state.
-// rows holds B⁻¹A (no RHS column); basic values are carried in xB.
-// Nonbasic variables sit at 0 (their lower bound) or at upper[j].
-//
-// The two optional overlays (nil in the plain SolveBounded path) exist
-// for the NodeSolver: noEnter marks columns that may never be chosen as
-// an entering column (artificial variables and branch-fixed binaries),
-// and fixVal pins a column to an exact value — its effective bounds
-// collapse to [fixVal, fixVal] — without rewriting the constraint rows.
+// Row operations only keep the leading artStart columns current. The
+// artificial columns are barred from entering for the solver's whole
+// lifetime, so their tableau entries are dead — only their basis
+// membership and xB values matter — and skipping them removes an
+// m-sized block from every pivot's row arithmetic.
 type boundedTableau struct {
-	m, numCols    int
-	numArtificial int
-	artStart      int
-	// width is the number of leading columns that row operations keep
-	// current; columns in [width, numCols) are write-once and never read
-	// again. SolveBounded uses the full width. The NodeSolver sets width
-	// to artStart: its artificial columns are barred from entering for
-	// the solver's whole lifetime, so their tableau entries are dead —
-	// only their basis membership and xB values matter — and skipping
-	// them removes an m-sized block from every pivot's row arithmetic.
-	width   int
-	rows    [][]float64
-	xB      []float64
-	basis   []int
-	isBasic []bool
-	atUpper []bool // for nonbasic columns
-	upper   []float64
-	noEnter []bool    // columns barred from entering the basis
-	fixVal  []float64 // NaN = free; otherwise the pinned value
-	pivots  int64     // basis changes performed over the tableau's lifetime
+	m, numCols int
+	artStart   int
+	rows       [][]float64
+	xB         []float64
+	basis      []int
+	isBasic    []bool
+	atUpper    []bool // for nonbasic columns
+	upper      []float64
+	noEnter    []bool    // columns barred from entering the basis
+	fixVal     []float64 // NaN = free; otherwise the pinned value
+	pivots     int64     // basis changes performed over the tableau's lifetime
 	// interrupt, when non-nil, is polled every few simplex iterations;
 	// returning true aborts the pass with ErrInterrupted. A single LP on
 	// a large node can run for minutes, so without a pivot-level poll a
@@ -113,7 +37,7 @@ type boundedTableau struct {
 }
 
 // interruptCheckMask throttles the interrupt poll to every 64 simplex
-// iterations: each iteration already costs O(m·width) row arithmetic,
+// iterations: each iteration already costs O(m·artStart) row arithmetic,
 // so the poll is noise, but checking every iteration would still put a
 // branch + indirect call in the hottest loop for nothing.
 const interruptCheckMask = 63
@@ -124,7 +48,7 @@ func (t *boundedTableau) interrupted(iter int) bool {
 
 // isFixed reports whether column j is pinned to an exact value.
 func (t *boundedTableau) isFixed(j int) bool {
-	return t.fixVal != nil && !math.IsNaN(t.fixVal[j])
+	return !math.IsNaN(t.fixVal[j])
 }
 
 // loCol / upCol are the effective bounds of column j: [0, upper[j]]
@@ -152,94 +76,7 @@ func (t *boundedTableau) nbValue(j int) float64 {
 }
 
 func (t *boundedTableau) barred(j int) bool {
-	return t.noEnter != nil && t.noEnter[j]
-}
-
-func newBoundedTableau(p *Problem, structUpper []float64) *boundedTableau {
-	m := len(p.Constraints)
-	numSlack, numArt := 0, 0
-	for _, c := range p.Constraints {
-		sense := c.Sense
-		if c.RHS < 0 {
-			switch sense {
-			case LE:
-				sense = GE
-			case GE:
-				sense = LE
-			}
-		}
-		switch sense {
-		case LE:
-			numSlack++
-		case GE:
-			numSlack++
-			numArt++
-		case EQ:
-			numArt++
-		}
-	}
-	numCols := p.NumVars + numSlack + numArt
-	t := &boundedTableau{
-		m:             m,
-		numCols:       numCols,
-		width:         numCols,
-		numArtificial: numArt,
-		artStart:      p.NumVars + numSlack,
-		rows:          make([][]float64, m),
-		xB:            make([]float64, m),
-		basis:         make([]int, m),
-		isBasic:       make([]bool, numCols),
-		atUpper:       make([]bool, numCols),
-		upper:         make([]float64, numCols),
-	}
-	for j := 0; j < numCols; j++ {
-		t.upper[j] = math.Inf(1)
-	}
-	if structUpper != nil {
-		copy(t.upper, structUpper)
-	}
-	slackCol := p.NumVars
-	artCol := t.artStart
-	for i, c := range p.Constraints {
-		row := make([]float64, numCols)
-		sign := 1.0
-		sense := c.Sense
-		if c.RHS < 0 {
-			sign = -1
-			switch sense {
-			case LE:
-				sense = GE
-			case GE:
-				sense = LE
-			}
-		}
-		for _, term := range c.Terms {
-			row[term.Var] += sign * term.Coef
-		}
-		rhs := sign * c.RHS
-		switch sense {
-		case LE:
-			row[slackCol] = 1
-			t.basis[i] = slackCol
-			slackCol++
-		case GE:
-			row[slackCol] = -1
-			slackCol++
-			row[artCol] = 1
-			t.basis[i] = artCol
-			artCol++
-		case EQ:
-			row[artCol] = 1
-			t.basis[i] = artCol
-			artCol++
-		}
-		t.rows[i] = row
-		t.xB[i] = rhs // all structural nonbasics start at 0
-	}
-	for _, bv := range t.basis {
-		t.isBasic[bv] = true
-	}
-	return t
+	return t.noEnter[j]
 }
 
 func (t *boundedTableau) phase1Costs() []float64 {
@@ -290,20 +127,6 @@ func (t *boundedTableau) pinArtificials() {
 	}
 }
 
-// values returns the full variable vector.
-func (t *boundedTableau) values() []float64 {
-	x := make([]float64, t.numCols)
-	for j := 0; j < t.numCols; j++ {
-		if !t.isBasic[j] && t.atUpper[j] {
-			x[j] = t.upper[j]
-		}
-	}
-	for i, bv := range t.basis {
-		x[bv] = t.xB[i]
-	}
-	return x
-}
-
 // run iterates bounded-variable pivots to optimality for the costs.
 func (t *boundedTableau) run(costs []float64) error {
 	maxIters := 1000 * (t.m + t.numCols + 10)
@@ -322,7 +145,7 @@ func (t *boundedTableau) run(costs []float64) error {
 				any = true
 			}
 		}
-		for j := 0; j < t.width; j++ {
+		for j := 0; j < t.artStart; j++ {
 			v := costs[j]
 			if any {
 				for i := 0; i < t.m; i++ {
@@ -363,14 +186,14 @@ func (t *boundedTableau) run(costs []float64) error {
 		entering, dir := -1, 0.0
 		if iter < blandAfter {
 			best := eps
-			for j := 0; j < t.width; j++ {
+			for j := 0; j < t.artStart; j++ {
 				if d, ok := eligible(j); ok && math.Abs(z[j]) > best {
 					best = math.Abs(z[j])
 					entering, dir = j, d
 				}
 			}
 		} else {
-			for j := 0; j < t.width; j++ {
+			for j := 0; j < t.artStart; j++ {
 				if d, ok := eligible(j); ok {
 					entering, dir = j, d
 					break
@@ -379,7 +202,7 @@ func (t *boundedTableau) run(costs []float64) error {
 		}
 		if entering == -1 {
 			refresh()
-			for j := 0; j < t.width; j++ {
+			for j := 0; j < t.artStart; j++ {
 				if d, ok := eligible(j); ok {
 					entering, dir = j, d
 					break
@@ -458,7 +281,7 @@ func (t *boundedTableau) run(costs []float64) error {
 		f := z[entering]
 		if f != 0 {
 			row := t.rows[leaving]
-			for j := 0; j < t.width; j++ {
+			for j := 0; j < t.artStart; j++ {
 				z[j] -= f * row[j]
 			}
 			z[entering] = 0
@@ -473,7 +296,7 @@ func (t *boundedTableau) pivot(l, e int, val float64) {
 	leavingCol := t.basis[l]
 	row := t.rows[l]
 	inv := 1.0 / row[e]
-	for j := 0; j < t.width; j++ {
+	for j := 0; j < t.artStart; j++ {
 		row[j] *= inv
 	}
 	row[e] = 1
@@ -486,7 +309,7 @@ func (t *boundedTableau) pivot(l, e int, val float64) {
 			continue
 		}
 		other := t.rows[i]
-		for j := 0; j < t.width; j++ {
+		for j := 0; j < t.artStart; j++ {
 			other[j] -= f * row[j]
 		}
 		other[e] = 0

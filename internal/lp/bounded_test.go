@@ -10,7 +10,7 @@ func TestSolveBoundedSimple(t *testing.T) {
 	// max x+y s.t. x+y <= 3, x ≤ 1, y ≤ 1 (bounds) — optimum 2.
 	p := &Problem{NumVars: 2, Objective: []float64{-1, -1}}
 	p.AddConstraint(LE, 3, Term{0, 1}, Term{1, 1})
-	s, err := SolveBounded(p, []float64{1, 1})
+	s, err := coldSolve(p, []float64{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestSolveBoundedBindingConstraintNotBounds(t *testing.T) {
 	// max x+y s.t. x+y ≤ 1.2 with x,y ≤ 1: constraint binds first.
 	p := &Problem{NumVars: 2, Objective: []float64{-1, -1}}
 	p.AddConstraint(LE, 1.2, Term{0, 1}, Term{1, 1})
-	s, err := SolveBounded(p, []float64{1, 1})
+	s, err := coldSolve(p, []float64{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestSolveBoundedEquality(t *testing.T) {
 	// x + y = 1.5 with binaries relaxed to [0,1]: feasible (e.g. 1, .5).
 	p := &Problem{NumVars: 2}
 	p.AddConstraint(EQ, 1.5, Term{0, 1}, Term{1, 1})
-	s, err := SolveBounded(p, []float64{1, 1})
+	s, err := coldSolve(p, []float64{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestSolveBoundedInfeasibleByBounds(t *testing.T) {
 	// x + y = 3 with x,y ≤ 1 is infeasible.
 	p := &Problem{NumVars: 2}
 	p.AddConstraint(EQ, 3, Term{0, 1}, Term{1, 1})
-	s, err := SolveBounded(p, []float64{1, 1})
+	s, err := coldSolve(p, []float64{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestSolveBoundedInfeasibleByBounds(t *testing.T) {
 
 func TestSolveBoundedUnbounded(t *testing.T) {
 	p := &Problem{NumVars: 1, Objective: []float64{-1}}
-	s, err := SolveBounded(p, nil)
+	s, err := coldSolve(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestSolveBoundedZeroUpper(t *testing.T) {
 	// A variable pinned at 0 by its bound.
 	p := &Problem{NumVars: 2, Objective: []float64{-5, -1}}
 	p.AddConstraint(LE, 10, Term{0, 1}, Term{1, 1})
-	s, err := SolveBounded(p, []float64{0, math.Inf(1)})
+	s, err := coldSolve(p, []float64{0, math.Inf(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,17 +92,17 @@ func TestSolveBoundedZeroUpper(t *testing.T) {
 
 func TestSolveBoundedRejectsBadInput(t *testing.T) {
 	p := &Problem{NumVars: 2}
-	if _, err := SolveBounded(p, []float64{1}); err == nil {
+	if _, err := coldSolve(p, []float64{1}); err == nil {
 		t.Error("short upper accepted")
 	}
-	if _, err := SolveBounded(p, []float64{1, -2}); err == nil {
+	if _, err := coldSolve(p, []float64{1, -2}); err == nil {
 		t.Error("negative upper accepted")
 	}
 }
 
 // TestSolveBoundedQuickAgainstRowBounds: on random problems, the
 // bounded-variable simplex agrees with the row-based formulation
-// solved by the plain simplex.
+// solved by the dense reference simplex.
 func TestSolveBoundedQuickAgainstRowBounds(t *testing.T) {
 	for seed := int64(0); seed < 120; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -127,17 +127,17 @@ func TestSolveBoundedQuickAgainstRowBounds(t *testing.T) {
 			p.AddConstraint(sense, float64(rng.Intn(9)-2), terms...)
 		}
 
-		// Reference: plain simplex with explicit bound rows.
+		// Reference: dense simplex with explicit bound rows.
 		ref := Problem{NumVars: n, Objective: p.Objective,
 			Constraints: append([]Constraint(nil), p.Constraints...)}
 		for j := 0; j < n; j++ {
 			ref.AddConstraint(LE, upper[j], Term{j, 1})
 		}
-		want, err := Solve(&ref)
+		want, err := denseSolve(&ref)
 		if err != nil {
 			t.Fatalf("seed %d: reference: %v", seed, err)
 		}
-		got, err := SolveBounded(p, upper)
+		got, err := coldSolve(p, upper)
 		if err != nil {
 			t.Fatalf("seed %d: bounded: %v", seed, err)
 		}

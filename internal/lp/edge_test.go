@@ -7,10 +7,11 @@ import (
 )
 
 // TestBealeDegenerateCycle solves Beale's classical cycling example.
-// Under the pure most-negative-reduced-cost (Dantzig) rule with
+// Under the pure largest-reduced-cost (Dantzig) rule with
 // smallest-index ratio ties, the simplex revisits the same degenerate
 // bases forever; the solver must escape via its Bland's-rule
-// switchover and still reach the known optimum of −1/20.
+// switchover and still reach the known optimum of −1/20, both with no
+// upper bounds and with slack ones.
 func TestBealeDegenerateCycle(t *testing.T) {
 	p := &Problem{
 		NumVars:   4,
@@ -24,29 +25,18 @@ func TestBealeDegenerateCycle(t *testing.T) {
 		Term{Var: 2, Coef: -0.02}, Term{Var: 3, Coef: 3})
 	p.AddConstraint(LE, 1, Term{Var: 2, Coef: 1})
 
-	sol, err := Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Status != Optimal {
-		t.Fatalf("status %v, want optimal", sol.Status)
-	}
-	if math.Abs(sol.Objective-(-0.05)) > 1e-9 {
-		t.Fatalf("objective %v, want -0.05", sol.Objective)
-	}
-
-	// The bounded-variable engine shares the degenerate vertex structure
-	// when the bounds are slack; it must converge to the same optimum.
-	bsol, err := SolveBounded(p, []float64{1e6, 1e6, 1e6, 1e6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bsol.Status != Optimal || math.Abs(bsol.Objective-(-0.05)) > 1e-9 {
-		t.Fatalf("bounded: status %v objective %v, want optimal -0.05", bsol.Status, bsol.Objective)
+	for _, upper := range [][]float64{nil, {1e6, 1e6, 1e6, 1e6}} {
+		sol, err := coldSolve(p, upper)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sol.Status != Optimal || math.Abs(sol.Objective-(-0.05)) > 1e-9 {
+			t.Fatalf("upper %v: status %v objective %v, want optimal -0.05", upper, sol.Status, sol.Objective)
+		}
 	}
 }
 
-// TestBoundedUpperBoundOptimum drives SolveBounded to solutions that
+// TestBoundedUpperBoundOptimum drives the solver to solutions that
 // sit on variable upper bounds, which only the bound-flip machinery
 // (nonbasic-at-upper, flip without basis change) can reach: no
 // constraint row limits the variables, so a simplex that only knows
@@ -57,7 +47,7 @@ func TestBoundedUpperBoundOptimum(t *testing.T) {
 	p := &Problem{NumVars: 3, Objective: []float64{-1, -1, -1}}
 	p.AddConstraint(LE, 10,
 		Term{Var: 0, Coef: 1}, Term{Var: 1, Coef: 1}, Term{Var: 2, Coef: 1})
-	sol, err := SolveBounded(p, []float64{1, 2, 0.5})
+	sol, err := coldSolve(p, []float64{1, 2, 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +66,7 @@ func TestBoundedUpperBoundOptimum(t *testing.T) {
 	p2 := &Problem{NumVars: 3, Objective: []float64{-3, -2, -1}}
 	p2.AddConstraint(LE, 2,
 		Term{Var: 0, Coef: 1}, Term{Var: 1, Coef: 1}, Term{Var: 2, Coef: 1})
-	sol2, err := SolveBounded(p2, []float64{1, 1, 1})
+	sol2, err := coldSolve(p2, []float64{1, 1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +81,7 @@ func TestBoundedUpperBoundOptimum(t *testing.T) {
 	// phase 1: x0+x1 ≥ 3 with uppers 2 and 1 admits only x=(2,1).
 	p3 := &Problem{NumVars: 2, Objective: []float64{1, 1}}
 	p3.AddConstraint(GE, 3, Term{Var: 0, Coef: 1}, Term{Var: 1, Coef: 1})
-	sol3, err := SolveBounded(p3, []float64{2, 1})
+	sol3, err := coldSolve(p3, []float64{2, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +94,7 @@ func TestBoundedUpperBoundOptimum(t *testing.T) {
 
 	// Tightening the uppers below the requirement must flip the answer
 	// to infeasible, not clamp silently.
-	sol4, err := SolveBounded(p3, []float64{1.5, 1})
+	sol4, err := coldSolve(p3, []float64{1.5, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +104,7 @@ func TestBoundedUpperBoundOptimum(t *testing.T) {
 }
 
 // TestIterationLimitSurfaces forces the pivot budget to one iteration
-// and checks both simplex engines surface ErrIterationLimit instead of
+// and checks the simplex surfaces ErrIterationLimit instead of
 // returning a half-optimized point as optimal.
 func TestIterationLimitSurfaces(t *testing.T) {
 	defer func(old int) { debugIterBudget = old }(debugIterBudget)
@@ -126,19 +116,15 @@ func TestIterationLimitSurfaces(t *testing.T) {
 	p.AddConstraint(GE, 1, Term{Var: 1, Coef: 1})
 
 	debugIterBudget = 1
-	_, err := Solve(p)
+	_, err := coldSolve(p, []float64{5, 5})
 	if !errors.Is(err, ErrIterationLimit) {
-		t.Fatalf("Solve err = %v, want ErrIterationLimit", err)
-	}
-	_, err = SolveBounded(p, []float64{5, 5})
-	if !errors.Is(err, ErrIterationLimit) {
-		t.Fatalf("SolveBounded err = %v, want ErrIterationLimit", err)
+		t.Fatalf("err = %v, want ErrIterationLimit", err)
 	}
 	debugIterBudget = 0
 
-	// Sanity: with the budget restored both engines solve it.
-	sol, err := Solve(p)
+	// Sanity: with the budget restored it solves.
+	sol, err := coldSolve(p, []float64{5, 5})
 	if err != nil || sol.Status != Optimal || math.Abs(sol.Objective-2) > 1e-9 {
-		t.Fatalf("restored Solve = %+v, %v; want optimal objective 2", sol, err)
+		t.Fatalf("restored solve = %+v, %v; want optimal objective 2", sol, err)
 	}
 }

@@ -9,13 +9,24 @@ import (
 
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-6 }
 
+// coldSolve solves p from scratch through the production entry point:
+// the first Solve of a fresh NodeSolver is the cold two-phase bounded
+// simplex.
+func coldSolve(p *Problem, upper []float64) (*Solution, error) {
+	ns, err := NewNodeSolver(p, upper)
+	if err != nil {
+		return nil, err
+	}
+	return ns.Solve(nil)
+}
+
 func TestSolveSimpleMax(t *testing.T) {
 	// max x+y s.t. x+2y<=4, 3x+y<=6  => min -(x+y).
 	// Optimum at x=1.6, y=1.2, value 2.8.
 	p := &Problem{NumVars: 2, Objective: []float64{-1, -1}}
 	p.AddConstraint(LE, 4, Term{0, 1}, Term{1, 2})
 	p.AddConstraint(LE, 6, Term{0, 3}, Term{1, 1})
-	s, err := Solve(p)
+	s, err := coldSolve(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +43,7 @@ func TestSolveEquality(t *testing.T) {
 	p := &Problem{NumVars: 2, Objective: []float64{1, 1}}
 	p.AddConstraint(EQ, 5, Term{0, 1}, Term{1, 1})
 	p.AddConstraint(LE, 2, Term{0, 1})
-	s, err := Solve(p)
+	s, err := coldSolve(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +64,7 @@ func TestSolveGE(t *testing.T) {
 	p := &Problem{NumVars: 2, Objective: []float64{2, 3}}
 	p.AddConstraint(GE, 10, Term{0, 1}, Term{1, 1})
 	p.AddConstraint(GE, 2, Term{0, 1})
-	s, err := Solve(p)
+	s, err := coldSolve(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +77,7 @@ func TestSolveInfeasible(t *testing.T) {
 	p := &Problem{NumVars: 1, Objective: []float64{1}}
 	p.AddConstraint(GE, 5, Term{0, 1})
 	p.AddConstraint(LE, 3, Term{0, 1})
-	s, err := Solve(p)
+	s, err := coldSolve(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +90,7 @@ func TestSolveUnbounded(t *testing.T) {
 	// min -x with only x >= 0: unbounded below.
 	p := &Problem{NumVars: 1, Objective: []float64{-1}}
 	p.AddConstraint(GE, 0, Term{0, 1})
-	s, err := Solve(p)
+	s, err := coldSolve(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +104,7 @@ func TestSolveNegativeRHS(t *testing.T) {
 	// Optimum x=0, y=2.
 	p := &Problem{NumVars: 2, Objective: []float64{1, 1}}
 	p.AddConstraint(LE, -2, Term{0, 1}, Term{1, -1})
-	s, err := Solve(p)
+	s, err := coldSolve(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +119,7 @@ func TestSolveDegenerate(t *testing.T) {
 	p.AddConstraint(LE, 1, Term{0, 1})
 	p.AddConstraint(LE, 1, Term{1, 1})
 	p.AddConstraint(LE, 2, Term{0, 1}, Term{1, 1})
-	s, err := Solve(p)
+	s, err := coldSolve(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +133,7 @@ func TestSolveZeroObjectiveFeasibility(t *testing.T) {
 	p := &Problem{NumVars: 2}
 	p.AddConstraint(EQ, 1, Term{0, 1}, Term{1, 1})
 	p.AddConstraint(LE, 0.6, Term{0, 1})
-	s, err := Solve(p)
+	s, err := coldSolve(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,18 +147,18 @@ func TestSolveZeroObjectiveFeasibility(t *testing.T) {
 
 func TestSolveRejectsBadInput(t *testing.T) {
 	p := &Problem{NumVars: 1, Objective: []float64{1, 2}}
-	if _, err := Solve(p); err == nil {
+	if _, err := coldSolve(p, nil); err == nil {
 		t.Error("mismatched objective length accepted")
 	}
 	p2 := &Problem{NumVars: 1}
 	p2.AddConstraint(LE, 1, Term{5, 1})
-	if _, err := Solve(p2); err == nil {
+	if _, err := coldSolve(p2, nil); err == nil {
 		t.Error("out-of-range variable accepted")
 	}
 }
 
 func TestSolveEmptyProblem(t *testing.T) {
-	s, err := Solve(&Problem{NumVars: 2})
+	s, err := coldSolve(&Problem{NumVars: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +193,7 @@ func TestSolveQuickFeasibilityRespected(t *testing.T) {
 			}
 			p.AddConstraint(LE, rng.Float64()*10, terms...)
 		}
-		s, err := Solve(p)
+		s, err := coldSolve(p, nil)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false

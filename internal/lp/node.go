@@ -17,8 +17,9 @@ type Fix struct {
 // NodeSolver solves the family of LP relaxations that a branch-and-
 // bound search derives from one base problem: the constraint matrix,
 // senses and bounds never change, only a per-node set of variable
-// fixings does. It exists to kill the two per-node costs of calling
-// SolveBounded in a loop:
+// fixings does. Solve(nil) on a fresh solver is the plain cold
+// two-phase bounded simplex; later solves avoid the two per-node costs
+// of re-solving every relaxation from scratch:
 //
 //   - Allocation: the tableau, basis, price row and solution buffers
 //     are owned by the solver and reused across every node.
@@ -112,8 +113,9 @@ func (s *NodeSolver) notePivots(n int64) {
 }
 
 // NewNodeSolver validates p and precomputes the dense base image the
-// per-node tableau is rebuilt from. upper follows SolveBounded: nil
-// means unbounded, math.Inf(1) entries are unbounded variables.
+// per-node tableau is rebuilt from. upper[j] bounds variable j from
+// above: nil means all variables unbounded, and math.Inf(1) entries
+// are unbounded variables.
 func NewNodeSolver(p *Problem, upper []float64) (*NodeSolver, error) {
 	if p.NumVars < 0 {
 		return nil, errors.New("lp: negative variable count")
@@ -187,14 +189,7 @@ func NewNodeSolver(p *Problem, upper []float64) (*NodeSolver, error) {
 	t := &s.t
 	t.m = m
 	t.numCols = col
-	t.numArtificial = m
 	t.artStart = s.artStart
-	// Artificial columns never enter the basis for this solver's whole
-	// lifetime, so their tableau entries are dead after construction;
-	// capping the row-operation width at artStart removes them from
-	// every pivot's arithmetic (an m-wide block — a large constant-factor
-	// win, since here every row owns an artificial).
-	t.width = s.artStart
 	t.rows = make([][]float64, m)
 	tb := make([]float64, m*col)
 	for i := 0; i < m; i++ {
@@ -287,10 +282,6 @@ func (s *NodeSolver) Solve(fixes []Fix) (*Solution, error) {
 	}
 	return sol, err
 }
-
-// Pivots reports the total simplex basis changes (primal and dual)
-// performed over the solver's lifetime.
-func (s *NodeSolver) Pivots() int64 { return s.t.pivots }
 
 // --- warm path ---
 
@@ -452,7 +443,7 @@ func (s *NodeSolver) dualSimplex() dualStatus {
 		entering := -1
 		bestRatio := math.Inf(1)
 		bestMag := 0.0
-		for j := 0; j < t.width; j++ {
+		for j := 0; j < t.artStart; j++ {
 			if t.isBasic[j] || t.barred(j) || t.isFixed(j) {
 				continue
 			}
@@ -551,7 +542,7 @@ func (s *NodeSolver) dualSimplex() dualStatus {
 		// Maintain the price row across the pivot.
 		if f := s.z[entering]; f != 0 {
 			nrow := t.rows[l]
-			for j := 0; j < t.width; j++ {
+			for j := 0; j < t.artStart; j++ {
 				s.z[j] -= f * nrow[j]
 			}
 			s.z[entering] = 0
@@ -571,7 +562,7 @@ func (s *NodeSolver) refreshZ() {
 			any = true
 		}
 	}
-	for j := 0; j < t.width; j++ {
+	for j := 0; j < t.artStart; j++ {
 		v := s.costs[j]
 		if any {
 			for i := 0; i < t.m; i++ {
@@ -620,7 +611,7 @@ func (s *NodeSolver) solveCold(fixes []Fix) (*Solution, error) {
 	for i := 0; i < t.m; i++ {
 		row := t.rows[i]
 		copy(row[:s.n], s.baseRows[i])
-		for j := s.n; j < t.width; j++ {
+		for j := s.n; j < t.artStart; j++ {
 			row[j] = 0
 		}
 		eff := s.baseRHS[i]
@@ -650,7 +641,7 @@ func (s *NodeSolver) solveCold(fixes []Fix) (*Solution, error) {
 			}
 		}
 		// The artificial's unit coefficient is implied: its column lies
-		// beyond t.width and is never read, so only basis/xB record it.
+		// beyond t.artStart and is never read, so only basis/xB record it.
 		if sense == LE {
 			t.basis[i] = s.slackCol[i]
 		} else {

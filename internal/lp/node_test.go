@@ -6,19 +6,21 @@ import (
 	"testing"
 )
 
-// fixProblem folds a fix set into a fresh Problem the way the legacy
-// MILP node solver does: fixed variables keep their column but are
-// pinned by equality rows. This gives an independent reference for
-// what NodeSolver should compute.
-func fixProblem(p *Problem, upper []float64, fixes []Fix) (*Problem, []float64) {
+// fixProblem folds upper bounds and a fix set into a fresh Problem for
+// the dense reference simplex: bounds become explicit x ≤ u rows, and
+// fixed variables keep their column but are pinned by equality rows.
+// This gives an independent reference for what NodeSolver should
+// compute.
+func fixProblem(p *Problem, upper []float64, fixes []Fix) *Problem {
 	q := &Problem{NumVars: p.NumVars, Objective: p.Objective}
 	q.Constraints = append(q.Constraints, p.Constraints...)
-	u := make([]float64, len(upper))
-	copy(u, upper)
+	for j, u := range upper {
+		q.AddConstraint(LE, u, Term{Var: j, Coef: 1})
+	}
 	for _, fx := range fixes {
 		q.AddConstraint(EQ, fx.Val, Term{Var: fx.Var, Coef: 1})
 	}
-	return q, u
+	return q
 }
 
 // randomBinaryProblem builds a small random LP over binary-bounded
@@ -61,12 +63,13 @@ func randomBinaryProblem(rng *rand.Rand) (*Problem, []float64) {
 	return p, upper
 }
 
-// TestNodeSolverMatchesSolveBounded drives a NodeSolver through random
+// TestNodeSolverMatchesDense drives a NodeSolver through random
 // branch-and-bound-like fix sequences and cross-checks every node
-// against a cold SolveBounded on the equivalent folded problem. The
-// sequences deliberately mix supersets (diving), rollbacks (sibling
-// nodes), and value changes so both the warm and cold paths run.
-func TestNodeSolverMatchesSolveBounded(t *testing.T) {
+// against the dense reference simplex on the equivalent folded
+// problem. The sequences deliberately mix supersets (diving),
+// rollbacks (sibling nodes), and value changes so both the warm and
+// cold paths run.
+func TestNodeSolverMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 1000; trial++ {
 		p, upper := randomBinaryProblem(rng)
@@ -100,10 +103,9 @@ func TestNodeSolverMatchesSolveBounded(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d step %d: NodeSolver.Solve: %v", trial, step, err)
 			}
-			q, u := fixProblem(p, upper, fixes)
-			want, err := SolveBounded(q, u)
+			want, err := denseSolve(fixProblem(p, upper, fixes))
 			if err != nil {
-				t.Fatalf("trial %d step %d: SolveBounded: %v", trial, step, err)
+				t.Fatalf("trial %d step %d: denseSolve: %v", trial, step, err)
 			}
 			if got.Status != want.Status {
 				t.Fatalf("trial %d step %d fixes %v: status %v, want %v",
@@ -118,8 +120,8 @@ func TestNodeSolverMatchesSolveBounded(t *testing.T) {
 			}
 			// The solution must satisfy bounds, fixes, and constraints.
 			for j, xj := range got.X {
-				if xj < -1e-7 || xj > u[j]+1e-7 {
-					t.Fatalf("trial %d step %d: x[%d]=%v outside [0,%v]", trial, step, j, xj, u[j])
+				if xj < -1e-7 || xj > upper[j]+1e-7 {
+					t.Fatalf("trial %d step %d: x[%d]=%v outside [0,%v]", trial, step, j, xj, upper[j])
 				}
 			}
 			for _, fx := range fixes {

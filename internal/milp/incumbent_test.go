@@ -8,56 +8,9 @@ import (
 	"repro/internal/lp"
 )
 
-// solutionOf brute-forces the optimal objective of a small pure-binary
-// MILP (the test problems have ≤ ~10 binaries).
-func bruteBest(p *Problem) (float64, []float64, bool) {
-	n := p.LP.NumVars
-	bestObj := math.Inf(1)
-	var bestX []float64
-	x := make([]float64, n)
-	var found bool
-	for mask := 0; mask < 1<<n; mask++ {
-		for v := 0; v < n; v++ {
-			x[v] = float64((mask >> v) & 1)
-		}
-		feasible := true
-		for _, c := range p.LP.Constraints {
-			var lhs float64
-			for _, tm := range c.Terms {
-				lhs += tm.Coef * x[tm.Var]
-			}
-			switch c.Sense {
-			case lp.LE:
-				feasible = feasible && lhs <= c.RHS+1e-9
-			case lp.GE:
-				feasible = feasible && lhs >= c.RHS-1e-9
-			case lp.EQ:
-				feasible = feasible && math.Abs(lhs-c.RHS) <= 1e-9
-			}
-			if !feasible {
-				break
-			}
-		}
-		if !feasible {
-			continue
-		}
-		var obj float64
-		for v, c := range p.LP.Objective {
-			obj += c * x[v]
-		}
-		if !found || obj < bestObj {
-			bestObj = obj
-			bestX = append([]float64(nil), x...)
-			found = true
-		}
-	}
-	return bestObj, bestX, found
-}
-
 // TestIncumbentSeedingExactObjective seeds random solves with their own
 // brute-forced optimum and with feasible-but-suboptimal points, and
-// checks the reported objective stays exactly the optimum either way,
-// on both solver paths.
+// checks the reported objective stays exactly the optimum either way.
 func TestIncumbentSeedingExactObjective(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -65,26 +18,24 @@ func TestIncumbentSeedingExactObjective(t *testing.T) {
 		if p.LP.Objective == nil {
 			continue
 		}
-		wantObj, wantX, feasible := bruteBest(p)
+		wantObj, wantX, feasible := exhaustive(p)
 		if !feasible {
 			continue
 		}
-		for _, cold := range []bool{false, true} {
-			for _, inc := range [][]float64{wantX, nil} {
-				sol, err := Solve(p, Options{Incumbent: inc, Cold: cold})
-				if err != nil {
-					t.Fatalf("seed %d cold=%v: %v", seed, cold, err)
-				}
-				if sol.Status != lp.Optimal {
-					t.Fatalf("seed %d cold=%v: status %v on feasible problem", seed, cold, sol.Status)
-				}
-				if math.Abs(sol.Objective-wantObj) > 1e-6 {
-					t.Fatalf("seed %d cold=%v inc=%v: objective %v, want %v",
-						seed, cold, inc != nil, sol.Objective, wantObj)
-				}
-				if inc != nil && !sol.Seeded {
-					t.Fatalf("seed %d cold=%v: valid incumbent not reported as seeded", seed, cold)
-				}
+		for _, inc := range [][]float64{wantX, nil} {
+			sol, err := Solve(p, Options{Incumbent: inc})
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if sol.Status != lp.Optimal {
+				t.Fatalf("seed %d: status %v on feasible problem", seed, sol.Status)
+			}
+			if math.Abs(sol.Objective-wantObj) > 1e-6 {
+				t.Fatalf("seed %d inc=%v: objective %v, want %v",
+					seed, inc != nil, sol.Objective, wantObj)
+			}
+			if inc != nil && !sol.Seeded {
+				t.Fatalf("seed %d: valid incumbent not reported as seeded", seed)
 			}
 		}
 	}
@@ -136,29 +87,5 @@ func TestIncumbentFirstFeasibleShortCircuits(t *testing.T) {
 	}
 	if sol.Status != lp.Optimal || sol.X[0] != 1 || sol.X[1] != 1 {
 		t.Fatalf("unexpected solution: %+v", sol)
-	}
-}
-
-// TestSnapshotRestartMatchesDefault cross-checks the root-restart
-// variant against the default incremental path: status and optimal
-// objective must agree on random MILPs (vectors may differ among ties).
-func TestSnapshotRestartMatchesDefault(t *testing.T) {
-	for seed := int64(0); seed < 300; seed++ {
-		rng := rand.New(rand.NewSource(seed + 7000))
-		p := randomMILP(rng)
-		a, errA := Solve(p, Options{})
-		b, errB := Solve(p, Options{SnapshotRestart: true})
-		if (errA != nil) != (errB != nil) {
-			t.Fatalf("seed %d: default err=%v restart err=%v", seed, errA, errB)
-		}
-		if errA != nil {
-			continue
-		}
-		if a.Status != b.Status {
-			t.Fatalf("seed %d: default status %v, restart %v", seed, a.Status, b.Status)
-		}
-		if a.Status == lp.Optimal && p.LP.Objective != nil && math.Abs(a.Objective-b.Objective) > 1e-6 {
-			t.Fatalf("seed %d: default objective %v, restart %v", seed, a.Objective, b.Objective)
-		}
 	}
 }

@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -120,51 +121,98 @@ func TestBinaryLengthMismatch(t *testing.T) {
 	}
 }
 
-// exhaustive solves a small pure-binary MILP by enumeration.
-func exhaustive(p *Problem) (bestObj float64, feasible bool) {
+// exhaustive solves a small pure-binary MILP by enumeration,
+// returning the optimal objective and a first optimal point in mask
+// order (a nil objective scores every feasible point 0).
+func exhaustive(p *Problem) (bestObj float64, bestX []float64, feasible bool) {
 	n := p.LP.NumVars
 	bestObj = math.Inf(1)
+	x := make([]float64, n)
 	for mask := 0; mask < 1<<n; mask++ {
-		x := make([]float64, n)
 		for v := 0; v < n; v++ {
-			if mask&(1<<v) != 0 {
-				x[v] = 1
-			}
+			x[v] = float64((mask >> v) & 1)
 		}
-		ok := true
-		for _, c := range p.LP.Constraints {
-			var lhs float64
-			for _, term := range c.Terms {
-				lhs += term.Coef * x[term.Var]
-			}
-			switch c.Sense {
-			case lp.LE:
-				ok = ok && lhs <= c.RHS+1e-9
-			case lp.GE:
-				ok = ok && lhs >= c.RHS-1e-9
-			case lp.EQ:
-				ok = ok && math.Abs(lhs-c.RHS) <= 1e-9
-			}
-		}
-		if !ok {
+		if violatedRow(p, x, 1e-9) >= 0 {
 			continue
 		}
 		var obj float64
-		for v := 0; v < n; v++ {
-			if p.LP.Objective != nil {
-				obj += p.LP.Objective[v] * x[v]
-			}
+		for v, c := range p.LP.Objective {
+			obj += c * x[v]
 		}
 		if obj < bestObj {
 			bestObj = obj
+			bestX = append(bestX[:0], x...)
 			feasible = true
 		}
 	}
-	return bestObj, feasible
+	return bestObj, bestX, feasible
+}
+
+// violatedRow returns the index of the first constraint row x violates
+// by more than tol, or -1 when x satisfies every row.
+func violatedRow(p *Problem, x []float64, tol float64) int {
+	for ci, c := range p.LP.Constraints {
+		var lhs float64
+		for _, term := range c.Terms {
+			lhs += term.Coef * x[term.Var]
+		}
+		switch c.Sense {
+		case lp.LE:
+			if lhs > c.RHS+tol {
+				return ci
+			}
+		case lp.GE:
+			if lhs < c.RHS-tol {
+				return ci
+			}
+		case lp.EQ:
+			if math.Abs(lhs-c.RHS) > tol {
+				return ci
+			}
+		}
+	}
+	return -1
+}
+
+// checkAgainstExhaustive solves p by branch and bound and checks the
+// result against enumeration: the same feasibility verdict, an
+// integral point satisfying every row, and — when optimizing — the
+// optimal objective.
+func checkAgainstExhaustive(t *testing.T, label string, p *Problem, firstFeasible bool) {
+	t.Helper()
+	want, _, feasible := exhaustive(p)
+	got, err := Solve(p, Options{FirstFeasible: firstFeasible})
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if !feasible {
+		if got.Status != lp.Infeasible {
+			t.Errorf("%s: got %v, want infeasible", label, got.Status)
+		}
+		return
+	}
+	if got.Status != lp.Optimal {
+		t.Errorf("%s: got %v, want optimal", label, got.Status)
+		return
+	}
+	for v, isBin := range p.Binary {
+		if isBin && got.X[v] != 0 && got.X[v] != 1 {
+			t.Errorf("%s: x[%d]=%v not integral", label, v, got.X[v])
+		}
+	}
+	if ci := violatedRow(p, got.X, 1e-6); ci >= 0 {
+		t.Errorf("%s: constraint %d violated by X=%v", label, ci, got.X)
+	}
+	if !firstFeasible && !approx(got.Objective, want) {
+		t.Errorf("%s: objective %f, want %f", label, got.Objective, want)
+	}
 }
 
 // Property: branch and bound agrees with exhaustive enumeration on
-// random small pure-binary problems.
+// random small pure-binary problems: inequality-only problems with an
+// objective, and the paper-shaped randomMILP family — equality rows,
+// objective-free feasibility problems — in both the optimizing and
+// the first-feasible search modes.
 func TestQuickAgainstExhaustive(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -190,23 +238,47 @@ func TestQuickAgainstExhaustive(t *testing.T) {
 			sense := []lp.Sense{lp.LE, lp.GE}[rng.Intn(2)]
 			p.LP.AddConstraint(sense, float64(rng.Intn(9)-4), terms...)
 		}
-		want, feasible := exhaustive(p)
-		got, err := Solve(p, Options{})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if !feasible {
-			if got.Status != lp.Infeasible {
-				t.Errorf("seed %d: got %v, want infeasible", seed, got.Status)
-			}
-			continue
-		}
-		if got.Status != lp.Optimal {
-			t.Errorf("seed %d: got %v, want optimal", seed, got.Status)
-			continue
-		}
-		if !approx(got.Objective, want) {
-			t.Errorf("seed %d: objective %f, want %f", seed, got.Objective, want)
+		checkAgainstExhaustive(t, fmt.Sprintf("seed %d", seed), p, false)
+	}
+	for seed := int64(0); seed < 300; seed++ {
+		p := randomMILP(rand.New(rand.NewSource(seed)))
+		for _, ff := range []bool{false, true} {
+			checkAgainstExhaustive(t, fmt.Sprintf("randomMILP seed %d ff=%v", seed, ff), p, ff)
 		}
 	}
+}
+
+// randomMILP builds a small random pure-binary MILP in the shape of
+// the paper's formulations: cover rows, capacity rows, and occasional
+// equalities, with or without an objective.
+func randomMILP(rng *rand.Rand) *Problem {
+	n := 3 + rng.Intn(8)
+	p := &Problem{
+		LP:     lp.Problem{NumVars: n},
+		Binary: make([]bool, n),
+	}
+	for v := 0; v < n; v++ {
+		p.Binary[v] = true
+	}
+	if rng.Intn(3) > 0 {
+		obj := make([]float64, n)
+		for v := range obj {
+			obj[v] = float64(rng.Intn(21) - 10)
+		}
+		p.LP.Objective = obj
+	}
+	for r := 0; r < 1+rng.Intn(4); r++ {
+		var terms []lp.Term
+		for v := 0; v < n; v++ {
+			if rng.Intn(2) == 0 {
+				terms = append(terms, lp.Term{Var: v, Coef: float64(rng.Intn(7) - 3)})
+			}
+		}
+		if len(terms) == 0 {
+			continue
+		}
+		sense := []lp.Sense{lp.LE, lp.GE, lp.EQ}[rng.Intn(3)]
+		p.LP.AddConstraint(sense, float64(rng.Intn(9)-4), terms...)
+	}
+	return p
 }

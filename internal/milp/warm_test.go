@@ -1,101 +1,10 @@
 package milp
 
 import (
-	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/lp"
 )
-
-// randomMILP builds a small random pure-binary MILP in the shape of
-// the paper's formulations: cover rows, capacity rows, and occasional
-// equalities, with or without an objective.
-func randomMILP(rng *rand.Rand) *Problem {
-	n := 3 + rng.Intn(8)
-	p := &Problem{
-		LP:     lp.Problem{NumVars: n},
-		Binary: make([]bool, n),
-	}
-	for v := 0; v < n; v++ {
-		p.Binary[v] = true
-	}
-	if rng.Intn(3) > 0 {
-		obj := make([]float64, n)
-		for v := range obj {
-			obj[v] = float64(rng.Intn(21) - 10)
-		}
-		p.LP.Objective = obj
-	}
-	for r := 0; r < 1+rng.Intn(4); r++ {
-		var terms []lp.Term
-		for v := 0; v < n; v++ {
-			if rng.Intn(2) == 0 {
-				terms = append(terms, lp.Term{Var: v, Coef: float64(rng.Intn(7) - 3)})
-			}
-		}
-		if len(terms) == 0 {
-			continue
-		}
-		sense := []lp.Sense{lp.LE, lp.GE, lp.EQ}[rng.Intn(3)]
-		p.LP.AddConstraint(sense, float64(rng.Intn(9)-4), terms...)
-	}
-	return p
-}
-
-// TestWarmMatchesLegacy cross-checks the incremental warm-started
-// search against the legacy cold path on random MILPs: identical
-// status, and identical optimal objective (bindings may differ when
-// several optima exist). Both optimizing and first-feasible modes.
-func TestWarmMatchesLegacy(t *testing.T) {
-	for seed := int64(0); seed < 300; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		p := randomMILP(rng)
-		for _, ff := range []bool{false, true} {
-			warm, errW := Solve(p, Options{FirstFeasible: ff})
-			cold, errC := Solve(p, Options{FirstFeasible: ff, Cold: true})
-			if (errW != nil) != (errC != nil) {
-				t.Fatalf("seed %d ff=%v: warm err=%v cold err=%v", seed, ff, errW, errC)
-			}
-			if errW != nil {
-				continue
-			}
-			if warm.Status != cold.Status {
-				t.Fatalf("seed %d ff=%v: warm status %v, cold %v", seed, ff, warm.Status, cold.Status)
-			}
-			if warm.Status != lp.Optimal {
-				continue
-			}
-			if !ff && !approx(warm.Objective, cold.Objective) {
-				t.Fatalf("seed %d: warm objective %f, cold %f", seed, warm.Objective, cold.Objective)
-			}
-			// Whatever mode, the warm solution must satisfy the problem.
-			for ci, c := range p.LP.Constraints {
-				var lhs float64
-				for _, tm := range c.Terms {
-					lhs += tm.Coef * warm.X[tm.Var]
-				}
-				bad := false
-				switch c.Sense {
-				case lp.LE:
-					bad = lhs > c.RHS+1e-6
-				case lp.GE:
-					bad = lhs < c.RHS-1e-6
-				case lp.EQ:
-					bad = math.Abs(lhs-c.RHS) > 1e-6
-				}
-				if bad {
-					t.Fatalf("seed %d ff=%v: constraint %d violated by warm X=%v", seed, ff, ci, warm.X)
-				}
-			}
-			for v, isBin := range p.Binary {
-				if isBin && warm.X[v] != 0 && warm.X[v] != 1 {
-					t.Fatalf("seed %d ff=%v: x[%d]=%v not integral", seed, ff, v, warm.X[v])
-				}
-			}
-		}
-	}
-}
 
 // TestWarmSolvesCounted ensures the incremental path actually reuses
 // bases instead of silently re-solving cold: on a dive-friendly

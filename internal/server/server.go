@@ -32,6 +32,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,6 +53,7 @@ var (
 	metDraining  = obs.NewCounter("server.rejected_draining")
 	metJobsOK    = obs.NewCounter("server.jobs_done")
 	metJobsFail  = obs.NewCounter("server.jobs_failed")
+	metPanics    = obs.NewCounter("server.job_panics")
 	metJobNS     = obs.NewHistogram("server.job_ns")
 	metQueueWait = obs.NewHistogram("server.queue_wait_ns")
 )
@@ -175,6 +177,12 @@ type Server struct {
 	inflight sync.WaitGroup // admitted jobs not yet terminal
 	draining atomic.Bool
 	closed   atomic.Bool
+	// admitMu orders admissions against shutdown: admit holds it from
+	// the draining check through inflight.Add and the enqueue, and
+	// Drain and Close set draining under it. No job can then join
+	// inflight after a drain has started waiting on it, or be sent on
+	// the queue after Close has closed it.
+	admitMu sync.Mutex
 
 	seq   atomic.Int64
 	jobMu sync.Mutex
@@ -238,14 +246,48 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob executes one job through the Designer facade under the job's
-// own telemetry and deadline.
+// runJob executes one job (see execute), records its outcome and
+// publishes the terminal status to the job's event stream.
 func (s *Server) runJob(j *job) {
 	defer s.inflight.Done()
 	defer j.req.cleanup()
 	now := time.Now()
 	j.setRunning(now)
 	metQueueWait.Observe(now.Sub(j.created).Nanoseconds())
+	design, result, err := s.execute(j)
+	end := time.Now()
+	j.finish(end, design, result, err)
+	metJobNS.Observe(end.Sub(now).Nanoseconds())
+	if err != nil {
+		metJobsFail.Inc()
+		s.logf("job %s failed after %s: %v", j.id, end.Sub(now), err)
+	} else {
+		metJobsOK.Inc()
+		s.logf("job %s done in %s", j.id, end.Sub(now))
+	}
+
+	// Terminal SSE frames: the final status, then the stream end. A bus
+	// with no subscribers drops these for free.
+	if data, e := json.Marshal(j.wire()); e == nil {
+		j.bus.Publish("result", data)
+	}
+	j.bus.Close()
+	s.forwardToGlobal(j)
+}
+
+// execute runs the body of a job: the analysis and design under the
+// job's telemetry and deadline. A panic anywhere in it becomes an
+// "internal" job failure with its stack logged — without the recover
+// it would unwind the worker goroutine and take the whole daemon, and
+// every other queued job, down with it.
+func (s *Server) execute(j *job) (design *core.Design, result *stbusgen.Result, err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			metPanics.Inc()
+			s.logf("job %s panicked: %v\n%s", j.id, rec, debug.Stack())
+			design, result, err = nil, nil, fmt.Errorf("server: job panicked: %v", rec)
+		}
+	}()
 	if s.testHookJobRunning != nil {
 		s.testHookJobRunning(j)
 	}
@@ -255,11 +297,6 @@ func (s *Server) runJob(j *job) {
 	defer cancel()
 
 	designer := stbusgen.NewDesigner(j.req.opts)
-	var (
-		design *core.Design
-		result *stbusgen.Result
-		err    error
-	)
 	switch {
 	case j.req.spool != "":
 		// Spooled large trace: out-of-core sharded analysis over the
@@ -285,24 +322,7 @@ func (s *Server) runJob(j *job) {
 	default:
 		result, err = designer.Design(ctx, j.req.app)
 	}
-	end := time.Now()
-	j.finish(end, design, result, err)
-	metJobNS.Observe(end.Sub(now).Nanoseconds())
-	if err != nil {
-		metJobsFail.Inc()
-		s.logf("job %s failed after %s: %v", j.id, end.Sub(now), err)
-	} else {
-		metJobsOK.Inc()
-		s.logf("job %s done in %s", j.id, end.Sub(now))
-	}
-
-	// Terminal SSE frames: the final status, then the stream end. A bus
-	// with no subscribers drops these for free.
-	if data, e := json.Marshal(j.wire()); e == nil {
-		j.bus.Publish("result", data)
-	}
-	j.bus.Close()
-	s.forwardToGlobal(j)
+	return design, result, err
 }
 
 // readSpooledTrace decodes a spooled body in memory — the fallback for
@@ -334,10 +354,6 @@ func (s *Server) forwardToGlobal(j *job) {
 
 // admit registers and enqueues a job, enforcing admission control.
 func (s *Server) admit(req *designRequest) (*job, error) {
-	if s.draining.Load() {
-		metDraining.Inc()
-		return nil, &httpError{status: http.StatusServiceUnavailable, msg: "server is draining"}
-	}
 	j := &job{
 		id:      fmt.Sprintf("j-%06d", s.seq.Add(1)),
 		req:     req,
@@ -348,6 +364,12 @@ func (s *Server) admit(req *designRequest) (*job, error) {
 	}
 	j.rec.AttachBus(j.bus)
 
+	s.admitMu.Lock()
+	defer s.admitMu.Unlock()
+	if s.draining.Load() {
+		metDraining.Inc()
+		return nil, &httpError{status: http.StatusServiceUnavailable, msg: "server is draining"}
+	}
 	s.jobMu.Lock()
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
@@ -408,7 +430,7 @@ func (s *Server) lookup(id string) (*job, bool) {
 // promptly with a canceled error and their clients get the terminal
 // status). Safe to call once; Close must follow.
 func (s *Server) Drain(ctx context.Context) {
-	s.draining.Store(true)
+	s.stopAdmission()
 	s.logf("draining: admission stopped, waiting for in-flight jobs")
 	done := make(chan struct{})
 	go func() {
@@ -427,13 +449,21 @@ func (s *Server) Drain(ctx context.Context) {
 	s.logf("drain complete: stragglers canceled")
 }
 
+// stopAdmission makes every later admit answer 503. Once it returns,
+// no admission is still between its draining check and the enqueue.
+func (s *Server) stopAdmission() {
+	s.admitMu.Lock()
+	s.draining.Store(true)
+	s.admitMu.Unlock()
+}
+
 // Close stops the worker pool. Jobs still queued are canceled via the
 // base context (Drain normally empties the queue first).
 func (s *Server) Close() {
 	if !s.closed.CompareAndSwap(false, true) {
 		return
 	}
-	s.draining.Store(true)
+	s.stopAdmission()
 	s.baseCancel(errors.New("server closed"))
 	close(s.queue)
 	s.workerWG.Wait()

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -310,6 +311,64 @@ func TestAppSpecDesign(t *testing.T) {
 	if j.Request.NumBuses <= 0 || j.Response.NumBuses <= 0 {
 		t.Errorf("implausible bus counts: req=%d resp=%d", j.Request.NumBuses, j.Response.NumBuses)
 	}
+}
+
+// TestJobPanicRecovered pins that a panicking job fails alone: the job
+// reports an internal error with its stack logged and counted, the
+// worker survives to serve the next request, and shutdown still drains
+// cleanly.
+func TestJobPanicRecovered(t *testing.T) {
+	cfg := testConfig()
+	cfg.Concurrency = 1 // the follow-up job must run on the same worker
+	var logMu sync.Mutex
+	var logs []string
+	cfg.Logf = func(format string, args ...any) {
+		logMu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		logMu.Unlock()
+	}
+	s, hs := newTestServer(t, cfg)
+	var panicked atomic.Bool
+	s.testHookJobRunning = func(*job) {
+		if panicked.CompareAndSwap(false, true) {
+			panic("injected job panic")
+		}
+	}
+	panicsBefore := metPanics.Value()
+
+	body := traceBody(t, slowTrace(5))
+	failed, code := postDesign(t, hs.URL+"/v1/design", body)
+	if code != http.StatusInternalServerError || failed.Status != "failed" || failed.Reason != "internal" {
+		t.Fatalf("panicking job: status %d, job status %q reason %q, want 500 failed internal",
+			code, failed.Status, failed.Reason)
+	}
+	if got := metPanics.Value() - panicsBefore; got != 1 {
+		t.Errorf("server.job_panics rose by %d, want 1", got)
+	}
+	logMu.Lock()
+	var stackLogged bool
+	for _, l := range logs {
+		if strings.Contains(l, "injected job panic") && strings.Contains(l, "goroutine") {
+			stackLogged = true
+		}
+	}
+	logMu.Unlock()
+	if !stackLogged {
+		t.Errorf("panic stack not logged")
+	}
+
+	next, code := postDesign(t, hs.URL+"/v1/design", body)
+	if code != http.StatusOK || next.Status != "done" || next.Design == nil {
+		t.Fatalf("job after the panic: status %d, job status %q", code, next.Status)
+	}
+
+	dctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	s.Drain(dctx)
+	if dctx.Err() != nil {
+		t.Errorf("drain ran into its deadline after a panicked job")
+	}
+	s.Close()
 }
 
 // TestBadRequests pins the rejection surface: unknown app, unknown
