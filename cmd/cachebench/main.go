@@ -61,13 +61,13 @@ func bench(name string, fn func(b *testing.B)) caseResult {
 
 func run(ctx context.Context) (err error) {
 	tr := benchprobs.DeltaTrace32()
-	baseA, err := trace.Analyze(tr, benchprobs.AnalysisWindow)
+	baseA, err := trace.AnalyzeCtx(ctx, tr, benchprobs.AnalysisWindow)
 	if err != nil {
 		return err
 	}
 	// A perturbed sibling: different fingerprint, within the default
 	// warm delta budget.
-	nearA, err := trace.Analyze(benchprobs.PerturbTrace(tr, 0.01, 7), benchprobs.AnalysisWindow)
+	nearA, err := trace.AnalyzeCtx(ctx, benchprobs.PerturbTrace(tr, 0.01, 7), benchprobs.AnalysisWindow)
 	if err != nil {
 		return err
 	}

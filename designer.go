@@ -121,9 +121,10 @@ func (d *Designer) DesignTrace(ctx context.Context, tr *Trace, windowSize int64)
 
 // DesignAnalysis designs one direction's crossbar from a precomputed
 // window analysis (phase 3 only). It is the entry point for callers
-// that produced the analysis themselves — notably out-of-core sharded
-// ingest (trace.AnalyzeFileSharded), where the event stream never
-// exists as a Trace value. The design cache keys on the analysis
+// that produced the analysis themselves — the stbusd daemon for every
+// trace job, analyzed in memory (trace.AnalyzeCtx) or out of core over
+// a spooled file (trace.AnalyzeFileSharded), where the event stream
+// never exists as a Trace value. The design cache keys on the analysis
 // fingerprint, so designs reached through this path and through
 // DesignTrace share hits.
 func (d *Designer) DesignAnalysis(ctx context.Context, a *Analysis) (_ *Design, err error) {

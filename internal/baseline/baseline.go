@@ -15,6 +15,7 @@
 package baseline
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -27,7 +28,7 @@ import (
 // only. maxPerBus ≤ 0 disables the per-bus cap, matching prior-work
 // designs driven purely by average bandwidth.
 func AverageFlow(tr *trace.Trace, maxPerBus int) (*core.Design, error) {
-	a, err := trace.SingleWindow(tr)
+	a, err := trace.AnalyzeCtx(context.Background(), tr, tr.Horizon)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: average-flow analysis: %w", err)
 	}
@@ -42,7 +43,7 @@ func AverageFlow(tr *trace.Trace, maxPerBus int) (*core.Design, error) {
 // PeakBandwidth designs a contention-free crossbar: receivers that
 // overlap at all in any window are separated (threshold 0).
 func PeakBandwidth(tr *trace.Trace, ws int64) (*core.Design, error) {
-	a, err := trace.Analyze(tr, ws)
+	a, err := trace.AnalyzeCtx(context.Background(), tr, ws)
 	if err != nil {
 		return nil, fmt.Errorf("baseline: peak-bandwidth analysis: %w", err)
 	}

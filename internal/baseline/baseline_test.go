@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -61,7 +62,7 @@ func TestPeakBandwidthSeparatesEvenTinyOverlap(t *testing.T) {
 		t.Errorf("1-cycle overlap not separated: %d buses", d.NumBuses)
 	}
 	// The window-based designer with a threshold tolerates it.
-	a, err := trace.Analyze(tr, 100)
+	a, err := trace.AnalyzeCtx(context.Background(), tr, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestRandomBindingRespectsConstraints(t *testing.T) {
 	// Make receivers 0 and 1 overlap fully so a 0% threshold conflicts
 	// them.
 	tr.Events[1] = trace.Event{Start: 0, Len: 9, Receiver: 1}
-	a, err := trace.Analyze(tr, 100)
+	a, err := trace.AnalyzeCtx(context.Background(), tr, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestRandomBindingVariety(t *testing.T) {
 	for r := 0; r < 6; r++ {
 		tr.Events = append(tr.Events, trace.Event{Start: int64(100 * r), Len: 50, Receiver: r})
 	}
-	a, err := trace.Analyze(tr, 100)
+	a, err := trace.AnalyzeCtx(context.Background(), tr, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestRandomBindingInfeasible(t *testing.T) {
 			{Start: 0, Len: 60, Receiver: 1},
 		},
 	}
-	a, err := trace.Analyze(tr, 100)
+	a, err := trace.AnalyzeCtx(context.Background(), tr, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

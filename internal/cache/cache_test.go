@@ -28,7 +28,7 @@ func mkAnalysis(t *testing.T, variant int) *trace.Analysis {
 			Receiver: r,
 		})
 	}
-	a, err := trace.Analyze(tr, 100)
+	a, err := trace.AnalyzeCtx(context.Background(), tr, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

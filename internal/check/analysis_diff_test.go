@@ -1,17 +1,113 @@
 package check
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
+
+	"repro/internal/trace"
 )
 
-// TestDifferentialAnalysisKernels is the analysis-kernel counterpart of
+// analysisGenParams sizes random traces for the analysis differential.
+// Unlike the solver harness (which keeps cases tiny so the MILP path
+// stays affordable) no solver runs here, so the traces are bigger and
+// the receiver count deliberately exceeds 64: the sweep kernel's
+// active-receiver bitset then spans multiple words, a code path the
+// solver-sized cases never reach. internal/trace's
+// TestSweepMatchesLegacyDifferential draws the same cases.
+func analysisGenParams() GenParams {
+	return GenParams{
+		MaxReceivers: 70,
+		MaxSenders:   4,
+		MaxHorizon:   2000,
+		MaxEvents:    300,
+		MaxLen:       40,
+		CriticalFrac: 0.2,
+	}
+}
+
+// analysisDiff runs one random trace through the production analysis
+// paths — the sweep-line kernel (AnalyzeCtx), the streaming reader fed
+// the binary encoding of a start-sorted copy, and the sharded driver
+// over the columnar v2 byte image at a seed-drawn shard count — and
+// returns a description per output mismatch. The sweep kernel's
+// oracle, the legacy pairwise kernel, is test code in internal/trace,
+// where TestSweepMatchesLegacyDifferential runs it on the same cases.
+// The error return is reserved for harness failures (a path rejecting
+// a valid case outright); disagreements between successful runs are
+// data.
+func analysisDiff(ctx context.Context, seed int64) ([]string, error) {
+	tr := RandomTrace(seed, analysisGenParams())
+	rng := rand.New(rand.NewSource(seed ^ 0x7a11_ce11))
+	ws := 1 + rng.Int63n(tr.Horizon)
+	if rng.Intn(8) == 0 {
+		ws = tr.Horizon + 1 + rng.Int63n(64) // window larger than horizon
+	}
+	// 0 exercises the per-core default shard count.
+	shards := rng.Intn(10)
+
+	sweep, err := trace.AnalyzeCtx(ctx, tr, ws)
+	if err != nil {
+		return nil, fmt.Errorf("check: case %d: sweep kernel: %w", seed, err)
+	}
+	streamed, err := analyzeStreamed(ctx, tr, ws)
+	if err != nil {
+		return nil, fmt.Errorf("check: case %d: streaming kernel: %w", seed, err)
+	}
+	sharded, err := analyzeShardedV2(ctx, tr, ws, shards)
+	if err != nil {
+		return nil, fmt.Errorf("check: case %d: sharded v2 kernel: %w", seed, err)
+	}
+
+	var out []string
+	for _, d := range trace.DiffAnalyses(sweep, streamed) {
+		out = append(out, fmt.Sprintf("sweep vs stream (ws=%d): %s", ws, d))
+	}
+	for _, d := range trace.DiffAnalyses(sweep, sharded) {
+		out = append(out, fmt.Sprintf("sweep vs sharded-v2 (ws=%d shards=%d): %s", ws, shards, d))
+	}
+	return out, nil
+}
+
+// analyzeShardedV2 encodes the trace in the columnar v2 container and
+// analyzes the byte image through the out-of-core sharded driver — the
+// path a spooled server upload takes, minus the mmap.
+func analyzeShardedV2(ctx context.Context, tr *trace.Trace, ws int64, shards int) (*trace.Analysis, error) {
+	var buf bytes.Buffer
+	if err := trace.WriteBinaryV2(&buf, tr); err != nil {
+		return nil, err
+	}
+	return trace.AnalyzeBytesSharded(ctx, buf.Bytes(), ws, shards, nil)
+}
+
+// analyzeStreamed encodes a start-sorted copy of the trace in the
+// binary format and analyzes it through trace.AnalyzeReader, never
+// materializing the decoded events — the path a simulator pipe takes.
+func analyzeStreamed(ctx context.Context, tr *trace.Trace, ws int64) (*trace.Analysis, error) {
+	sorted := &trace.Trace{
+		NumReceivers: tr.NumReceivers,
+		NumSenders:   tr.NumSenders,
+		Horizon:      tr.Horizon,
+		Events:       append([]trace.Event(nil), tr.Events...),
+	}
+	sort.SliceStable(sorted.Events, func(a, b int) bool {
+		return sorted.Events[a].Start < sorted.Events[b].Start
+	})
+	var buf bytes.Buffer
+	if err := trace.WriteBinary(&buf, sorted); err != nil {
+		return nil, err
+	}
+	return trace.AnalyzeReader(ctx, &buf, ws)
+}
+
+// TestDifferentialAnalysisKernels is the analysis counterpart of
 // TestDifferentialSolvers: on thousands of random traces the sweep-line
-// kernel, the retained legacy pairwise kernel and the streaming binary
-// reader must produce bit-identical analyses — including on receiver
-// counts past 64 (multi-word active bitset) and, every fourth case, on
-// adaptive variable-size window boundaries.
+// kernel, the streaming binary reader and the sharded v2 driver must
+// produce bit-identical analyses — including on receiver counts past 64
+// (multi-word active bitset).
 func TestDifferentialAnalysisKernels(t *testing.T) {
 	cases := int64(2000)
 	if testing.Short() {
@@ -21,7 +117,7 @@ func TestDifferentialAnalysisKernels(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			diffs, err := AnalysisDiff(context.Background(), seed, AnalysisGenParams())
+			diffs, err := analysisDiff(context.Background(), seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -36,8 +132,8 @@ func TestDifferentialAnalysisKernels(t *testing.T) {
 // must generate the same case (and verdict) across runs, so a failing
 // case number from CI can be replayed locally.
 func TestAnalysisDiffDeterministic(t *testing.T) {
-	a := RandomTrace(17, AnalysisGenParams())
-	b := RandomTrace(17, AnalysisGenParams())
+	a := RandomTrace(17, analysisGenParams())
+	b := RandomTrace(17, analysisGenParams())
 	if a.NumReceivers != b.NumReceivers || len(a.Events) != len(b.Events) {
 		t.Fatalf("RandomTrace(17) not deterministic: %d/%d receivers, %d/%d events",
 			a.NumReceivers, b.NumReceivers, len(a.Events), len(b.Events))

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 func mkAnalysis(t *testing.T, nT int, horizon, ws int64, events []trace.Event) *trace.Analysis {
 	t.Helper()
 	tr := &trace.Trace{NumReceivers: nT, NumSenders: 1, Horizon: horizon, Events: events}
-	a, err := trace.Analyze(tr, ws)
+	a, err := trace.AnalyzeCtx(context.Background(), tr, ws)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}

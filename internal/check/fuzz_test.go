@@ -65,7 +65,7 @@ func FuzzDesignTrace(f *testing.F) {
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("decoder produced an invalid trace: %v", err)
 		}
-		a, err := trace.Analyze(tr, ws)
+		a, err := trace.AnalyzeCtx(context.Background(), tr, ws)
 		if err != nil {
 			t.Fatalf("Analyze rejected a valid problem: %v", err)
 		}

@@ -223,7 +223,8 @@ func Workers() int { return *workersFlag }
 
 // The trace-analysis shard count, registered at package init like
 // -workers: one definition, every tool. Tools pass Shards() into the
-// trace.AnalyzeSharded family, where 0 resolves to one shard per CPU
+// out-of-core entry points (trace.AnalyzeFileSharded,
+// trace.AnalyzeBytesSharded), where 0 resolves to one shard per CPU
 // core. The sharded driver is bit-identical to the single-pass sweep
 // at every shard count, so the flag trades wall clock and peak memory
 // only — never the analysis.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -116,11 +117,11 @@ func TestPropertySingleWindowLowerBound(t *testing.T) {
 			}
 		}
 		tr := &trace.Trace{NumReceivers: nRecv, NumSenders: 1, Horizon: horizon, Events: events}
-		windowed, err := trace.Analyze(tr, 100)
+		windowed, err := trace.AnalyzeCtx(context.Background(), tr, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
-		single, err := trace.SingleWindow(tr)
+		single, err := trace.AnalyzeCtx(context.Background(), tr, tr.Horizon)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -32,7 +33,7 @@ func stressAnalysis(t testing.TB, seed int64) *trace.Analysis {
 			})
 		}
 	}
-	a, err := trace.Analyze(tr, 2000)
+	a, err := trace.AnalyzeCtx(context.Background(), tr, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,11 +61,18 @@ func AdaptiveCtx(ctx context.Context, seed int64) ([]AdaptiveRow, error) {
 
 		// Adaptive windows between 1× and 4× the recommended size,
 		// aligned to burst onsets.
-		aReq, err := trace.AnalyzeAdaptive(run.Full.ReqTrace, app.WindowSize, 4*app.WindowSize)
+		analyzeAdaptive := func(tr *trace.Trace) (*trace.Analysis, error) {
+			bs, err := trace.AdaptiveBoundaries(tr, app.WindowSize, 4*app.WindowSize)
+			if err != nil {
+				return nil, err
+			}
+			return trace.AnalyzeWithBoundariesCtx(ctx, tr, bs)
+		}
+		aReq, err := analyzeAdaptive(run.Full.ReqTrace)
 		if err != nil {
 			return err
 		}
-		aResp, err := trace.AnalyzeAdaptive(run.Full.RespTrace, app.WindowSize, 4*app.WindowSize)
+		aResp, err := analyzeAdaptive(run.Full.RespTrace)
 		if err != nil {
 			return err
 		}

@@ -212,16 +212,15 @@ func TestBusSSEDroppedEventReported(t *testing.T) {
 		defer close(handlerDone)
 		b.ServeHTTP(pw, req)
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for b.Subscribers() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("SSE handler never subscribed")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// The handler is stalled in its very first write (the recorder
-	// blocks until the test reads), so no frames drain from the
+	// The handler subscribes before its first write, and the recorder
+	// holds that write until the test reads. Once the recorder reports
+	// the handler blocked there, no frame can drain from the
 	// subscription while the publisher overruns its buffer.
+	select {
+	case <-pw.blocked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("SSE handler never wrote its stream preamble")
+	}
 	var sub *BusSub
 	b.mu.RLock()
 	for s := range b.subs {
@@ -252,10 +251,12 @@ func TestBusSSEDroppedEventReported(t *testing.T) {
 // blockingRecorder is an http.ResponseWriter + Flusher whose Write
 // blocks until a reader drains it, so a test controls exactly when the
 // handler's writes complete — the deterministic stand-in for a stalled
-// TCP client.
+// TCP client. blocked is closed when the first Write starts waiting.
 type blockingRecorder struct {
-	w      *pipeWriter
-	header http.Header
+	w           *pipeWriter
+	header      http.Header
+	blocked     chan struct{}
+	blockedOnce sync.Once
 }
 
 type pipeWriter struct {
@@ -268,7 +269,7 @@ type pipeWriter struct {
 func newBlockingRecorder() (*pipeReader, *blockingRecorder) {
 	pw := &pipeWriter{}
 	pw.cond = sync.NewCond(&pw.mu)
-	return &pipeReader{pw: pw}, &blockingRecorder{w: pw, header: http.Header{}}
+	return &pipeReader{pw: pw}, &blockingRecorder{w: pw, header: http.Header{}, blocked: make(chan struct{})}
 }
 
 func (r *blockingRecorder) Header() http.Header { return r.header }
@@ -277,14 +278,20 @@ func (r *blockingRecorder) Flush()              {}
 func (r *blockingRecorder) Write(p []byte) (int, error) {
 	r.w.mu.Lock()
 	defer r.w.mu.Unlock()
-	for len(r.w.buf) > 0 && !r.w.closed {
-		r.w.cond.Wait()
-	}
 	if r.w.closed {
 		return 0, fmt.Errorf("recorder closed")
 	}
 	r.w.buf = append(r.w.buf, p...)
 	r.w.cond.Broadcast()
+	// The lock is held until Wait, so the reader cannot drain this
+	// write before blocked is closed: the writer is stalled from here.
+	r.blockedOnce.Do(func() { close(r.blocked) })
+	for len(r.w.buf) > 0 && !r.w.closed {
+		r.w.cond.Wait()
+	}
+	if len(r.w.buf) > 0 {
+		return 0, fmt.Errorf("recorder closed")
+	}
 	return len(p), nil
 }
 

@@ -125,6 +125,17 @@ type TelemetryConfig struct {
 // enough that a wedged client cannot stall process exit noticeably.
 const DefaultShutdownTimeout = 5 * time.Second
 
+// Slow-client bounds of the telemetry server, fixed rather than
+// configurable: a client has telemetryReadHeaderTimeout to send its
+// request header, and a keep-alive connection idle for
+// telemetryIdleTimeout is closed. /events streams are long by design,
+// so reads and writes past the header are left unbounded. Variables
+// only so a test can shorten them.
+var (
+	telemetryReadHeaderTimeout = 10 * time.Second
+	telemetryIdleTimeout       = 2 * time.Minute
+)
+
 // ServeTelemetry exposes the telemetry surface over HTTP on addr
 // ("host:port"; ":0" picks a free port):
 //
@@ -165,7 +176,7 @@ func ServeTelemetry(addr string, cfg TelemetryConfig) (bound string, serveErr <-
 			http.Error(w, "no event bus attached (start with -metrics-addr via internal/cli)", http.StatusServiceUnavailable)
 		})
 	}
-	srv := &http.Server{Handler: mux}
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: telemetryReadHeaderTimeout, IdleTimeout: telemetryIdleTimeout}
 	errCh := make(chan error, 1)
 	go func() {
 		if e := srv.Serve(ln); e != nil && !errors.Is(e, http.ErrServerClosed) {

@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -108,5 +109,52 @@ func TestFlightEventsSince(t *testing.T) {
 	var nilRec *FlightRecorder
 	if got := nilRec.EventsSince(0); got != nil {
 		t.Fatalf("nil recorder EventsSince = %+v, want nil", got)
+	}
+}
+
+// TestServeTelemetrySlowHeaderClient pins the slow-client bound: a
+// client that stalls partway through its request header is
+// disconnected once the header timeout passes, and other clients are
+// served meanwhile.
+func TestServeTelemetrySlowHeaderClient(t *testing.T) {
+	saved := telemetryReadHeaderTimeout
+	telemetryReadHeaderTimeout = 200 * time.Millisecond
+	defer func() { telemetryReadHeaderTimeout = saved }()
+
+	bound, _, shutdown, err := ServeTelemetry("127.0.0.1:0", TelemetryConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := shutdown(); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+
+	conn, err := net.Dial("tcp", bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "GET /metrics HTTP/1.1\r\nHost: telemetry\r\n"); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get("http://" + bound + "/progress")
+	if err != nil {
+		t.Fatalf("progress beside a stalled client: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("progress beside a stalled client: status %d", resp.StatusCode)
+	}
+
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck // a failed deadline shows as a hang below
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("stalled client was not disconnected: %v", err)
+	}
+	if d := time.Since(start); d < telemetryReadHeaderTimeout {
+		t.Fatalf("stalled client disconnected after %s, before the %s header timeout", d, telemetryReadHeaderTimeout)
 	}
 }

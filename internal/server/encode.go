@@ -17,13 +17,14 @@ import (
 	"repro/internal/trace"
 )
 
-// designRequest is one decoded /v1/design submission: either a traffic
-// trace to analyze and design (phases 2–3) or a named benchmark
-// application to run through the full four-phase methodology.
+// designRequest is one decoded /v1/design submission of one of two
+// kinds: a traffic trace to analyze and design (phases 2–3) or a named
+// benchmark application to run through the full four-phase methodology.
 type designRequest struct {
-	// Exactly one of tr / spool / app is set. spool is the temp-file
-	// path of a large binary trace body routed through the out-of-core
-	// sharded path instead of decoded into memory.
+	// Exactly one of tr / spool / app is set. tr and spool are the two
+	// containers of a trace job: spool is the temp-file path of a large
+	// binary trace body analyzed out of core instead of decoded into
+	// memory.
 	tr     *trace.Trace
 	spool  string
 	app    *stbusgen.App

@@ -58,8 +58,8 @@ type job struct {
 	created  time.Time
 	started  time.Time
 	finished time.Time
-	design   *core.Design      // trace jobs
-	result   *stbusgen.Result  // app jobs
+	design   *core.Design     // trace jobs
+	result   *stbusgen.Result // app jobs
 	err      error
 }
 

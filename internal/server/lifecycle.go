@@ -9,6 +9,18 @@ import (
 	"time"
 )
 
+// Slow-client bounds of the daemon's HTTP server, fixed rather than
+// configurable: a client has readHeaderTimeout to send its request
+// header, and a keep-alive connection idle for idleTimeout is closed,
+// so stalled clients cannot pin connections and goroutines forever.
+// Bodies (up to MaxBody) and SSE streams are long by design, so reads
+// and writes past the header are left unbounded. Variables only so a
+// test can shorten them.
+var (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Run is the daemon lifecycle: listen, serve, and on ctx cancellation
 // (SIGTERM/SIGINT via internal/cli, or a test canceling) drain
 // gracefully — stop admitting, let in-flight jobs finish within
@@ -31,7 +43,7 @@ func Run(ctx context.Context, cfg Config, onListen func(net.Addr)) error {
 	}
 	s.logf("listening on %s (workers %d, queue %d)", ln.Addr(), s.cfg.Concurrency, s.cfg.QueueDepth)
 
-	hs := &http.Server{Handler: s.Handler()}
+	hs := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	serveErr := make(chan error, 1)
 	go func() {
 		if e := hs.Serve(ln); e != nil && !errors.Is(e, http.ErrServerClosed) {

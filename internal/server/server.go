@@ -91,7 +91,8 @@ type Config struct {
 	SpoolDir string
 	// Shards is the trace-analysis shard count for spooled jobs
 	// (trace.AnalyzeFileSharded); 0 means one shard per CPU core. The
-	// analysis is bit-identical at any setting.
+	// analysis is bit-identical at any setting. In-memory trace bodies
+	// are always analyzed in one pass (trace.AnalyzeCtx).
 	Shards int
 	// JobHistory bounds how many finished jobs stay pollable before the
 	// oldest are forgotten. 0 means 512.
@@ -297,43 +298,25 @@ func (s *Server) execute(j *job) (design *core.Design, result *stbusgen.Result, 
 	defer cancel()
 
 	designer := stbusgen.NewDesigner(j.req.opts)
-	switch {
-	case j.req.spool != "":
-		// Spooled large trace: out-of-core sharded analysis over the
-		// mmap'd file, then phase 3 from the analysis. The cache keys
-		// on the analysis fingerprint, so hits are shared with the
-		// in-memory path regardless of container format.
-		var a *trace.Analysis
-		a, err = trace.AnalyzeFileSharded(ctx, j.req.spool, j.req.window, s.cfg.Shards, nil)
-		switch {
-		case err == nil:
-			design, err = designer.DesignAnalysis(ctx, a)
-		case errors.Is(err, trace.ErrUnsorted):
-			// Unsorted v1 uploads cannot be analyzed out-of-core
-			// (sorting would materialize the events anyway), so decode
-			// and take the in-memory path; MaxBody bounds the cost.
-			var tr *trace.Trace
-			if tr, err = readSpooledTrace(j.req.spool); err == nil {
-				design, err = designer.DesignTrace(ctx, tr, j.req.window)
-			}
-		}
-	case j.req.tr != nil:
-		design, err = designer.DesignTrace(ctx, j.req.tr, j.req.window)
-	default:
+	if j.req.app != nil {
 		result, err = designer.Design(ctx, j.req.app)
+		return nil, result, err
 	}
-	return design, result, err
-}
-
-// readSpooledTrace decodes a spooled body in memory — the fallback for
-// unsorted v1 uploads, which the out-of-core driver cannot analyze.
-func readSpooledTrace(path string) (*trace.Trace, error) {
-	f, err := os.Open(path)
+	// Trace job: a spooled body is analyzed out of core over the mmap'd
+	// file, an in-memory trace by the single-pass sweep. The cache keys
+	// on the analysis fingerprint, so hits are shared between the two
+	// regardless of container format.
+	var a *trace.Analysis
+	if j.req.spool != "" {
+		a, err = trace.AnalyzeFileSharded(ctx, j.req.spool, j.req.window, s.cfg.Shards, nil)
+	} else {
+		a, err = trace.AnalyzeCtx(ctx, j.req.tr, j.req.window)
+	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	defer f.Close()
-	return trace.ReadBinary(f)
+	design, err = designer.DesignAnalysis(ctx, a)
+	return design, nil, err
 }
 
 // forwardToGlobal copies the job's flight events into the daemon-wide

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -703,4 +704,60 @@ func designEqual(a, b *designJSON) bool {
 		}
 	}
 	return true
+}
+
+// TestSlowHeaderClientDisconnected pins the slow-client bound: a client
+// that stalls partway through its request header is disconnected once
+// readHeaderTimeout passes, and other clients are served meanwhile.
+func TestSlowHeaderClientDisconnected(t *testing.T) {
+	saved := readHeaderTimeout
+	readHeaderTimeout = 200 * time.Millisecond
+	defer func() { readHeaderTimeout = saved }()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	addrCh := make(chan net.Addr, 1)
+	runErr := make(chan error, 1)
+	go func() {
+		runErr <- Run(ctx, testConfig(), func(a net.Addr) { addrCh <- a })
+	}()
+	defer func() {
+		cancel()
+		if err := <-runErr; err != nil {
+			t.Errorf("Run: %v", err)
+		}
+	}()
+	var addr string
+	select {
+	case a := <-addrCh:
+		addr = a.String()
+	case err := <-runErr:
+		t.Fatalf("Run exited before listening: %v", err)
+	}
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: stbusd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get("http://" + addr + "/healthz")
+	if err != nil {
+		t.Fatalf("healthz beside a stalled client: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz beside a stalled client: status %d", resp.StatusCode)
+	}
+
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck // a failed deadline shows as a hang below
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("stalled client was not disconnected: %v", err)
+	}
+	if d := time.Since(start); d < readHeaderTimeout {
+		t.Fatalf("stalled client disconnected after %s, before the %s header timeout", d, readHeaderTimeout)
+	}
 }

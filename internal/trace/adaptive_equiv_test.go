@@ -1,7 +1,7 @@
 package trace_test
 
-// The adaptive-window analysis (AnalyzeAdaptive, and explicit edges via
-// AnalyzeWithBoundaries) now runs on the sweep-line kernel. These tests
+// The adaptive-window analysis (AdaptiveBoundaries edges fed to
+// AnalyzeWithBoundariesCtx) runs on the sweep-line kernel. These tests
 // pin it to the retained legacy pairwise kernel, bit for bit, on the
 // deterministic benchmark problem set — variable-size windows are the
 // irregular-boundary case the sweep's monotone window cursor has to get
@@ -43,13 +43,13 @@ func TestAnalyzeAdaptiveMatchesLegacy(t *testing.T) {
 		tr := benchprobs.TraceN(n)
 		for _, span := range [][2]int64{{50, 400}, {100, 1000}, {400, 4000}} {
 			minWS, maxWS := span[0], span[1]
-			got, err := trace.AnalyzeAdaptive(tr, minWS, maxWS)
-			if err != nil {
-				t.Fatalf("AnalyzeAdaptive(n=%d, %d, %d): %v", n, minWS, maxWS, err)
-			}
 			bs, err := trace.AdaptiveBoundaries(tr, minWS, maxWS)
 			if err != nil {
 				t.Fatal(err)
+			}
+			got, err := trace.AnalyzeWithBoundariesCtx(context.Background(), tr, bs)
+			if err != nil {
+				t.Fatalf("sweep kernel on adaptive boundaries (n=%d, %d, %d): %v", n, minWS, maxWS, err)
 			}
 			want, err := trace.AnalyzeLegacyWithBoundariesCtx(context.Background(), tr, bs)
 			if err != nil {
@@ -70,7 +70,11 @@ func TestAnalyzeAdaptiveMatchesLegacy(t *testing.T) {
 // participating Comm entries).
 func TestAnalyzeAdaptiveSelfConsistent(t *testing.T) {
 	tr := benchprobs.TraceN(12)
-	a, err := trace.AnalyzeAdaptive(tr, 100, 1000)
+	bs, err := trace.AdaptiveBoundaries(tr, 100, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := trace.AnalyzeWithBoundariesCtx(context.Background(), tr, bs)
 	if err != nil {
 		t.Fatal(err)
 	}

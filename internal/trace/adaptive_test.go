@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -67,7 +68,11 @@ func TestAdaptiveBoundariesAlignToOnsets(t *testing.T) {
 
 func TestAdaptiveBoundariesUsableByAnalyze(t *testing.T) {
 	tr := burstyTrace()
-	a, err := AnalyzeAdaptive(tr, 400, 3000)
+	bs, err := AdaptiveBoundaries(tr, 400, 3000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := AnalyzeWithBoundariesCtx(context.Background(), tr, bs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +145,7 @@ func TestAdaptiveBoundariesQuickRandomTraces(t *testing.T) {
 			}
 		}
 		// The result must be accepted by the analyzer.
-		if _, err := AnalyzeWithBoundaries(tr, b); err != nil {
+		if _, err := AnalyzeWithBoundariesCtx(context.Background(), tr, b); err != nil {
 			t.Fatalf("seed %d: analyzer rejected boundaries: %v", seed, err)
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"repro/internal/conc"
 	"repro/internal/ds"
 	"repro/internal/obs"
 )
@@ -61,7 +60,7 @@ func (a *Analysis) NumWindows() int { return len(a.Boundaries) - 1 }
 // WindowLen returns the length in cycles of window m.
 func (a *Analysis) WindowLen(m int) int64 { return a.Boundaries[m+1] - a.Boundaries[m] }
 
-// maxWindows bounds the number of analysis windows a single Analyze
+// maxWindows bounds the number of analysis windows a single analysis
 // call may produce, guarding against absurd window sizes turning into
 // multi-gigabyte matrix allocations.
 const maxWindows = 1 << 26
@@ -205,17 +204,13 @@ func validateBoundaries(horizon int64, boundaries []int64) error {
 	return nil
 }
 
-// Analyze divides the trace into fixed-size windows of ws cycles (the
-// last window may be shorter if the horizon is not a multiple) and
-// computes the per-window traffic characteristics.
-func Analyze(tr *Trace, ws int64) (*Analysis, error) {
-	return AnalyzeCtx(context.Background(), tr, ws)
-}
-
-// AnalyzeCtx is Analyze with cooperative cancellation. It runs the
-// single-pass sweep-line kernel (see sweep.go); the result is
-// bit-identical to the retained legacy pairwise algorithm
-// (AnalyzeLegacyCtx), which the differential harness asserts.
+// AnalyzeCtx divides the trace into fixed-size windows of ws cycles
+// (the last window may be shorter if the horizon is not a multiple)
+// and computes the per-window traffic characteristics with the
+// single-pass sweep-line kernel (see sweep.go). A window of tr.Horizon
+// cycles collapses the analysis to one window spanning the whole
+// trace: the "average communication traffic" design point of prior
+// work that the paper compares against (Section 2).
 func AnalyzeCtx(ctx context.Context, tr *Trace, ws int64) (*Analysis, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
@@ -227,15 +222,10 @@ func AnalyzeCtx(ctx context.Context, tr *Trace, ws int64) (*Analysis, error) {
 	return analyzeSweep(ctx, tr, boundaries)
 }
 
-// AnalyzeWithBoundaries performs the window analysis with explicit
+// AnalyzeWithBoundariesCtx performs the window analysis with explicit
 // window edges, supporting the variable-window-size extension the
 // paper lists as future work. Boundaries must be strictly increasing,
 // start at 0 and end at the trace horizon.
-func AnalyzeWithBoundaries(tr *Trace, boundaries []int64) (*Analysis, error) {
-	return AnalyzeWithBoundariesCtx(context.Background(), tr, boundaries)
-}
-
-// AnalyzeWithBoundariesCtx is AnalyzeWithBoundaries with cancellation.
 func AnalyzeWithBoundariesCtx(ctx context.Context, tr *Trace, boundaries []int64) (*Analysis, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
@@ -244,110 +234,6 @@ func AnalyzeWithBoundariesCtx(ctx context.Context, tr *Trace, boundaries []int64
 		return nil, err
 	}
 	return analyzeSweep(ctx, tr, boundaries)
-}
-
-// AnalyzeLegacy is Analyze on the original pairwise-intersection
-// algorithm (O(R²) allocated interval-set intersections). It is
-// retained as the oracle for the differential harness and the
-// before/after benchmark baseline; new code should use Analyze.
-func AnalyzeLegacy(tr *Trace, ws int64) (*Analysis, error) {
-	return AnalyzeLegacyCtx(context.Background(), tr, ws)
-}
-
-// AnalyzeLegacyCtx is AnalyzeLegacy with cancellation and parallel
-// per-receiver/per-pair computation (sharded over GOMAXPROCS workers).
-func AnalyzeLegacyCtx(ctx context.Context, tr *Trace, ws int64) (*Analysis, error) {
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	boundaries, err := windowBoundaries(tr.Horizon, ws)
-	if err != nil {
-		return nil, err
-	}
-	return analyzeLegacy(ctx, tr, boundaries)
-}
-
-// AnalyzeLegacyWithBoundariesCtx is the explicit-boundary form of the
-// legacy kernel.
-func AnalyzeLegacyWithBoundariesCtx(ctx context.Context, tr *Trace, boundaries []int64) (*Analysis, error) {
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	if err := validateBoundaries(tr.Horizon, boundaries); err != nil {
-		return nil, err
-	}
-	return analyzeLegacy(ctx, tr, boundaries)
-}
-
-// analyzeLegacy computes the analysis by intersecting every receiver
-// pair's interval sets — the original algorithm, kept bit-compatible
-// with the sweep kernel. The per-window computation is sharded by
-// receiver: shard i fills Comm row i and the Overlap/CritOverlap/OM
-// entries of every pair (i, j) with j > i. Shards only read the shared
-// interval sets and write disjoint matrix slots, so the parallel
-// result is bit-identical to the serial one.
-func analyzeLegacy(ctx context.Context, tr *Trace, boundaries []int64) (*Analysis, error) {
-	nT := tr.NumReceivers
-	nW := len(boundaries) - 1
-
-	ctx, span := obs.Start(ctx, "trace.analyze")
-	defer span.End()
-	span.SetStr("kernel", "legacy")
-	span.SetInt("receivers", int64(nT))
-	span.SetInt("windows", int64(nW))
-	span.SetInt("events", int64(len(tr.Events)))
-	metAnalyses.Inc()
-	metWindows.Add(int64(nW))
-
-	a := newAnalysis(nT, boundaries)
-	busy, critical := tr.busyByReceiver()
-
-	// The sparse overlap rows are not safe for concurrent appends to
-	// *different* rows (they share the build arena), so the pair rows
-	// are buffered densely per shard and appended serially after the
-	// parallel phase.
-	overlapRows := make([][]int64, a.Overlap.Rows)
-	critRows := make([][]int64, a.Overlap.Rows)
-
-	err := conc.ForEach(ctx, nT, 0, func(ctx context.Context, i int) error {
-		for m := 0; m < nW; m++ {
-			a.Comm.Set(i, m, busy[i].ClipLen(boundaries[m], boundaries[m+1]))
-			a.CritComm.Set(i, m, critical[i].ClipLen(boundaries[m], boundaries[m+1]))
-		}
-		for j := i + 1; j < nT; j++ {
-			inter := busy[i].Intersection(busy[j])
-			critInter := critical[i].Intersection(critical[j])
-			row := a.PairIndex(i, j)
-			ov := make([]int64, nW)
-			cv := make([]int64, nW)
-			var total int64
-			for m := 0; m < nW; m++ {
-				ov[m] = inter.ClipLen(boundaries[m], boundaries[m+1])
-				total += ov[m]
-				cv[m] = critInter.ClipLen(boundaries[m], boundaries[m+1])
-			}
-			overlapRows[row] = ov
-			critRows[row] = cv
-			if total > 0 {
-				a.OM.Set(i, j, total)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("trace: analysis canceled: %w", err)
-	}
-	for row := range overlapRows {
-		for m, v := range overlapRows[row] {
-			a.Overlap.Append(row, m, v)
-		}
-		for m, v := range critRows[row] {
-			a.CritOverlap.Append(row, m, v)
-		}
-	}
-	a.Overlap.Compact()
-	a.CritOverlap.Compact()
-	return a, nil
 }
 
 // MaxWindowLoad returns, over all windows, the maximum of the summed
@@ -377,11 +263,4 @@ func (a *Analysis) MaxWindowLoad() int {
 	}
 	a.mwl.Store(int64(best))
 	return best
-}
-
-// SingleWindow collapses the analysis to one window spanning the whole
-// trace. This reproduces the "average communication traffic" design
-// point of prior work that the paper compares against (Section 2).
-func SingleWindow(tr *Trace) (*Analysis, error) {
-	return AnalyzeWithBoundaries(tr, []int64{0, tr.Horizon})
 }

@@ -60,18 +60,3 @@ func TestAnalyzeCtxCanceled(t *testing.T) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
-
-func TestAnalyzeCtxBackgroundMatchesAnalyze(t *testing.T) {
-	tr := overlapTrace(7, 6)
-	a1, err := Analyze(tr, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, err := AnalyzeCtx(context.Background(), tr, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a1, a2) {
-		t.Error("Analyze and AnalyzeCtx disagree")
-	}
-}

@@ -13,9 +13,9 @@ const diffLimit = 20
 // DiffAnalyses compares every exported quantity of two analyses and
 // returns a human-readable description of each mismatch (empty when the
 // analyses are identical). It is the equivalence check used by the
-// differential harness and the fuzz oracle to pin the sweep kernel, the
-// legacy pairwise kernel and the streaming reader to bit-identical
-// outputs; for the sparse overlap tables it compares the stored cell
+// differential harnesses and the fuzz oracle to pin the sweep kernel,
+// the streaming reader, the sharded drivers and the test-only legacy
+// pairwise kernel to bit-identical outputs; for the sparse overlap tables it compares the stored cell
 // structure, not just values, so a kernel that stores explicit zeros
 // where another stores nothing is caught too.
 func DiffAnalyses(a, b *Analysis) []string {

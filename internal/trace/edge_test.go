@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"math"
 	"runtime"
@@ -44,7 +45,7 @@ func TestAnalyzeWindowLargerThanHorizon(t *testing.T) {
 		{Start: 12, Len: 5, Sender: 0, Receiver: 1},
 	}}
 	for _, ws := range []int64{51, 1000, math.MaxInt64 - 1, math.MaxInt64} {
-		a, err := Analyze(tr, ws)
+		a, err := AnalyzeCtx(context.Background(), tr, ws)
 		if err != nil {
 			t.Fatalf("ws=%d: %v", ws, err)
 		}
@@ -67,7 +68,7 @@ func TestAnalyzeShortLastWindow(t *testing.T) {
 	tr := &Trace{NumReceivers: 1, NumSenders: 1, Horizon: 25, Events: []Event{
 		{Start: 22, Len: 3, Sender: 0, Receiver: 0}, // entirely in the tail
 	}}
-	a, err := Analyze(tr, 10)
+	a, err := AnalyzeCtx(context.Background(), tr, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestAnalyzeSingleReceiver(t *testing.T) {
 	tr := &Trace{NumReceivers: 1, NumSenders: 1, Horizon: 40, Events: []Event{
 		{Start: 0, Len: 10, Sender: 0, Receiver: 0},
 	}}
-	a, err := Analyze(tr, 20)
+	a, err := AnalyzeCtx(context.Background(), tr, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestPairAccessOutOfRange(t *testing.T) {
 		{Start: 0, Len: 5, Sender: 0, Receiver: 0},
 		{Start: 2, Len: 5, Sender: 0, Receiver: 1},
 	}}
-	a, err := Analyze(tr, 30)
+	a, err := AnalyzeCtx(context.Background(), tr, 30)
 	if err != nil {
 		t.Fatal(err)
 	}

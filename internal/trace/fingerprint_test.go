@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"math/rand"
 
 	"repro/internal/ds"
@@ -16,7 +17,7 @@ func TestFingerprintKernelIndependent(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		tr := randomSweepTrace(rng, 2+rng.Intn(12), 60+rng.Intn(200), int64(200+rng.Intn(2000)))
 		ws := 1 + int64(rng.Intn(int(tr.Horizon)))
-		a, err := Analyze(tr, ws)
+		a, err := AnalyzeCtx(context.Background(), tr, ws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,14 +33,14 @@ func TestFingerprintKernelIndependent(t *testing.T) {
 
 func TestFingerprintDistinguishesContent(t *testing.T) {
 	tr := randomTrace(11)
-	a, err := Analyze(tr, 100)
+	a, err := AnalyzeCtx(context.Background(), tr, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[Fingerprint]string{a.Fingerprint(): "original"}
 
 	// A different window size changes the boundaries.
-	b, err := Analyze(tr, 250)
+	b, err := AnalyzeCtx(context.Background(), tr, 250)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestFingerprintDistinguishesContent(t *testing.T) {
 }
 
 func TestFingerprintMemoized(t *testing.T) {
-	a, err := Analyze(randomTrace(3), 100)
+	a, err := AnalyzeCtx(context.Background(), randomTrace(3), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestFingerprintMemoized(t *testing.T) {
 }
 
 func TestCloneIsDeepAndEquivalent(t *testing.T) {
-	a, err := Analyze(randomTrace(5), 50)
+	a, err := AnalyzeCtx(context.Background(), randomTrace(5), 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestCloneIsDeepAndEquivalent(t *testing.T) {
 }
 
 func TestCountDiffs(t *testing.T) {
-	a, err := Analyze(randomTrace(9), 100)
+	a, err := AnalyzeCtx(context.Background(), randomTrace(9), 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestCountDiffs(t *testing.T) {
 	}
 
 	// Shape mismatches are incomparable, not zero-diff.
-	b, err := Analyze(randomTrace(9), 250)
+	b, err := AnalyzeCtx(context.Background(), randomTrace(9), 250)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -146,7 +147,7 @@ func TestAnalyzeReaderV2MatchesAnalyze(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		tr := randomSweepTrace(rng, 2+rng.Intn(16), 1+rng.Intn(400), int64(100+rng.Intn(3000)))
 		for _, ws := range []int64{1, 37, tr.Horizon} {
-			want, err := Analyze(tr, ws)
+			want, err := AnalyzeCtx(context.Background(), tr, ws)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -171,7 +172,7 @@ func TestAnalyzeBytesShardedMatches(t *testing.T) {
 			if ws <= 0 {
 				continue
 			}
-			want, err := Analyze(tr, ws)
+			want, err := AnalyzeCtx(context.Background(), tr, ws)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,28 +192,48 @@ func TestAnalyzeBytesShardedMatches(t *testing.T) {
 	}
 }
 
-// TestAnalyzeBytesShardedUnsortedV1 checks the byte-backed planner
-// rejects unordered v1 images with a clear error (the in-memory path
-// sorts; the out-of-core path cannot).
+// TestAnalyzeBytesShardedUnsortedV1 checks that an unordered v1 image,
+// which neither the planner nor the streaming pass can sweep, is
+// decoded and analyzed in memory: over the bytes and the file path, at
+// every shard count, the result equals AnalyzeCtx on the decoded trace.
 func TestAnalyzeBytesShardedUnsortedV1(t *testing.T) {
-	tr := &Trace{NumReceivers: 2, NumSenders: 1, Horizon: 100, Events: []Event{
-		{Start: 50, Len: 5, Receiver: 0},
-		{Start: 10, Len: 5, Receiver: 1},
-	}}
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, tr); err != nil {
+	rng := rand.New(rand.NewSource(41))
+	tr := randomSweepTrace(rng, 5, 300, 2000)
+	tr.Events = append(tr.Events, Event{Start: 0, Len: 5, Receiver: 1}) // out of order for certain
+	data := encodeTrace(t, tr)
+	if _, err := AnalyzeReader(context.Background(), bytes.NewReader(data), 100); !errors.Is(err, ErrUnsorted) {
+		t.Fatalf("streaming unordered v1 image: got %v, want ErrUnsorted", err)
+	}
+	decoded, err := ReadBinary(bytes.NewReader(data))
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, err := AnalyzeBytesSharded(context.Background(), buf.Bytes(), 10, 4, nil)
-	if err == nil || !strings.Contains(err.Error(), "start-ordered") {
-		t.Fatalf("unordered v1 image: got %v, want start-ordered error", err)
+	want, err := AnalyzeCtx(context.Background(), decoded, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "unsorted.trc")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for shards := 1; shards <= 8; shards++ {
+		got, err := AnalyzeBytesSharded(context.Background(), data, 100, shards, nil)
+		if err != nil {
+			t.Fatalf("bytes, %d shards: %v", shards, err)
+		}
+		mustEqualAnalyses(t, "unsorted-v1-bytes/sh"+itoa(shards), got, want)
+		got, err = AnalyzeFileSharded(context.Background(), path, 100, shards, nil)
+		if err != nil {
+			t.Fatalf("file, %d shards: %v", shards, err)
+		}
+		mustEqualAnalyses(t, "unsorted-v1-file/sh"+itoa(shards), got, want)
 	}
 }
 
 func TestAnalyzeFileSharded(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	tr := randomSweepTrace(rng, 12, 800, 6000)
-	want, err := Analyze(tr, 250)
+	want, err := AnalyzeCtx(context.Background(), tr, 250)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +275,7 @@ func TestFingerprintAcrossFormats(t *testing.T) {
 		{Start: 150, Len: 60, Receiver: 2, Critical: true},
 	}}
 	const ws = 100
-	base, err := Analyze(tr, ws)
+	base, err := AnalyzeCtx(context.Background(), tr, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +286,7 @@ func TestFingerprintAcrossFormats(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		a, err := Analyze(decoded, ws)
+		a, err := AnalyzeCtx(context.Background(), decoded, ws)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -122,7 +122,7 @@ func FuzzAnalyze(f *testing.F) {
 			// itself the test that Validate cannot be bypassed.
 			return
 		}
-		a, err := Analyze(tr, ws)
+		a, err := AnalyzeCtx(context.Background(), tr, ws)
 		if err != nil {
 			if ws <= 0 {
 				return // the documented rejection
@@ -256,16 +256,16 @@ func FuzzShardedAnalyze(f *testing.F) {
 		if tr == nil || tr.Validate() != nil {
 			return
 		}
-		want, err := Analyze(tr, ws)
+		want, err := AnalyzeCtx(context.Background(), tr, ws)
 		if err != nil {
 			return // FuzzAnalyze owns rejection behavior
 		}
 		// 0 (auto) or 1..9 explicit shards.
 		n := int(((shards % 10) + 10) % 10)
 
-		got, err := AnalyzeSharded(tr, ws, n, nil)
+		got, err := analyzeSharded(context.Background(), tr, ws, n, nil)
 		if err != nil {
-			t.Fatalf("AnalyzeSharded(%d) rejected a valid trace: %v", n, err)
+			t.Fatalf("analyzeSharded(%d) rejected a valid trace: %v", n, err)
 		}
 		if diffs := DiffAnalyses(got, want); len(diffs) > 0 {
 			t.Fatalf("sharded(%d) vs sweep:\n%s", n, strings.Join(diffs, "\n"))

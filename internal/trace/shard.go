@@ -18,11 +18,10 @@ var (
 	metShardsRun   = obs.NewCounter("trace.sharded.shards")
 )
 
-// ErrUnsorted reports a byte-image or streaming analysis that met an
-// event starting before its predecessor. The out-of-core drivers cannot
-// sort without materializing the events, so callers holding the full
-// trace should errors.Is-match this and fall back to ReadBinary +
-// Analyze (which sorts in memory).
+// ErrUnsorted reports a streaming analysis (AnalyzeReader) that met an
+// event starting before its predecessor: a single pass over a reader
+// cannot sort. The byte-image entry points never return it; they decode
+// an unsorted v1 image and sort it in memory instead.
 var ErrUnsorted = errors.New("trace: events not start-ordered")
 
 // ShardStat describes one shard of a sharded analysis: the window range
@@ -37,7 +36,7 @@ type ShardStat struct {
 
 // ShardStats is the optional instrumentation output of the sharded
 // analysis drivers, for tools that report per-shard throughput
-// (tracestat -stream -shards, analysisbench).
+// (tracestat -stream -shards).
 type ShardStats struct {
 	Shards  []ShardStat
 	PlanNS  int64
@@ -86,37 +85,15 @@ type shardSpan struct {
 }
 
 // shardSrc is an indexed, start-ordered event source the sharded driver
-// can partition: the in-memory event slice or the fixed-stride v1
-// binary image. startAt/endAt are the cheap planning accessors; feed
+// can partition, such as the fixed-stride v1 binary image (v1Src).
+// startAt/endAt are the cheap planning accessors; feed
 // decodes event k fully, clips it to [lo, hi) and feeds the sweeper
-// (validating the record for byte-backed sources).
+// (validating the record when it comes from untrusted bytes).
 type shardSrc interface {
 	events() int
 	startAt(k int) int64
 	endAt(k int) int64
 	feed(sw *sweeper, k int, lo, hi int64) error
-}
-
-// memSrc adapts a start-sorted event slice.
-type memSrc []Event
-
-func (m memSrc) events() int         { return len(m) }
-func (m memSrc) startAt(k int) int64 { return m[k].Start }
-func (m memSrc) endAt(k int) int64   { return m[k].End() }
-
-func (m memSrc) feed(sw *sweeper, k int, lo, hi int64) error {
-	e := &m[k]
-	start, end := e.Start, e.End()
-	if start < lo {
-		start = lo
-	}
-	if end > hi {
-		end = hi
-	}
-	if start < end {
-		sw.feed(start, end-start, e.Receiver, e.Critical)
-	}
-	return nil
 }
 
 // planShards chooses the cut cycles and carry-in lists. Cuts are
@@ -304,55 +281,4 @@ func mergeShards(nT int, boundaries []int64, spans []shardSpan, parts []*Analysi
 	a.CritOverlap.Compact()
 	deriveOM(a)
 	return a
-}
-
-// AnalyzeSharded is AnalyzeShardedCtx with a background context.
-func AnalyzeSharded(tr *Trace, ws int64, shards int, stats *ShardStats) (*Analysis, error) {
-	return AnalyzeShardedCtx(context.Background(), tr, ws, shards, stats)
-}
-
-// AnalyzeShardedCtx computes the window analysis by partitioning the
-// trace into cycle-range shards (cuts snapped to window boundaries),
-// running the sweep kernel per shard in parallel on the worker pool,
-// and merging the per-shard frontier output at the cuts. Grants that
-// straddle a cut are split at the boundary and fed to both sides, so
-// the result is bit-identical to the single-pass sweep (Analyze) at
-// every shard count — only the wall clock changes. shards ≤ 0 means
-// one shard per CPU core; stats may be nil.
-func AnalyzeShardedCtx(ctx context.Context, tr *Trace, ws int64, shards int, stats *ShardStats) (*Analysis, error) {
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	boundaries, err := windowBoundaries(tr.Horizon, ws)
-	if err != nil {
-		return nil, err
-	}
-	return analyzeShardedBoundaries(ctx, tr, boundaries, shards, stats)
-}
-
-// AnalyzeShardedWithBoundariesCtx is the explicit-boundary form of the
-// sharded driver (variable-size windows); cuts still snap to the given
-// boundaries.
-func AnalyzeShardedWithBoundariesCtx(ctx context.Context, tr *Trace, boundaries []int64, shards int, stats *ShardStats) (*Analysis, error) {
-	if err := tr.Validate(); err != nil {
-		return nil, err
-	}
-	if err := validateBoundaries(tr.Horizon, boundaries); err != nil {
-		return nil, err
-	}
-	return analyzeShardedBoundaries(ctx, tr, boundaries, shards, stats)
-}
-
-func analyzeShardedBoundaries(ctx context.Context, tr *Trace, boundaries []int64, shards int, stats *ShardStats) (*Analysis, error) {
-	shards = resolveShards(shards, len(boundaries)-1)
-	if shards <= 1 {
-		t0 := time.Now()
-		a, err := analyzeSweep(ctx, tr, boundaries)
-		if err == nil && stats != nil {
-			stats.Shards = []ShardStat{{Windows: len(boundaries) - 1, Events: int64(len(tr.Events)), NS: time.Since(t0).Nanoseconds()}}
-		}
-		return a, err
-	}
-	events := sortEventsByStart(tr.Events)
-	return analyzeShardedIndexed(ctx, tr.NumReceivers, boundaries, memSrc(events), shards, int64(len(events)), stats)
 }

@@ -4,20 +4,76 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+	"time"
 )
+
+// memSrc adapts a start-sorted event slice as a shard source. No
+// production path shards an in-memory trace; the tests use it to drive
+// the planner and the merge on hand-built traces without encoding them.
+type memSrc []Event
+
+func (m memSrc) events() int         { return len(m) }
+func (m memSrc) startAt(k int) int64 { return m[k].Start }
+func (m memSrc) endAt(k int) int64   { return m[k].End() }
+
+func (m memSrc) feed(sw *sweeper, k int, lo, hi int64) error {
+	e := &m[k]
+	start, end := e.Start, e.End()
+	if start < lo {
+		start = lo
+	}
+	if end > hi {
+		end = hi
+	}
+	if start < end {
+		sw.feed(start, end-start, e.Receiver, e.Critical)
+	}
+	return nil
+}
+
+// analyzeSharded is the in-memory sharded driver over fixed windows of
+// ws cycles: sort the events by start, plan the cuts, sweep each shard
+// and merge. shards ≤ 0 means one per CPU core; one shard runs the
+// single-pass sweep. stats may be nil.
+func analyzeSharded(ctx context.Context, tr *Trace, ws int64, shards int, stats *ShardStats) (*Analysis, error) {
+	if err := tr.Validate(); err != nil {
+		return nil, err
+	}
+	boundaries, err := windowBoundaries(tr.Horizon, ws)
+	if err != nil {
+		return nil, err
+	}
+	return analyzeShardedBoundaries(ctx, tr, boundaries, shards, stats)
+}
+
+// analyzeShardedBoundaries is analyzeSharded over explicit (valid)
+// window edges; cuts still snap to the given boundaries.
+func analyzeShardedBoundaries(ctx context.Context, tr *Trace, boundaries []int64, shards int, stats *ShardStats) (*Analysis, error) {
+	shards = resolveShards(shards, len(boundaries)-1)
+	if shards <= 1 {
+		t0 := time.Now()
+		a, err := analyzeSweep(ctx, tr, boundaries)
+		if err == nil && stats != nil {
+			stats.Shards = []ShardStat{{Windows: len(boundaries) - 1, Events: int64(len(tr.Events)), NS: time.Since(t0).Nanoseconds()}}
+		}
+		return a, err
+	}
+	events := sortEventsByStart(tr.Events)
+	return analyzeShardedIndexed(ctx, tr.NumReceivers, boundaries, memSrc(events), shards, int64(len(events)), stats)
+}
 
 // mustShardEqual runs the sharded driver at the given shard count and
 // asserts bit-identity against the single-pass sweep.
 func mustShardEqual(t *testing.T, tag string, tr *Trace, ws int64, shards int) *ShardStats {
 	t.Helper()
-	want, err := Analyze(tr, ws)
+	want, err := AnalyzeCtx(context.Background(), tr, ws)
 	if err != nil {
 		t.Fatalf("%s: Analyze: %v", tag, err)
 	}
 	var stats ShardStats
-	got, err := AnalyzeSharded(tr, ws, shards, &stats)
+	got, err := analyzeSharded(context.Background(), tr, ws, shards, &stats)
 	if err != nil {
-		t.Fatalf("%s: AnalyzeSharded(%d): %v", tag, shards, err)
+		t.Fatalf("%s: analyzeSharded(%d): %v", tag, shards, err)
 	}
 	mustEqualAnalyses(t, tag, got, want)
 	return &stats
@@ -123,19 +179,19 @@ func TestShardedDegenerate(t *testing.T) {
 
 	// More shards than windows: resolves down to the window count.
 	var stats2 ShardStats
-	got, err := AnalyzeSharded(oneWindow, 50, 100, &stats2)
+	got, err := analyzeSharded(context.Background(), oneWindow, 50, 100, &stats2)
 	if err != nil {
 		t.Fatalf("over-sharded: %v", err)
 	}
-	want, _ := Analyze(oneWindow, 50)
+	want, _ := AnalyzeCtx(context.Background(), oneWindow, 50)
 	mustEqualAnalyses(t, "over-sharded", got, want)
 	if len(stats2.Shards) != 1 {
 		t.Fatalf("over-sharded: got %d shards, want 1", len(stats2.Shards))
 	}
 }
 
-// TestShardedUnsortedInput checks the sharded entry point accepts
-// unordered event slices, like Analyze does.
+// TestShardedUnsortedInput checks the in-memory driver accepts
+// unordered event slices, like AnalyzeCtx does.
 func TestShardedUnsortedInput(t *testing.T) {
 	tr := &Trace{NumReceivers: 3, NumSenders: 1, Horizon: 600, Events: []Event{
 		{Start: 500, Len: 90, Receiver: 2},
@@ -157,7 +213,7 @@ func TestShardedAdaptiveBoundaries(t *testing.T) {
 		t.Fatalf("AnalyzeWithBoundariesCtx: %v", err)
 	}
 	for _, shards := range []int{2, 3, 7, 50} {
-		got, err := AnalyzeShardedWithBoundariesCtx(context.Background(), tr, boundaries, shards, nil)
+		got, err := analyzeShardedBoundaries(context.Background(), tr, boundaries, shards, nil)
 		if err != nil {
 			t.Fatalf("sharded adaptive (%d): %v", shards, err)
 		}
@@ -171,7 +227,7 @@ func TestShardedCancel(t *testing.T) {
 	tr := randomSweepTrace(rng, 8, 5000, 100000)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := AnalyzeShardedCtx(ctx, tr, 10, 4, nil); err == nil {
+	if _, err := analyzeSharded(ctx, tr, 10, 4, nil); err == nil {
 		t.Fatal("canceled sharded analysis returned nil error")
 	}
 }
@@ -185,7 +241,7 @@ func TestShardedStats(t *testing.T) {
 		{Start: 250, Len: 10, Receiver: 1},
 	}}
 	var stats ShardStats
-	if _, err := AnalyzeSharded(tr, 100, 4, &stats); err != nil {
+	if _, err := analyzeSharded(context.Background(), tr, 100, 4, &stats); err != nil {
 		t.Fatal(err)
 	}
 	if len(stats.Shards) != 4 {

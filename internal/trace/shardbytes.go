@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"sort"
@@ -59,11 +60,29 @@ func (s v1Src) feed(sw *sweeper, k int, lo, hi int64) error {
 }
 
 // AnalyzeBytesSharded runs the sharded analysis directly over a binary
-// trace image (v1 or v2) without materializing the event slice — the
-// out-of-core analog of AnalyzeShardedCtx, typically fed by
-// AnalyzeFileSharded's mmap. shards ≤ 0 means one per CPU core; one
-// shard degrades to the streaming single-pass kernel. stats may be nil.
+// trace image (v1 or v2) without materializing the event slice,
+// typically fed by AnalyzeFileSharded's mmap. shards ≤ 0 means one per
+// CPU core; one shard degrades to the streaming single-pass kernel.
+// stats may be nil. A v1 image whose events are not start-ordered
+// cannot be swept out of core, so it is decoded and analyzed in memory
+// (AnalyzeCtx sorts), which costs the event slice but gives the same
+// analysis as for the sorted image.
 func AnalyzeBytesSharded(ctx context.Context, data []byte, ws int64, shards int, stats *ShardStats) (*Analysis, error) {
+	a, err := analyzeImage(ctx, data, ws, shards, stats)
+	if !errors.Is(err, ErrUnsorted) {
+		return a, err
+	}
+	tr, err := ReadBinary(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	return AnalyzeCtx(ctx, tr, ws)
+}
+
+// analyzeImage is AnalyzeBytesSharded for start-ordered images: it
+// returns ErrUnsorted on an out-of-order v1 image (v2 stores start
+// deltas, so it is ordered by construction).
+func analyzeImage(ctx context.Context, data []byte, ws int64, shards int, stats *ShardStats) (*Analysis, error) {
 	hdr, err := readBinaryHeader(bufio.NewReader(bytes.NewReader(data)))
 	if err != nil {
 		return nil, err

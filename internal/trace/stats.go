@@ -1,6 +1,10 @@
 package trace
 
-import "repro/internal/ds"
+import (
+	"context"
+
+	"repro/internal/ds"
+)
 
 // DutyCycles returns each receiver's busy fraction over the whole
 // trace — the average-utilization view of the traffic.
@@ -17,7 +21,7 @@ func (tr *Trace) DutyCycles() []float64 {
 // windows of ws cycles — the peak-utilization view, whose gap to
 // DutyCycles quantifies how bursty the stream is.
 func (tr *Trace) PeakWindowDuty(ws int64) ([]float64, error) {
-	a, err := Analyze(tr, ws)
+	a, err := AnalyzeCtx(context.Background(), tr, ws)
 	if err != nil {
 		return nil, err
 	}

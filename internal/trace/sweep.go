@@ -436,8 +436,8 @@ func sortEventsByStart(events []Event) []Event {
 //
 // The stream's events must be ordered by nondecreasing start cycle
 // (cycle-accurate simulators emit them that way); an out-of-order
-// record is reported as an error, in which case the caller should fall
-// back to ReadBinary + Analyze.
+// record is reported as ErrUnsorted. AnalyzeBytesSharded and
+// AnalyzeFileSharded accept unsorted images by decoding them in memory.
 func AnalyzeReader(ctx context.Context, r io.Reader, ws int64) (*Analysis, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	hdr, err := readBinaryHeader(br)
@@ -502,7 +502,7 @@ func AnalyzeReader(ctx context.Context, r io.Reader, ws int64) (*Analysis, error
 			return nil, err
 		}
 		if e.Start < lastStart {
-			return nil, fmt.Errorf("%w: event %d starts at %d, before the previous start %d — streaming analysis requires start-ordered traces (fall back to ReadBinary + Analyze)", ErrUnsorted, i, e.Start, lastStart)
+			return nil, fmt.Errorf("%w: event %d starts at %d, before the previous start %d — streaming analysis requires start-ordered traces (ReadBinary + AnalyzeCtx sorts in memory)", ErrUnsorted, i, e.Start, lastStart)
 		}
 		lastStart = e.Start
 		sw.feed(e.Start, e.Len, e.Receiver, e.Critical)

@@ -59,7 +59,7 @@ func TestSweepMatchesLegacyRandom(t *testing.T) {
 				if ws <= 0 {
 					continue
 				}
-				sweep, err := Analyze(tr, ws)
+				sweep, err := AnalyzeCtx(context.Background(), tr, ws)
 				if err != nil {
 					t.Fatalf("sweep R=%d ws=%d: %v", receivers, ws, err)
 				}
@@ -111,9 +111,9 @@ func TestSweepMatchesLegacyAdversarial(t *testing.T) {
 		{
 			name: "window-aligned ends",
 			tr: &Trace{NumReceivers: 3, NumSenders: 1, Horizon: 120, Events: []Event{
-				{Start: 0, Len: 30, Receiver: 0},   // ends at boundary 30
-				{Start: 30, Len: 30, Receiver: 0},  // adjacent: coverage merges across boundary
-				{Start: 29, Len: 31, Receiver: 1},  // ends at boundary 60
+				{Start: 0, Len: 30, Receiver: 0},  // ends at boundary 30
+				{Start: 30, Len: 30, Receiver: 0}, // adjacent: coverage merges across boundary
+				{Start: 29, Len: 31, Receiver: 1}, // ends at boundary 60
 				{Start: 60, Len: 60, Receiver: 2, Critical: true},
 			}},
 			ws: 30,
@@ -136,7 +136,7 @@ func TestSweepMatchesLegacyAdversarial(t *testing.T) {
 				{Start: 20, Len: 10, Receiver: 0},  // nested, subsumed
 				{Start: 50, Len: 120, Receiver: 0}, // extends the same coverage
 				{Start: 40, Len: 30, Receiver: 1, Critical: true},
-				{Start: 90, Len: 50, Receiver: 1},  // gap then new coverage
+				{Start: 90, Len: 50, Receiver: 1}, // gap then new coverage
 			}},
 			ws: 33,
 		},
@@ -176,7 +176,7 @@ func TestSweepMatchesLegacyAdversarial(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sweep, err := Analyze(tc.tr, tc.ws)
+			sweep, err := AnalyzeCtx(context.Background(), tc.tr, tc.ws)
 			if err != nil {
 				t.Fatalf("sweep: %v", err)
 			}
@@ -195,7 +195,7 @@ func TestSweepExplicitBoundaries(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	tr := randomSweepTrace(rng, 9, 200, 500)
 	boundaries := []int64{0, 1, 17, 18, 100, 499, 500}
-	sweep, err := AnalyzeWithBoundaries(tr, boundaries)
+	sweep, err := AnalyzeWithBoundariesCtx(context.Background(), tr, boundaries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestAnalyzeReaderMatchesAnalyze(t *testing.T) {
 		receivers := 1 + rng.Intn(70)
 		tr := sortedCopy(randomSweepTrace(rng, receivers, 300, int64(200+rng.Intn(2000))))
 		ws := int64(1 + rng.Intn(int(tr.Horizon)))
-		want, err := Analyze(tr, ws)
+		want, err := AnalyzeCtx(context.Background(), tr, ws)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -423,7 +423,7 @@ func TestAnalyzeReaderMemoryBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Analyze(tr, 128)
+	want, err := AnalyzeCtx(context.Background(), tr, 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +437,7 @@ func TestAnalyzeReaderMemoryBounded(t *testing.T) {
 func TestMaxWindowLoadMemoized(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tr := randomSweepTrace(rng, 6, 300, 1000)
-	a, err := Analyze(tr, 100)
+	a, err := AnalyzeCtx(context.Background(), tr, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,8 +473,8 @@ func benchTrace(receivers, events int) *Trace {
 	return tr
 }
 
-// benchWindow mirrors benchprobs.ScaledWindow: fixed 500-cycle
-// contention windows, the granularity the analysis benchmarks use.
+// benchWindow is a fixed 500-cycle contention window: a few bursts
+// wide, so per-window overlap is meaningful for bus binding.
 const benchWindow = 500
 
 func BenchmarkAnalyzeSweep(b *testing.B) {
@@ -483,7 +483,7 @@ func BenchmarkAnalyzeSweep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Analyze(tr, ws); err != nil {
+		if _, err := AnalyzeCtx(context.Background(), tr, ws); err != nil {
 			b.Fatal(err)
 		}
 	}

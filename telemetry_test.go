@@ -70,7 +70,7 @@ func (s *sseKinds) consume(t *testing.T, body io.Reader) {
 func perturbedAnalysis16(t *testing.T) *trace.Analysis {
 	t.Helper()
 	tr := benchprobs.PerturbTrace(benchprobs.TraceN(16), 0.3, 1)
-	a, err := trace.Analyze(tr, benchprobs.AnalysisWindow)
+	a, err := trace.AnalyzeCtx(context.Background(), tr, benchprobs.AnalysisWindow)
 	if err != nil {
 		t.Fatal(err)
 	}
