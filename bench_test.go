@@ -283,20 +283,6 @@ func BenchmarkAdaptive(b *testing.B) {
 	}
 }
 
-// BenchmarkDesignAnneal times the annealing binding engine on the Mat2
-// initiator→target instance, for comparison with the exact engines.
-func BenchmarkDesignAnneal(b *testing.B) {
-	a := mat2Analysis(b)
-	opts := core.DefaultOptions()
-	opts.Engine = core.EngineAnneal
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.DesignCrossbar(a, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkWriteModes compares blocking and posted writes on the
 // designed Mat2 crossbar (ablation: STbus supports posted operations;
 // the reproduction's default is blocking).

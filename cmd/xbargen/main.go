@@ -32,7 +32,7 @@ var (
 	maxtb      = flag.Int("maxtb", 4, "maximum receivers per bus (0 = unlimited)")
 	noBind     = flag.Bool("no-binding", false, "skip the optimal-binding phase")
 	noCrit     = flag.Bool("no-critical", false, "do not separate overlapping critical streams")
-	engine     = flag.String("engine", "bb", "solver engine: bb (branch and bound), milp, anneal, or portfolio (race bb and milp per probe)")
+	engine     = flag.String("engine", "bb", "solver engine: bb (branch and bound), milp, or portfolio (race bb and milp per probe)")
 	jsonTrace  = flag.Bool("json", false, "trace file is JSON")
 	netlist    = flag.String("netlist", "", "also write a JSON netlist of the designed direction (paired with a full crossbar for the other direction)")
 	structural = flag.Bool("structural", false, "print a structural-HDL rendering of the design")

@@ -1,11 +1,11 @@
 // Package benchprobs builds deterministic solver benchmark instances.
-// They are shared by the in-tree `go test -bench` microbenchmarks and
-// the cmd/solverbench runner that writes BENCH_solver.json, so both
-// always measure the same problems.
+// They are shared by the in-tree `go test -bench` microbenchmarks, the
+// tests that pin large-instance outcomes, and the cmd/bench end-to-end
+// benchmark, so all of them measure the same problems.
 //
 // The package deliberately depends only on internal/trace: benchmark
-// code living inside internal/core (and the solverbench command) can
-// import it without an import cycle.
+// code living inside internal/core can import it without an import
+// cycle.
 package benchprobs
 
 import (
@@ -172,32 +172,3 @@ func PerturbTrace(tr *trace.Trace, frac float64, seed int64) *trace.Trace {
 // so perturbed variants of those instances can be re-analyzed under
 // identical options (a cache key requirement).
 const AnalysisWindow = analysisWindow
-
-// DeltaTrace32 is the 32-receiver instance of the warm re-solve
-// (delta) benchmarks: uniform light traffic — every receiver busy
-// ~45 cycles per 400-cycle window at staggered offsets — chosen so the
-// analytic lower bound meets the optimum (bandwidth needs ceil(32·45
-// /400) = 4 buses, and with 8 receivers per bus the packing fits).
-// A warm solve that revalidates a cached 4-bus binding therefore needs
-// zero feasibility probes, while a cold solve must binary-search the
-// full [4, 32] range through several much larger MILP relaxations;
-// the gap between those two is exactly what the delta benchmarks pin.
-// Small PerturbTrace jitters keep both the bound and the cached
-// binding's validity intact, so the instance warm-starts until the
-// delta budget cuts reuse off.
-func DeltaTrace32() *trace.Trace {
-	const (
-		n       = 32
-		horizon = 4000
-	)
-	rng := rand.New(rand.NewSource(n * 7717))
-	tr := &trace.Trace{NumReceivers: n, NumSenders: 1, Horizon: horizon}
-	for r := 0; r < n; r++ {
-		off := int64((r * 12) % 350)
-		for w := int64(0); w < horizon/analysisWindow; w++ {
-			l := int64(44 + rng.Intn(4))
-			tr.Events = append(tr.Events, trace.Event{Start: w*analysisWindow + off, Len: l, Receiver: r})
-		}
-	}
-	return tr
-}

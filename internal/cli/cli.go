@@ -242,12 +242,10 @@ func ParseEngine(name string) (core.Engine, error) {
 		return core.EngineBranchBound, nil
 	case "milp":
 		return core.EngineMILP, nil
-	case "anneal":
-		return core.EngineAnneal, nil
 	case "portfolio":
 		return core.EnginePortfolio, nil
 	}
-	return 0, fmt.Errorf("unknown engine %q (want bb, milp, anneal or portfolio)", name)
+	return 0, fmt.Errorf("unknown engine %q (want bb, milp or portfolio)", name)
 }
 
 // Main is the shared entry point of the command-line tools: logger

@@ -5,7 +5,9 @@
 //
 // Both helpers are context-aware: the first failure cancels the
 // context handed to the remaining work, and a canceled parent context
-// stops new work from starting. Crucially for the reproduction, both
+// stops new work from starting. A panic on one of their goroutines is
+// recovered into a *PanicError failure, since the caller could not
+// recover it there. Crucially for the reproduction, both
 // are *deterministic in their results*: ForEach writes outcomes by
 // index, so the output of a parallel loop is byte-identical to the
 // serial loop regardless of GOMAXPROCS or scheduling order.
@@ -14,7 +16,9 @@ package conc
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -41,6 +45,27 @@ func Workers(n int) int {
 		return n
 	}
 	return runtime.GOMAXPROCS(0)
+}
+
+// PanicError is a panic recovered on a Group or ForEach goroutine and
+// returned as that task's error.
+type PanicError struct {
+	Value any    // the value passed to panic
+	Stack []byte // the panicking goroutine's stack trace
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("conc: task panicked: %v", e.Value)
+}
+
+// protect runs fn, converting a panic into a *PanicError.
+func protect(fn func() error) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PanicError{Value: v, Stack: debug.Stack()}
+		}
+	}()
+	return fn()
 }
 
 // Group is a bounded goroutine group with first-error capture, an
@@ -72,7 +97,7 @@ func (g *Group) SetLimit(n int) {
 }
 
 // Go runs fn on a new goroutine, blocking first if the group is at its
-// concurrency limit.
+// concurrency limit. A panic in fn is the task's error, a *PanicError.
 func (g *Group) Go(fn func() error) {
 	metTasks.Inc()
 	if g.sem != nil {
@@ -90,7 +115,7 @@ func (g *Group) Go(fn func() error) {
 			}
 			g.wg.Done()
 		}()
-		if err := fn(); err != nil {
+		if err := protect(fn); err != nil {
 			g.errOnce.Do(func() {
 				g.err = err
 				if g.cancel != nil {
@@ -119,7 +144,8 @@ func (g *Group) Wait() error {
 // the lowest-index cancellation error.
 //
 // With workers resolved to 1 the items run serially on the calling
-// goroutine, so serial baselines pay no synchronization cost.
+// goroutine, so serial baselines pay no synchronization cost, and a
+// panic unwinds to the caller as usual.
 func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -162,7 +188,7 @@ func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i
 					return
 				}
 				metItems.Inc()
-				if err := fn(ctx, i); err != nil {
+				if err := protect(func() error { return fn(ctx, i) }); err != nil {
 					errs[i] = err
 					cancel(err)
 					if !isCancellation(err) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -171,5 +172,61 @@ func TestGroupWaitCancelsContext(t *testing.T) {
 	case <-ctx.Done():
 	default:
 		t.Error("context not canceled after Wait")
+	}
+}
+
+// TestForEachRecoversWorkerPanic: a panicking item on a pool goroutine
+// must come back as an error carrying the panic value and stack, not
+// crash the process.
+func TestForEachRecoversWorkerPanic(t *testing.T) {
+	err := ForEach(context.Background(), 8, 4, func(_ context.Context, i int) error {
+		if i == 5 {
+			panic("item 5 exploded")
+		}
+		return nil
+	})
+	var pe *PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want a *PanicError", err)
+	}
+	if pe.Value != "item 5 exploded" {
+		t.Errorf("panic value = %v", pe.Value)
+	}
+	if !strings.Contains(string(pe.Stack), "TestForEachRecoversWorkerPanic") {
+		t.Errorf("stack does not reach the panicking item:\n%s", pe.Stack)
+	}
+}
+
+// TestForEachSerialPanicUnwinds pins the serial path: with one worker
+// the items run on the caller's goroutine, where the caller can
+// recover a panic itself, so it is not converted.
+func TestForEachSerialPanicUnwinds(t *testing.T) {
+	defer func() {
+		if v := recover(); v != "serial" {
+			t.Errorf("recovered %v, want the item's panic", v)
+		}
+	}()
+	_ = ForEach(context.Background(), 3, 1, func(_ context.Context, i int) error {
+		if i == 1 {
+			panic("serial")
+		}
+		return nil
+	})
+	t.Error("ForEach returned instead of unwinding")
+}
+
+func TestGroupRecoversTaskPanic(t *testing.T) {
+	g, ctx := WithContext(context.Background())
+	g.Go(func() error { panic(fmt.Errorf("task failed")) })
+	g.Go(func() error {
+		<-ctx.Done() // canceled by the sibling's panic
+		return nil
+	})
+	var pe *PanicError
+	if err := g.Wait(); !errors.As(err, &pe) {
+		t.Fatalf("Wait = %v, want a *PanicError", err)
+	}
+	if len(pe.Stack) == 0 {
+		t.Error("panic error carries no stack")
 	}
 }

@@ -1,49 +1,45 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
-
-	"repro/internal/trace"
 )
 
-// AnnealParams tunes the simulated-annealing binding optimizer.
-type AnnealParams struct {
-	// Iterations is the number of proposed moves (0 = default).
-	Iterations int
-	// Seed makes the anneal deterministic.
-	Seed int64
-	// StartTemp and EndTemp bound the geometric cooling schedule, in
-	// units of the overlap objective. Zero values pick defaults scaled
-	// to the instance.
-	StartTemp, EndTemp float64
-}
+// Annealing schedule of the portfolio's incumbent feeder. The seed is
+// fixed so the feeder's binding, and every bound it publishes, is
+// deterministic.
+const (
+	annealSeed         = 1
+	annealMovesPerRecv = 4000 // proposed moves per receiver
+	annealCoolingRange = 1000 // start temperature / end temperature
+	annealPollInterval = 1024 // moves between stop-context polls
+)
 
-// AnnealBinding improves a feasible binding by simulated annealing on
-// the binding objective (maximum per-bus aggregate overlap, paper
-// Eq. 11). It is a heuristic alternative to the exact branch-and-bound
-// binding phase for instances near the STbus limit of 32 targets,
-// where the exact search may be slow. Moves relocate one receiver to
-// another bus or swap two receivers, and are only accepted when the
-// result stays feasible (bandwidth, conflicts, cap).
+// anneal improves a feasible binding by simulated annealing on the
+// binding objective (maximum per-bus aggregate overlap, paper Eq. 11).
+// It is the portfolio engine's incumbent feeder: a heuristic whose
+// result only bounds the exact searches or, when every exact
+// contestant runs out of budget, stands in as a capped incumbent.
+// Moves relocate one receiver to another bus or swap two receivers,
+// and are only accepted when the result stays feasible (bandwidth,
+// conflicts, cap).
 //
-// The starting binding must be feasible for (numBuses, maxPerBus);
-// DesignCrossbar's feasibility phase provides one.
-func AnnealBinding(a *trace.Analysis, conflicts [][]bool, numBuses, maxPerBus int, start []int, params AnnealParams) ([]int, int64) {
-	p := newAssignProblem(a, conflicts, maxPerBus, 0)
+// The start binding must be feasible for k buses. The anneal polls ctx
+// every annealPollInterval moves and, once it is done, returns the
+// best binding found so far.
+func (p *assignProblem) anneal(ctx context.Context, k int, start []int) ([]int, int64) {
 	nT := p.nT
 	nW := len(p.ws)
-	if params.Iterations <= 0 {
-		params.Iterations = 4000 * nT
-	}
+	moves := annealMovesPerRecv * nT
 
 	busOf := append([]int(nil), start...)
-	load := make([][]int64, numBuses)
+	load := make([][]int64, k)
 	for b := range load {
 		load[b] = make([]int64, nW)
 	}
-	count := make([]int, numBuses)
-	overlap := make([]int64, numBuses)
+	count := make([]int, k)
+	overlap := make([]int64, k)
 	for r, b := range busOf {
 		count[b]++
 		for w := 0; w < nW; w++ {
@@ -111,30 +107,27 @@ func AnnealBinding(a *trace.Analysis, conflicts [][]bool, numBuses, maxPerBus in
 	bestObj := objective()
 	cur := bestObj
 
-	startTemp := params.StartTemp
-	if startTemp <= 0 {
-		startTemp = float64(bestObj)/2 + 1
-	}
-	endTemp := params.EndTemp
-	if endTemp <= 0 {
-		endTemp = startTemp / 1000
-	}
-	cooling := math.Pow(endTemp/startTemp, 1/float64(params.Iterations))
+	startTemp := float64(bestObj)/2 + 1
+	endTemp := startTemp / annealCoolingRange
+	cooling := math.Pow(endTemp/startTemp, 1/float64(moves))
 	temp := startTemp
-	rng := rand.New(rand.NewSource(params.Seed))
+	rng := rand.New(rand.NewSource(annealSeed))
 
-	for it := 0; it < params.Iterations; it++ {
+	for it := 0; it < moves; it++ {
+		if it%annealPollInterval == 0 && ctx.Err() != nil {
+			break
+		}
 		temp *= cooling
 		r := rng.Intn(nT)
 		from := busOf[r]
-		to := rng.Intn(numBuses)
+		to := rng.Intn(k)
 		if to == from {
 			continue
 		}
 		var undo func()
 		if rng.Intn(2) == 0 {
 			// Relocate r to bus `to`.
-			if count[to] >= maxPerBus || !conflictFree(r, to, -1) || !fitsBandwidth(r, to) {
+			if count[to] >= p.maxPerBus || !conflictFree(r, to, -1) || !fitsBandwidth(r, to) {
 				continue
 			}
 			apply(r, from, to)

@@ -1,11 +1,22 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"repro/internal/trace"
 )
+
+// annealProblem builds the assignment problem DesignCrossbar would
+// build for a and opts, the one the portfolio's feeder anneals on.
+func annealProblem(a *trace.Analysis, opts Options) *assignProblem {
+	maxPerBus := opts.MaxPerBus
+	if maxPerBus <= 0 || maxPerBus > a.NumReceivers {
+		maxPerBus = a.NumReceivers
+	}
+	return newAssignProblem(a, BuildConflicts(a, opts), maxPerBus, opts.MaxNodes)
+}
 
 func TestAnnealBindingImprovesGreedyStart(t *testing.T) {
 	// Build an instance with a clear optimal structure: two groups of
@@ -21,12 +32,11 @@ func TestAnnealBindingImprovesGreedyStart(t *testing.T) {
 		{Start: 500, Len: 100, Receiver: 5},
 	}
 	a := mkAnalysis(t, 6, 1000, 1000, events)
-	opts := Options{OverlapThreshold: -1, MaxPerBus: 2, OptimizeBinding: false}
-	conflicts := BuildConflicts(a, opts)
+	p := annealProblem(a, Options{OverlapThreshold: -1, MaxPerBus: 2})
 
 	// A deliberately bad but feasible start: groups together.
 	start := []int{0, 0, 1, 1, 2, 2} // bus0={0,1} overlap 100, bus1={2,3} 0, bus2={4,5} 100
-	busOf, obj := AnnealBinding(a, conflicts, 3, 2, start, AnnealParams{Seed: 3})
+	busOf, obj := p.anneal(context.Background(), 3, start)
 	// Optimal: pair each A with a B: max overlap 0.
 	if obj != 0 {
 		t.Errorf("anneal objective = %d, want 0 (bindings %v)", obj, busOf)
@@ -45,53 +55,75 @@ func TestAnnealBindingStaysFeasible(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
-		conflicts := BuildConflicts(a, opts)
-		busOf, obj := AnnealBinding(a, conflicts, d.NumBuses, 3, d.BusOf, AnnealParams{Seed: int64(iter)})
+		busOf, obj := annealProblem(a, opts).anneal(context.Background(), d.NumBuses, d.BusOf)
 		check := &Design{NumBuses: d.NumBuses, BusOf: busOf}
 		if err := check.Validate(a, opts); err != nil {
 			t.Fatalf("iter %d: anneal produced infeasible binding: %v", iter, err)
 		}
-		if obj > d.MaxBusOverlap && d.MaxBusOverlap > 0 {
-			// d came from feasibility only (no binding optimization),
-			// so anneal may legitimately match it but must never be
-			// worse than its own start.
-			startObj := MaxOverlapOf(a, d.NumBuses, d.BusOf)
-			if obj > startObj {
-				t.Fatalf("iter %d: anneal worsened objective: %d > start %d", iter, obj, startObj)
-			}
+		// d came from feasibility only (no binding optimization), so the
+		// anneal may legitimately match its start but never worsen it.
+		if startObj := MaxOverlapOf(a, d.NumBuses, d.BusOf); obj > startObj {
+			t.Fatalf("iter %d: anneal worsened objective: %d > start %d", iter, obj, startObj)
 		}
 	}
 }
 
-func TestEngineAnnealMatchesExactOnEasyInstances(t *testing.T) {
+// TestAnnealMatchesExactOnEasyInstances anneals the feasibility
+// binding at the exact design's bus count: the heuristic must never
+// beat the proven optimum, and its binding must satisfy every
+// constraint.
+func TestAnnealMatchesExactOnEasyInstances(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for iter := 0; iter < 10; iter++ {
 		a := randomAnalysis(t, rng, 3+rng.Intn(3))
-		base := Options{OverlapThreshold: 0.5, MaxPerBus: 3, OptimizeBinding: true}
-		exact, err := DesignCrossbar(a, base)
+		opts := Options{OverlapThreshold: 0.5, MaxPerBus: 3, OptimizeBinding: true}
+		exact, err := DesignCrossbar(a, opts)
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
-		annealOpts := base
-		annealOpts.Engine = EngineAnneal
-		heur, err := DesignCrossbar(a, annealOpts)
+		feasOpts := opts
+		feasOpts.OptimizeBinding = false
+		feas, err := DesignCrossbar(a, feasOpts)
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
-		if heur.NumBuses != exact.NumBuses {
-			t.Errorf("iter %d: bus counts differ: %d vs %d", iter, heur.NumBuses, exact.NumBuses)
+		if feas.NumBuses != exact.NumBuses {
+			t.Fatalf("iter %d: bus counts differ: %d vs %d", iter, feas.NumBuses, exact.NumBuses)
 		}
-		if heur.MaxBusOverlap < exact.MaxBusOverlap {
-			t.Errorf("iter %d: heuristic beat the exact optimum: %d < %d",
-				iter, heur.MaxBusOverlap, exact.MaxBusOverlap)
+		busOf, obj := annealProblem(a, opts).anneal(context.Background(), exact.NumBuses, feas.BusOf)
+		if obj < exact.MaxBusOverlap {
+			t.Errorf("iter %d: heuristic beat the exact optimum: %d < %d", iter, obj, exact.MaxBusOverlap)
 		}
 		// On these tiny instances the anneal should find the optimum.
-		if heur.MaxBusOverlap > exact.MaxBusOverlap {
-			t.Logf("iter %d: anneal suboptimal: %d vs %d (allowed but logged)",
-				iter, heur.MaxBusOverlap, exact.MaxBusOverlap)
+		if obj > exact.MaxBusOverlap {
+			t.Logf("iter %d: anneal suboptimal: %d vs %d (allowed but logged)", iter, obj, exact.MaxBusOverlap)
 		}
-		if err := heur.Validate(a, annealOpts); err != nil {
-			t.Errorf("iter %d: anneal design invalid: %v", iter, err)
+		heur := &Design{NumBuses: exact.NumBuses, BusOf: busOf}
+		if err := heur.Validate(a, opts); err != nil {
+			t.Errorf("iter %d: anneal binding invalid: %v", iter, err)
+		}
+	}
+}
+
+// TestAnnealStopsOnCanceledContext pins the feeder's lifetime
+// contract: an anneal handed a done context returns its start binding
+// at once instead of running its full move schedule.
+func TestAnnealStopsOnCanceledContext(t *testing.T) {
+	a := stressAnalysis(t, 1)
+	p := annealProblem(a, DefaultOptions())
+	k, res := greedyUpperBound(p, p.lowerBound(), a.NumReceivers)
+	if k < 0 {
+		t.Fatal("greedy found no binding near the lower bound")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	busOf, obj := p.anneal(ctx, k, res.busOf)
+	if obj != res.maxOverlap {
+		t.Errorf("canceled anneal objective %d, want its start %d", obj, res.maxOverlap)
+	}
+	for r := range busOf {
+		if busOf[r] != res.busOf[r] {
+			t.Fatalf("canceled anneal moved receiver %d", r)
 		}
 	}
 }

@@ -104,7 +104,7 @@ func TestCacheStoresSolvedDesigns(t *testing.T) {
 // arrives.
 func TestCacheWarmEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	engines := []Engine{EngineBranchBound, EngineMILP, EngineAnneal}
+	engines := []Engine{EngineBranchBound, EngineMILP}
 	for iter := 0; iter < 60; iter++ {
 		nRecv := 3 + rng.Intn(4)
 		a := randomAnalysis(t, rng, nRecv)

@@ -40,7 +40,7 @@ func TestDesignCtxPreCanceled(t *testing.T) {
 	a := randomAnalysis(t, rng, 5)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, eng := range []Engine{EngineBranchBound, EngineMILP, EngineAnneal} {
+	for _, eng := range []Engine{EngineBranchBound, EngineMILP, EnginePortfolio} {
 		opts := Options{OverlapThreshold: 0.4, MaxPerBus: 3, Engine: eng}
 		_, err := DesignCrossbarCtx(ctx, a, opts)
 		if !errors.Is(err, ErrCanceled) {

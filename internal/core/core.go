@@ -46,30 +46,28 @@ var (
 	metProbeNS = obs.NewHistogram("core.probe_ns")
 )
 
-// Engine selects the solver used for feasibility and binding.
+// Engine selects the solver used for feasibility and binding. The
+// values are fixed because Options.Fingerprint hashes them: 2 is
+// unassigned.
 type Engine int
 
 const (
 	// EngineBranchBound is the specialized exact assignment solver.
-	EngineBranchBound Engine = iota
+	EngineBranchBound Engine = 0
 	// EngineMILP solves the paper's literal MILP formulation with the
 	// built-in branch-and-bound LP solver. Practical for small
 	// instances; used to cross-validate EngineBranchBound.
-	EngineMILP
-	// EngineAnneal finds the configuration exactly (branch and bound)
-	// but optimizes the binding by simulated annealing — a heuristic
-	// for instances near the STbus limit of 32 targets where the exact
-	// binding search may be slow.
-	EngineAnneal
+	EngineMILP Engine = 1
 	// EnginePortfolio races the parallel branch and bound against the
 	// warm-started MILP on every probe under one context — the first
 	// proven answer cancels the rest — with annealing feeding incumbents
 	// into the shared bound during the binding phase. Exact results
 	// whenever either contestant settles within budget; past the budget
-	// it degrades to the best incumbent with Design.Capped set instead
-	// of failing (see portfolio.go). The engine for the 128–512-target
-	// scale where no single solver dominates.
-	EnginePortfolio
+	// it degrades to the best incumbent of the contestants and the
+	// annealing feeder, with Design.Capped set, instead of failing (see
+	// portfolio.go). The engine for the 128–512-target scale where no
+	// single solver dominates.
+	EnginePortfolio Engine = 3
 )
 
 func (e Engine) String() string {
@@ -78,8 +76,6 @@ func (e Engine) String() string {
 		return "branch-and-bound"
 	case EngineMILP:
 		return "milp"
-	case EngineAnneal:
-		return "anneal"
 	case EnginePortfolio:
 		return "portfolio"
 	}
@@ -206,7 +202,7 @@ func (o Options) Validate() error {
 		return fmt.Errorf("core: Workers %d is negative (0 means GOMAXPROCS)", o.Workers)
 	}
 	switch o.Engine {
-	case EngineBranchBound, EngineMILP, EngineAnneal, EnginePortfolio:
+	case EngineBranchBound, EngineMILP, EnginePortfolio:
 	default:
 		return fmt.Errorf("core: unknown engine %d", int(o.Engine))
 	}
@@ -251,8 +247,7 @@ type Design struct {
 	// or, for EnginePortfolio only, some bus count below NumBuses
 	// exhausted every contestant undecided, so NumBuses is feasible but
 	// its minimality is unproven (anytime semantics; the other engines
-	// fail such searches with ErrSearchLimit instead). EngineAnneal
-	// designs are heuristic by contract, so Capped stays false there.
+	// fail such searches with ErrSearchLimit instead).
 	Capped bool
 }
 
@@ -395,13 +390,6 @@ func DesignCrossbarCtx(ctx context.Context, a *trace.Analysis, opts Options) (*D
 			return solveFormulated(ctx, formulator, k, optimize, milp.Options{})
 		case opts.Engine == EnginePortfolio:
 			return pf.solve(ctx, k, optimize)
-		case opts.Engine == EngineAnneal && optimize:
-			res, err := prob.solveAuto(ctx, k, false, workers, nil, 0, nil)
-			if err != nil || !res.feasible {
-				return res, err
-			}
-			busOf, obj := AnnealBinding(a, conflicts, k, maxPerBus, res.busOf, AnnealParams{Seed: 1})
-			return &assignResult{feasible: true, busOf: busOf, maxOverlap: obj, nodes: res.nodes}, nil
 		default:
 			return prob.solveAuto(ctx, k, optimize, workers, nil, 0, nil)
 		}

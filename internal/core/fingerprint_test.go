@@ -17,7 +17,6 @@ func TestOptionsFingerprintStable(t *testing.T) {
 		{"zero", Options{}, zeroFP},
 		{"branch-bound", Options{Engine: EngineBranchBound}, zeroFP},
 		{"milp", Options{Engine: EngineMILP}, "60363c4ad692f0d86b55a4ccfbbc11814f31e660f5dc4297a959482b45890e4a"},
-		{"anneal", Options{Engine: EngineAnneal}, "203a46b859ee908152e5ffaa4ded2e0b8b0f46cc3c95be588109f1cf011461c8"},
 		{"portfolio", Options{Engine: EnginePortfolio}, "bab377644fb8b5b758c37eb58c36e878b59ba7118f5b379a8e0c5fc9345ab87b"},
 		{"threshold-disabled", Options{OverlapThreshold: -0.5}, "7aae42d64a2be9439bb11e4274c475fefe86caea894a53d26408adc161329f57"},
 		{"threshold-disabled-canonical", Options{OverlapThreshold: -1}, "7aae42d64a2be9439bb11e4274c475fefe86caea894a53d26408adc161329f57"},

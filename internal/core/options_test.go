@@ -28,6 +28,7 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative node budget", func(o *Options) { o.MaxNodes = -7 }},
 		{"negative workers", func(o *Options) { o.Workers = -1 }},
 		{"unknown engine", func(o *Options) { o.Engine = Engine(99) }},
+		{"removed anneal engine", func(o *Options) { o.Engine = Engine(2) }},
 	}
 	for _, tc := range cases {
 		opts := base

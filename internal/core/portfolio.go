@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync"
 
+	"repro/internal/conc"
 	"repro/internal/milp"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -31,6 +32,9 @@ import (
 // cannot change the returned binding), and the greedy binding is
 // injected as the MILP's starting incumbent. Incumbents therefore flow
 // between engines without either depending on the other's completion.
+// When every contestant exhausts its budget, the annealed binding is
+// also a fallback: the probe returns whichever capped binding has the
+// lower objective.
 
 // portfolioMILPDivisor scales the assignment-search node budget down
 // to the MILP contestant's: MILP nodes each pay an LP solve, so node
@@ -54,22 +58,16 @@ const portfolioMILPVarLimit = 2048
 // (the Formulator memoizes internally under its own locks), so probes
 // may run concurrently — the speculative feasibility search does.
 type portfolio struct {
-	prob      *assignProblem
-	fr        *Formulator
-	a         *trace.Analysis
-	conflicts [][]bool
-	maxPerBus int
-	workers   int
+	prob    *assignProblem
+	fr      *Formulator
+	workers int
 }
 
 func newPortfolio(prob *assignProblem, a *trace.Analysis, conflicts [][]bool, maxPerBus, workers int) *portfolio {
 	return &portfolio{
-		prob:      prob,
-		fr:        NewFormulator(a, conflicts, maxPerBus),
-		a:         a,
-		conflicts: conflicts,
-		maxPerBus: maxPerBus,
-		workers:   workers,
+		prob:    prob,
+		fr:      NewFormulator(a, conflicts, maxPerBus),
+		workers: workers,
 	}
 }
 
@@ -98,6 +96,7 @@ func (pf *portfolio) solve(ctx context.Context, k int, optimize bool) (*assignRe
 	runMILP := pf.prob.nT*k <= portfolioMILPVarLimit
 	milpOpts := milp.Options{MaxNodes: pf.milpBudget()}
 	var feed *parShared
+	var feeder *annealFeeder
 	if optimize {
 		feed = newParShared()
 		if gBus, gObj, ok := pf.prob.greedyBinding(k); ok {
@@ -117,13 +116,7 @@ func (pf *portfolio) solve(ctx context.Context, k int, optimize bool) (*assignRe
 			// of a real validated binding, so feeding it cannot change
 			// the branch and bound's answer — only how fast it gets
 			// there (see the determinism contract in parallel.go).
-			go func() {
-				annBus, annObj := AnnealBinding(pf.a, pf.conflicts, k, pf.maxPerBus, gBus, AnnealParams{Seed: 1})
-				if pf.prob.validBinding(k, annBus) {
-					feed.offerBound(annObj)
-					rec.Emit(obs.Event{Kind: obs.EvIncumbent, K: k, Val: annObj, Who: "anneal"})
-				}
-			}()
+			feeder = startAnnealFeeder(ctx, pf.prob, k, gBus, feed)
 		}
 	}
 
@@ -150,7 +143,6 @@ func (pf *portfolio) solve(ctx context.Context, k int, optimize bool) (*assignRe
 
 	var fallback *assignResult // best capped incumbent, if any
 	var hardErr error
-	var exhausted bool
 	for i := 0; i < contestants; i++ {
 		oc := <-ch
 		// The assignment search's node budget is the probe's wall-clock
@@ -184,6 +176,9 @@ func (pf *portfolio) solve(ctx context.Context, k int, optimize bool) (*assignRe
 			if fallback != nil {
 				oc.res.nodes += fallback.nodes
 			}
+			if err := feeder.wait(true); err != nil {
+				return nil, err
+			}
 			return oc.res, nil
 		case oc.err == nil:
 			// A capped incumbent: feasible but unproven. Keep the best.
@@ -196,9 +191,8 @@ func (pf *portfolio) solve(ctx context.Context, k int, optimize bool) (*assignRe
 			} else {
 				fallback.nodes += oc.res.nodes
 			}
-			exhausted = true
 		case errors.Is(oc.err, ErrSearchLimit) || errors.Is(oc.err, milp.ErrNodeLimit):
-			exhausted = true // out of budget with nothing to show
+			// Out of budget with nothing to show.
 		case errors.Is(oc.err, ErrCanceled) && ctx.Err() == nil:
 			// Canceled by us after a sibling decision — but a decision
 			// would have returned above, so this is a sibling's hard
@@ -211,19 +205,77 @@ func (pf *portfolio) solve(ctx context.Context, k int, optimize bool) (*assignRe
 		}
 	}
 	if hardErr != nil {
+		_ = feeder.wait(true) // the contestant's error is the one to report
 		return nil, hardErr
+	}
+	// Every contestant ran out of budget. The feeder's anneal runs to
+	// completion (it is deterministic only when it does; a canceled ctx
+	// stops it, and the probe then fails anyway), and its binding
+	// replaces the incumbent when strictly better.
+	if err := feeder.wait(false); err != nil {
+		return nil, err
 	}
 	if ctx.Err() != nil {
 		return nil, canceledErr(ctx)
 	}
+	if feeder != nil && feeder.busOf != nil && (fallback == nil || feeder.obj < fallback.maxOverlap) {
+		ann := &assignResult{feasible: true, busOf: feeder.busOf, maxOverlap: feeder.obj, capped: true}
+		if fallback != nil {
+			ann.nodes = fallback.nodes
+		}
+		fallback = ann
+	}
 	if fallback != nil {
 		return fallback, nil
 	}
-	if exhausted {
-		return nil, ErrSearchLimit
-	}
-	// Unreachable: two outcomes, none definitive, erroneous, or capped.
+	// Out of budget with nothing to show (or, unreachably, two
+	// outcomes none definitive, erroneous or capped).
 	return nil, ErrSearchLimit
+}
+
+// annealFeeder is one binding probe's background anneal (see solve).
+// It lives no longer than the probe: solve stops it once a contestant
+// gives a definitive answer and waits for it on every path.
+type annealFeeder struct {
+	stop context.CancelFunc
+	g    conc.Group
+	// busOf and obj are the annealed binding and its objective, set
+	// only when the anneal ran to completion and the binding validated;
+	// read them after wait.
+	busOf []int
+	obj   int64
+}
+
+func startAnnealFeeder(ctx context.Context, prob *assignProblem, k int, start []int, feed *parShared) *annealFeeder {
+	fctx, stop := context.WithCancel(ctx)
+	f := &annealFeeder{stop: stop}
+	rec := obs.FlightRecorderFrom(ctx)
+	f.g.Go(func() error {
+		busOf, obj := prob.anneal(fctx, k, start)
+		if fctx.Err() != nil || !prob.validBinding(k, busOf) {
+			return nil
+		}
+		f.busOf, f.obj = busOf, obj
+		feed.offerBound(obj)
+		rec.Emit(obs.Event{Kind: obs.EvIncumbent, K: k, Val: obj, Who: "anneal"})
+		return nil
+	})
+	return f
+}
+
+// wait returns once the feeder goroutine has exited, first stopping
+// the anneal when stop is set. The error is a recovered panic. A nil
+// feeder (no greedy start, or a feasibility probe) waits for nothing.
+func (f *annealFeeder) wait(stop bool) error {
+	if f == nil {
+		return nil
+	}
+	if stop {
+		f.stop()
+	}
+	err := f.g.Wait()
+	f.stop()
+	return err
 }
 
 // undecidedTracker records bus counts whose portfolio probe exhausted

@@ -11,9 +11,10 @@ import (
 
 // The solver benchmarks measure the MILP hot path on the deterministic
 // benchprobs instances: every node warm-starts from its parent's basis,
-// and optimize mode adds the canonical-ordering symmetry rows.
-// cmd/solverbench runs the same cases and records them in
-// BENCH_solver.json.
+// and optimize mode adds the canonical-ordering symmetry rows. CI runs
+// every benchmark in this package once per push, so they stay
+// runnable; BENCH_solver.json holds the historical numbers of the
+// retired standalone solver benchmark.
 
 func benchFeasibility(b *testing.B, a *trace.Analysis, numBuses int, opts milp.Options) {
 	conflicts := BuildConflicts(a, DefaultOptions())

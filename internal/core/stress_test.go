@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/benchprobs"
 	"repro/internal/trace"
 )
 
@@ -72,16 +74,56 @@ func TestDesign32TargetsCompletesQuickly(t *testing.T) {
 	}
 }
 
-func TestDesign32TargetsAnnealEngine(t *testing.T) {
-	a := stressAnalysis(t, 2)
+// TestDesign32TargetsCappedPortfolio pins the portfolio's capped
+// fallback: when every contestant runs out of budget in the binding
+// phase, the annealed binding the feeder already validated is as much
+// a fallback as the branch and bound's incumbent, so the capped design
+// is never worse than the anneal from the greedy start.
+func TestDesign32TargetsCappedPortfolio(t *testing.T) {
+	a := stressAnalysis(t, 1)
 	opts := DefaultOptions()
-	opts.Engine = EngineAnneal
+	opts.Engine = EnginePortfolio
+	opts.MaxNodes = 1000
+	opts.Workers = 1
 	d, err := DesignCrossbar(a, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Validate(a, opts); err != nil {
-		t.Fatalf("anneal design invalid: %v", err)
+		t.Fatalf("capped portfolio design invalid: %v", err)
+	}
+	if !d.Capped {
+		t.Fatalf("1000-node budget settled the 32-target binding; the fallback is not exercised")
+	}
+	p := annealProblem(a, opts)
+	greedy, _, ok := p.greedyBinding(d.NumBuses)
+	if !ok {
+		t.Fatalf("greedy found no binding at %d buses", d.NumBuses)
+	}
+	if _, annObj := p.anneal(context.Background(), d.NumBuses, greedy); d.MaxBusOverlap > annObj {
+		t.Errorf("capped design objective %d, worse than the feeder's anneal %d", d.MaxBusOverlap, annObj)
+	}
+}
+
+// TestPortfolioJoinsFeeder pins the anneal feeder's lifetime: it must
+// not outlive the design. On the 128-receiver instance the race is
+// decided long before a full anneal would finish, so a feeder left
+// running would keep its goroutine alive well past the return.
+func TestPortfolioJoinsFeeder(t *testing.T) {
+	a := benchprobs.Analysis128()
+	opts := DefaultOptions()
+	opts.Engine = EnginePortfolio
+	before := runtime.NumGoroutine()
+	if _, err := DesignCrossbarCtx(context.Background(), a, opts); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(100 * time.Millisecond)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 100ms after the design returned, %d before it started",
+				runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

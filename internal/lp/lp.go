@@ -101,7 +101,7 @@ type Solution struct {
 	Objective float64   // c·x when Status == Optimal
 	// Iterations counts the simplex basis changes (primal and dual
 	// pivots) spent producing this solution — the per-solve work metric
-	// the MILP layer aggregates into its LPIterations statistic.
+	// the MILP layer aggregates into its milp.lp_iterations metric.
 	Iterations int64
 }
 

@@ -92,16 +92,6 @@ type Solution struct {
 	// DualPivots counts the dual-simplex pivots spent across all warm
 	// solves.
 	DualPivots int64
-	// MaxDepth is the deepest branch explored, measured in fixed
-	// variables (the root relaxation has depth 0).
-	MaxDepth int
-	// Incumbents counts how many times the search improved its best
-	// integral solution (FirstFeasible solves stop at 1).
-	Incumbents int64
-	// LPIterations totals the simplex basis changes (primal and dual
-	// pivots) across every node relaxation solve — the per-node work
-	// metric warm starts exist to shrink.
-	LPIterations int64
 	// Seeded reports that Options.Incumbent passed validation and
 	// bounded the search from the start.
 	Seeded bool
@@ -199,17 +189,12 @@ func solveIncremental(ctx context.Context, p *Problem, opts Options, maxNodes in
 	nodes := 0
 	maxDepth := 0
 	seeded := false
-	var incumbents int64
-	var lpIters int64
 	var lastWarm, lastCold, lastDual int64
 	var flushedNodes int
 	finish := func(s *Solution) *Solution {
 		s.Nodes = nodes
 		s.WarmSolves, s.ColdSolves = ns.Stats()
 		s.DualPivots = ns.DualPivots()
-		s.MaxDepth = maxDepth
-		s.Incumbents = incumbents
-		s.LPIterations = lpIters
 		s.Seeded = seeded
 		solveSpan.SetInt("nodes", int64(nodes))
 		solveSpan.SetInt("warm", s.WarmSolves)
@@ -312,7 +297,6 @@ func solveIncremental(ctx context.Context, p *Problem, opts Options, maxNodes in
 			}
 			return nil, err
 		}
-		lpIters += sol.Iterations
 		metLPIters.Add(sol.Iterations)
 		flushSolves()
 		switch sol.Status {
@@ -332,7 +316,6 @@ func solveIncremental(ctx context.Context, p *Problem, opts Options, maxNodes in
 				cand := &Solution{Status: lp.Optimal, X: rounded, Objective: sol.Objective}
 				if best == nil || cand.Objective < best.Objective {
 					best = cand
-					incumbents++
 					metIncumbents.Inc()
 					rec.Emit(obs.Event{Kind: obs.EvIncumbent, Val: int64(math.Round(cand.Objective)), Who: "milp"})
 				}

@@ -208,8 +208,8 @@ func TestSnapshotContainsRegisteredMetrics(t *testing.T) {
 	}
 }
 
-func TestServeMetrics(t *testing.T) {
-	bound, _, shutdown, err := ServeMetrics("127.0.0.1:0")
+func TestServeTelemetryJSONEndpoints(t *testing.T) {
+	bound, _, shutdown, err := ServeTelemetry("127.0.0.1:0", TelemetryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -215,12 +215,6 @@ func ServeTelemetry(addr string, cfg TelemetryConfig) (bound string, serveErr <-
 	}, nil
 }
 
-// ServeMetrics is ServeTelemetry without a bus, kept for callers that
-// only want the scrape endpoints.
-func ServeMetrics(addr string) (bound string, serveErr <-chan error, shutdown func() error, err error) {
-	return ServeTelemetry(addr, TelemetryConfig{})
-}
-
 // startMetricsPump publishes the changed flat metrics as "metrics"
 // frames on the bus every interval, so SSE subscribers see live rates
 // without polling /progress. Returns a stop function.

@@ -383,6 +383,7 @@ func TestBadRequests(t *testing.T) {
 	}{
 		{"unknown app", "/v1/design", "application/json", `{"app":"nope"}`, 400},
 		{"unknown engine", "/v1/design?engine=quantum", "application/json", `{"app":"mat1"}`, 400},
+		{"removed anneal engine", "/v1/design?engine=anneal", "application/json", `{"app":"mat1"}`, 400},
 		{"bad content type", "/v1/design", "text/csv", "a,b", 415},
 		{"garbage binary", "/v1/design", "application/octet-stream", "not a trace", 400},
 		{"bad mode", "/v1/design?mode=wat", "application/json", `{"app":"mat1"}`, 400},
