@@ -23,8 +23,10 @@
 // SIGTERM/SIGINT drain gracefully: admission stops (503), in-flight
 // jobs finish within -drain-timeout (stragglers are canceled), then
 // the listener closes. The shared observability flags apply: add
-// -metrics-addr for the Prometheus/SSE telemetry surface and
-// -flight-out for a daemon-wide flight recording.
+// -metrics-addr for the daemon-wide telemetry listener (Prometheus at
+// /metrics, the daemon-wide flight recording as SSE at /events) and
+// -flight-out to write that recording on exit. A POST /v1/design body
+// must arrive within two minutes.
 package main
 
 import (

@@ -3,7 +3,7 @@
 // deadline, so every tool can be interrupted or bounded and still exit
 // through its normal error path, plus the shared profiling
 // (-cpuprofile, -memprofile) and observability (-trace-out,
-// -flight-out, -metrics-addr, -progress) flags.
+// -flight-out, -metrics-addr) flags.
 package cli
 
 import (
@@ -102,26 +102,24 @@ func StartProfiling() (stop func() error, err error) {
 var (
 	traceOutPath  = flag.String("trace-out", "", "write a Chrome trace-event JSON of this run to the given file (open in chrome://tracing or Perfetto)")
 	flightOutPath = flag.String("flight-out", "", "write an NDJSON flight recording of the solver's events to the given file (inspect with cmd/flightview)")
-	metricsAddr   = flag.String("metrics-addr", "", "serve live telemetry over HTTP on this address: expvar at /debug/vars, JSON snapshot at /progress, Prometheus at /metrics, SSE stream at /events")
-	progressIntv  = flag.Duration("progress", 0, "print a one-line metrics progress report to stderr at this interval (0 disables)")
+	metricsAddr   = flag.String("metrics-addr", "", "serve live telemetry over HTTP on this address: Prometheus at /metrics, the flight recording as an SSE stream at /events")
 )
 
-// StartObs honors the -trace-out, -flight-out, -metrics-addr and
-// -progress flags. Call it after flag.Parse with the tool's root
-// context; run the workload under the returned context (it carries the
-// span tracer when -trace-out is set and the flight recorder when
-// -flight-out or -metrics-addr is set) and call finish on every exit
-// path — it stops the progress reporter, shuts the telemetry endpoint
-// down and writes the Chrome trace and the flight recording, so a
-// canceled run still yields loadable partial artifacts. Output files
-// are created eagerly so an unwritable path fails the run up front.
+// StartObs honors the -trace-out, -flight-out and -metrics-addr flags.
+// Call it after flag.Parse with the tool's root context; run the
+// workload under the returned context (it carries the span tracer when
+// -trace-out is set and the flight recorder when -flight-out or
+// -metrics-addr is set) and call finish on every exit path — it shuts
+// the telemetry endpoint down and writes the Chrome trace and the
+// flight recording, so a canceled run still yields loadable partial
+// artifacts. Output files are created eagerly so an unwritable path
+// fails the run up front.
 func StartObs(ctx context.Context) (_ context.Context, finish func() error, err error) {
 	var (
 		traceFile  *os.File
 		tracer     *obs.Tracer
 		flightFile *os.File
 		rec        *obs.FlightRecorder
-		stopProg   func()
 		stopHTTP   func() error
 	)
 	if *traceOutPath != "" {
@@ -148,20 +146,18 @@ func StartObs(ctx context.Context) (_ context.Context, finish func() error, err 
 		}
 	}
 	// The recorder runs whenever anything can consume it: a -flight-out
-	// file, or live SSE subscribers behind -metrics-addr.
+	// file, or SSE streams behind -metrics-addr.
 	if *flightOutPath != "" || *metricsAddr != "" {
 		rec = obs.NewFlightRecorder(0)
 		ctx = obs.WithFlightRecorder(ctx, rec)
 	}
 	if *metricsAddr != "" {
-		bus := obs.NewBus()
-		rec.AttachBus(bus)
-		bound, serveErr, stop, err := obs.ServeTelemetry(*metricsAddr, obs.TelemetryConfig{Bus: bus})
+		bound, serveErr, stop, err := obs.ServeTelemetry(*metricsAddr, rec)
 		if err != nil {
 			closeFiles()
 			return ctx, nil, fmt.Errorf("-metrics-addr: %w", err)
 		}
-		fmt.Fprintf(os.Stderr, "telemetry: http://%s — /debug/vars /progress /metrics /events\n", bound)
+		fmt.Fprintf(os.Stderr, "telemetry: http://%s — /metrics /events\n", bound)
 		// A telemetry server that dies mid-run (port stolen, fd
 		// exhaustion) must not fail silently: log it when it happens; the
 		// shutdown func surfaces it again on the tool's error path.
@@ -172,14 +168,8 @@ func StartObs(ctx context.Context) (_ context.Context, finish func() error, err 
 		}()
 		stopHTTP = stop
 	}
-	if *progressIntv > 0 {
-		stopProg = obs.LogProgress(os.Stderr, *progressIntv)
-	}
 	return ctx, func() error {
 		var errs []error
-		if stopProg != nil {
-			stopProg()
-		}
 		if stopHTTP != nil {
 			if err := stopHTTP(); err != nil {
 				errs = append(errs, fmt.Errorf("-metrics-addr: %w", err))

@@ -47,8 +47,9 @@ func Workers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// PanicError is a panic recovered on a Group or ForEach goroutine and
-// returned as that task's error.
+// PanicError is a panic recovered by Protect (on a Group or ForEach
+// goroutine, or any other the caller runs under it) and returned as
+// that task's error.
 type PanicError struct {
 	Value any    // the value passed to panic
 	Stack []byte // the panicking goroutine's stack trace
@@ -58,8 +59,10 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("conc: task panicked: %v", e.Value)
 }
 
-// protect runs fn, converting a panic into a *PanicError.
-func protect(fn func() error) (err error) {
+// Protect runs fn, converting a panic into a *PanicError. It is the
+// recovery every goroutine the design engine spawns runs under, so a
+// panic there fails the design instead of the process.
+func Protect(fn func() error) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &PanicError{Value: v, Stack: debug.Stack()}
@@ -115,7 +118,7 @@ func (g *Group) Go(fn func() error) {
 			}
 			g.wg.Done()
 		}()
-		if err := protect(fn); err != nil {
+		if err := Protect(fn); err != nil {
 			g.errOnce.Do(func() {
 				g.err = err
 				if g.cancel != nil {
@@ -188,7 +191,7 @@ func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i
 					return
 				}
 				metItems.Inc()
-				if err := protect(func() error { return fn(ctx, i) }); err != nil {
+				if err := Protect(func() error { return fn(ctx, i) }); err != nil {
 					errs[i] = err
 					cancel(err)
 					if !isCancellation(err) {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/conc"
 	"repro/internal/obs"
 )
 
@@ -347,43 +348,50 @@ func (p *assignProblem) solveParallel(ctx context.Context, nB int, optimize bool
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			st := p.newSearchState(ctx, nB, optimize, suffix)
-			st.par = shared
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(frontier) {
-					break
-				}
-				if !optimize && shared.bestFeas.Load() < int64(i) {
-					continue // cannot outrank the witness already found
-				}
-				st.reset(bound)
-				st.subtree = i
-				curMax := st.replay(frontier[i])
-				if st.dfs(depth, curMax) {
-					results[i] = subtreeResult{busOf: append([]int(nil), st.busOf...)}
-					shared.offerFeas(i)
-				} else if optimize && st.bestBus != nil {
-					results[i] = subtreeResult{obj: st.best, busOf: st.bestBus}
-				}
-				if st.stopErr != nil {
-					stopMu.Lock()
-					if stopErr == nil {
-						stopErr = st.stopErr
+			// Under conc.Protect a panic in a worker is the solve's
+			// error, not a process crash.
+			err := conc.Protect(func() error {
+				st := p.newSearchState(ctx, nB, optimize, suffix)
+				st.par = shared
+				for {
+					i := int(next.Add(1)) - 1
+					if i >= len(frontier) {
+						break
 					}
-					stopMu.Unlock()
-					break
-				}
-				if st.capped {
-					capped.Store(true)
-					if shared.nodes.Load() > p.maxNodes {
-						break // global budget gone; later subtrees would cap instantly
+					if !optimize && shared.bestFeas.Load() < int64(i) {
+						continue // cannot outrank the witness already found
+					}
+					st.reset(bound)
+					st.subtree = i
+					curMax := st.replay(frontier[i])
+					if st.dfs(depth, curMax) {
+						results[i] = subtreeResult{busOf: append([]int(nil), st.busOf...)}
+						shared.offerFeas(i)
+					} else if optimize && st.bestBus != nil {
+						results[i] = subtreeResult{obj: st.best, busOf: st.bestBus}
+					}
+					if st.stopErr != nil {
+						break
+					}
+					if st.capped {
+						capped.Store(true)
+						if shared.nodes.Load() > p.maxNodes {
+							break // global budget gone; later subtrees would cap instantly
+						}
 					}
 				}
+				metNodes.Add(st.nodes - st.flushed)
+				shared.nodes.Add(st.nodes - st.flushed)
+				st.flushed = st.nodes
+				return st.stopErr
+			})
+			if err != nil {
+				stopMu.Lock()
+				if stopErr == nil {
+					stopErr = err
+				}
+				stopMu.Unlock()
 			}
-			metNodes.Add(st.nodes - st.flushed)
-			shared.nodes.Add(st.nodes - st.flushed)
-			st.flushed = st.nodes
 		}()
 	}
 	wg.Wait()

@@ -127,15 +127,24 @@ func (pf *portfolio) solve(ctx context.Context, k int, optimize bool) (*assignRe
 	}
 	ch := make(chan outcome, 2)
 	contestants := 1
+	// Each contestant runs under conc.Protect: a panic is its error.
 	go func() {
-		res, err := pf.prob.solveAuto(rctx, k, optimize, pf.workers, nil, 0, feed)
+		var res *assignResult
+		err := conc.Protect(func() (err error) {
+			res, err = pf.prob.solveAuto(rctx, k, optimize, pf.workers, nil, 0, feed)
+			return err
+		})
 		ch <- outcome{res, err, false}
 	}()
 	rec.Emit(obs.Event{Kind: obs.EvRaceStart, K: k, Who: "bb"})
 	if runMILP {
 		contestants++
 		go func() {
-			res, err := solveFormulated(rctx, pf.fr, k, optimize, milpOpts)
+			var res *assignResult
+			err := conc.Protect(func() (err error) {
+				res, err = solveFormulated(rctx, pf.fr, k, optimize, milpOpts)
+				return err
+			})
 			ch <- outcome{res, err, true}
 		}()
 		rec.Emit(obs.Event{Kind: obs.EvRaceStart, K: k, Who: "milp"})

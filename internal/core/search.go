@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+
+	"repro/internal/conc"
 )
 
 // solveFunc probes one candidate bus count. It must be safe for
@@ -55,7 +57,8 @@ func searchMinFeasible(ctx context.Context, lb, ub, workers int, solve solveFunc
 		}
 
 		// Speculative round: one goroutine per probe point, each with
-		// its own cancelable context so decided siblings can stop it.
+		// its own cancelable context so decided siblings can stop it,
+		// and each under conc.Protect so a panic fails the search.
 		type probeOutcome struct {
 			k   int
 			res *assignResult
@@ -67,7 +70,11 @@ func searchMinFeasible(ctx context.Context, lb, ub, workers int, solve solveFunc
 			pctx, cancel := context.WithCancelCause(ctx)
 			cancels[k] = cancel
 			go func(k int, pctx context.Context) {
-				res, solveErr := solve(pctx, k, false)
+				var res *assignResult
+				solveErr := conc.Protect(func() (err error) {
+					res, err = solve(pctx, k, false)
+					return err
+				})
 				outcomes <- probeOutcome{k: k, res: res, err: solveErr}
 			}(k, pctx)
 		}

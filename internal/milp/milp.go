@@ -26,8 +26,8 @@ import (
 
 // Live solver metrics (see internal/obs). Per-node updates are plain
 // atomic adds — three orders of magnitude cheaper than the node's LP
-// solve — so they stay on unconditionally and the -metrics-addr /
-// -progress instruments see node throughput while a solve runs.
+// solve — so they stay on unconditionally and a -metrics-addr scrape
+// of /metrics sees node throughput while a solve runs.
 var (
 	metSolves     = obs.NewCounter("milp.solves")
 	metNodes      = obs.NewCounter("milp.nodes")

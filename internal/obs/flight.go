@@ -6,8 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -18,7 +18,8 @@ import (
 // for production solves. Spans answer "where did the time go", metrics
 // answer "how fast is it going right now"; the recorder answers "what
 // did the search actually do, in what order" — and can replay it after
-// the fact (cmd/flightview) or stream it live (Bus, see bus.go).
+// the fact (cmd/flightview) or stream it live (StreamEvents, see
+// telemetry.go).
 //
 // Like the other instruments it is carried by the context and nil-safe:
 // with no recorder attached, FlightRecorderFrom returns nil and every
@@ -159,11 +160,13 @@ const DefaultFlightCapacity = 1 << 15
 type FlightRecorder struct {
 	epoch time.Time
 	now   func() time.Time // test hook; defaults to time.Now
-	bus   atomic.Pointer[Bus]
 
 	mu  sync.Mutex
 	buf []Event // ring storage; entry for seq s lives at s % len(buf)
 	n   int64   // events emitted so far (next Seq)
+	// watchers are the wakeup channels of attached streams (see watch):
+	// Emit signals each without blocking.
+	watchers []chan struct{}
 }
 
 // NewFlightRecorder returns an empty recorder holding the last
@@ -178,19 +181,10 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	return r
 }
 
-// AttachBus mirrors every subsequently emitted event onto b (see
-// bus.go), so live subscribers see the journal as it is written. A nil
-// b detaches.
-func (r *FlightRecorder) AttachBus(b *Bus) {
-	if r == nil {
-		return
-	}
-	r.bus.Store(b)
-}
-
-// Emit records e, stamping its Seq and T. The caller fills the payload
-// fields only. Nil-safe and allocation-free (the event is copied into
-// preallocated ring storage).
+// Emit records e, stamping its Seq and T, and wakes every attached
+// stream. The caller fills the payload fields only. Nil-safe and
+// allocation-free (the event is copied into preallocated ring storage,
+// and each wakeup is a non-blocking send of an empty struct).
 func (r *FlightRecorder) Emit(e Event) {
 	if r == nil {
 		return
@@ -201,13 +195,34 @@ func (r *FlightRecorder) Emit(e Event) {
 	r.buf[r.n%int64(len(r.buf))] = e
 	r.n++
 	dropped := r.n > int64(len(r.buf))
+	for _, c := range r.watchers {
+		select {
+		case c <- struct{}{}:
+		default: // a wakeup is already pending
+		}
+	}
 	r.mu.Unlock()
 	metFlightEvents.Inc()
 	if dropped {
 		metFlightDropped.Inc()
 	}
-	if b := r.bus.Load(); b != nil {
-		b.PublishEvent(e)
+}
+
+// watch attaches a stream: the returned channel receives a (coalesced)
+// signal after every Emit until unwatch is called. A nil recorder never
+// signals.
+func (r *FlightRecorder) watch() (wake <-chan struct{}, unwatch func()) {
+	if r == nil {
+		return nil, func() {}
+	}
+	c := make(chan struct{}, 1)
+	r.mu.Lock()
+	r.watchers = append(r.watchers, c)
+	r.mu.Unlock()
+	return c, func() {
+		r.mu.Lock()
+		r.watchers = slices.DeleteFunc(r.watchers, func(w chan struct{}) bool { return w == c })
+		r.mu.Unlock()
 	}
 }
 
@@ -241,10 +256,10 @@ func (r *FlightRecorder) Events() []Event {
 }
 
 // EventsSince returns the retained events with Seq >= seq in emission
-// order — the incremental read the per-job SSE streamer uses: keep a
-// cursor of the last sequence seen and ask only for what is new, so a
-// wakeup costs O(new events), not O(ring). Events already overwritten
-// by the ring are silently absent (the caller observes the gap in Seq).
+// order — the incremental read StreamEvents uses: keep a cursor of the
+// last sequence seen and ask only for what is new, so a wakeup costs
+// O(new events), not O(ring). Events already overwritten by the ring
+// are silently absent (the caller observes the gap in Seq).
 func (r *FlightRecorder) EventsSince(seq int64) []Event {
 	if r == nil {
 		return nil
@@ -310,11 +325,10 @@ type eventJSON struct {
 	Flag bool   `json:"flag,omitempty"`
 }
 
-// WireJSON renders e in the recording wire form — the same JSON object
-// the NDJSON export and the bus's "flight" SSE frames carry — so other
-// packages (the daemon's per-job event streams) emit byte-identical
-// frames without re-deriving the schema.
-func (e Event) WireJSON() []byte {
+// wireJSON renders e in the recording wire form — the same JSON object
+// the NDJSON export carries — as the data of StreamEvents' "flight"
+// frames.
+func (e Event) wireJSON() []byte {
 	je := eventJSON{Seq: e.Seq, T: e.T, Kind: e.Kind.String(),
 		K: e.K, Val: e.Val, Aux: e.Aux, Who: e.Who, Flag: e.Flag}
 	data, err := json.Marshal(je)

@@ -226,7 +226,7 @@ func TestFlightDisabledPathAllocationFree(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("disabled flight path allocates %.1f per op, want 0", n)
 	}
-	// The enabled path without a bus is allocation-free too: the event
+	// The enabled path with no stream attached is allocation-free too: the event
 	// is copied into preallocated ring storage.
 	r := NewFlightRecorder(64)
 	if n := testing.AllocsPerRun(1000, func() {

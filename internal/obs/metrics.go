@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"math"
 	"math/bits"
 	"sort"
@@ -11,7 +10,7 @@ import (
 
 // Counter is a monotonically increasing metric. Updates are single
 // atomic adds; the zero value is ready to use (but prefer NewCounter
-// so the value is visible in snapshots and expvar).
+// so the value is exported at /metrics).
 type Counter struct {
 	v atomic.Int64
 }
@@ -48,9 +47,9 @@ const histBuckets = 64
 // Histogram accumulates an int64 distribution in power-of-two buckets.
 // Observe is wait-free (three atomic adds). Snapshot reads the bucket
 // array once into a self-consistent view (its count is the sum of the
-// buckets it read), which is what the Prometheus exposition and the
-// progress reporter serve; individual accessors (Count, Sum, Quantile)
-// each read live and may straddle a concurrent Observe.
+// buckets it read), which is what the Prometheus exposition serves;
+// the Count and Sum accessors each read live and may straddle a
+// concurrent Observe.
 type Histogram struct {
 	count   atomic.Int64
 	sum     atomic.Int64
@@ -90,63 +89,24 @@ func bucketEdge(i int) int64 {
 	return int64(1)<<i - 1
 }
 
-// Quantile returns an upper bound on the q-quantile (0 < q <= 1) from
-// the power-of-two buckets: the inclusive upper edge of the bucket the
-// quantile falls in. Returns 0 with no samples.
-func (h *Histogram) Quantile(q float64) int64 {
-	var counts [histBuckets]int64
-	var total int64
-	for i := range counts {
-		counts[i] = h.buckets[i].Load()
-		total += counts[i]
-	}
-	return quantileOf(&counts, total, q)
-}
-
-// quantileOf computes the bucket-edge quantile from an already-read
-// bucket array, so a Snapshot's quantiles agree with its buckets.
-func quantileOf(counts *[histBuckets]int64, total int64, q float64) int64 {
-	if total == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > total {
-		rank = total
-	}
-	var seen int64
-	for i := 0; i < histBuckets; i++ {
-		seen += counts[i]
-		if seen >= rank {
-			return bucketEdge(i)
-		}
-	}
-	return math.MaxInt64
-}
-
 // HistogramBucket is one occupied power-of-two bucket of a snapshot.
 type HistogramBucket struct {
 	// Le is the inclusive integer upper edge of the bucket (0, 1, 3, 7,
 	// ..., MaxInt64).
-	Le int64 `json:"le"`
+	Le int64
 	// N counts the samples in this bucket alone (not cumulative).
-	N int64 `json:"n"`
+	N int64
 }
 
 // HistogramSnapshot is a self-consistent point-in-time view of a
-// histogram: Count equals the sum of the bucket counts, and the
-// quantiles are computed from the same bucket read — so exports built
-// from one snapshot (the Prometheus bucket series, /progress) are
-// internally monotone even while Observe runs concurrently. Sum is read
-// separately and may trail the buckets by in-flight observations.
+// histogram: Count equals the sum of the bucket counts, so the
+// Prometheus bucket series built from one snapshot is internally
+// monotone even while Observe runs concurrently. Sum is read separately
+// and may trail the buckets by in-flight observations.
 type HistogramSnapshot struct {
-	Count   int64             `json:"count"`
-	Sum     int64             `json:"sum"`
-	P50     int64             `json:"p50"`
-	P99     int64             `json:"p99"`
-	Buckets []HistogramBucket `json:"buckets,omitempty"`
+	Count   int64
+	Sum     int64
+	Buckets []HistogramBucket
 }
 
 // Snapshot reads the histogram once into a consistent view; only
@@ -162,12 +122,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 			occupied++
 		}
 	}
-	snap := HistogramSnapshot{
-		Count: total,
-		Sum:   h.sum.Load(),
-		P50:   quantileOf(&counts, total, 0.50),
-		P99:   quantileOf(&counts, total, 0.99),
-	}
+	snap := HistogramSnapshot{Count: total, Sum: h.sum.Load()}
 	if occupied > 0 {
 		snap.Buckets = make([]HistogramBucket, 0, occupied)
 		for i, n := range counts {
@@ -186,8 +141,6 @@ var (
 	regMu   sync.Mutex
 	regKeys []string
 	regVals = map[string]any{} // *Counter | *Gauge | *Histogram
-
-	expvarOnce sync.Once
 )
 
 func register(name string, m any) {
@@ -199,9 +152,6 @@ func register(name string, m any) {
 	regVals[name] = m
 	regKeys = append(regKeys, name)
 	sort.Strings(regKeys)
-	expvarOnce.Do(func() {
-		expvar.Publish("stbusgen", expvar.Func(func() any { return Snapshot() }))
-	})
 }
 
 // NewCounter registers and returns a named counter. Metric names are
@@ -225,33 +175,4 @@ func NewHistogram(name string) *Histogram {
 	h := &Histogram{}
 	register(name, h)
 	return h
-}
-
-// Snapshot returns the current value of every registered metric keyed
-// by name: int64 for counters and gauges, a HistogramSnapshot (count,
-// sum, p50/p99 and the occupied buckets) for histograms. It is the
-// payload of the expvar "stbusgen" var, the -metrics-addr /progress
-// endpoint and the progress reporter.
-func Snapshot() map[string]any {
-	regMu.Lock()
-	keys := make([]string, len(regKeys))
-	copy(keys, regKeys)
-	vals := make(map[string]any, len(regVals))
-	for k, v := range regVals {
-		vals[k] = v
-	}
-	regMu.Unlock()
-
-	out := make(map[string]any, len(keys))
-	for _, k := range keys {
-		switch m := vals[k].(type) {
-		case *Counter:
-			out[k] = m.Value()
-		case *Gauge:
-			out[k] = m.Value()
-		case *Histogram:
-			out[k] = m.Snapshot()
-		}
-	}
-	return out
 }

@@ -1,5 +1,5 @@
 // Package obs is the zero-dependency telemetry layer of the design
-// engine. It provides two independent instruments:
+// engine. It provides three instruments:
 //
 //   - Hierarchical spans: obs.Start(ctx, "phase1.search") opens a timed
 //     span as a child of whatever span already lives in ctx, records
@@ -7,17 +7,22 @@
 //     attached to the context — exports the whole run as Chrome
 //     trace-event JSON loadable in chrome://tracing or Perfetto.
 //   - A lock-cheap metrics registry: named counters, gauges and
-//     histograms backed by atomic operations, published through expvar
-//     and snapshotted by the progress reporter and the optional HTTP
-//     endpoint (see progress.go).
+//     histograms backed by atomic operations, exported in the
+//     Prometheus text format at /metrics (see prom.go).
+//   - The flight recorder: a bounded ring journal of typed solver
+//     events, exported as NDJSON and streamed live as Server-Sent
+//     Events by StreamEvents (see flight.go and telemetry.go).
 //
-// Both are designed so that *disabled* instrumentation is near-free:
-// with no Tracer in the context, Start performs one context lookup,
-// allocates nothing and returns a nil *Span whose methods are no-ops;
-// metric updates are single atomic adds. Hot loops (the MILP node
+// ServeTelemetry mounts /metrics and /events on one HTTP listener.
+//
+// All three are designed so that *disabled* instrumentation is
+// near-free: with no Tracer in the context, Start performs one context
+// lookup, allocates nothing and returns a nil *Span whose methods are
+// no-ops; metric updates are single atomic adds; Emit on a nil
+// *FlightRecorder returns at once. Hot loops (the MILP node
 // expansion, the simulator event loop) therefore keep their
 // instrumentation unconditionally, and golden designs are bit-identical
-// with telemetry on or off — spans and metrics only observe, never
+// with telemetry on or off — the instruments only observe, never
 // steer.
 package obs
 

@@ -2,10 +2,7 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
 	"io"
-	"net/http"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -130,10 +127,9 @@ func TestSpanEndIdempotent(t *testing.T) {
 // Metrics used across the metric tests; registered once since the
 // registry rejects duplicate names.
 var (
-	testCounter  = NewCounter("test.counter")
-	testGauge    = NewGauge("test.gauge")
-	testHist     = NewHistogram("test.hist")
-	testProgress = NewCounter("test.progress")
+	testCounter = NewCounter("test.counter")
+	testGauge   = NewGauge("test.gauge")
+	testHist    = NewHistogram("test.hist")
 )
 
 func TestConcurrentMetrics(t *testing.T) {
@@ -166,7 +162,11 @@ func TestConcurrentMetrics(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantiles(t *testing.T) {
+// TestHistogramSnapshotBuckets pins the power-of-two bucketing the
+// Prometheus exposition serves: each sample lands in the bucket whose
+// inclusive upper edge is the next 2^i - 1, and a snapshot's count is
+// the sum of the buckets it read.
+func TestHistogramSnapshotBuckets(t *testing.T) {
 	var h Histogram
 	for _, v := range []int64{0, 1, 2, 3, 1000} {
 		h.Observe(v)
@@ -174,96 +174,25 @@ func TestHistogramQuantiles(t *testing.T) {
 	if h.Count() != 5 || h.Sum() != 1006 {
 		t.Errorf("count/sum = %d/%d, want 5/1006", h.Count(), h.Sum())
 	}
-	// p50 falls in the bucket of 2..3 → inclusive upper edge 3.
-	if got := h.Quantile(0.5); got != 3 {
-		t.Errorf("p50 = %d, want 3", got)
+	snap := h.Snapshot()
+	want := []HistogramBucket{{Le: 0, N: 1}, {Le: 1, N: 1}, {Le: 3, N: 2}, {Le: 1023, N: 1}}
+	if len(snap.Buckets) != len(want) {
+		t.Fatalf("buckets = %+v, want %+v", snap.Buckets, want)
 	}
-	// p99 falls in the bucket of 1000 (512..1023) → inclusive edge 1023.
-	if got := h.Quantile(0.99); got != 1023 {
-		t.Errorf("p99 = %d, want 1023", got)
+	var sum int64
+	for i, b := range snap.Buckets {
+		if b != want[i] {
+			t.Errorf("bucket %d = %+v, want %+v", i, b, want[i])
+		}
+		sum += b.N
 	}
-	if got := (&Histogram{}).Quantile(0.5); got != 0 {
-		t.Errorf("empty histogram p50 = %d, want 0", got)
+	if snap.Count != 5 || sum != snap.Count || snap.Sum != 1006 {
+		t.Errorf("snapshot count/sum = %d/%d, buckets sum to %d", snap.Count, snap.Sum, sum)
+	}
+	if empty := (&Histogram{}).Snapshot(); empty.Count != 0 || empty.Buckets != nil {
+		t.Errorf("empty histogram snapshot = %+v", empty)
 	}
 }
-
-func TestSnapshotContainsRegisteredMetrics(t *testing.T) {
-	testCounter.Add(0) // ensure registered
-	snap := Snapshot()
-	if _, ok := snap["test.counter"].(int64); !ok {
-		t.Errorf("snapshot missing test.counter: %v", snap["test.counter"])
-	}
-	hv, ok := snap["test.hist"].(HistogramSnapshot)
-	if !ok {
-		t.Fatalf("snapshot test.hist = %T, want HistogramSnapshot", snap["test.hist"])
-	}
-	if hv.Count > 0 {
-		var sum int64
-		for _, b := range hv.Buckets {
-			sum += b.N
-		}
-		if sum != hv.Count {
-			t.Errorf("snapshot buckets sum to %d, count is %d", sum, hv.Count)
-		}
-	}
-}
-
-func TestServeTelemetryJSONEndpoints(t *testing.T) {
-	bound, _, shutdown, err := ServeTelemetry("127.0.0.1:0", TelemetryConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown() //nolint:errcheck
-
-	for _, path := range []string{"/debug/vars", "/progress"} {
-		resp, err := http.Get("http://" + bound + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("reading %s: %v", path, err)
-		}
-		var parsed map[string]any
-		if err := json.Unmarshal(body, &parsed); err != nil {
-			t.Errorf("%s is not JSON: %v\n%s", path, err, body)
-		}
-	}
-}
-
-func TestLogProgress(t *testing.T) {
-	var mu sync.Mutex
-	var buf strings.Builder
-	w := writerFunc(func(p []byte) (int, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		return buf.Write(p)
-	})
-	stop := LogProgress(w, 10*time.Millisecond)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		testProgress.Inc()
-		mu.Lock()
-		done := strings.Contains(buf.String(), "test.progress=")
-		mu.Unlock()
-		if done || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	stop()
-	mu.Lock()
-	out := buf.String()
-	mu.Unlock()
-	if !strings.Contains(out, "progress") || !strings.Contains(out, "test.progress=") {
-		t.Errorf("progress output missing expected line:\n%s", out)
-	}
-}
-
-type writerFunc func(p []byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 // TestDisabledPathAllocationFree is the overhead guarantee: with no
 // tracer in the context, the full span API and the metric updates must

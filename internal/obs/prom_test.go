@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bufio"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -164,9 +165,14 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 }
 
+// TestServeTelemetryEndpoints pins the two endpoints: /metrics serves
+// the Prometheus exposition, and /events replays the recording — an
+// event emitted before the client subscribed arrives — or answers 503
+// when no recorder is attached.
 func TestServeTelemetryEndpoints(t *testing.T) {
-	bus := NewBus()
-	bound, _, shutdown, err := ServeTelemetry("127.0.0.1:0", TelemetryConfig{Bus: bus})
+	rec := NewFlightRecorder(0)
+	rec.Emit(Event{Kind: EvDesignStart, Val: 12, Who: "bb"})
+	bound, _, shutdown, err := ServeTelemetry("127.0.0.1:0", rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,18 +189,31 @@ func TestServeTelemetryEndpoints(t *testing.T) {
 	if !strings.Contains(string(body), "# TYPE stbusgen_") {
 		t.Error("/metrics exposition has no TYPE lines")
 	}
-	// /events without a bus answers 503; with one, it streams.
-	noBus, _, stop2, err := ServeTelemetry("127.0.0.1:0", TelemetryConfig{})
+
+	resp, err = http.Get("http://" + bound + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
+		t.Errorf("/events content type = %q", ct)
+	}
+	name, data := readFrame(t, bufio.NewReader(resp.Body))
+	if name != "flight" || !strings.Contains(data, `"kind":"design_start"`) || !strings.Contains(data, `"seq":0`) {
+		t.Errorf("first /events frame = %s %s, want the replayed design_start", name, data)
+	}
+
+	noRec, _, stop2, err := ServeTelemetry("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer stop2() //nolint:errcheck
-	resp, err = http.Get("http://" + noBus + "/events")
+	resp, err = http.Get("http://" + noRec + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("/events without a bus = %d, want 503", resp.StatusCode)
+		t.Errorf("/events without a recorder = %d, want 503", resp.StatusCode)
 	}
 }

@@ -16,8 +16,7 @@ import (
 // implementation called http.Server.Close, which hard-dropped the TCP
 // connection under the still-running handler.
 func TestServeTelemetryGracefulShutdown(t *testing.T) {
-	bus := NewBus()
-	bound, serveErr, shutdown, err := ServeTelemetry("127.0.0.1:0", TelemetryConfig{Bus: bus})
+	bound, serveErr, shutdown, err := ServeTelemetry("127.0.0.1:0", NewFlightRecorder(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,14 +50,7 @@ func TestServeTelemetryGracefulShutdown(t *testing.T) {
 		}
 	}()
 
-	deadline := time.Now().Add(10 * time.Second)
-	for bus.Subscribers() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("SSE subscriber never attached")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
+	// The response headers arrived, so the stream is open.
 	if err := shutdown(); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
@@ -86,8 +78,8 @@ func TestServeTelemetryGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestFlightEventsSince pins the incremental read the per-job SSE
-// streamer depends on: a cursor past the retained window yields
+// TestFlightEventsSince pins the incremental read StreamEvents depends
+// on: a cursor past the retained window yields
 // nothing, a mid-window cursor yields exactly the tail, and ring
 // overwrite shifts the effective start forward.
 func TestFlightEventsSince(t *testing.T) {
@@ -121,7 +113,7 @@ func TestServeTelemetrySlowHeaderClient(t *testing.T) {
 	telemetryReadHeaderTimeout = 200 * time.Millisecond
 	defer func() { telemetryReadHeaderTimeout = saved }()
 
-	bound, _, shutdown, err := ServeTelemetry("127.0.0.1:0", TelemetryConfig{})
+	bound, _, shutdown, err := ServeTelemetry("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,13 +133,13 @@ func TestServeTelemetrySlowHeaderClient(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := http.Get("http://" + bound + "/progress")
+	resp, err := http.Get("http://" + bound + "/metrics")
 	if err != nil {
-		t.Fatalf("progress beside a stalled client: %v", err)
+		t.Fatalf("metrics beside a stalled client: %v", err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("progress beside a stalled client: status %d", resp.StatusCode)
+		t.Fatalf("metrics beside a stalled client: status %d", resp.StatusCode)
 	}
 
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck // a failed deadline shows as a hang below

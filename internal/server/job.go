@@ -35,22 +35,24 @@ func (s jobState) String() string {
 	return "unknown"
 }
 
+// jobFlightCapacity is the per-job flight-recorder ring size: every
+// event of a typical paper design (tens to a few hundred) with room to
+// spare. A stream that falls further behind is told what it missed.
+const jobFlightCapacity = 4096
+
 // job is one admitted design request. Telemetry is per-job: the flight
-// recorder journals this solve only, and the bus fans its events out to
-// this job's SSE subscribers — the process-global instruments see only
-// aggregate metrics, so concurrent jobs never interleave in a client's
-// stream.
+// recorder journals this solve only and feeds this job's SSE streams —
+// the process-global instruments see only aggregate metrics, so
+// concurrent jobs never interleave in a client's stream.
 type job struct {
 	id  string
 	req *designRequest
 
-	// rec journals the solve; bus mirrors it live to /v1/jobs/{id}/events
-	// subscribers and closes when the job finishes (ending their
-	// streams with a result frame and a bye).
+	// rec journals the solve for /v1/jobs/{id}/events.
 	rec *obs.FlightRecorder
-	bus *obs.Bus
 
-	// done closes when the job reaches a terminal state.
+	// done closes when the job reaches a terminal state, ending its
+	// event streams with a result frame and a bye.
 	done chan struct{}
 
 	mu       sync.Mutex

@@ -11,13 +11,15 @@ import (
 
 // Slow-client bounds of the daemon's HTTP server, fixed rather than
 // configurable: a client has readHeaderTimeout to send its request
-// header, and a keep-alive connection idle for idleTimeout is closed,
-// so stalled clients cannot pin connections and goroutines forever.
-// Bodies (up to MaxBody) and SSE streams are long by design, so reads
-// and writes past the header are left unbounded. Variables only so a
-// test can shorten them.
+// header and bodyReadTimeout to send a POST /v1/design body (set per
+// route by handleDesign; 64 MiB in two minutes is ~0.5 MB/s), and a
+// keep-alive connection idle for idleTimeout is closed, so stalled
+// clients cannot pin connections and goroutines forever. SSE streams
+// are long by design, so there is no server-wide read or write
+// timeout. Variables only so a test can shorten them.
 var (
 	readHeaderTimeout = 10 * time.Second
+	bodyReadTimeout   = 2 * time.Minute
 	idleTimeout       = 2 * time.Minute
 )
 

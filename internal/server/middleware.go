@@ -7,7 +7,7 @@ import (
 )
 
 // statusWriter observes the response status for the request log while
-// passing the Flusher capability through — the SSE handler needs it.
+// passing the Flusher capability through — the SSE stream needs it.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -32,6 +32,10 @@ func (w *statusWriter) Flush() {
 		fl.Flush()
 	}
 }
+
+// Unwrap lets http.ResponseController reach the connection (the design
+// route sets a body read deadline through it).
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 // withLogging logs one line per request: method, path, status, wall
 // time. A nil logf short-circuits to the bare handler.

@@ -14,8 +14,9 @@
 //   - per-request timeouts and node budgets mapped onto the engine's
 //     context plumbing;
 //   - per-job telemetry: each job carries its own obs.FlightRecorder
-//     and obs.Bus (never the process-global ones), streamed live over
-//     /v1/jobs/{id}/events as SSE and summarized in the job status;
+//     (never the process-global one), streamed over
+//     /v1/jobs/{id}/events as SSE (obs.StreamEvents: replay, then
+//     live) and summarized in the job status;
 //   - graceful drain: on shutdown the server stops admitting (503),
 //     lets in-flight jobs finish within a deadline, cancels stragglers,
 //     and only then closes the listener (see Run).
@@ -26,7 +27,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -97,9 +97,6 @@ type Config struct {
 	// JobHistory bounds how many finished jobs stay pollable before the
 	// oldest are forgotten. 0 means 512.
 	JobHistory int
-	// FlightCapacity is the per-job flight-recorder ring size.
-	// 0 means 4096 events.
-	FlightCapacity int
 	// Workers is the per-job solver parallelism (core.Options.Workers);
 	// 0 means GOMAXPROCS.
 	Workers int
@@ -147,9 +144,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.JobHistory <= 0 {
 		out.JobHistory = 512
-	}
-	if out.FlightCapacity <= 0 {
-		out.FlightCapacity = 4096
 	}
 	if out.DrainTimeout <= 0 {
 		out.DrainTimeout = 15 * time.Second
@@ -247,8 +241,8 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob executes one job (see execute), records its outcome and
-// publishes the terminal status to the job's event stream.
+// runJob executes one job (see execute) and records its outcome;
+// finishing the job ends its event streams with the terminal status.
 func (s *Server) runJob(j *job) {
 	defer s.inflight.Done()
 	defer j.req.cleanup()
@@ -266,13 +260,6 @@ func (s *Server) runJob(j *job) {
 		metJobsOK.Inc()
 		s.logf("job %s done in %s", j.id, end.Sub(now))
 	}
-
-	// Terminal SSE frames: the final status, then the stream end. A bus
-	// with no subscribers drops these for free.
-	if data, e := json.Marshal(j.wire()); e == nil {
-		j.bus.Publish("result", data)
-	}
-	j.bus.Close()
 	s.forwardToGlobal(j)
 }
 
@@ -340,12 +327,10 @@ func (s *Server) admit(req *designRequest) (*job, error) {
 	j := &job{
 		id:      fmt.Sprintf("j-%06d", s.seq.Add(1)),
 		req:     req,
-		rec:     obs.NewFlightRecorder(s.cfg.FlightCapacity),
-		bus:     obs.NewBus(),
+		rec:     obs.NewFlightRecorder(jobFlightCapacity),
 		done:    make(chan struct{}),
 		created: time.Now(),
 	}
-	j.rec.AttachBus(j.bus)
 
 	s.admitMu.Lock()
 	defer s.admitMu.Unlock()
@@ -455,12 +440,17 @@ func (s *Server) Close() {
 // --- handlers ---
 
 func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
+	rc := http.NewResponseController(w)
+	rc.SetReadDeadline(time.Now().Add(bodyReadTimeout)) //nolint:errcheck // unsupported only by test recorders
 	req, err := s.decodeDesignRequest(r)
 	if err != nil {
 		he := asHTTPError(err)
 		writeError(w, he.status, "bad_request", "%s", he.msg)
 		return
 	}
+	// The body is in. Lift the deadline: a sync request waits on its job
+	// past it, and an expired read deadline cancels the request context.
+	rc.SetReadDeadline(time.Time{}) //nolint:errcheck // as above
 	j, err := s.admit(req)
 	if err != nil {
 		req.cleanup()
@@ -505,6 +495,19 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, j.wire())
+}
+
+// handleJobEvents streams one job's flight recording as Server-Sent
+// Events (obs.StreamEvents): the journal so far, then live events, and
+// once the job finishes a "result" frame with its terminal status and
+// a "bye" frame.
+func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
+	j, ok := s.lookup(r.PathValue("id"))
+	if !ok {
+		writeError(w, http.StatusNotFound, "not_found", "no such job %q", r.PathValue("id"))
+		return
+	}
+	obs.StreamEvents(w, r, j.rec, j.done, func() any { return j.wire() })
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {

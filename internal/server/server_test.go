@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/benchprobs"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -760,5 +761,99 @@ func TestSlowHeaderClientDisconnected(t *testing.T) {
 	}
 	if d := time.Since(start); d < readHeaderTimeout {
 		t.Fatalf("stalled client disconnected after %s, before the %s header timeout", d, readHeaderTimeout)
+	}
+}
+
+// TestSlowBodyClientDisconnected pins the body bound of POST
+// /v1/design: a client that sends its headers and then stalls the body
+// is answered 400 and disconnected once bodyReadTimeout passes. The
+// no-op logger puts the request-logging wrapper in the path, which the
+// read deadline must reach through.
+func TestSlowBodyClientDisconnected(t *testing.T) {
+	saved := bodyReadTimeout
+	bodyReadTimeout = 200 * time.Millisecond
+	defer func() { bodyReadTimeout = saved }()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cfg := testConfig()
+	cfg.Logf = func(string, ...any) {}
+	addrCh := make(chan net.Addr, 1)
+	runErr := make(chan error, 1)
+	go func() {
+		runErr <- Run(ctx, cfg, func(a net.Addr) { addrCh <- a })
+	}()
+	defer func() {
+		cancel()
+		if err := <-runErr; err != nil {
+			t.Errorf("Run: %v", err)
+		}
+	}()
+	var addr string
+	select {
+	case a := <-addrCh:
+		addr = a.String()
+	case err := <-runErr:
+		t.Fatalf("Run exited before listening: %v", err)
+	}
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "POST /v1/design HTTP/1.1\r\nHost: stbusd\r\n"+
+		"Content-Type: application/octet-stream\r\nContent-Length: 100000\r\n\r\nSTB"); err != nil {
+		t.Fatal(err)
+	}
+
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck // a failed deadline shows as a hang below
+	resp, err := io.ReadAll(conn)
+	if err != nil {
+		t.Fatalf("stalled body was not cut off: %v", err)
+	}
+	if d := time.Since(start); d < bodyReadTimeout {
+		t.Fatalf("stalled body cut off after %s, before the %s body timeout", d, bodyReadTimeout)
+	}
+	if !bytes.HasPrefix(resp, []byte("HTTP/1.1 400")) {
+		t.Fatalf("stalled body answered %q, want a 400", resp)
+	}
+}
+
+// TestJobEventsOverrunReportsDropped is the job-stream side of the
+// shared overrun report: a job whose ring of 4 kept the last 4 of 10
+// events streams a dropped frame of 6, seqs 6-9, its result and bye.
+func TestJobEventsOverrunReportsDropped(t *testing.T) {
+	s, hs := newTestServer(t, testConfig())
+	j := &job{id: "j-overrun", rec: obs.NewFlightRecorder(4), done: make(chan struct{}), created: time.Now()}
+	for i := 0; i < 10; i++ {
+		j.rec.Emit(obs.Event{Kind: obs.EvNodes, Val: int64(i)})
+	}
+	j.finish(time.Now(), nil, nil, nil)
+	s.jobMu.Lock()
+	s.jobs[j.id] = j
+	s.jobMu.Unlock()
+
+	resp, err := http.Get(hs.URL + "/v1/jobs/j-overrun/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, err := readSSE(bufio.NewReader(resp.Body))
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("read SSE: %v", err)
+	}
+	want := []sseFrame{{"dropped", `{"dropped":6}`}}
+	for seq := 6; seq < 10; seq++ {
+		want = append(want, sseFrame{event: "flight", data: fmt.Sprintf(`"seq":%d,`, seq)})
+	}
+	want = append(want, sseFrame{event: "result", data: `"status":"done"`}, sseFrame{event: "bye"})
+	if len(frames) != len(want) {
+		t.Fatalf("got %d frames %+v, want %d", len(frames), frames, len(want))
+	}
+	for i, f := range frames {
+		if f.event != want[i].event || !strings.Contains(f.data, want[i].data) {
+			t.Errorf("frame %d = %+v, want %s containing %s", i, f, want[i].event, want[i].data)
+		}
 	}
 }

@@ -6,10 +6,10 @@ import (
 	"io"
 	"net/http"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/benchprobs"
 	"repro/internal/core"
@@ -17,25 +17,22 @@ import (
 	"repro/internal/trace"
 )
 
-// sseKinds streams one /events subscription, tallying the flight-event
-// kinds seen, until the server says bye or the stream ends. Counts are
-// read through the mutex so the main goroutine can poll mid-stream.
+// sseKinds records one /events subscription until the server says bye
+// or the stream ends: the flight-event kinds seen, the sequence numbers
+// in arrival order, and whether any dropped frame arrived.
 type sseKinds struct {
-	mu     sync.Mutex
-	kinds  map[string]int
-	frames int
-	bye    bool
+	kinds   map[string]int
+	seqs    []string
+	dropped bool
+	bye     bool
 }
 
-func (s *sseKinds) count(kind string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.kinds[kind]
-}
+var (
+	kindRe = regexp.MustCompile(`"kind":"([a-z_]+)"`)
+	seqRe  = regexp.MustCompile(`"seq":(\d+)`)
+)
 
-var kindRe = regexp.MustCompile(`"kind":"([a-z_]+)"`)
-
-func (s *sseKinds) consume(t *testing.T, body io.Reader) {
+func (s *sseKinds) consume(body io.Reader) {
 	br := bufio.NewReader(body)
 	var event string
 	for {
@@ -47,19 +44,20 @@ func (s *sseKinds) consume(t *testing.T, body io.Reader) {
 		switch {
 		case strings.HasPrefix(line, "event: "):
 			event = strings.TrimPrefix(line, "event: ")
-			if event == "bye" {
-				s.mu.Lock()
+			switch event {
+			case "bye":
 				s.bye = true
-				s.mu.Unlock()
 				return
+			case "dropped":
+				s.dropped = true
 			}
 		case strings.HasPrefix(line, "data: ") && event == "flight":
-			s.mu.Lock()
-			s.frames++
 			if m := kindRe.FindStringSubmatch(line); m != nil {
 				s.kinds[m[1]]++
 			}
-			s.mu.Unlock()
+			if m := seqRe.FindStringSubmatch(line); m != nil {
+				s.seqs = append(s.seqs, m[1])
+			}
 		}
 	}
 }
@@ -81,19 +79,20 @@ func perturbedAnalysis16(t *testing.T) *trace.Analysis {
 // observability PR: a 128-target portfolio solve (plus a perturbed
 // 16-receiver solve that forces node-batch traffic) streams live
 // incumbent, node and race events over /events to two concurrent SSE
-// subscribers while /metrics serves valid Prometheus exposition.
+// subscribers while /metrics serves valid Prometheus exposition. A
+// subscriber that was not told of dropped events saw the whole journal,
+// so two such subscribers see identical sequences.
 func TestTelemetryLiveStream(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full solves in -short mode")
 	}
 	rec := obs.NewFlightRecorder(obs.DefaultFlightCapacity)
-	bus := obs.NewBus()
-	rec.AttachBus(bus)
-	bound, _, shutdown, err := obs.ServeTelemetry("127.0.0.1:0", obs.TelemetryConfig{Bus: bus})
+	bound, _, shutdown, err := obs.ServeTelemetry("127.0.0.1:0", rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer shutdown() //nolint:errcheck
+	stop := sync.OnceValue(shutdown)
+	defer stop() //nolint:errcheck
 
 	subs := [2]*sseKinds{{kinds: map[string]int{}}, {kinds: map[string]int{}}}
 	var wg sync.WaitGroup
@@ -109,15 +108,8 @@ func TestTelemetryLiveStream(t *testing.T) {
 		wg.Add(1)
 		go func(s *sseKinds, body io.Reader) {
 			defer wg.Done()
-			s.consume(t, body)
+			s.consume(body)
 		}(s, resp.Body)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for bus.Subscribers() < len(subs) {
-		if time.Now().After(deadline) {
-			t.Fatal("SSE subscribers never attached")
-		}
-		time.Sleep(time.Millisecond)
 	}
 
 	ctx := obs.WithFlightRecorder(context.Background(), rec)
@@ -149,35 +141,28 @@ func TestTelemetryLiveStream(t *testing.T) {
 		}
 	}
 
-	// Both solves are done: wait for their frames to drain to both
-	// subscribers before closing the bus, then assert coverage.
-	deadline = time.Now().Add(10 * time.Second)
-	for _, s := range subs {
-		for s.count("design_done") < 2 {
-			if time.Now().After(deadline) {
-				t.Fatal("design_done frames never reached a subscriber")
-			}
-			time.Sleep(time.Millisecond)
-		}
+	// Both solves are done. Shutting down drains the ring to both
+	// subscribers before their bye frames.
+	if err := stop(); err != nil {
+		t.Fatalf("shutdown: %v", err)
 	}
-	bus.Close()
 	wg.Wait()
 
 	for i, s := range subs {
-		s.mu.Lock()
 		for _, kind := range []string{"design_start", "incumbent", "nodes", "race_start", "race_win", "design_done"} {
 			if s.kinds[kind] == 0 {
 				t.Errorf("subscriber %d saw no %s events (kinds: %v)", i, kind, s.kinds)
 			}
 		}
+		if !s.dropped && s.kinds["design_done"] != 2 {
+			t.Errorf("subscriber %d saw %d design_done events, want 2", i, s.kinds["design_done"])
+		}
 		if !s.bye {
 			t.Errorf("subscriber %d stream ended without a bye frame", i)
 		}
-		s.mu.Unlock()
 	}
-	if subs[0].frames != subs[1].frames {
-		t.Logf("subscribers saw %d and %d flight frames (drops are legal under backpressure)",
-			subs[0].frames, subs[1].frames)
+	if !subs[0].dropped && !subs[1].dropped && !slices.Equal(subs[0].seqs, subs[1].seqs) {
+		t.Errorf("subscribers saw different journals: %d and %d flight frames", len(subs[0].seqs), len(subs[1].seqs))
 	}
 }
 
@@ -188,7 +173,7 @@ func TestPrometheusScrapeDuringSolve(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full solve in -short mode")
 	}
-	bound, _, shutdown, err := obs.ServeTelemetry("127.0.0.1:0", obs.TelemetryConfig{})
+	bound, _, shutdown, err := obs.ServeTelemetry("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
