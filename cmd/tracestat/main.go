@@ -200,11 +200,7 @@ func runStream(ctx context.Context, f *os.File, path string) error {
 	var busiest int
 	var busiestCycles int64
 	for i := 0; i < a.NumReceivers; i++ {
-		var total int64
-		for _, v := range a.Comm.Row(i) {
-			total += v
-		}
-		if total > busiestCycles {
+		if total := a.Comm.RowSum(i); total > busiestCycles {
 			busiest, busiestCycles = i, total
 		}
 	}

@@ -104,9 +104,10 @@ func RandomBinding(a *trace.Analysis, opts core.Options, numBuses int, rng *rand
 						break
 					}
 				}
-				for m := 0; m < nW && good; m++ {
-					if load[b][m]+a.Comm.At(t, m) > a.WindowLen(m) {
+				for _, c := range a.Comm.RowCells(t) {
+					if m := int(c.Col); load[b][m]+c.Val > a.WindowLen(m) {
 						good = false
+						break
 					}
 				}
 				if good {
@@ -120,8 +121,8 @@ func RandomBinding(a *trace.Analysis, opts core.Options, numBuses int, rng *rand
 			b := admissible[rng.Intn(len(admissible))]
 			busOf[t] = b
 			count[b]++
-			for m := 0; m < nW; m++ {
-				load[b][m] += a.Comm.At(t, m)
+			for _, c := range a.Comm.RowCells(t) {
+				load[b][c.Col] += c.Val
 			}
 		}
 		if ok {

@@ -172,10 +172,10 @@ func (s *Store) Warm(ctx context.Context, a *trace.Analysis, opts core.Options) 
 	if s.delta < 0 {
 		return nil
 	}
-	// Dense cell count of the compared content: Comm and CritComm plus
-	// the OM upper triangle. (The sparse per-window overlaps are diffed
-	// too, but scaling the budget by the dense size is stable across
-	// sparsity levels.)
+	// The budget scales with the dense cell count of Comm and CritComm
+	// plus the OM upper triangle, though all of them are stored sparsely
+	// and the overlaps are diffed too: a dense-size budget is stable
+	// across sparsity levels.
 	nT := a.NumReceivers
 	total := 2*nT*a.NumWindows() + nT*(nT-1)/2
 	limit := int(s.delta * float64(total))

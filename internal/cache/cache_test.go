@@ -287,8 +287,9 @@ func TestZeroDeltaExactOnly(t *testing.T) {
 
 	// One perturbed cell: same shape and windows, one Comm value off by
 	// one cycle.
+	// Receiver 0 is busy in window 0, and the clone owns its cells.
 	perturbed := base.Clone()
-	perturbed.Comm.Set(0, 0, base.Comm.At(0, 0)+1)
+	perturbed.Comm.RowCells(0)[0].Val++
 	if diffs, ok := trace.CountDiffs(perturbed, base, 0); !ok || diffs != 1 {
 		t.Fatalf("perturbation diffs = %d (ok=%v), want exactly 1", diffs, ok)
 	}

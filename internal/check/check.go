@@ -8,25 +8,27 @@
 //   - an auditor (Audit) that recomputes every paper constraint a
 //     produced binding was solved under — Eq. 3 (one bus per target),
 //     Eq. 4 (per-window per-bus bandwidth), Eq. 7 (conflict
-//     separation), Eq. 8 (targets-per-bus cap) — plus objective
+//     separation), Eq. 8 (targets-per-bus cap) — plus report
 //     consistency (the reported maxov of Eq. 11 must equal the
-//     recomputed maximum per-bus aggregate overlap), returning
-//     structured violations rather than a bool; and
+//     recomputed maximum per-bus aggregate overlap, and the reported
+//     conflict count the recomputed Eq. 2 count), returning structured
+//     violations rather than a bool; and
 //   - a differential harness (Diff, RandomCase) that runs the
 //     specialized assignment solver, the warm-started MILP and the
 //     racing portfolio on the same seeded random problem and asserts
 //     identical feasibility verdicts and optimal objectives.
 //
-// The auditor deliberately shares no code with the solvers' pruned
-// search state: it re-derives loads and overlaps from the Analysis
-// matrices over all windows (not the Pareto-reduced set), so a solver
-// bug in the reduction or the incremental bookkeeping cannot hide
-// itself. It does share BuildConflicts — the conflict matrix is an
-// input to the problem, not a solver artifact.
+// The auditor deliberately shares no code with the design pipeline: it
+// re-derives loads from the Analysis tables over every window with
+// traffic (not the Pareto-reduced set), the conflict matrix from the
+// pair overlap values and the objective from OM with its own loops, so
+// a bug in the window reduction, the conflict pre-processing or the
+// incremental bookkeeping cannot hide itself.
 package check
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -44,7 +46,9 @@ const (
 	KindCap
 	// KindBandwidth is a per-window per-bus bandwidth violation (Eq. 4).
 	KindBandwidth
-	// KindConflict is a conflict pair sharing a bus (Eq. 2 / Eq. 7).
+	// KindConflict is a conflict pair sharing a bus (Eq. 2 / Eq. 7),
+	// or a reported conflict count that differs from the recomputed
+	// one.
 	KindConflict
 	// KindObjective is an objective inconsistency: the design's
 	// reported MaxBusOverlap differs from the recomputed maximum
@@ -185,49 +189,109 @@ func Audit(d *core.Design, a *trace.Analysis, opts core.Options) *Report {
 		}
 	}
 
-	// Eq. 4 — per-window per-bus bandwidth, over ALL windows. The
-	// solvers constrain only the Pareto-maximal windows; auditing the
-	// full set is exactly what catches a bug in that reduction.
-	load := make([]int64, d.NumBuses)
-	for m := 0; m < a.NumWindows(); m++ {
-		for b := range load {
-			load[b] = 0
+	// Eq. 4 — per-window per-bus bandwidth, over every window with
+	// traffic (a window without traffic loads no bus). The solvers
+	// constrain only the Pareto-maximal windows; auditing the full set
+	// is exactly what catches a bug in that reduction. Violations are
+	// reported bus by bus, each bus's windows in ascending order.
+	nW := a.NumWindows()
+	load := make([]int64, nW)
+	var touched []int
+	for b := 0; b < d.NumBuses; b++ {
+		touched = touched[:0]
+		for t, tb := range d.BusOf {
+			if tb != b {
+				continue
+			}
+			for _, c := range a.Comm.RowCells(t) {
+				m := int(c.Col)
+				if c.Val != 0 && load[m] == 0 {
+					touched = append(touched, m)
+				}
+				load[m] += c.Val
+			}
 		}
-		for t, b := range d.BusOf {
-			load[b] += a.Comm.At(t, m)
-		}
-		wl := a.WindowLen(m)
-		for b, l := range load {
+		sort.Ints(touched)
+		for _, m := range touched {
 			r.Checked++
-			if l > wl {
+			if l, wl := load[m], a.WindowLen(m); l > wl {
 				r.add(Violation{Kind: KindBandwidth, Bus: b, Window: m, ReceiverI: -1, ReceiverJ: -1,
 					Got: l, Want: wl,
 					Msg: fmt.Sprintf("bus %d loaded %d cycles in window %d of length %d", b, l, m, wl)})
 			}
+			load[m] = 0
 		}
 	}
 
 	// Eq. 2 / Eq. 7 — conflict pairs must not share a bus. The
-	// conflict matrix is re-derived from the analysis with the same
-	// options the design was solved under.
-	conflicts := core.BuildConflicts(a, opts)
+	// conflict matrix is re-derived from the pair overlap values with
+	// the options the design was solved under, and the count of
+	// conflict pairs must match the one the design reports.
+	conflicts := 0
 	for i := 0; i < nT; i++ {
 		for j := i + 1; j < nT; j++ {
+			if !conflictPair(a, i, j, opts) {
+				continue
+			}
+			conflicts++
 			r.Checked++
-			if conflicts[i][j] && d.BusOf[i] == d.BusOf[j] {
+			if d.BusOf[i] == d.BusOf[j] {
 				r.add(Violation{Kind: KindConflict, Bus: d.BusOf[i], Window: -1, ReceiverI: i, ReceiverJ: j,
 					Msg: fmt.Sprintf("conflicting receivers %d and %d share bus %d", i, j, d.BusOf[i])})
 			}
 		}
 	}
+	r.Checked++
+	if d.Conflicts != conflicts {
+		r.add(Violation{Kind: KindConflict, Bus: -1, Window: -1, ReceiverI: -1, ReceiverJ: -1,
+			Got: int64(d.Conflicts), Want: int64(conflicts),
+			Msg: fmt.Sprintf("reported %d conflict pairs, recomputed %d", d.Conflicts, conflicts)})
+	}
 
 	// Eq. 11 consistency — the reported objective must equal the
 	// maximum per-bus aggregate overlap recomputed from OM.
 	r.Checked++
-	if got := core.MaxOverlapOf(a, d.NumBuses, d.BusOf); got != d.MaxBusOverlap {
+	perBus := make([]int64, d.NumBuses)
+	for i := 0; i < nT; i++ {
+		for j := i + 1; j < nT; j++ {
+			if d.BusOf[i] == d.BusOf[j] {
+				perBus[d.BusOf[i]] += a.OM.At(i, j)
+			}
+		}
+	}
+	var maxov int64
+	for _, v := range perBus {
+		maxov = max(maxov, v)
+	}
+	if maxov != d.MaxBusOverlap {
 		r.add(Violation{Kind: KindObjective, Bus: -1, Window: -1, ReceiverI: -1, ReceiverJ: -1,
-			Got: d.MaxBusOverlap, Want: got,
-			Msg: fmt.Sprintf("reported max bus overlap %d, recomputed %d", d.MaxBusOverlap, got)})
+			Got: d.MaxBusOverlap, Want: maxov,
+			Msg: fmt.Sprintf("reported max bus overlap %d, recomputed %d", d.MaxBusOverlap, maxov)})
 	}
 	return r
+}
+
+// conflictPair applies paper Eq. 2 to one receiver pair: the pair
+// conflicts when its overlap in some window exceeds the threshold
+// fraction of that window's length (a negative threshold disables the
+// test), or, with critical separation, when their critical streams
+// overlap in some window. Only stored cells can qualify: an absent
+// cell is a zero overlap.
+func conflictPair(a *trace.Analysis, i, j int, opts core.Options) bool {
+	row := a.PairIndex(i, j)
+	if opts.OverlapThreshold >= 0 {
+		for _, c := range a.Overlap.RowCells(row) {
+			if float64(c.Val) > opts.OverlapThreshold*float64(a.WindowLen(int(c.Col))) {
+				return true
+			}
+		}
+	}
+	if opts.SeparateCritical {
+		for _, c := range a.CritOverlap.RowCells(row) {
+			if c.Val > 0 {
+				return true
+			}
+		}
+	}
+	return false
 }

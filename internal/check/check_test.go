@@ -136,6 +136,37 @@ func TestAuditDetectsConflictViolation(t *testing.T) {
 	}
 }
 
+// TestAuditRecomputesConflictCount: the auditor re-derives Eq. 2 on
+// its own, so a pre-processing bug that adds or drops a conflict pair
+// shows up as a count mismatch even when the binding satisfies both
+// matrices. Receivers 0 and 1 overlap for exactly half of window 0:
+// at threshold 0.5 that is no conflict (Eq. 2 is strict), at 0.49 it
+// is one.
+func TestAuditRecomputesConflictCount(t *testing.T) {
+	a := overlapPair(t)
+	for _, tc := range []struct {
+		threshold float64
+		conflicts int
+	}{{0.5, 0}, {0.49, 1}} {
+		opts := core.Options{OverlapThreshold: tc.threshold}
+		d := &core.Design{NumBuses: 3, BusOf: []int{0, 1, 2}, Conflicts: tc.conflicts}
+		if rep := Audit(d, a, opts); !rep.OK() {
+			t.Fatalf("threshold %v: correct count %d flagged: %v", tc.threshold, tc.conflicts, rep.Err())
+		}
+		d.Conflicts = 1 - tc.conflicts
+		rep := Audit(d, a, opts)
+		found := false
+		for _, v := range rep.Violations {
+			if v.Kind == KindConflict && v.Got == int64(d.Conflicts) && v.Want == int64(tc.conflicts) {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("threshold %v: count %d not reported against %d: %+v", tc.threshold, d.Conflicts, tc.conflicts, rep.Violations)
+		}
+	}
+}
+
 func TestAuditDetectsObjectiveMismatch(t *testing.T) {
 	a := overlapPair(t)
 	opts := core.Options{OverlapThreshold: -1}

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/ds"
@@ -49,11 +51,11 @@ func newAssignProblem(a *trace.Analysis, conflicts [][]bool, maxPerBus int, maxN
 		maxNodes = defaultMaxNodes
 	}
 	nT := a.NumReceivers
-	keep := reduceWindows(a)
+	keep, comm := reduceWindows(a)
 	p := &assignProblem{
 		nT:        nT,
 		ws:        make([]int64, len(keep)),
-		comm:      make([][]int64, nT),
+		comm:      comm,
 		conflict:  conflicts,
 		maxPerBus: maxPerBus,
 		om:        a.OM,
@@ -61,12 +63,6 @@ func newAssignProblem(a *trace.Analysis, conflicts [][]bool, maxPerBus int, maxN
 	}
 	for wi, m := range keep {
 		p.ws[wi] = a.WindowLen(m)
-	}
-	for t := 0; t < nT; t++ {
-		p.comm[t] = make([]int64, len(keep))
-		for wi, m := range keep {
-			p.comm[t][wi] = a.Comm.At(t, m)
-		}
 	}
 	// Heaviest-demand-first ordering makes infeasibility surface early.
 	p.order = make([]int, nT)
@@ -81,44 +77,102 @@ func newAssignProblem(a *trace.Analysis, conflicts [][]bool, maxPerBus int, maxN
 	return p
 }
 
-// reduceWindows returns indices of windows that are not dominated:
-// window m dominates m' when every target's load in m is ≥ its load in
-// m' and m's length is ≤ m' (tighter capacity, higher demand).
-func reduceWindows(a *trace.Analysis) []int {
-	nW := a.NumWindows()
+// reduceWindows returns, in ascending order, the indices of the windows
+// that are not dominated, and the receivers' loads in them
+// (comm[t][k] is receiver t's load in window keep[k]). Window m
+// dominates m' when every receiver's load in m is ≥ its load in m' and
+// m is no longer than m' (tighter capacity, higher demand): then no
+// binding can overload m' without overloading m. Of a set of identical
+// windows only the lowest index is kept.
+//
+// The windows with traffic are swept in index order against a Pareto
+// frontier: a candidate that a frontier window dominates is dropped
+// (an identical earlier window counts, which keeps the lowest index);
+// otherwise it evicts the frontier windows it dominates and joins. The
+// frontier stays an antichain of the windows seen so far, and ends as
+// exactly the undominated ones. Each test starts at the dominated
+// side's peak receiver, which rejects most pairs on the first compare.
+// A window without traffic is dominated by every window at most as
+// long, so at most one survives: the lowest-indexed of the shortest,
+// when it is shorter than every window with traffic.
+func reduceWindows(a *trace.Analysis) (keep []int, comm [][]int64) {
 	nT := a.NumReceivers
-	keep := make([]int, 0, nW)
-	dominated := make([]bool, nW)
-	for m := 0; m < nW; m++ {
-		if dominated[m] {
+	cols, vals := a.Comm.DenseColumns()
+	column := func(k int) []int64 { return vals[k*nT : (k+1)*nT] }
+
+	type window struct {
+		k    int // index into cols
+		len  int64
+		peak int // receiver with the largest load
+	}
+	dominates := func(x, y window) bool {
+		if x.len > y.len {
+			return false
+		}
+		cx, cy := column(x.k), column(y.k)
+		if cx[y.peak] < cy[y.peak] {
+			return false
+		}
+		for t, v := range cy {
+			if cx[t] < v {
+				return false
+			}
+		}
+		return true
+	}
+	var front []window
+	for k := range cols {
+		c := window{k: k, len: a.WindowLen(cols[k])}
+		for t, v := range column(k) {
+			if v > column(k)[c.peak] {
+				c.peak = t
+			}
+		}
+		if slices.ContainsFunc(front, func(f window) bool { return dominates(f, c) }) {
 			continue
 		}
-		for m2 := 0; m2 < nW; m2++ {
-			if m2 == m || dominated[m2] {
-				continue
-			}
-			// Does m dominate m2?
-			if a.WindowLen(m) > a.WindowLen(m2) {
-				continue
-			}
-			dom := true
-			for t := 0; t < nT; t++ {
-				if a.Comm.At(t, m) < a.Comm.At(t, m2) {
-					dom = false
-					break
-				}
-			}
-			if dom {
-				dominated[m2] = true
-			}
+		front = slices.DeleteFunc(front, func(f window) bool { return dominates(c, f) })
+		front = append(front, c)
+	}
+
+	// The shortest window with traffic is on the frontier: whatever
+	// dominates it is at most as long.
+	minLen := int64(math.MaxInt64)
+	for _, f := range front {
+		minLen = min(minLen, f.len)
+	}
+	empty, next := -1, 0
+	for m := 0; m < a.NumWindows(); m++ {
+		if next < len(cols) && cols[next] == m {
+			next++
+			continue
+		}
+		if ln := a.WindowLen(m); ln < minLen {
+			empty, minLen = m, ln
 		}
 	}
-	for m := 0; m < nW; m++ {
-		if !dominated[m] {
-			keep = append(keep, m)
+
+	for _, f := range front {
+		keep = append(keep, cols[f.k])
+	}
+	if empty >= 0 {
+		keep = append(keep, empty)
+	}
+	sort.Ints(keep)
+	comm = make([][]int64, nT)
+	for t := range comm {
+		comm[t] = make([]int64, len(keep))
+	}
+	fi := 0 // front is in ascending window order too
+	for wi, m := range keep {
+		if fi < len(front) && cols[front[fi].k] == m {
+			for t, v := range column(front[fi].k) {
+				comm[t][wi] = v
+			}
+			fi++
 		}
 	}
-	return keep
+	return keep, comm
 }
 
 // lowerBound computes an analytic lower bound on the feasible bus

@@ -592,28 +592,39 @@ func probeCloseEvent(k int, optimize bool, res *assignResult, err error) obs.Eve
 // BuildConflicts computes the conflict matrix (paper Eq. 2) from the
 // windowed analysis: pairs whose overlap exceeds the threshold fraction
 // of the window size in any window, and — when SeparateCritical is set
-// — pairs whose critical streams overlap in any window.
+// — pairs whose critical streams overlap in any window. Only the stored
+// overlap cells are visited: an absent cell is a zero overlap, which
+// never exceeds a nonnegative threshold, so the cost is O(R² + stored
+// cells) however many windows carry no traffic.
 func BuildConflicts(a *trace.Analysis, opts Options) [][]bool {
 	nT := a.NumReceivers
 	conflicts := make([][]bool, nT)
 	for i := range conflicts {
 		conflicts[i] = make([]bool, nT)
 	}
+	row := 0 // pair rows are stored in (i, j > i) order
 	for i := 0; i < nT; i++ {
 		for j := i + 1; j < nT; j++ {
 			c := false
-			for m := 0; m < a.NumWindows() && !c; m++ {
-				if opts.OverlapThreshold >= 0 {
-					limit := opts.OverlapThreshold * float64(a.WindowLen(m))
-					if float64(a.PairOverlap(i, j, m)) > limit {
+			if opts.OverlapThreshold >= 0 {
+				for _, cell := range a.Overlap.RowCells(row) {
+					limit := opts.OverlapThreshold * float64(a.WindowLen(int(cell.Col)))
+					if float64(cell.Val) > limit {
 						c = true
+						break
 					}
 				}
-				if opts.SeparateCritical && a.PairCritOverlap(i, j, m) > 0 {
-					c = true
+			}
+			if !c && opts.SeparateCritical {
+				for _, cell := range a.CritOverlap.RowCells(row) {
+					if cell.Val > 0 {
+						c = true
+						break
+					}
 				}
 			}
 			conflicts[i][j], conflicts[j][i] = c, c
+			row++
 		}
 	}
 	return conflicts
@@ -643,11 +654,14 @@ func (d *Design) Validate(a *trace.Analysis, opts Options) error {
 			return fmt.Errorf("core: bus %d has %d receivers, cap is %d", b, c, maxPerBus)
 		}
 	}
-	// Per-window bandwidth (Eq. 4).
-	for m := 0; m < a.NumWindows(); m++ {
-		load := make([]int64, d.NumBuses)
+	// Per-window bandwidth (Eq. 4). A window without traffic loads no
+	// bus, so only the windows with traffic are checked.
+	cols, vals := a.Comm.DenseColumns()
+	load := make([]int64, d.NumBuses)
+	for k, m := range cols {
+		clear(load)
 		for r, b := range d.BusOf {
-			load[b] += a.Comm.At(r, m)
+			load[b] += vals[k*nT+r]
 		}
 		for b, l := range load {
 			if l > a.WindowLen(m) {

@@ -55,6 +55,7 @@ type Formulator struct {
 
 	onceWindows sync.Once
 	keep        []int
+	comm        [][]int64 // comm[i][k]: receiver i's load in window keep[k]
 
 	// Pair selection differs between feasibility (conflict pairs only)
 	// and binding (plus positive-overlap pairs); index by optimize.
@@ -69,9 +70,9 @@ func NewFormulator(a *trace.Analysis, conflicts [][]bool, maxPerBus int) *Formul
 	return &Formulator{a: a, conflicts: conflicts, maxPerBus: maxPerBus}
 }
 
-func (f *Formulator) windows() []int {
-	f.onceWindows.Do(func() { f.keep = reduceWindows(f.a) })
-	return f.keep
+func (f *Formulator) windows() ([]int, [][]int64) {
+	f.onceWindows.Do(func() { f.keep, f.comm = reduceWindows(f.a) })
+	return f.keep, f.comm
 }
 
 func (f *Formulator) pairsFor(optimize bool) []pairIJ {
@@ -101,7 +102,7 @@ func (f *Formulator) ForBusCount(numBuses int, optimize bool) *Formulation {
 	a := f.a
 	nT := a.NumReceivers
 	nB := numBuses
-	keep := f.windows()
+	keep, comm := f.windows()
 	pairs := f.pairsFor(optimize)
 
 	numX := nT * nB
@@ -141,11 +142,11 @@ func (f *Formulator) ForBusCount(numBuses int, optimize bool) *Formulation {
 	}
 
 	// Eq. 4: per-window per-bus bandwidth.
-	for _, m := range keep {
+	for wi, m := range keep {
 		for k := 0; k < nB; k++ {
 			var terms []lp.Term
 			for i := 0; i < nT; i++ {
-				if c := a.Comm.At(i, m); c > 0 {
+				if c := comm[i][wi]; c > 0 {
 					terms = append(terms, lp.Term{Var: x(i, k), Coef: float64(c)})
 				}
 			}

@@ -1,0 +1,218 @@
+package core
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"repro/internal/ds"
+	"repro/internal/trace"
+)
+
+// buildConflictsDense is the window-by-window BuildConflicts the
+// stored-cell version replaced, kept as its oracle: every (pair,
+// window) cell is looked up, absent cells included.
+func buildConflictsDense(a *trace.Analysis, opts Options) [][]bool {
+	nT := a.NumReceivers
+	conflicts := make([][]bool, nT)
+	for i := range conflicts {
+		conflicts[i] = make([]bool, nT)
+	}
+	for i := 0; i < nT; i++ {
+		for j := i + 1; j < nT; j++ {
+			c := false
+			for m := 0; m < a.NumWindows() && !c; m++ {
+				if opts.OverlapThreshold >= 0 {
+					limit := opts.OverlapThreshold * float64(a.WindowLen(m))
+					if float64(a.PairOverlap(i, j, m)) > limit {
+						c = true
+					}
+				}
+				if opts.SeparateCritical && a.PairCritOverlap(i, j, m) > 0 {
+					c = true
+				}
+			}
+			conflicts[i][j], conflicts[j][i] = c, c
+		}
+	}
+	return conflicts
+}
+
+// reduceWindowsDense is the O(W²·R) all-pairs window reduction the
+// Pareto-frontier version replaced, kept as its oracle.
+func reduceWindowsDense(a *trace.Analysis) []int {
+	nW := a.NumWindows()
+	nT := a.NumReceivers
+	keep := make([]int, 0, nW)
+	dominated := make([]bool, nW)
+	for m := 0; m < nW; m++ {
+		if dominated[m] {
+			continue
+		}
+		for m2 := 0; m2 < nW; m2++ {
+			if m2 == m || dominated[m2] {
+				continue
+			}
+			// Does m dominate m2?
+			if a.WindowLen(m) > a.WindowLen(m2) {
+				continue
+			}
+			dom := true
+			for t := 0; t < nT; t++ {
+				if a.Comm.At(t, m) < a.Comm.At(t, m2) {
+					dom = false
+					break
+				}
+			}
+			if dom {
+				dominated[m2] = true
+			}
+		}
+	}
+	for m := 0; m < nW; m++ {
+		if !dominated[m] {
+			keep = append(keep, m)
+		}
+	}
+	return keep
+}
+
+// sparseFromDense builds a compacted sparse matrix from dense rows. A
+// zero cell is stored explicitly (an Append of +1 then −1) with
+// probability zeroP, which no kernel does but every consumer must
+// tolerate.
+func sparseFromDense(rng *rand.Rand, dense [][]int64, cols int, zeroP float64) *ds.SparseInt64Matrix {
+	m := ds.NewSparseInt64Matrix(len(dense), cols)
+	for r, row := range dense {
+		for c, v := range row {
+			if v == 0 && rng.Float64() < zeroP {
+				m.Append(r, c, 1)
+				m.Append(r, c, -1)
+				continue
+			}
+			m.Append(r, c, v)
+		}
+	}
+	m.Compact()
+	return m
+}
+
+// randomPreprocessAnalysis builds an analysis directly (no trace) with
+// the shapes the window passes must get right: many idle windows,
+// all-idle analyses, identical and equal-length windows, a short idle
+// last window, explicit zero cells in every table, and overlaps that
+// sit exactly on a threshold.
+func randomPreprocessAnalysis(rng *rand.Rand) *trace.Analysis {
+	nT := 1 + rng.Intn(7)
+	nW := 1 + rng.Intn(40)
+	lens := []int64{10, 10, 10, 20, 5}
+	boundaries := make([]int64, nW+1)
+	for m := 1; m <= nW; m++ {
+		boundaries[m] = boundaries[m-1] + lens[rng.Intn(len(lens))]
+	}
+	shortIdleLast := rng.Intn(4) == 0
+	if shortIdleLast {
+		boundaries[nW] = boundaries[nW-1] + 1 + rng.Int63n(3)
+	}
+	idleP := []float64{0, 0.5, 0.9, 1}[rng.Intn(4)]
+	zeroP := []float64{0, 0.1}[rng.Intn(2)]
+	wl := func(m int) int64 { return boundaries[m+1] - boundaries[m] }
+
+	comm := make([][]int64, nT)
+	crit := make([][]int64, nT)
+	for t := range comm {
+		comm[t] = make([]int64, nW)
+		crit[t] = make([]int64, nW)
+	}
+	for m := 0; m < nW; m++ {
+		if rng.Float64() < idleP || (shortIdleLast && m == nW-1) {
+			continue
+		}
+		if m > 0 && wl(m) == wl(m-1) && rng.Intn(4) == 0 {
+			for t := range comm { // an identical window
+				comm[t][m] = comm[t][m-1]
+			}
+			continue
+		}
+		for t := range comm {
+			if rng.Intn(2) == 0 {
+				comm[t][m] = rng.Int63n(wl(m) + 1)
+				crit[t][m] = rng.Int63n(comm[t][m] + 1)
+			}
+		}
+	}
+
+	nPairs := nT * (nT - 1) / 2
+	ov := make([][]int64, nPairs)
+	cov := make([][]int64, nPairs)
+	om := ds.NewSymMatrix(nT)
+	row := 0
+	for i := 0; i < nT; i++ {
+		for j := i + 1; j < nT; j++ {
+			ov[row] = make([]int64, nW)
+			cov[row] = make([]int64, nW)
+			for m := 0; m < nW; m++ {
+				hi := min(comm[i][m], comm[j][m])
+				if hi == 0 || rng.Intn(3) == 0 {
+					continue
+				}
+				// Multiples of a tenth of the window hit the 0.3
+				// threshold exactly now and then.
+				ov[row][m] = min(hi, wl(m)*rng.Int63n(11)/10)
+				cov[row][m] = min(ov[row][m], crit[i][m], crit[j][m])
+				om.AddAt(i, j, ov[row][m])
+			}
+			row++
+		}
+	}
+	return &trace.Analysis{
+		NumReceivers: nT,
+		Boundaries:   boundaries,
+		Comm:         sparseFromDense(rng, comm, nW, zeroP),
+		CritComm:     sparseFromDense(rng, crit, nW, zeroP),
+		Overlap:      sparseFromDense(rng, ov, nW, zeroP),
+		CritOverlap:  sparseFromDense(rng, cov, nW, zeroP),
+		OM:           om,
+	}
+}
+
+// TestBuildConflictsMatchesDenseOracle pins the stored-cell conflict
+// build to the window-by-window oracle at thresholds −1, 0 and 0.3,
+// with critical separation on and off.
+func TestBuildConflictsMatchesDenseOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for trial := 0; trial < 600; trial++ {
+		a := randomPreprocessAnalysis(rng)
+		for _, thr := range []float64{-1, 0, 0.3} {
+			for _, sep := range []bool{false, true} {
+				opts := Options{OverlapThreshold: thr, SeparateCritical: sep}
+				got, want := BuildConflicts(a, opts), buildConflictsDense(a, opts)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d (threshold %v, critical %v): conflicts %v, oracle %v", trial, thr, sep, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestReduceWindowsMatchesDenseOracle pins the Pareto-frontier window
+// reduction to the all-pairs oracle: the same kept windows in the same
+// order, including the tie-break to the lowest of identical windows
+// and a short idle last window, with the kept loads read back exactly.
+func TestReduceWindowsMatchesDenseOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 2000; trial++ {
+		a := randomPreprocessAnalysis(rng)
+		keep, comm := reduceWindows(a)
+		if want := reduceWindowsDense(a); !reflect.DeepEqual(keep, want) {
+			t.Fatalf("trial %d (%d receivers, %d windows): kept %v, oracle %v", trial, a.NumReceivers, a.NumWindows(), keep, want)
+		}
+		for r := 0; r < a.NumReceivers; r++ {
+			for k, m := range keep {
+				if comm[r][k] != a.Comm.At(r, m) {
+					t.Fatalf("trial %d: load[%d][window %d] = %d, want %d", trial, r, m, comm[r][k], a.Comm.At(r, m))
+				}
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 // Package ds provides small data structures shared across the repository:
 // interval lists for cycle-accurate occupancy tracking, bitsets for
-// branch-and-bound search state, and dense matrices for traffic analysis.
+// branch-and-bound search state, and the symmetric and CSR sparse
+// matrices of the traffic analysis.
 package ds
 
 import (

@@ -1,57 +1,5 @@
 package ds
 
-import "fmt"
-
-// Int64Matrix is a dense rows×cols matrix of int64, stored row-major.
-// It backs the per-window communication and overlap tables of the
-// traffic analysis.
-type Int64Matrix struct {
-	Rows, Cols int
-	data       []int64
-}
-
-// NewInt64Matrix allocates a zeroed rows×cols matrix.
-func NewInt64Matrix(rows, cols int) *Int64Matrix {
-	if rows < 0 || cols < 0 {
-		panic(fmt.Sprintf("ds: invalid matrix shape %dx%d", rows, cols))
-	}
-	return &Int64Matrix{Rows: rows, Cols: cols, data: make([]int64, rows*cols)}
-}
-
-// At returns the element at (r, c).
-func (m *Int64Matrix) At(r, c int) int64 { return m.data[r*m.Cols+c] }
-
-// Set stores v at (r, c).
-func (m *Int64Matrix) Set(r, c int, v int64) { m.data[r*m.Cols+c] = v }
-
-// AddAt adds v to the element at (r, c).
-func (m *Int64Matrix) AddAt(r, c int, v int64) { m.data[r*m.Cols+c] += v }
-
-// Row returns a view of row r. The slice aliases the matrix storage.
-func (m *Int64Matrix) Row(r int) []int64 { return m.data[r*m.Cols : (r+1)*m.Cols] }
-
-// Clone returns a deep copy of the matrix.
-func (m *Int64Matrix) Clone() *Int64Matrix {
-	out := NewInt64Matrix(m.Rows, m.Cols)
-	copy(out.data, m.data)
-	return out
-}
-
-// MaxRowSum returns the largest row sum and the row achieving it.
-func (m *Int64Matrix) MaxRowSum() (row int, sum int64) {
-	row = -1
-	for r := 0; r < m.Rows; r++ {
-		var s int64
-		for _, v := range m.Row(r) {
-			s += v
-		}
-		if row == -1 || s > sum {
-			row, sum = r, s
-		}
-	}
-	return row, sum
-}
-
 // SymMatrix is a symmetric n×n matrix of int64 with a zero diagonal,
 // storing only the strict upper triangle. It backs the aggregate
 // overlap matrix OM of the paper (Eq. 1).

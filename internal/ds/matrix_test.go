@@ -5,62 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestInt64MatrixBasics(t *testing.T) {
-	m := NewInt64Matrix(3, 4)
-	m.Set(0, 0, 5)
-	m.Set(2, 3, 7)
-	m.AddAt(2, 3, 3)
-	if got := m.At(0, 0); got != 5 {
-		t.Errorf("At(0,0) = %d, want 5", got)
-	}
-	if got := m.At(2, 3); got != 10 {
-		t.Errorf("At(2,3) = %d, want 10", got)
-	}
-	if got := m.At(1, 1); got != 0 {
-		t.Errorf("At(1,1) = %d, want 0", got)
-	}
-}
-
-func TestInt64MatrixRowAliases(t *testing.T) {
-	m := NewInt64Matrix(2, 3)
-	row := m.Row(1)
-	row[2] = 42
-	if got := m.At(1, 2); got != 42 {
-		t.Errorf("Row does not alias storage: At(1,2) = %d", got)
-	}
-}
-
-func TestInt64MatrixMaxRowSum(t *testing.T) {
-	m := NewInt64Matrix(3, 2)
-	m.Set(0, 0, 1)
-	m.Set(1, 0, 5)
-	m.Set(1, 1, 5)
-	m.Set(2, 1, 3)
-	row, sum := m.MaxRowSum()
-	if row != 1 || sum != 10 {
-		t.Errorf("MaxRowSum = (%d, %d), want (1, 10)", row, sum)
-	}
-}
-
-func TestInt64MatrixClone(t *testing.T) {
-	m := NewInt64Matrix(2, 2)
-	m.Set(0, 1, 9)
-	c := m.Clone()
-	c.Set(0, 1, 1)
-	if m.At(0, 1) != 9 {
-		t.Error("Clone shares storage")
-	}
-}
-
-func TestNewInt64MatrixPanicsOnNegative(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for negative shape")
-		}
-	}()
-	NewInt64Matrix(-1, 3)
-}
-
 func TestSymMatrixSymmetry(t *testing.T) {
 	m := NewSymMatrix(5)
 	m.Set(1, 3, 7)

@@ -16,9 +16,11 @@ type SparseCell struct {
 // SparseInt64Matrix is a rows×cols matrix of int64 storing only the
 // nonzero elements, row by row in ascending column order (CSR-style:
 // after Compact every row is a slice into one shared backing array).
-// It backs the per-window overlap tables of the traffic analysis,
-// which are mostly zero for realistic workloads: receivers that never
-// overlap contribute empty rows, and bursty pairs touch few windows.
+// It backs the per-window load and overlap tables of the traffic
+// analysis, which are mostly zero for realistic workloads: at windows
+// shorter than a burst most windows carry no traffic, receivers that
+// never overlap contribute empty rows, and bursty pairs touch few
+// windows.
 //
 // Rows are built by appending cells in nondecreasing column order
 // (Append), which is how both the sweep-line kernel and the legacy
@@ -142,6 +144,39 @@ func (m *SparseInt64Matrix) RowSum(r int) int64 {
 		s += c.Val
 	}
 	return s
+}
+
+// DenseColumns returns the columns that hold at least one nonzero
+// value, in ascending order, together with those columns densely and
+// column-major: vals[k*Rows+r] is the element at (r, cols[k]). It is
+// the transpose consumers need to compare or sum whole columns, at a
+// cost of O(Cols + NNZ + len(cols)·Rows) instead of Rows·Cols lookups.
+// Stored zero cells do not make a column nonzero.
+func (m *SparseInt64Matrix) DenseColumns() (cols []int, vals []int64) {
+	// slot[c] is 1 + the position of column c in cols, 0 when empty.
+	slot := make([]int32, m.Cols)
+	for _, row := range m.rows {
+		for _, c := range row {
+			if c.Val != 0 {
+				slot[c.Col] = 1
+			}
+		}
+	}
+	for c, s := range slot {
+		if s != 0 {
+			cols = append(cols, c)
+			slot[c] = int32(len(cols))
+		}
+	}
+	vals = make([]int64, len(cols)*m.Rows)
+	for r, row := range m.rows {
+		for _, c := range row {
+			if c.Val != 0 {
+				vals[int(slot[c.Col]-1)*m.Rows+r] = c.Val
+			}
+		}
+	}
+	return cols, vals
 }
 
 // NNZ returns the number of stored (nonzero) elements.

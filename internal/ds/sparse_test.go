@@ -144,3 +144,45 @@ func TestSparseEmptyShapes(t *testing.T) {
 		t.Error("unexpected value in zero-column matrix")
 	}
 }
+
+func TestSparseDenseColumns(t *testing.T) {
+	m := NewSparseInt64Matrix(3, 9)
+	m.Append(0, 2, 5)
+	m.Append(0, 6, 1)
+	m.Append(2, 2, 7)
+	m.Append(2, 4, 3)
+	m.Append(2, 4, -3) // a stored zero: column 4 stays empty
+	m.Append(1, 8, 2)
+	m.Compact()
+	cols, vals := m.DenseColumns()
+	if want := []int{2, 6, 8}; !reflect.DeepEqual(cols, want) {
+		t.Fatalf("cols = %v, want %v", cols, want)
+	}
+	want := []int64{
+		5, 0, 7, // column 2
+		1, 0, 0, // column 6
+		0, 2, 0, // column 8
+	}
+	if !reflect.DeepEqual(vals, want) {
+		t.Fatalf("vals = %v, want %v", vals, want)
+	}
+	for k, c := range cols {
+		for r := 0; r < m.Rows; r++ {
+			if got := vals[k*m.Rows+r]; got != m.At(r, c) {
+				t.Errorf("vals[%d][%d] = %d, At = %d", k, r, got, m.At(r, c))
+			}
+		}
+	}
+	if cols, vals := NewSparseInt64Matrix(2, 5).DenseColumns(); len(cols) != 0 || len(vals) != 0 {
+		t.Errorf("empty matrix: cols %v vals %v", cols, vals)
+	}
+}
+
+func TestNewSparseInt64MatrixPanicsOnNegative(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("expected panic for negative shape")
+		}
+	}()
+	NewSparseInt64Matrix(-1, 3)
+}

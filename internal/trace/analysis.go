@@ -26,15 +26,19 @@ type Analysis struct {
 	// [Boundaries[m], Boundaries[m+1]). len(Boundaries) == NumWindows+1.
 	Boundaries []int64
 	// Comm[i][m] is the number of cycles receiver i receives data in
-	// window m (paper comm_{i,m}).
-	Comm *ds.Int64Matrix
-	// CritComm[i][m] is the same restricted to critical transfers.
-	CritComm *ds.Int64Matrix
+	// window m (paper comm_{i,m}). Rows store only the windows in which
+	// the receiver is busy: at windows shorter than a burst most windows
+	// carry no traffic, so consumers walk RowCells rather than looking
+	// up every window.
+	Comm *ds.SparseInt64Matrix
+	// CritComm[i][m] is the same restricted to critical transfers,
+	// stored sparsely like Comm.
+	CritComm *ds.SparseInt64Matrix
 	// Overlap holds, for every unordered receiver pair (i,j), the
-	// per-window overlap wo_{i,j,m}: Overlap[pairIndex(i,j)][m]. Rows
+	// per-window overlap wo_{i,j,m}: Overlap[PairIndex(i,j)][m]. Rows
 	// store only the nonzero windows (most pairs overlap rarely, if at
-	// all, in realistic workloads); use the PairOverlap accessors
-	// rather than indexing the matrix directly.
+	// all, in realistic workloads). PairOverlap looks up one cell;
+	// whole-pair passes walk RowCells(PairIndex(i, j)).
 	Overlap *ds.SparseInt64Matrix
 	// CritOverlap is the per-window overlap restricted to cycles where
 	// both receivers carry critical traffic, stored sparsely like
@@ -149,11 +153,26 @@ func newAnalysis(nT int, boundaries []int64) *Analysis {
 	return &Analysis{
 		NumReceivers: nT,
 		Boundaries:   boundaries,
-		Comm:         ds.NewInt64Matrix(nT, nW),
-		CritComm:     ds.NewInt64Matrix(nT, nW),
+		Comm:         ds.NewSparseInt64Matrix(nT, nW),
+		CritComm:     ds.NewSparseInt64Matrix(nT, nW),
 		Overlap:      ds.NewSparseInt64Matrix(nPairs, nW),
 		CritOverlap:  ds.NewSparseInt64Matrix(nPairs, nW),
 		OM:           ds.NewSymMatrix(nT),
+	}
+}
+
+// tables returns the four per-window tables in their canonical order:
+// Comm, CritComm, Overlap, CritOverlap. Every whole-table pass
+// (compaction, merging, fingerprinting, cloning, diffing) walks them
+// through this one list.
+func (a *Analysis) tables() [4]*ds.SparseInt64Matrix {
+	return [4]*ds.SparseInt64Matrix{a.Comm, a.CritComm, a.Overlap, a.CritOverlap}
+}
+
+// compact repacks every per-window table into its canonical CSR layout.
+func (a *Analysis) compact() {
+	for _, t := range a.tables() {
+		t.Compact()
 	}
 }
 
@@ -241,21 +260,23 @@ func AnalyzeWithBoundariesCtx(ctx context.Context, tr *Trace, boundaries []int64
 // of fully-loaded buses any single window demands. It is a lower bound
 // on the feasible bus count (used to seed the binary search, which
 // calls it repeatedly), so the result is computed once — in a single
-// pass over the dense Comm rows — and memoized.
+// pass over the stored Comm cells — and memoized. Windows without
+// traffic demand nothing and are skipped.
 func (a *Analysis) MaxWindowLoad() int {
 	if v := a.mwl.Load(); v > 0 {
 		return int(v)
 	}
-	nW := a.NumWindows()
-	sums := make([]int64, nW)
+	sums := make([]int64, a.NumWindows())
 	for i := 0; i < a.NumReceivers; i++ {
-		row := a.Comm.Row(i)
-		for m, v := range row {
-			sums[m] += v
+		for _, c := range a.Comm.RowCells(i) {
+			sums[c.Col] += c.Val
 		}
 	}
 	best := 1
 	for m, sum := range sums {
+		if sum == 0 {
+			continue
+		}
 		wl := a.WindowLen(m)
 		if need := int((sum + wl - 1) / wl); need > best {
 			best = need

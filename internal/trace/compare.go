@@ -15,9 +15,10 @@ const diffLimit = 20
 // analyses are identical). It is the equivalence check used by the
 // differential harnesses and the fuzz oracle to pin the sweep kernel,
 // the streaming reader, the sharded drivers and the test-only legacy
-// pairwise kernel to bit-identical outputs; for the sparse overlap tables it compares the stored cell
-// structure, not just values, so a kernel that stores explicit zeros
-// where another stores nothing is caught too.
+// pairwise kernel to bit-identical outputs. For the sparse per-window
+// tables it compares the stored cell structure, not just values, so a
+// kernel that stores explicit zeros where another stores nothing is
+// caught too.
 func DiffAnalyses(a, b *Analysis) []string {
 	var diffs []string
 	add := func(format string, args ...any) bool {
@@ -45,29 +46,14 @@ func DiffAnalyses(a, b *Analysis) []string {
 		}
 	}
 
-	nT, nW := a.NumReceivers, a.NumWindows()
-	for i := 0; i < nT; i++ {
-		for m := 0; m < nW; m++ {
-			if x, y := a.Comm.At(i, m), b.Comm.At(i, m); x != y {
-				if !add("Comm[%d][%d]: %d vs %d", i, m, x, y) {
-					return diffs
-				}
-			}
-			if x, y := a.CritComm.At(i, m), b.CritComm.At(i, m); x != y {
-				if !add("CritComm[%d][%d]: %d vs %d", i, m, x, y) {
-					return diffs
-				}
-			}
+	bt := b.tables()
+	for k, at := range a.tables() {
+		if !diffSparse(add, tableNames[k], at, bt[k]) {
+			return diffs
 		}
 	}
 
-	if !diffSparse(add, "Overlap", a, b, true) {
-		return diffs
-	}
-	if !diffSparse(add, "CritOverlap", a, b, false) {
-		return diffs
-	}
-
+	nT := a.NumReceivers
 	for i := 0; i < nT; i++ {
 		for j := i + 1; j < nT; j++ {
 			if x, y := a.OM.At(i, j), b.OM.At(i, j); x != y {
@@ -81,16 +67,19 @@ func DiffAnalyses(a, b *Analysis) []string {
 }
 
 // CountDiffs counts the constraint entries on which two same-shape
-// analyses disagree: dense load cells (Comm, CritComm), logical sparse
-// overlap cells (value-based — a stored zero equals an absent cell, so
-// the count measures problem distance, not build history) and aggregate
-// overlap entries. It is the delta-size measure the design cache uses
-// to decide whether a cached binding is close enough to warm-start a
-// re-solve. ok is false when the analyses have different shapes
-// (receiver count or window edges), in which case no meaningful entry
-// count exists. Counting stops early once the count exceeds limit
-// (limit <= 0 means unlimited), so probing "is the delta under N?"
-// against a far-away analysis stays cheap.
+// analyses disagree: per-window load cells (Comm, CritComm), per-window
+// overlap cells (Overlap, CritOverlap) and aggregate overlap entries.
+// Cells compare by logical value — a stored zero equals an absent cell
+// — so the count measures problem distance, not build history; it
+// equals the number of differing cells of the dense matrices, at
+// O(R² + nonzeros) cost. It is the delta-size measure the design cache
+// uses to decide whether a cached binding is close enough to
+// warm-start a re-solve. ok is false when the analyses have different
+// shapes (receiver count or window edges), in which case no meaningful
+// entry count exists. Counting stops early once the count exceeds
+// limit (limit <= 0 means unlimited), checked after each receiver's
+// two load rows, each overlap row and each OM row, so probing "is the
+// delta under N?" against a far-away analysis stays cheap.
 func CountDiffs(a, b *Analysis, limit int) (diffs int, ok bool) {
 	if a.NumReceivers != b.NumReceivers || len(a.Boundaries) != len(b.Boundaries) {
 		return 0, false
@@ -102,18 +91,10 @@ func CountDiffs(a, b *Analysis, limit int) (diffs int, ok bool) {
 	}
 	over := func() bool { return limit > 0 && diffs > limit }
 
-	nT, nW := a.NumReceivers, a.NumWindows()
+	nT := a.NumReceivers
 	for i := 0; i < nT; i++ {
-		ar, br := a.Comm.Row(i), b.Comm.Row(i)
-		cr, dr := a.CritComm.Row(i), b.CritComm.Row(i)
-		for m := 0; m < nW; m++ {
-			if ar[m] != br[m] {
-				diffs++
-			}
-			if cr[m] != dr[m] {
-				diffs++
-			}
-		}
+		diffs += countSparseRowDiffs(a.Comm.RowCells(i), b.Comm.RowCells(i))
+		diffs += countSparseRowDiffs(a.CritComm.RowCells(i), b.CritComm.RowCells(i))
 		if over() {
 			return diffs, true
 		}
@@ -167,12 +148,11 @@ func countSparseRowDiffs(x, y []ds.SparseCell) int {
 	return diffs
 }
 
-// diffSparse compares the stored cells of one sparse overlap table.
-func diffSparse(add func(string, ...any) bool, name string, a, b *Analysis, main bool) bool {
-	am, bm := a.Overlap, b.Overlap
-	if !main {
-		am, bm = a.CritOverlap, b.CritOverlap
-	}
+// tableNames labels the Analysis.tables entries in DiffAnalyses output.
+var tableNames = [4]string{"Comm", "CritComm", "Overlap", "CritOverlap"}
+
+// diffSparse compares the stored cells of one sparse per-window table.
+func diffSparse(add func(string, ...any) bool, name string, am, bm *ds.SparseInt64Matrix) bool {
 	if am.Rows != bm.Rows || am.Cols != bm.Cols {
 		return add("%s shape: %dx%d vs %dx%d", name, am.Rows, am.Cols, bm.Rows, bm.Cols)
 	}

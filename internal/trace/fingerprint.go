@@ -5,16 +5,14 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
-
-	"repro/internal/ds"
 )
 
 // Fingerprint is a stable content hash used to address designs in the
 // cross-request cache (internal/cache). Two analyses with equal
 // solver-visible content — same receiver count, window edges, per-window
 // loads, overlap tables and aggregate overlap matrix — fingerprint
-// equal regardless of which kernel produced them or in what order their
-// sparse rows were built.
+// equal regardless of which kernel produced them, in what order their
+// sparse rows were built, or whether a table stores explicit zeros.
 type Fingerprint [sha256.Size]byte
 
 // String renders the fingerprint as lowercase hex (the on-disk cache
@@ -24,7 +22,7 @@ func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
 // analysisFPTag versions the canonical encoding below. Bump it whenever
 // the byte layout changes so stale cache entries can never alias fresh
 // fingerprints.
-const analysisFPTag = "stbus.analysis.v1"
+const analysisFPTag = "stbus.analysis.v2"
 
 // fpWriter streams fixed-width little-endian words into a hash through
 // a small buffer, keeping the per-value cost at a few appends instead
@@ -70,10 +68,12 @@ func (a *Analysis) Fingerprint() Fingerprint {
 }
 
 // fingerprint serializes the canonical form: a version tag, the shape,
-// the dense load matrices, the sparse overlap tables with zero-valued
-// stored cells skipped (so the hash depends on logical content, not on
-// which kernel happened to store an explicit zero), and the aggregate
-// overlap upper triangle.
+// the four per-window tables (Analysis.tables order) as per-row nonzero
+// counts followed by their (column, value) pairs — zero-valued stored
+// cells skipped, so the hash depends on logical content, not on which
+// kernel happened to store an explicit zero — and the aggregate overlap
+// upper triangle. The cost is O(R² + nonzeros), independent of the
+// number of empty windows.
 func (a *Analysis) fingerprint() Fingerprint {
 	h := sha256.New()
 	w := newFPWriter(h)
@@ -84,15 +84,7 @@ func (a *Analysis) fingerprint() Fingerprint {
 	for _, b := range a.Boundaries {
 		w.i64(b)
 	}
-	for i := 0; i < nT; i++ {
-		for _, v := range a.Comm.Row(i) {
-			w.i64(v)
-		}
-		for _, v := range a.CritComm.Row(i) {
-			w.i64(v)
-		}
-	}
-	for _, sp := range []*ds.SparseInt64Matrix{a.Overlap, a.CritOverlap} {
+	for _, sp := range a.tables() {
 		for r := 0; r < sp.Rows; r++ {
 			cells := sp.RowCells(r)
 			nnz := 0
@@ -122,8 +114,9 @@ func (a *Analysis) fingerprint() Fingerprint {
 }
 
 // Clone returns a deep copy of the analysis sharing no storage with the
-// original. Memoized values (MaxWindowLoad, Fingerprint) are not
-// carried over: a clone is typically about to be perturbed.
+// original, in O(R² + nonzeros). Memoized values (MaxWindowLoad,
+// Fingerprint) are not carried over: a clone is typically about to be
+// perturbed.
 func (a *Analysis) Clone() *Analysis {
 	return &Analysis{
 		NumReceivers: a.NumReceivers,

@@ -53,7 +53,7 @@ func TestFingerprintDistinguishesContent(t *testing.T) {
 
 	// Perturbing a single Comm cell changes the hash.
 	c := a.Clone()
-	c.Comm.Set(0, 0, c.Comm.At(0, 0)+1)
+	c.Comm = withCell(c.Comm, 0, 0, c.Comm.At(0, 0)+1, false)
 	if c.Fingerprint() == a.Fingerprint() {
 		t.Fatal("Comm perturbation did not change the fingerprint")
 	}
@@ -93,11 +93,18 @@ func TestCloneIsDeepAndEquivalent(t *testing.T) {
 	if a.Fingerprint() != c.Fingerprint() {
 		t.Fatal("clone fingerprint differs")
 	}
-	// Mutating the clone must not reach the original.
-	before := a.Comm.At(0, 0)
-	c.Comm.Set(0, 0, before+7)
-	if a.Comm.At(0, 0) != before {
-		t.Fatal("clone shares Comm storage with original")
+	// Mutating the clone's storage must not reach the original.
+	for k, ct := range c.tables() {
+		for r := 0; r < ct.Rows; r++ {
+			if cells := ct.RowCells(r); len(cells) > 0 {
+				before := a.tables()[k].At(r, int(cells[0].Col))
+				cells[0].Val += 7
+				if a.tables()[k].At(r, int(cells[0].Col)) != before {
+					t.Fatalf("clone shares %s storage with original", tableNames[k])
+				}
+				break
+			}
+		}
 	}
 }
 
@@ -111,7 +118,7 @@ func TestCountDiffs(t *testing.T) {
 	}
 
 	c := a.Clone()
-	c.Comm.Set(0, 0, c.Comm.At(0, 0)+1)
+	c.Comm = withCell(c.Comm, 0, 0, c.Comm.At(0, 0)+1, false)
 	if d, ok := CountDiffs(a, c, 0); !ok || d != 1 {
 		t.Fatalf("one perturbed cell: diffs=%d ok=%v, want 1 true", d, ok)
 	}

@@ -69,17 +69,21 @@ func analyzeLegacy(ctx context.Context, tr *Trace, boundaries []int64) (*Analysi
 	a := newAnalysis(nT, boundaries)
 	busy, critical := tr.busyByReceiver()
 
-	// The sparse overlap rows are not safe for concurrent appends to
-	// *different* rows (they share the build arena), so the pair rows
-	// are buffered densely per shard and appended serially after the
-	// parallel phase.
+	// The sparse rows are not safe for concurrent appends to
+	// *different* rows (they share the build arena), so the load and
+	// pair rows are buffered densely per shard and appended serially
+	// after the parallel phase.
+	commRows := make([][]int64, nT)
+	critCommRows := make([][]int64, nT)
 	overlapRows := make([][]int64, a.Overlap.Rows)
 	critRows := make([][]int64, a.Overlap.Rows)
 
 	err := conc.ForEach(ctx, nT, 0, func(ctx context.Context, i int) error {
+		commRows[i] = make([]int64, nW)
+		critCommRows[i] = make([]int64, nW)
 		for m := 0; m < nW; m++ {
-			a.Comm.Set(i, m, busy[i].ClipLen(boundaries[m], boundaries[m+1]))
-			a.CritComm.Set(i, m, critical[i].ClipLen(boundaries[m], boundaries[m+1]))
+			commRows[i][m] = busy[i].ClipLen(boundaries[m], boundaries[m+1])
+			critCommRows[i][m] = critical[i].ClipLen(boundaries[m], boundaries[m+1])
 		}
 		for j := i + 1; j < nT; j++ {
 			inter := busy[i].Intersection(busy[j])
@@ -104,6 +108,14 @@ func analyzeLegacy(ctx context.Context, tr *Trace, boundaries []int64) (*Analysi
 	if err != nil {
 		return nil, fmt.Errorf("trace: analysis canceled: %w", err)
 	}
+	for i := range commRows {
+		for m, v := range commRows[i] {
+			a.Comm.Append(i, m, v)
+		}
+		for m, v := range critCommRows[i] {
+			a.CritComm.Append(i, m, v)
+		}
+	}
 	for row := range overlapRows {
 		for m, v := range overlapRows[row] {
 			a.Overlap.Append(row, m, v)
@@ -112,7 +124,6 @@ func analyzeLegacy(ctx context.Context, tr *Trace, boundaries []int64) (*Analysi
 			a.CritOverlap.Append(row, m, v)
 		}
 	}
-	a.Overlap.Compact()
-	a.CritOverlap.Compact()
+	a.compact()
 	return a, nil
 }

@@ -36,16 +36,19 @@ func MergeAnalyses(analyses ...*Analysis) (*Analysis, error) {
 		totalWindows += a.NumWindows()
 	}
 
+	var t [4]*ds.SparseInt64Matrix
+	for k := range t {
+		t[k] = concatSparseRows(k, totalWindows, analyses)
+	}
 	merged := &Analysis{
 		NumReceivers: nT,
 		Boundaries:   make([]int64, 1, totalWindows+1),
-		Comm:         concatRows(nT, totalWindows, analyses, func(a *Analysis) matrixView { return a.Comm.At }),
-		CritComm:     concatRows(nT, totalWindows, analyses, func(a *Analysis) matrixView { return a.CritComm.At }),
+		Comm:         t[0],
+		CritComm:     t[1],
+		Overlap:      t[2],
+		CritOverlap:  t[3],
 		OM:           analyses[0].OM.Clone(),
 	}
-	nPairs := nT * (nT - 1) / 2
-	merged.Overlap = concatSparseRows(nPairs, totalWindows, analyses, func(a *Analysis) *ds.SparseInt64Matrix { return a.Overlap })
-	merged.CritOverlap = concatSparseRows(nPairs, totalWindows, analyses, func(a *Analysis) *ds.SparseInt64Matrix { return a.CritOverlap })
 
 	// Concatenated timeline boundaries.
 	offset := int64(0)
@@ -68,34 +71,17 @@ func MergeAnalyses(analyses ...*Analysis) (*Analysis, error) {
 	return merged, nil
 }
 
-type matrixView func(r, c int) int64
-
-// concatRows builds a rows×totalWindows matrix whose columns are the
-// scenarios' windows concatenated in order.
-func concatRows(rows, totalWindows int, analyses []*Analysis, view func(*Analysis) matrixView) *ds.Int64Matrix {
-	out := ds.NewInt64Matrix(rows, totalWindows)
-	col := 0
-	for _, a := range analyses {
-		at := view(a)
-		for m := 0; m < a.NumWindows(); m++ {
-			for r := 0; r < rows; r++ {
-				out.Set(r, col, at(r, m))
-			}
-			col++
-		}
-	}
-	return out
-}
-
-// concatSparseRows concatenates the scenarios' sparse per-window rows
-// along the window axis. Iterating rows outer and scenarios inner keeps
-// columns nondecreasing within each output row, as Append requires.
-func concatSparseRows(rows, totalWindows int, analyses []*Analysis, view func(*Analysis) *ds.SparseInt64Matrix) *ds.SparseInt64Matrix {
+// concatSparseRows concatenates table k (in Analysis.tables order) of
+// every scenario along the window axis. Iterating rows outer and
+// scenarios inner keeps columns nondecreasing within each output row,
+// as Append requires.
+func concatSparseRows(k, totalWindows int, analyses []*Analysis) *ds.SparseInt64Matrix {
+	rows := analyses[0].tables()[k].Rows
 	out := ds.NewSparseInt64Matrix(rows, totalWindows)
 	for r := 0; r < rows; r++ {
 		col := 0
 		for _, a := range analyses {
-			for _, cell := range view(a).RowCells(r) {
+			for _, cell := range a.tables()[k].RowCells(r) {
 				out.Append(r, col+int(cell.Col), cell.Val)
 			}
 			col += a.NumWindows()

@@ -246,39 +246,24 @@ func analyzeShardedIndexed(ctx context.Context, nT int, boundaries []int64, src 
 }
 
 // mergeShards assembles the global analysis from the per-shard partial
-// tables. Every window belongs to exactly one shard, so the dense rows
-// are disjoint column-range copies and each sparse row is the ordered
-// concatenation of the shards' cells with their columns rebased — the
-// same Append sequence the single-pass sweep produces, hence the same
-// compacted CSR structure. OM is derived from the merged rows exactly
-// as the single-pass finish does.
+// tables. Every window belongs to exactly one shard, so each row of
+// every table is the ordered concatenation of the shards' cells with
+// their columns rebased — the same Append sequence the single-pass
+// sweep produces, hence the same compacted CSR structure. OM is
+// derived from the merged rows exactly as the single-pass finish does.
 func mergeShards(nT int, boundaries []int64, spans []shardSpan, parts []*Analysis) *Analysis {
 	a := newAnalysis(nT, boundaries)
-	for si, pa := range parts {
-		wLo := spans[si].winLo
-		for i := 0; i < nT; i++ {
-			copy(a.Comm.Row(i)[wLo:], pa.Comm.Row(i))
-			copy(a.CritComm.Row(i)[wLo:], pa.CritComm.Row(i))
-		}
-	}
-	for r := 0; r < a.Overlap.Rows; r++ {
-		for si, pa := range parts {
-			wLo := spans[si].winLo
-			for _, c := range pa.Overlap.RowCells(r) {
-				a.Overlap.Append(r, int(c.Col)+wLo, c.Val)
+	for k, out := range a.tables() {
+		for r := 0; r < out.Rows; r++ {
+			for si, pa := range parts {
+				wLo := spans[si].winLo
+				for _, c := range pa.tables()[k].RowCells(r) {
+					out.Append(r, int(c.Col)+wLo, c.Val)
+				}
 			}
 		}
 	}
-	for r := 0; r < a.CritOverlap.Rows; r++ {
-		for si, pa := range parts {
-			wLo := spans[si].winLo
-			for _, c := range pa.CritOverlap.RowCells(r) {
-				a.CritOverlap.Append(r, int(c.Col)+wLo, c.Val)
-			}
-		}
-	}
-	a.Overlap.Compact()
-	a.CritOverlap.Compact()
+	a.compact()
 	deriveOM(a)
 	return a
 }

@@ -27,8 +27,8 @@ func (tr *Trace) PeakWindowDuty(ws int64) ([]float64, error) {
 	}
 	out := make([]float64, tr.NumReceivers)
 	for i := 0; i < tr.NumReceivers; i++ {
-		for m := 0; m < a.NumWindows(); m++ {
-			if f := float64(a.Comm.At(i, m)) / float64(a.WindowLen(m)); f > out[i] {
+		for _, c := range a.Comm.RowCells(i) {
+			if f := float64(c.Val) / float64(a.WindowLen(int(c.Col))); f > out[i] {
 				out[i] = f
 			}
 		}

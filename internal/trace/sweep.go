@@ -51,11 +51,11 @@ type sweepStream struct {
 	nT         int
 	boundaries []int64
 
-	overlap *ds.SparseInt64Matrix
-
-	// commRows aliases the dense Comm matrix's rows so per-segment
-	// crediting skips the row-offset computation.
-	commRows [][]int64
+	// comm and overlap are the class's load and pair-overlap tables.
+	// Deactivations arrive in nondecreasing end order, so each
+	// receiver's Comm row and each pair's Overlap row receive their
+	// credits in nondecreasing window order, as Append requires.
+	comm, overlap *ds.SparseInt64Matrix
 
 	// pairBase turns the triangular pair-row formula into one lookup:
 	// row(i, j) = pairBase[i] + j for i < j.
@@ -84,12 +84,12 @@ type sweepStream struct {
 	hiWin int
 }
 
-func newSweepStream(nT int, boundaries []int64, comm *ds.Int64Matrix, overlap *ds.SparseInt64Matrix) *sweepStream {
+func newSweepStream(nT int, boundaries []int64, comm, overlap *ds.SparseInt64Matrix) *sweepStream {
 	s := &sweepStream{
 		nT:         nT,
 		boundaries: boundaries,
+		comm:       comm,
 		overlap:    overlap,
-		commRows:   make([][]int64, nT),
 		pairBase:   make([]int, nT),
 		active:     make([]uint64, (nT+63)/64),
 		since:      make([]int64, nT),
@@ -98,7 +98,6 @@ func newSweepStream(nT int, boundaries []int64, comm *ds.Int64Matrix, overlap *d
 		minRecv:    -1,
 	}
 	for i := 0; i < nT; i++ {
-		s.commRows[i] = comm.Row(i)
 		s.pairBase[i] = i*(2*nT-i-1)/2 - i - 1
 	}
 	return s
@@ -206,20 +205,19 @@ func (s *sweepStream) deactivate(r int) {
 	s.minUntil, s.minRecv = nextMin, nextRecv
 }
 
-// creditComm adds the coverage [lo, hi) of receiver i to its dense
+// creditComm adds the coverage [lo, hi) of receiver i to its sparse
 // Comm row, split across windows.
 func (s *sweepStream) creditComm(i int, lo, hi int64) {
 	m := s.hiWin
 	for s.boundaries[m] > lo {
 		m--
 	}
-	row := s.commRows[i]
 	for lo < hi {
 		wEnd := s.boundaries[m+1]
 		if wEnd > hi {
 			wEnd = hi
 		}
-		row[m] += wEnd - lo
+		s.comm.Append(i, m, wEnd-lo)
 		lo = wEnd
 		m++
 	}
@@ -288,8 +286,7 @@ func (sw *sweeper) finish() *Analysis {
 func (sw *sweeper) finishTables() *Analysis {
 	sw.busy.finish()
 	sw.crit.finish()
-	sw.a.Overlap.Compact()
-	sw.a.CritOverlap.Compact()
+	sw.a.compact()
 	return sw.a
 }
 
