@@ -140,6 +140,8 @@ func writeSummary(events []obs.Event, meta obs.FlightMeta) error {
 			fmt.Printf("cache: warm incumbent (%d buses, %d diff cells)\n", e.K, e.Val)
 		case obs.EvCacheStore:
 			fmt.Printf("cache: stored design (%d buses)\n", e.K)
+		case obs.EvPanic:
+			fmt.Printf("panic: job failed, recovered by %s\n", e.Who)
 		}
 	}
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -85,13 +86,26 @@ func newAssignProblem(a *trace.Analysis, conflicts [][]bool, maxPerBus int, maxN
 // binding can overload m' without overloading m. Of a set of identical
 // windows only the lowest index is kept.
 //
-// The windows with traffic are swept in index order against a Pareto
-// frontier: a candidate that a frontier window dominates is dropped
-// (an identical earlier window counts, which keeps the lowest index);
-// otherwise it evicts the frontier windows it dominates and joins. The
-// frontier stays an antichain of the windows seen so far, and ends as
-// exactly the undominated ones. Each test starts at the dominated
-// side's peak receiver, which rejects most pairs on the first compare.
+// The windows with traffic are visited by total load descending, then
+// length ascending, then index ascending. A window that dominates
+// another comes first in this order: its total is at least as large,
+// and equal totals mean identical columns, settled by length and then
+// index. So a window is dominated exactly when a kept window visited
+// before it dominates it (dominance is transitive): nothing kept is
+// ever evicted, and each window is tested once against the kept set.
+// The order comes from stable radix passes over an int32 permutation,
+// by length (skipped when every busy window is equally long), then by
+// total.
+//
+// The kept set is stored entry by entry in contiguous arrays. A scan
+// streams the kept loads of the candidate's peak receiver, and only
+// an entry at least as loaded there is tested further: its 64-bit
+// support mask (bit t mod 64 for every busy receiver t, a necessary
+// condition at any receiver count) must cover the candidate's, its
+// length must be no greater, and its loads must cover the candidate's
+// over the support. The entry that dominated the previous dominated
+// window is tried first: periodic traffic repeats its dominators.
+//
 // A window without traffic is dominated by every window at most as
 // long, so at most one survives: the lowest-indexed of the shortest,
 // when it is shorter than every window with traffic.
@@ -101,46 +115,97 @@ func reduceWindows(a *trace.Analysis) (keep []int, comm [][]int64) {
 	column := func(k int) []int64 { return vals[k*nT : (k+1)*nT] }
 
 	type window struct {
-		k    int // index into cols
-		len  int64
-		peak int // receiver with the largest load
+		len, total int64
+		mask       uint64 // bit t mod 64 set for every busy receiver t
+		peak       int    // receiver with the largest load
 	}
-	dominates := func(x, y window) bool {
-		if x.len > y.len {
-			return false
+	ws := make([]window, len(cols))
+	minLen, maxLen, maxTotal := int64(math.MaxInt64), int64(0), int64(0)
+	for k, m := range cols {
+		w := window{len: a.WindowLen(m)}
+		c := column(k)
+		for t, v := range c {
+			w.total += v
+			w.mask |= uint64(min(v, 1)) << (t & 63) // loads are ≥ 0
+			if v > c[w.peak] {
+				w.peak = t
+			}
 		}
-		cx, cy := column(x.k), column(y.k)
-		if cx[y.peak] < cy[y.peak] {
-			return false
+		ws[k] = w
+		minLen, maxLen, maxTotal = min(minLen, w.len), max(maxLen, w.len), max(maxTotal, w.total)
+	}
+	order := make([]int32, len(cols))
+	for k := range order {
+		order[k] = int32(k)
+	}
+	key := make([]uint64, len(cols))
+	if minLen < maxLen {
+		for k, w := range ws {
+			key[k] = uint64(w.len - minLen)
 		}
-		for t, v := range cy {
-			if cx[t] < v {
+		order = radixSortStable(order, key)
+	}
+	for k, w := range ws {
+		key[k] = uint64(maxTotal - w.total)
+	}
+	order = radixSortStable(order, key)
+
+	// The kept set, one entry per kept window in visit order: support
+	// masks, lengths, and loads receiver-major (front[t][i] is receiver
+	// t's load in entry i), so the peak scan streams one row.
+	var (
+		fMask []uint64
+		fLen  []int64
+	)
+	front := make([][]int64, nT)
+	kept := make([]bool, len(cols))
+	hint := 0 // the entry that dominated the last dominated window
+	for _, k32 := range order {
+		k := int(k32)
+		w, c := ws[k], column(k)
+		peakLoad := c[w.peak]
+		covers := func(i int) bool {
+			if w.mask&^fMask[i] != 0 || fLen[i] > w.len {
 				return false
 			}
-		}
-		return true
-	}
-	var front []window
-	for k := range cols {
-		c := window{k: k, len: a.WindowLen(cols[k])}
-		for t, v := range column(k) {
-			if v > column(k)[c.peak] {
-				c.peak = t
+			if nT <= 64 { // the mask is the exact support
+				for m := w.mask; m != 0; m &= m - 1 {
+					if t := bits.TrailingZeros64(m); front[t][i] < c[t] {
+						return false
+					}
+				}
+				return true
 			}
+			for t, v := range c {
+				if front[t][i] < v {
+					return false
+				}
+			}
+			return true
 		}
-		if slices.ContainsFunc(front, func(f window) bool { return dominates(f, c) }) {
+		if hint < len(fLen) && covers(hint) {
 			continue
 		}
-		front = slices.DeleteFunc(front, func(f window) bool { return dominates(c, f) })
-		front = append(front, c)
+		dominated := false
+		for i, fp := range front[w.peak] {
+			if fp >= peakLoad && covers(i) {
+				dominated, hint = true, i
+				break
+			}
+		}
+		if dominated {
+			continue
+		}
+		fMask = append(fMask, w.mask)
+		fLen = append(fLen, w.len)
+		for t, v := range c {
+			front[t] = append(front[t], v)
+		}
+		kept[k] = true
 	}
 
-	// The shortest window with traffic is on the frontier: whatever
-	// dominates it is at most as long.
-	minLen := int64(math.MaxInt64)
-	for _, f := range front {
-		minLen = min(minLen, f.len)
-	}
+	// The shortest window with traffic is matched by a kept one:
+	// whatever dominates it is at most as long.
 	empty, next := -1, 0
 	for m := 0; m < a.NumWindows(); m++ {
 		if next < len(cols) && cols[next] == m {
@@ -152,27 +217,70 @@ func reduceWindows(a *trace.Analysis) (keep []int, comm [][]int64) {
 		}
 	}
 
-	for _, f := range front {
-		keep = append(keep, cols[f.k])
+	keep = make([]int, 0, len(fLen)+1)
+	for k, ok := range kept {
+		if ok {
+			keep = append(keep, cols[k])
+		}
 	}
 	if empty >= 0 {
-		keep = append(keep, empty)
+		i, _ := slices.BinarySearch(keep, empty)
+		keep = slices.Insert(keep, i, empty)
 	}
-	sort.Ints(keep)
 	comm = make([][]int64, nT)
 	for t := range comm {
 		comm[t] = make([]int64, len(keep))
 	}
-	fi := 0 // front is in ascending window order too
-	for wi, m := range keep {
-		if fi < len(front) && cols[front[fi].k] == m {
-			for t, v := range column(front[fi].k) {
-				comm[t][wi] = v
-			}
-			fi++
+	wi := 0 // keep and kept are both in ascending window order
+	for k, ok := range kept {
+		if !ok {
+			continue
 		}
+		if keep[wi] == empty {
+			wi++
+		}
+		for t, v := range column(k) {
+			comm[t][wi] = v
+		}
+		wi++
 	}
 	return keep, comm
+}
+
+// radixSortStable returns order stably sorted by key[order[i]]
+// ascending: an LSD radix sort, one counting pass per digit. A digit
+// is at least 8 bits wide and at most as wide as the bit length of
+// len(order), so keys below the entry count sort in a single pass.
+// order may be reused as scratch.
+func radixSortStable(order []int32, key []uint64) []int32 {
+	var maxKey uint64
+	for _, k := range key {
+		maxKey = max(maxKey, k)
+	}
+	keyBits := bits.Len64(maxKey)
+	if keyBits == 0 {
+		return order
+	}
+	width := min(keyBits, max(8, bits.Len(uint(len(order)))))
+	mask := uint64(1)<<width - 1
+	count := make([]int32, mask+2)
+	buf := make([]int32, len(order))
+	for shift := 0; shift < keyBits; shift += width {
+		clear(count)
+		for _, o := range order {
+			count[(key[o]>>shift)&mask+1]++
+		}
+		for d := 1; d < len(count); d++ {
+			count[d] += count[d-1]
+		}
+		for _, o := range order {
+			d := (key[o] >> shift) & mask
+			buf[count[d]] = o
+			count[d]++
+		}
+		order, buf = buf, order
+	}
+	return order
 }
 
 // lowerBound computes an analytic lower bound on the feasible bus

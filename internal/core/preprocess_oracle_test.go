@@ -216,3 +216,123 @@ func TestReduceWindowsMatchesDenseOracle(t *testing.T) {
 		}
 	}
 }
+
+// randomWideAnalysis builds a Comm-only analysis in one of three
+// shapes the generic generator above rarely reaches:
+//
+//   - shape 0: a few load columns repeated at different window
+//     lengths, so an identical but shorter later window must displace
+//     an earlier one, and exact duplicates must keep the lowest index;
+//   - shape 1: 65–130 receivers with a handful busy per window, often
+//     receivers t and t+64 together, so support masks fold receivers
+//     onto shared bits;
+//   - shape 2: hundreds of equal-sum columns (a large antichain) with
+//     some dominated copies, duplicates and longer repeats mixed in.
+func randomWideAnalysis(rng *rand.Rand, shape int) *trace.Analysis {
+	var nT, nW int
+	var lens []int64
+	switch shape {
+	case 0:
+		nT, nW, lens = 1+rng.Intn(8), 20+rng.Intn(100), []int64{4, 5, 8, 10, 16, 20}
+	case 1:
+		nT, nW, lens = 65+rng.Intn(66), 10+rng.Intn(70), []int64{10, 10, 20}
+	default:
+		nT, nW, lens = 2+rng.Intn(5), 200+rng.Intn(300), []int64{40, 40, 40, 40, 50}
+	}
+	boundaries := make([]int64, nW+1)
+	for m := 1; m <= nW; m++ {
+		boundaries[m] = boundaries[m-1] + lens[rng.Intn(len(lens))]
+	}
+	comm := make([][]int64, nT)
+	for t := range comm {
+		comm[t] = make([]int64, nW)
+	}
+	// copyFrom makes window m a copy of an earlier window, with one
+	// receiver's load lowered when dominated is set.
+	copyFrom := func(m int, dominated bool) {
+		src := rng.Intn(m)
+		for t := range comm {
+			comm[t][m] = comm[t][src]
+		}
+		if dominated {
+			t := rng.Intn(nT)
+			comm[t][m] = max(0, comm[t][m]-1-rng.Int63n(3))
+		}
+	}
+	switch shape {
+	case 0:
+		base := make([][]int64, 1+rng.Intn(5))
+		for i := range base {
+			base[i] = make([]int64, nT)
+			for t := range base[i] {
+				if rng.Intn(3) > 0 {
+					base[i][t] = rng.Int63n(5)
+				}
+			}
+		}
+		for m := 0; m < nW; m++ {
+			if rng.Intn(5) == 0 {
+				continue // idle
+			}
+			col := base[rng.Intn(len(base))]
+			for t := range comm {
+				comm[t][m] = col[t]
+			}
+		}
+	case 1:
+		for m := 0; m < nW; m++ {
+			if m > 0 && rng.Intn(4) == 0 {
+				copyFrom(m, rng.Intn(2) == 0)
+				continue
+			}
+			for n := 1 + rng.Intn(6); n > 0; n-- {
+				t := rng.Intn(nT)
+				v := 1 + rng.Int63n(boundaries[m+1]-boundaries[m])
+				comm[t][m] = v
+				if t+64 < nT && rng.Intn(2) == 0 {
+					comm[t+64][m] = 1 + rng.Int63n(v)
+				}
+			}
+		}
+	default:
+		const sum = 24
+		for m := 0; m < nW; m++ {
+			if m > 0 && rng.Intn(10) == 0 {
+				copyFrom(m, rng.Intn(3) > 0)
+				continue
+			}
+			for left := int64(sum); left > 0; {
+				v := 1 + rng.Int63n(min(left, 6))
+				comm[rng.Intn(nT)][m] += v
+				left -= v
+			}
+		}
+	}
+	return &trace.Analysis{
+		NumReceivers: nT,
+		Boundaries:   boundaries,
+		Comm:         sparseFromDense(rng, comm, nW, 0.05),
+	}
+}
+
+// TestReduceWindowsMatchesDenseOracleWide pins the window reduction to
+// the all-pairs oracle on the three randomWideAnalysis shapes: shorter
+// identical windows, more than 64 receivers, and large antichains.
+func TestReduceWindowsMatchesDenseOracleWide(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for trial := 0; trial < 300; trial++ {
+		shape := trial % 3
+		a := randomWideAnalysis(rng, shape)
+		keep, comm := reduceWindows(a)
+		if want := reduceWindowsDense(a); !reflect.DeepEqual(keep, want) {
+			t.Fatalf("trial %d (shape %d, %d receivers, %d windows): kept %v, oracle %v", trial, shape, a.NumReceivers, a.NumWindows(), keep, want)
+		}
+		for r := 0; r < a.NumReceivers; r++ {
+			for k, m := range keep {
+				if comm[r][k] != a.Comm.At(r, m) {
+					t.Fatalf("trial %d (shape %d): load[%d][window %d] = %d, want %d", trial, shape, r, m, comm[r][k], a.Comm.At(r, m))
+				}
+			}
+		}
+	}
+}

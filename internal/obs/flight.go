@@ -75,6 +75,9 @@ const (
 	// EvCacheStore is a finished design offered to the cache:
 	// K = bus count.
 	EvCacheStore
+	// EvPanic is a panic recovered from a job: the job fails as an
+	// internal error, with its stack in the log. Who = "server".
+	EvPanic
 
 	numEventKinds // sentinel; keep last
 )
@@ -93,6 +96,7 @@ var eventKindNames = [numEventKinds]string{
 	EvCacheHit:    "cache_hit",
 	EvCacheWarm:   "cache_warm",
 	EvCacheStore:  "cache_store",
+	EvPanic:       "panic",
 }
 
 func (k EventKind) String() string {
@@ -431,7 +435,8 @@ func ReadNDJSON(rd io.Reader) ([]Event, FlightMeta, error) {
 //     objective, is deterministic per count);
 //   - decided (un-capped) optimize-phase probe results, ordered by bus
 //     count;
-//   - cache traffic (hit/warm/store), which depends only on content.
+//   - cache traffic (hit/warm/store), which depends only on content;
+//   - recovered job panics.
 func Canonical(events []Event) []Event {
 	var out []Event
 	maxInfeas, haveInfeas := 0, false
@@ -440,7 +445,7 @@ func Canonical(events []Event) []Event {
 	var optClosed []Event
 	for _, e := range events {
 		switch e.Kind {
-		case EvDesignStart, EvCacheHit, EvCacheWarm, EvCacheStore, EvDesignDone:
+		case EvDesignStart, EvCacheHit, EvCacheWarm, EvCacheStore, EvPanic, EvDesignDone:
 			c := e
 			c.Seq, c.T = 0, 0
 			if c.Kind == EvDesignDone {

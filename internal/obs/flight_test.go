@@ -181,6 +181,22 @@ func TestCanonicalReduction(t *testing.T) {
 	}
 }
 
+// TestCanonicalKeepsPanic pins that a recovered job panic survives the
+// canonical reduction with its schedule fields stripped, and that its
+// kind name round-trips.
+func TestCanonicalKeepsPanic(t *testing.T) {
+	got := Canonical([]Event{
+		{Seq: 0, T: 5, Kind: EvNodes, K: 3, Val: 1024, Who: "bb"},
+		{Seq: 1, T: 9, Kind: EvPanic, Who: "server"},
+	})
+	if d := DiffEvents(got, []Event{{Kind: EvPanic, Who: "server"}}); d != "" {
+		t.Fatalf("canonical form of a panicked job: %s\ngot: %+v", d, got)
+	}
+	if k, ok := ParseEventKind(EvPanic.String()); !ok || k != EvPanic || k.String() != "panic" {
+		t.Errorf("panic kind round-trips to %v, %v", k, ok)
+	}
+}
+
 func TestFlightRecorderConcurrentEmit(t *testing.T) {
 	r := NewFlightRecorder(128)
 	const workers, perWorker = 8, 1000

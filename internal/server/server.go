@@ -265,13 +265,15 @@ func (s *Server) runJob(j *job) {
 
 // execute runs the body of a job: the analysis and design under the
 // job's telemetry and deadline. A panic anywhere in it becomes an
-// "internal" job failure with its stack logged — without the recover
-// it would unwind the worker goroutine and take the whole daemon, and
-// every other queued job, down with it.
+// "internal" job failure with its stack logged and a panic event in
+// the job's journal — without the recover it would unwind the worker
+// goroutine and take the whole daemon, and every other queued job,
+// down with it.
 func (s *Server) execute(j *job) (design *core.Design, result *stbusgen.Result, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			metPanics.Inc()
+			j.rec.Emit(obs.Event{Kind: obs.EvPanic, Who: "server"})
 			s.logf("job %s panicked: %v\n%s", j.id, rec, debug.Stack())
 			design, result, err = nil, nil, fmt.Errorf("server: job panicked: %v", rec)
 		}

@@ -316,9 +316,9 @@ func TestAppSpecDesign(t *testing.T) {
 }
 
 // TestJobPanicRecovered pins that a panicking job fails alone: the job
-// reports an internal error with its stack logged and counted, the
-// worker survives to serve the next request, and shutdown still drains
-// cleanly.
+// reports an internal error with its stack logged and counted and a
+// panic event in its journal, the worker survives to serve the next
+// request, and shutdown still drains cleanly.
 func TestJobPanicRecovered(t *testing.T) {
 	cfg := testConfig()
 	cfg.Concurrency = 1 // the follow-up job must run on the same worker
@@ -357,6 +357,28 @@ func TestJobPanicRecovered(t *testing.T) {
 	logMu.Unlock()
 	if !stackLogged {
 		t.Errorf("panic stack not logged")
+	}
+
+	// The job's journal replays the recovered panic, then ends.
+	resp, err := http.Get(hs.URL + failed.EventsURL)
+	if err != nil {
+		t.Fatalf("GET events: %v", err)
+	}
+	frames, err := readSSE(bufio.NewReader(resp.Body))
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("read SSE: %v", err)
+	}
+	panicAt := -1
+	for i, f := range frames {
+		if f.event == "flight" && strings.Contains(f.data, `"kind":"panic"`) {
+			panicAt = i
+		}
+	}
+	if panicAt < 0 {
+		t.Errorf("no panic event in the failed job's journal: %+v", frames)
+	} else if last := frames[len(frames)-1]; last.event != "bye" {
+		t.Errorf("journal ends with %q, want bye after the panic", last.event)
 	}
 
 	next, code := postDesign(t, hs.URL+"/v1/design", body)
