@@ -2,12 +2,14 @@ package stbusgen_test
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	stbusgen "repro"
 	"repro/internal/core"
+	"repro/internal/experiments"
 )
 
 // TestDesignerAuditsWhenEnabled runs the full methodology with the
@@ -44,9 +46,9 @@ func TestDesignerRejectsInvalidOptions(t *testing.T) {
 	}
 
 	bad.OverlapThreshold = 0.3
-	bad.Workers = -1
+	bad.MaxNodes = -1
 	if _, err := stbusgen.DesignForApp(app, bad); err == nil {
-		t.Error("DesignForApp accepted negative worker count")
+		t.Error("DesignForApp accepted negative node budget")
 	}
 }
 
@@ -70,5 +72,16 @@ func TestValidateDesignRejectsOutOfRangeBus(t *testing.T) {
 	}
 	if _, err := stbusgen.ValidateDesign(app, &stbusgen.DesignPair{}); err == nil {
 		t.Error("incomplete design pair accepted")
+	}
+}
+
+// TestDesignerCanceled: a cancellation arriving mid-pipeline aborts
+// the facade Design promptly with a context error.
+func TestDesignerCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	d := stbusgen.NewDesigner(stbusgen.DefaultOptions())
+	if _, err := d.Design(ctx, stbusgen.Mat2(experiments.Seed)); !errors.Is(err, context.Canceled) {
+		t.Errorf("Design under canceled ctx = %v, want context.Canceled", err)
 	}
 }

@@ -9,7 +9,7 @@
 // staircase, engine node throughput, race outcomes and cache traffic.
 // -replay dumps every retained event in emission order; -canon reduces
 // the recording to its schedule-invariant canonical form (the shape the
-// golden tests diff across worker counts) and re-emits it as NDJSON.
+// golden tests diff between runs) and re-emits it as NDJSON.
 //
 // Usage:
 //
@@ -64,7 +64,7 @@ func run(ctx context.Context) error {
 }
 
 // writeCanon re-emits the canonical reduction as NDJSON, so two
-// recordings of the same problem at different worker counts diff clean.
+// recordings of the same problem diff clean.
 func writeCanon(events []obs.Event, meta obs.FlightMeta) error {
 	reduced := obs.Canonical(events)
 	return obs.WriteEventsNDJSON(os.Stdout,

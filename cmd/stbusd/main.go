@@ -83,7 +83,6 @@ func run(ctx context.Context) error {
 		SpoolDir:       *spoolDir,
 		Shards:         cli.Shards(),
 		JobHistory:     *history,
-		Workers:        cli.Workers(),
 		CacheConfig:    ccfg,
 		DrainTimeout:   *drainTimeout,
 		Logf:           logf,

@@ -75,7 +75,6 @@ func run(ctx context.Context) (err error) {
 		SeparateCritical: !*noCrit,
 		MaxPerBus:        *maxtb,
 		OptimizeBinding:  !*noBind,
-		Workers:          cli.Workers(),
 	}
 	if opts.Engine, err = cli.ParseEngine(*engine); err != nil {
 		return fmt.Errorf("-engine: %w", err)

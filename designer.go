@@ -28,31 +28,18 @@ var (
 )
 
 // Designer is the concurrent design engine: it runs the four-phase
-// methodology under a context, parallelizing the direction designs,
-// the feasibility search and the window analyses. Every produced
-// design is bit-identical to the sequential pipeline's — parallelism
-// only changes how fast the answer arrives, never which answer.
+// methodology under a context, designing the two directions and
+// analyzing their traces concurrently. Each direction's design runs one
+// search thread, so every produced design is the sequential
+// pipeline's: concurrency only changes how fast the answer arrives,
+// never which answer.
 type Designer struct {
-	// Opts are the methodology parameters, including Opts.Workers, the
-	// speculative parallelism of the feasibility search.
+	// Opts are the methodology parameters.
 	Opts Options
-	// Workers, when positive, overrides Opts.Workers for designs run
-	// through this engine (0 keeps Opts.Workers, whose own zero value
-	// means GOMAXPROCS).
-	Workers int
 }
 
 // NewDesigner returns a Designer with the given methodology options.
 func NewDesigner(opts Options) *Designer { return &Designer{Opts: opts} }
-
-// options resolves the effective option set of one run.
-func (d *Designer) options() Options {
-	opts := d.Opts
-	if d.Workers > 0 {
-		opts.Workers = d.Workers
-	}
-	return opts
-}
 
 // Design runs the complete methodology on an application under ctx:
 // full-crossbar simulation, window analysis of both directions,
@@ -66,7 +53,7 @@ func (d *Designer) Design(ctx context.Context, app *App) (_ *Result, err error) 
 	span.SetStr("app", app.Name)
 	span.SetInt("initiators", int64(app.NumInitiators))
 	span.SetInt("targets", int64(app.NumTargets))
-	opts := d.options()
+	opts := d.Opts
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -108,7 +95,7 @@ func (d *Designer) DesignTrace(ctx context.Context, tr *Trace, windowSize int64)
 	defer func() { span.SetError(err) }()
 	span.SetInt("receivers", int64(tr.NumReceivers))
 	span.SetInt("window_size", windowSize)
-	opts := d.options()
+	opts := d.Opts
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -133,7 +120,7 @@ func (d *Designer) DesignAnalysis(ctx context.Context, a *Analysis) (_ *Design, 
 	defer func() { span.SetError(err) }()
 	span.SetInt("receivers", int64(a.NumReceivers))
 	span.SetInt("windows", int64(a.NumWindows()))
-	opts := d.options()
+	opts := d.Opts
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}

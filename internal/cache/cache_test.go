@@ -35,11 +35,7 @@ func mkAnalysis(t *testing.T, variant int) *trace.Analysis {
 	return a
 }
 
-func testOpts() core.Options {
-	o := core.DefaultOptions()
-	o.Workers = 1
-	return o
-}
+func testOpts() core.Options { return core.DefaultOptions() }
 
 // sameCrossbar compares the designed artifact, ignoring the solver
 // effort counter.
@@ -134,13 +130,12 @@ func TestOptionsPartitionKeys(t *testing.T) {
 	if _, ok := s.Lookup(testCtx, a, other); ok {
 		t.Fatal("options change did not change the key")
 	}
-	// Non-answer knobs (workers, audit) share the key.
+	// A non-answer knob (audit) shares the key.
 	alias := opts
-	alias.Workers = 7
 	alias.Audit = true
 	got, ok := s.Lookup(testCtx, a, alias)
 	if !ok || !sameCrossbar(got, d1) {
-		t.Fatal("worker/audit knobs perturbed the content key")
+		t.Fatal("audit knob perturbed the content key")
 	}
 }
 

@@ -29,7 +29,6 @@ func decodeDesignCase(data []byte) (*trace.Trace, int64, core.Options) {
 		MaxPerBus:        int(data[5] % 4),
 		OptimizeBinding:  data[5]&0x10 != 0,
 		MaxNodes:         200_000,
-		Workers:          1,
 	}
 	ws := 1 + int64(data[5]>>5)*int64(data[2])%tr.Horizon
 	data = data[6:]

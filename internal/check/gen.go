@@ -99,7 +99,6 @@ func RandomCase(seed int64, p GenParams) Case {
 		SeparateCritical: rng.Intn(2) == 0,
 		MaxPerBus:        rng.Intn(4), // 0 = uncapped
 		OptimizeBinding:  rng.Intn(4) != 0,
-		Workers:          1,
 	}
 	if rng.Intn(4) == 0 {
 		// Infeasibility exercise: a MaxBuses below the receiver count

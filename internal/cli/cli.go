@@ -199,20 +199,8 @@ func StartObs(ctx context.Context) (_ context.Context, finish func() error, err 
 // flags: one definition, every tool.
 var timeoutFlag = flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit); Ctrl-C also cancels")
 
-// The solver worker count, registered at package init like -timeout:
-// one definition, every tool. Tools pass Workers() into
-// core.Options.Workers, where 0 resolves to all CPU cores
-// (conc.Workers). The parallel solver returns bit-identical results at
-// every worker count, so the flag trades wall clock only — never the
-// design.
-var workersFlag = flag.Int("workers", 0, "parallel solver workers (0 = all CPU cores); the result is identical at any setting")
-
-// Workers reports the -workers flag for tools to place into
-// core.Options.Workers.
-func Workers() int { return *workersFlag }
-
 // The trace-analysis shard count, registered at package init like
-// -workers: one definition, every tool. Tools pass Shards() into the
+// -timeout: one definition, every tool. Tools pass Shards() into the
 // out-of-core entry points (trace.AnalyzeFileSharded,
 // trace.AnalyzeBytesSharded), where 0 resolves to one shard per CPU
 // core. The sharded driver is bit-identical to the single-pass sweep

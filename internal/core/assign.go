@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/ds"
 	"repro/internal/obs"
@@ -328,17 +329,9 @@ type searchState struct {
 	best     int64               // incumbent objective (binding mode)
 	bestBus  []int
 	optimize bool
-	capped   bool  // node budget exhausted
-	stopErr  error // context cancellation observed mid-search
-
-	// Parallel-solve fields (see parallel.go). par is nil on the
-	// sequential path, keeping it bit-identical to the pre-parallel
-	// solver; when set, the worker prunes against the cross-worker
-	// incumbent, charges nodes to the shared budget, and abandons
-	// feasibility subtrees outranked by an already-found witness.
-	par     *parShared
-	subtree int  // index of the frontier subtree being explored
-	aborted bool // feasibility subtree abandoned (lower-index witness exists)
+	capped   bool         // node budget exhausted
+	stopErr  error        // context cancellation observed mid-search
+	fed      *sharedBound // bound published by a sibling engine (nil: none)
 }
 
 // cancelCheckMask throttles context polling in the hot search loop:
@@ -351,18 +344,40 @@ const cancelCheckMask = 1023
 // by a greedy incumbent). The context is polled at node-expansion
 // boundaries; cancellation surfaces as a wrapped ErrCanceled.
 func (p *assignProblem) solve(ctx context.Context, nB int, optimize bool) (*assignResult, error) {
-	return p.solveSeeded(ctx, nB, optimize, nil, 0)
+	return p.solveSeeded(ctx, nB, optimize, nil, 0, nil)
 }
 
-// solveSeeded is solve with an optional external warm incumbent for the
-// optimize mode: a known-feasible binding (seedBus, already validated by
-// the caller) with objective seedObj on THIS problem. When the seed
-// beats the greedy incumbent it becomes the starting incumbent with the
-// bound tightened to seedObj+1, pruning every subtree that cannot
-// strictly improve on it.
+// sharedBound is the objective of the best known-valid binding another
+// engine has published while a binding solve runs (the portfolio's
+// annealing feeder). It only ever decreases.
+type sharedBound struct{ atomic.Int64 }
+
+func newSharedBound() *sharedBound {
+	b := &sharedBound{}
+	b.Store(int64(1) << 62)
+	return b
+}
+
+// offerBound publishes the objective of a valid binding; the bound
+// keeps the minimum ever offered.
+func (b *sharedBound) offerBound(obj int64) {
+	for {
+		cur := b.Load()
+		if obj >= cur || b.CompareAndSwap(cur, obj) {
+			return
+		}
+	}
+}
+
+// solveSeeded is solve with two optional accelerators for the optimize
+// mode, neither of which changes the returned binding.
 //
-// The +1 keeps the output bit-identical to the unseeded solve. Let G be
-// the greedy incumbent's objective and opt the true optimum.
+// seedBus is an external warm incumbent: a known-feasible binding
+// (already validated by the caller) with objective seedObj on THIS
+// problem. When the seed beats the greedy incumbent it becomes the
+// starting incumbent with the bound tightened to seedObj+1, pruning
+// every subtree that cannot strictly improve on it. Let G be the greedy
+// incumbent's objective and opt the true optimum.
 //
 //   - If opt < G, the unseeded search returns the first
 //     depth-first binding achieving opt (each improvement overwrites
@@ -374,16 +389,23 @@ func (p *assignProblem) solve(ctx context.Context, nB int, optimize bool) (*assi
 //   - If opt == G, then seedObj ≥ opt = G means seedObj+1 > G: the seed
 //     does not tighten the bound, and the search is the unseeded one.
 //
-// Either way the returned binding is exactly the unseeded one; the seed
-// only prunes subtrees that could not contain it.
-func (p *assignProblem) solveSeeded(ctx context.Context, nB int, optimize bool, seedBus []int, seedObj int64) (*assignResult, error) {
+// fed, when non-nil, is a bound other goroutines lower while the search
+// runs, and the search prunes a placement whose bus overlap strictly
+// exceeds it. Every value offered is the objective of a real binding,
+// so the bound is always ≥ opt. All prefix overlaps of the first
+// depth-first opt-achiever are ≤ opt, so the strict comparison never
+// prunes it; every leaf recorded before it is > opt, so it is still
+// recorded when reached, and nothing after it improves on it. A fed
+// bound changes how many nodes the search expands, never its answer.
+func (p *assignProblem) solveSeeded(ctx context.Context, nB int, optimize bool, seedBus []int, seedObj int64, fed *sharedBound) (*assignResult, error) {
 	if nB <= 0 {
 		return &assignResult{}, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, canceledErr(ctx)
 	}
-	st := p.newSearchState(ctx, nB, optimize, nil)
+	st := p.newSearchState(ctx, nB, optimize)
+	st.fed = fed
 
 	if optimize {
 		// Seed the incumbent with a greedy min-overlap binding so the
@@ -393,8 +415,8 @@ func (p *assignProblem) solveSeeded(ctx context.Context, nB int, optimize bool, 
 			st.bestBus = busOf
 			st.rec.Emit(obs.Event{Kind: obs.EvIncumbent, K: nB, Val: obj, Who: "greedy"})
 		}
-		// An external warm incumbent tightens the bound further (see the
-		// solveSeeded contract for why +1 preserves bit-identity).
+		// An external warm incumbent tightens the bound further (see
+		// above for why +1 preserves the answer).
 		if seedBus != nil && seedObj+1 < st.best {
 			st.best = seedObj + 1
 			st.bestBus = append([]int(nil), seedBus...)
@@ -433,9 +455,8 @@ func (p *assignProblem) solveSeeded(ctx context.Context, nB int, optimize bool, 
 }
 
 // newSearchState builds the backtracking state for one solve of p into
-// nB buses. suffix, when non-nil, is a prebuilt suffix-demand table
-// shared read-only across parallel workers; nil computes it fresh.
-func (p *assignProblem) newSearchState(ctx context.Context, nB int, optimize bool, suffix [][]int64) *searchState {
+// nB buses.
+func (p *assignProblem) newSearchState(ctx context.Context, nB int, optimize bool) *searchState {
 	nW := len(p.ws)
 	st := &searchState{
 		p:        p,
@@ -447,7 +468,7 @@ func (p *assignProblem) newSearchState(ctx context.Context, nB int, optimize boo
 		count:    make([]int, nB),
 		overlap:  make([]int64, nB),
 		total:    make([]int64, nW),
-		suffix:   suffix,
+		suffix:   make([][]int64, p.nT+1),
 		optimize: optimize,
 		best:     int64(1) << 62,
 	}
@@ -457,15 +478,12 @@ func (p *assignProblem) newSearchState(ctx context.Context, nB int, optimize boo
 	for b := range st.load {
 		st.load[b] = make([]int64, nW)
 	}
-	if st.suffix == nil {
-		st.suffix = make([][]int64, p.nT+1)
-		st.suffix[p.nT] = make([]int64, nW)
-		for idx := p.nT - 1; idx >= 0; idx-- {
-			st.suffix[idx] = make([]int64, nW)
-			t := p.order[idx]
-			for w := 0; w < nW; w++ {
-				st.suffix[idx][w] = st.suffix[idx+1][w] + p.comm[t][w]
-			}
+	st.suffix[p.nT] = make([]int64, nW)
+	for idx := p.nT - 1; idx >= 0; idx-- {
+		st.suffix[idx] = make([]int64, nW)
+		t := p.order[idx]
+		for w := 0; w < nW; w++ {
+			st.suffix[idx][w] = st.suffix[idx+1][w] + p.comm[t][w]
 		}
 	}
 	return st
@@ -479,7 +497,7 @@ func (p *assignProblem) newSearchState(ctx context.Context, nB int, optimize boo
 func (st *searchState) dfs(idx int, curMax int64) bool {
 	p := st.p
 	st.nodes++
-	if st.par == nil && st.nodes > p.maxNodes {
+	if st.nodes > p.maxNodes {
 		st.capped = true
 		return false
 	}
@@ -487,22 +505,7 @@ func (st *searchState) dfs(idx int, curMax int64) bool {
 		delta := st.nodes - st.flushed
 		metNodes.Add(delta)
 		st.rec.Emit(obs.Event{Kind: obs.EvNodes, K: st.nB, Val: delta, Who: "bb"})
-		if st.par != nil {
-			// The budget is shared across workers: charge this worker's
-			// delta and stop once the global count runs out.
-			global := st.par.nodes.Add(delta)
-			st.flushed = st.nodes
-			if global > p.maxNodes {
-				st.capped = true
-				return false
-			}
-			if !st.optimize && st.par.bestFeas.Load() < int64(st.subtree) {
-				st.aborted = true // a lower-index subtree holds a witness
-				return false
-			}
-		} else {
-			st.flushed = st.nodes
-		}
+		st.flushed = st.nodes
 		if err := st.ctx.Err(); err != nil {
 			st.stopErr = canceledErr(st.ctx)
 			st.capped = true // unwind through the capped fast path
@@ -514,11 +517,7 @@ func (st *searchState) dfs(idx int, curMax int64) bool {
 			if curMax < st.best {
 				st.best = curMax
 				st.bestBus = append([]int(nil), st.busOf...)
-				st.rec.Emit(obs.Event{Kind: obs.EvIncumbent, K: st.nB,
-					Val: curMax, Aux: int64(st.subtree), Who: "bb"})
-				if st.par != nil {
-					st.par.offerBound(curMax)
-				}
+				st.rec.Emit(obs.Event{Kind: obs.EvIncumbent, K: st.nB, Val: curMax, Who: "bb"})
 			}
 			return false
 		}
@@ -574,13 +573,9 @@ func (st *searchState) dfs(idx int, curMax int64) bool {
 			if newOv >= st.best {
 				continue // cannot improve the incumbent
 			}
-			// Cross-worker incumbent: st.par.bound holds the objective of
-			// a binding some worker (or the annealing feeder) has already
-			// realized, so strictly worse subtrees are dead. The
-			// comparison is strict — ties are still explored — which is
-			// what keeps parallel bindings bit-identical to sequential
-			// (see the determinism contract in parallel.go).
-			if st.par != nil && newOv > st.par.bound.Load() {
+			// A fed bound prunes strictly worse subtrees only: ties stay
+			// explorable, which keeps the answer unchanged (solveSeeded).
+			if st.fed != nil && newOv > st.fed.Load() {
 				continue
 			}
 		}
@@ -614,7 +609,7 @@ func (st *searchState) dfs(idx int, curMax int64) bool {
 		if newBus {
 			st.used--
 		}
-		if st.capped || st.aborted {
+		if st.capped {
 			return false
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,9 +14,8 @@ import (
 // `limit` polls. It makes "cancel mid-design" deterministic: the n-th
 // cooperative cancellation checkpoint the solver reaches observes the
 // cancellation, independent of wall-clock timing. Its Done channel is
-// nil, so it only works on code paths that poll Err directly — i.e.
-// with Options.Workers == 1, where the search passes the context
-// straight through to the solvers.
+// nil, so it only works on code paths that poll Err directly, as the
+// branch-and-bound and MILP searches do.
 type countingCtx struct {
 	context.Context
 	polls atomic.Int64
@@ -76,7 +74,6 @@ func TestDesignCtxCanceledMidSearch(t *testing.T) {
 			MaxPerBus:        3,
 			OptimizeBinding:  true,
 			Engine:           eng,
-			Workers:          1, // serial search: ctx reaches the solver directly
 		}
 		canceledRuns := 0
 		for _, limit := range []int64{1, 2, 3, 5, 8, 13, 1 << 40} {
@@ -106,113 +103,46 @@ func TestDesignCtxCanceledMidSearch(t *testing.T) {
 }
 
 // TestSearchMinFeasibleDeterministic: for every feasibility threshold
-// and worker count, the speculative multi-point bisection converges to
-// the same minimal feasible k (and the same solver result) as the
-// serial binary search.
+// the binary search converges to the minimal feasible k and returns
+// that count's solver result.
 func TestSearchMinFeasibleDeterministic(t *testing.T) {
 	const lb, ub = 1, 10
 	for thr := lb; thr <= ub+1; thr++ {
-		for workers := 1; workers <= 5; workers++ {
-			solve := func(ctx context.Context, k int, optimize bool) (*assignResult, error) {
-				return &assignResult{feasible: k >= thr, busOf: []int{k}, nodes: 1}, nil
+		solve := func(ctx context.Context, k int, optimize bool) (*assignResult, error) {
+			return &assignResult{feasible: k >= thr, busOf: []int{k}, nodes: 1}, nil
+		}
+		best, res, nodes, err := searchMinFeasible(context.Background(), lb, ub, solve)
+		if err != nil {
+			t.Fatalf("thr=%d: %v", thr, err)
+		}
+		if thr > ub {
+			if best != -1 {
+				t.Errorf("thr=%d: best = %d, want -1 (infeasible)", thr, best)
 			}
-			best, res, nodes, err := searchMinFeasible(context.Background(), lb, ub, workers, solve)
-			if err != nil {
-				t.Fatalf("thr=%d workers=%d: %v", thr, workers, err)
-			}
-			if thr > ub {
-				if best != -1 {
-					t.Errorf("thr=%d workers=%d: best = %d, want -1 (infeasible)", thr, workers, best)
-				}
-				continue
-			}
-			if best != thr {
-				t.Errorf("thr=%d workers=%d: best = %d, want thr", thr, workers, best)
-			}
-			if res == nil || len(res.busOf) != 1 || res.busOf[0] != thr {
-				t.Errorf("thr=%d workers=%d: result is not the minimal-k solve: %+v", thr, workers, res)
-			}
-			if nodes < 1 {
-				t.Errorf("thr=%d workers=%d: nodes = %d", thr, workers, nodes)
-			}
+			continue
+		}
+		if best != thr {
+			t.Errorf("thr=%d: best = %d, want thr", thr, best)
+		}
+		if res == nil || len(res.busOf) != 1 || res.busOf[0] != thr {
+			t.Errorf("thr=%d: result is not the minimal-k solve: %+v", thr, res)
+		}
+		if nodes < 1 {
+			t.Errorf("thr=%d: nodes = %d", thr, nodes)
 		}
 	}
 }
 
 func TestSearchMinFeasiblePropagatesSolveError(t *testing.T) {
 	boom := errors.New("solver exploded")
-	for _, workers := range []int{1, 3} {
-		solve := func(ctx context.Context, k int, optimize bool) (*assignResult, error) {
-			return nil, fmt.Errorf("k=%d: %w", k, boom)
-		}
-		best, _, _, err := searchMinFeasible(context.Background(), 1, 8, workers, solve)
-		if !errors.Is(err, boom) {
-			t.Errorf("workers=%d: err = %v, want solver error", workers, err)
-		}
-		if best != -1 {
-			t.Errorf("workers=%d: best = %d, want -1", workers, best)
-		}
+	solve := func(ctx context.Context, k int, optimize bool) (*assignResult, error) {
+		return nil, fmt.Errorf("k=%d: %w", k, boom)
 	}
-}
-
-func TestProbePoints(t *testing.T) {
-	if got := probePoints(2, 10, 1); len(got) != 1 || got[0] != 6 {
-		t.Errorf("probePoints(2,10,1) = %v, want [6] (binary-search midpoint)", got)
+	best, _, _, err := searchMinFeasible(context.Background(), 1, 8, solve)
+	if !errors.Is(err, boom) {
+		t.Errorf("err = %v, want solver error", err)
 	}
-	if got := probePoints(3, 3, 4); len(got) != 1 || got[0] != 3 {
-		t.Errorf("probePoints(3,3,4) = %v, want [3]", got)
-	}
-	for _, tc := range []struct{ lo, hi, w int }{
-		{1, 10, 2}, {1, 10, 3}, {1, 10, 10}, {1, 10, 50}, {5, 6, 4}, {1, 2, 1},
-	} {
-		pts := probePoints(tc.lo, tc.hi, tc.w)
-		if len(pts) == 0 {
-			t.Fatalf("probePoints(%d,%d,%d) empty", tc.lo, tc.hi, tc.w)
-		}
-		last := tc.lo - 1
-		for _, k := range pts {
-			if k < tc.lo || k > tc.hi {
-				t.Errorf("probePoints(%d,%d,%d): point %d out of range", tc.lo, tc.hi, tc.w, k)
-			}
-			if k <= last {
-				t.Errorf("probePoints(%d,%d,%d): %v not strictly increasing", tc.lo, tc.hi, tc.w, pts)
-			}
-			last = k
-		}
-		if len(pts) > tc.w {
-			t.Errorf("probePoints(%d,%d,%d): %d points > w", tc.lo, tc.hi, tc.w, len(pts))
-		}
-	}
-}
-
-// TestDesignWorkersDeterminism: the parallel search produces the exact
-// same design (bus count, binding, objective) as the serial one on
-// random instances.
-func TestDesignWorkersDeterminism(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for iter := 0; iter < 15; iter++ {
-		a := randomAnalysis(t, rng, 3+rng.Intn(5))
-		opts := Options{
-			OverlapThreshold: []float64{-1, 0.3, 0.5}[rng.Intn(3)],
-			SeparateCritical: true,
-			MaxPerBus:        2 + rng.Intn(3),
-			OptimizeBinding:  true,
-		}
-		serial := opts
-		serial.Workers = 1
-		dS, err := DesignCrossbarCtx(context.Background(), a, serial)
-		if err != nil {
-			t.Fatalf("iter %d: serial: %v", iter, err)
-		}
-		par := opts
-		par.Workers = 4
-		dP, err := DesignCrossbarCtx(context.Background(), a, par)
-		if err != nil {
-			t.Fatalf("iter %d: parallel: %v", iter, err)
-		}
-		if dS.NumBuses != dP.NumBuses || dS.MaxBusOverlap != dP.MaxBusOverlap || !reflect.DeepEqual(dS.BusOf, dP.BusOf) {
-			t.Errorf("iter %d: serial/parallel designs differ:\n serial  %d buses %v overlap %d\n parallel %d buses %v overlap %d",
-				iter, dS.NumBuses, dS.BusOf, dS.MaxBusOverlap, dP.NumBuses, dP.BusOf, dP.MaxBusOverlap)
-		}
+	if best != -1 {
+		t.Errorf("best = %d, want -1", best)
 	}
 }

@@ -41,7 +41,6 @@ func TestCappedBindingSurfaced(t *testing.T) {
 		OverlapThreshold: -1,
 		OptimizeBinding:  true,
 		MinBuses:         3,
-		Workers:          1,
 		MaxNodes:         20, // enough for the feasibility dive, far short of the binding tree
 	}
 	capped, err := DesignCrossbar(a, opts)
@@ -80,7 +79,6 @@ func TestCappedFeasibilityStillErrors(t *testing.T) {
 	opts := Options{
 		OverlapThreshold: 0.0001, // dense conflicts make the dive backtrack
 		OptimizeBinding:  false,
-		Workers:          1,
 		MaxNodes:         2,
 	}
 	_, err := DesignCrossbar(a, opts)

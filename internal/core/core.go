@@ -28,17 +28,16 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/conc"
 	"repro/internal/milp"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
 // Methodology instruments (see internal/obs): designs run,
-// feasibility/binding probes dispatched (including speculative ones
-// later obsoleted), branch-and-bound nodes expanded by the specialized
-// assignment solver, and the per-probe wall-time distribution. MILP-
-// engine probes account their nodes under the milp.* metrics instead.
+// feasibility/binding probes dispatched, branch-and-bound nodes
+// expanded by the specialized assignment solver, and the per-probe
+// wall-time distribution. MILP-engine probes account their nodes under
+// the milp.* metrics instead.
 var (
 	metDesigns = obs.NewCounter("core.designs")
 	metProbes  = obs.NewCounter("core.probes")
@@ -58,7 +57,7 @@ const (
 	// built-in branch-and-bound LP solver. Practical for small
 	// instances; used to cross-validate EngineBranchBound.
 	EngineMILP Engine = 1
-	// EnginePortfolio races the parallel branch and bound against the
+	// EnginePortfolio races the branch and bound against the
 	// warm-started MILP on every probe under one context — the first
 	// proven answer cancels the rest — with annealing feeding incumbents
 	// into the shared bound during the binding phase. Exact results
@@ -107,17 +106,7 @@ type Options struct {
 	Engine Engine
 	// MaxNodes bounds the search effort per solve (0 = default).
 	MaxNodes int64
-	// Workers bounds the solver parallelism on two levels: up to Workers
-	// candidate bus counts are probed concurrently during the
-	// feasibility search (obsoleted probes canceled as soon as a sibling
-	// result narrows the range past them), and each branch-and-bound
-	// solve splits its search tree across up to Workers goroutines with
-	// a shared pruning incumbent (see parallel.go). 0 means GOMAXPROCS;
-	// 1 is fully serial. The designed crossbar is identical for every
-	// Workers value: the search only narrows on proven feasibility
-	// facts, each per-count solve is deterministic, and the parallel
-	// branch and bound is bit-identical to the sequential one by
-	// construction.
+	// Deprecated: ignored; every design runs one search thread.
 	Workers int
 	// Audit re-checks every produced design against the paper's
 	// constraints (Eq. 3–9, Eq. 11 objective consistency) with the
@@ -198,9 +187,6 @@ func (o Options) Validate() error {
 	if o.MaxNodes < 0 {
 		return fmt.Errorf("core: MaxNodes %d is negative (0 means the default budget)", o.MaxNodes)
 	}
-	if o.Workers < 0 {
-		return fmt.Errorf("core: Workers %d is negative (0 means GOMAXPROCS)", o.Workers)
-	}
 	switch o.Engine {
 	case EngineBranchBound, EngineMILP, EnginePortfolio:
 	default:
@@ -272,9 +258,9 @@ func canceledErr(ctx context.Context) error {
 	return fmt.Errorf("%w: %w", ErrCanceled, context.Cause(ctx))
 }
 
-// errObsolete is the cancellation cause used to stop a speculative
-// feasibility probe once a sibling's result proved it redundant. It
-// never escapes this package.
+// errObsolete is the cancellation cause used to stop a portfolio
+// contestant once its sibling decided the probe. It never escapes this
+// package.
 var errObsolete = errors.New("core: probe obsoleted by sibling result")
 
 // DesignCrossbar runs the full methodology on one direction's analysis.
@@ -282,8 +268,7 @@ func DesignCrossbar(a *trace.Analysis, opts Options) (*Design, error) {
 	return DesignCrossbarCtx(context.Background(), a, opts)
 }
 
-// DesignCrossbarCtx is DesignCrossbar with cooperative cancellation and
-// speculative parallel feasibility probing (see Options.Workers). The
+// DesignCrossbarCtx is DesignCrossbar with cooperative cancellation. The
 // context is polled at solver node-expansion boundaries, so a
 // cancellation or deadline surfaces promptly as a wrapped ErrCanceled
 // even from deep inside a branch-and-bound search.
@@ -371,17 +356,12 @@ func DesignCrossbarCtx(ctx context.Context, a *trace.Analysis, opts Options) (*D
 		}
 	}
 
-	// The MILP engine shares one formulation skeleton (reduced windows,
-	// pair selection) across every bus-count probe of this design run,
-	// including the speculative parallel ones.
+	// The MILP and portfolio engines share one formulation skeleton
+	// across every bus-count probe of this design run; its window
+	// reduction is the one prob already holds.
 	var formulator *Formulator
-	if opts.Engine == EngineMILP {
-		formulator = NewFormulator(a, conflicts, maxPerBus)
-	}
-	workers := conc.Workers(opts.Workers)
-	var pf *portfolio
-	if opts.Engine == EnginePortfolio {
-		pf = newPortfolio(prob, a, conflicts, maxPerBus, workers)
+	if opts.Engine == EngineMILP || opts.Engine == EnginePortfolio {
+		formulator = prob.formulator(a)
 	}
 
 	rawSolve := func(ctx context.Context, k int, optimize bool) (*assignResult, error) {
@@ -389,15 +369,15 @@ func DesignCrossbarCtx(ctx context.Context, a *trace.Analysis, opts Options) (*D
 		case opts.Engine == EngineMILP:
 			return solveFormulated(ctx, formulator, k, optimize, milp.Options{})
 		case opts.Engine == EnginePortfolio:
-			return pf.solve(ctx, k, optimize)
+			return solvePortfolio(ctx, prob, formulator, k, optimize)
 		default:
-			return prob.solveAuto(ctx, k, optimize, workers, nil, 0, nil)
+			return prob.solve(ctx, k, optimize)
 		}
 	}
-	// Every probe — serial, speculative, or the final binding solve —
-	// goes through this wrapper, so each one shows up as its own span
-	// (child of core.search or core.bind) in the trace, as an open/close
-	// pair in the flight journal, and as a sample in the probe wall-time
+	// Every probe — feasibility or the final binding solve — goes
+	// through this wrapper, so each one shows up as its own span (child
+	// of core.search or core.bind) in the trace, as an open/close pair in
+	// the flight journal, and as a sample in the probe wall-time
 	// histogram.
 	solve := func(ctx context.Context, k int, optimize bool) (*assignResult, error) {
 		ctx, sp := obs.Start(ctx, "core.probe")
@@ -427,7 +407,7 @@ func DesignCrossbarCtx(ctx context.Context, a *trace.Analysis, opts Options) (*D
 		metProbes.Inc()
 		rec.Emit(obs.Event{Kind: obs.EvProbeOpen, K: k, Flag: true})
 		start := time.Now()
-		res, err := prob.solveAuto(ctx, k, true, workers, seedBus, seedObj, nil)
+		res, err := prob.solveSeeded(ctx, k, true, seedBus, seedObj, nil)
 		metProbeNS.Observe(time.Since(start).Nanoseconds())
 		if err == nil && res != nil {
 			sp.SetBool("feasible", res.feasible)
@@ -438,12 +418,10 @@ func DesignCrossbarCtx(ctx context.Context, a *trace.Analysis, opts Options) (*D
 	}
 
 	// Phase 1: find the minimum feasible bus count. Feasibility is
-	// monotone in the bus count (extra buses can stay unused), so an
-	// interval-narrowing search is exact (paper Section 6); with
-	// Workers > 1 several candidate counts are probed speculatively in
-	// parallel, canceling probes a sibling result makes redundant. A
-	// validated warm incumbent replaces the upper half of the search
-	// outright (searchBelowIncumbent).
+	// monotone in the bus count (extra buses can stay unused), so a
+	// binary search is exact (paper Section 6). A validated warm
+	// incumbent replaces the upper half of the search outright
+	// (searchBelowIncumbent).
 	sctx, searchSpan := obs.Start(ctx, "core.search")
 	searchSpan.SetInt("lb", int64(lb))
 	searchSpan.SetInt("ub", int64(ub))
@@ -472,13 +450,13 @@ func DesignCrossbarCtx(ctx context.Context, a *trace.Analysis, opts Options) (*D
 	)
 	if warmK >= 0 {
 		searchSpan.SetBool("warm", true)
-		best, firstFeasible, nodes, err = searchBelowIncumbent(sctx, lb, warmK, workers, feasSolve)
+		best, firstFeasible, nodes, err = searchBelowIncumbent(sctx, lb, warmK, feasSolve)
 	} else {
 		searchUB := ub
 		if gub >= 0 && gub-1 < searchUB {
 			searchUB = gub - 1
 		}
-		best, firstFeasible, nodes, err = searchMinFeasible(sctx, lb, searchUB, workers, feasSolve)
+		best, firstFeasible, nodes, err = searchMinFeasible(sctx, lb, searchUB, feasSolve)
 		if err == nil && best == -1 && gub >= 0 {
 			best, firstFeasible = gub, gubRes
 		}

@@ -23,8 +23,7 @@ const optionsFPTag = "stbus.options.v1"
 //     options, and the analysis fingerprint covers the receiver count).
 //
 // Fields that provably do not change the designed crossbar are
-// excluded: Workers (the speculative search is deterministic across
-// worker counts), Audit (a post-hoc check), Cache (where to look for
+// excluded: Workers (deprecated and ignored), Audit (a post-hoc check), Cache (where to look for
 // the answer, not what the answer is), and MaxNodes — an effort budget,
 // sound to exclude because the cache never stores Capped or failed
 // designs, and an un-capped design is budget-independent.

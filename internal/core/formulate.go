@@ -42,20 +42,23 @@ type pairIJ struct{ i, j int }
 
 // Formulator caches the bus-count-independent skeleton of the MILP
 // formulation for one analysis: the Pareto-reduced window set and the
-// sharing-pair selections. The parallel feasibility search (search.go)
-// probes many adjacent bus counts against the same analysis, and
-// without the cache every probe re-derived both from scratch.
-// ForBusCount only materializes the bus-count-dependent constraint
-// rows. The lazily built parts are guarded by sync.Once, so a
-// Formulator is safe for concurrent probes.
+// sharing-pair selections. A design run probes several bus counts
+// against the same analysis, and ForBusCount only materializes the
+// bus-count-dependent constraint rows. The pair selections are built
+// lazily under sync.Once: a canceled portfolio contestant can still be
+// reading them when the next probe starts.
 type Formulator struct {
 	a         *trace.Analysis
 	conflicts [][]bool
 	maxPerBus int
 
-	onceWindows sync.Once
-	keep        []int
-	comm        [][]int64 // comm[i][k]: receiver i's load in window keep[k]
+	// The reduced windows (reduceWindows): ws[k] is window k's length
+	// and comm[i][k] receiver i's load in it. busyWindows counts the
+	// reduced windows with traffic, each of which is one Eq. 4 row per
+	// bus.
+	ws          []int64
+	comm        [][]int64
+	busyWindows int
 
 	// Pair selection differs between feasibility (conflict pairs only)
 	// and binding (plus positive-overlap pairs); index by optimize.
@@ -64,15 +67,25 @@ type Formulator struct {
 }
 
 // NewFormulator prepares the shared skeleton for the given analysis
-// and conflict matrix. The heavy parts are computed lazily on first
-// use and reused by every subsequent ForBusCount call.
+// and conflict matrix. The pair selections are computed on first use
+// and reused by every subsequent ForBusCount call.
 func NewFormulator(a *trace.Analysis, conflicts [][]bool, maxPerBus int) *Formulator {
-	return &Formulator{a: a, conflicts: conflicts, maxPerBus: maxPerBus}
+	return newAssignProblem(a, conflicts, maxPerBus, 0).formulator(a)
 }
 
-func (f *Formulator) windows() ([]int, [][]int64) {
-	f.onceWindows.Do(func() { f.keep, f.comm = reduceWindows(f.a) })
-	return f.keep, f.comm
+// formulator builds the Formulator over the window reduction p already
+// holds; a is the analysis p was built from.
+func (p *assignProblem) formulator(a *trace.Analysis) *Formulator {
+	f := &Formulator{a: a, conflicts: p.conflict, maxPerBus: p.maxPerBus, ws: p.ws, comm: p.comm}
+	for k := range p.ws {
+		for i := range p.comm {
+			if p.comm[i][k] > 0 {
+				f.busyWindows++
+				break
+			}
+		}
+	}
+	return f
 }
 
 func (f *Formulator) pairsFor(optimize bool) []pairIJ {
@@ -102,7 +115,6 @@ func (f *Formulator) ForBusCount(numBuses int, optimize bool) *Formulation {
 	a := f.a
 	nT := a.NumReceivers
 	nB := numBuses
-	keep, comm := f.windows()
 	pairs := f.pairsFor(optimize)
 
 	numX := nT * nB
@@ -142,16 +154,16 @@ func (f *Formulator) ForBusCount(numBuses int, optimize bool) *Formulation {
 	}
 
 	// Eq. 4: per-window per-bus bandwidth.
-	for wi, m := range keep {
+	for wi, ws := range f.ws {
 		for k := 0; k < nB; k++ {
 			var terms []lp.Term
 			for i := 0; i < nT; i++ {
-				if c := comm[i][wi]; c > 0 {
+				if c := f.comm[i][wi]; c > 0 {
 					terms = append(terms, lp.Term{Var: x(i, k), Coef: float64(c)})
 				}
 			}
 			if len(terms) > 0 {
-				prob.LP.AddConstraint(lp.LE, float64(a.WindowLen(m)), terms...)
+				prob.LP.AddConstraint(lp.LE, float64(ws), terms...)
 			}
 		}
 	}
@@ -264,6 +276,39 @@ func (f *Formulator) ForBusCount(numBuses int, optimize bool) *Formulation {
 		sIdx:     sv,
 		om:       a.OM,
 	}
+}
+
+// size returns the constraint and variable counts of
+// ForBusCount(numBuses, optimize) without building it.
+func (f *Formulator) size(numBuses int, optimize bool) (rows, cols int) {
+	nT, nB := f.a.NumReceivers, numBuses
+	pairs := f.pairsFor(optimize)
+	cols = nT*nB + len(pairs)*nB + len(pairs)
+	rows = nT + f.busyWindows*nB + 2*len(pairs)*nB + len(pairs) // Eq. 3–6
+	for _, pr := range pairs {
+		if f.conflicts[pr.i][pr.j] {
+			rows++ // Eq. 7
+		}
+	}
+	if f.maxPerBus < nT {
+		rows += nB // Eq. 8
+	}
+	for i := 0; i < nT && i < nB; i++ {
+		rows += nB - i - 1 // weak symmetry rows
+	}
+	if optimize {
+		cols++ // maxov
+		for _, pr := range pairs {
+			if f.a.OM.At(pr.i, pr.j) > 0 {
+				rows += nB // Eq. 11
+				break
+			}
+		}
+		for i := 1; i < nT; i++ {
+			rows += min(nB-1, i) // canonical-ordering rows
+		}
+	}
+	return rows, cols
 }
 
 // Inject converts a receiver→bus binding into a complete solution

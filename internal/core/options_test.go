@@ -26,7 +26,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative max buses", func(o *Options) { o.MaxBuses = -1 }},
 		{"min above max buses", func(o *Options) { o.MinBuses = 5; o.MaxBuses = 3 }},
 		{"negative node budget", func(o *Options) { o.MaxNodes = -7 }},
-		{"negative workers", func(o *Options) { o.Workers = -1 }},
 		{"unknown engine", func(o *Options) { o.Engine = Engine(99) }},
 		{"removed anneal engine", func(o *Options) { o.Engine = Engine(2) }},
 	}

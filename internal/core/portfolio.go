@@ -3,16 +3,14 @@ package core
 import (
 	"context"
 	"errors"
-	"sync"
 
 	"repro/internal/conc"
 	"repro/internal/milp"
 	"repro/internal/obs"
-	"repro/internal/trace"
 )
 
-// The portfolio engine races the two exact solvers — the (parallel)
-// assignment branch and bound and the warm-started MILP — on every
+// The portfolio engine races the two exact solvers — the assignment
+// branch and bound and the warm-started MILP — on every
 // bus-count probe, under one cancelable context: the first PROVEN
 // answer wins and cancels the sibling. The two have complementary
 // strengths the race exploits: the assignment search dives to feasible
@@ -27,11 +25,11 @@ import (
 //
 // In binding mode the race additionally runs annealing as an incumbent
 // feeder: a deterministic anneal from the greedy binding publishes its
-// objective into the shared bound the branch-and-bound workers prune
-// against (strict comparison — see parallel.go for why fed bounds
-// cannot change the returned binding), and the greedy binding is
-// injected as the MILP's starting incumbent. Incumbents therefore flow
-// between engines without either depending on the other's completion.
+// objective into the bound the branch and bound prunes against (strict
+// comparison — see solveSeeded for why a fed bound cannot change the
+// returned binding), and the greedy binding is injected as the MILP's
+// starting incumbent. Incumbents therefore flow between engines without
+// either depending on the other's completion.
 // When every contestant exhausts its budget, the annealed binding is
 // also a fallback: the probe returns whichever capped binding has the
 // lower objective.
@@ -44,48 +42,39 @@ import (
 // (the budgeted-minimality path).
 const portfolioMILPDivisor = 400
 
-// portfolioMILPVarLimit caps the formulation size (nT·k assignment
-// binaries) the MILP contestant will enter the race with. Beyond it
-// the dense simplex tableau alone is gigabytes (the constraint count
-// grows with nT·k too), so the probe runs the assignment search alone
-// — at the 128–512-receiver scale that is the engine that works, and
+// portfolioMILPMaxCells caps the dense simplex tableau the MILP
+// contestant may enter the race with, in float64 cells. For a
+// formulation of rows constraints over cols variables, the node solver
+// (internal/lp) allocates a tableau of rows × (cols + slack +
+// artificial) ≤ rows × (cols + 2·rows) cells, plus a rows × cols base
+// image. The row count grows with the reduced window count times the
+// bus count: the FFT request trace's 1,501 kept windows make its
+// probes 1.0–1.2·10⁹ cells, while the largest portfolio formulation
+// the tests build (32 receivers, binding at 8 buses) is 4.1·10⁷. A
+// probe over the cap runs the assignment search alone, which is exact;
 // the race would otherwise lose the machine to an allocation, not a
-// search.
-const portfolioMILPVarLimit = 2048
+// search. 2²⁶ cells is 512 MiB.
+const portfolioMILPMaxCells = 1 << 26
 
-// portfolio bundles the per-design-run state shared by every probe of
-// the portfolio engine. All fields are read-only after construction
-// (the Formulator memoizes internally under its own locks), so probes
-// may run concurrently — the speculative feasibility search does.
-type portfolio struct {
-	prob    *assignProblem
-	fr      *Formulator
-	workers int
+// milpFits reports whether the MILP contestant's tableau for this
+// probe stays within portfolioMILPMaxCells.
+func milpFits(fr *Formulator, k int, optimize bool) bool {
+	rows, cols := fr.size(k, optimize)
+	return int64(rows)*int64(cols+2*rows) <= portfolioMILPMaxCells
 }
 
-func newPortfolio(prob *assignProblem, a *trace.Analysis, conflicts [][]bool, maxPerBus, workers int) *portfolio {
-	return &portfolio{
-		prob:    prob,
-		fr:      NewFormulator(a, conflicts, maxPerBus),
-		workers: workers,
-	}
+// portfolioMILPBudget is the MILP contestant's node budget for one
+// probe of an assignment problem with the given node budget.
+func portfolioMILPBudget(maxNodes int64) int {
+	return int(max(maxNodes/portfolioMILPDivisor, 1000))
 }
 
-// milpBudget is the MILP contestant's node budget for one probe.
-func (pf *portfolio) milpBudget() int {
-	b := pf.prob.maxNodes / portfolioMILPDivisor
-	if b < 1000 {
-		b = 1000
-	}
-	return int(b)
-}
-
-// solve runs one bus-count probe as a race. The returned result is the
-// first definitive one; when every contestant exhausts its budget the
-// best capped incumbent is returned (capped=true), and with nothing at
-// all in hand the probe fails with ErrSearchLimit exactly like a
-// single-engine budget exhaustion.
-func (pf *portfolio) solve(ctx context.Context, k int, optimize bool) (*assignResult, error) {
+// solvePortfolio runs one bus-count probe as a race. The returned
+// result is the first definitive one; when every contestant exhausts
+// its budget the best capped incumbent is returned (capped=true), and
+// with nothing at all in hand the probe fails with ErrSearchLimit
+// exactly like a single-engine budget exhaustion.
+func solvePortfolio(ctx context.Context, prob *assignProblem, fr *Formulator, k int, optimize bool) (*assignResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, canceledErr(ctx)
 	}
@@ -93,30 +82,30 @@ func (pf *portfolio) solve(ctx context.Context, k int, optimize bool) (*assignRe
 	defer cancel(nil)
 	rec := obs.FlightRecorderFrom(ctx)
 
-	runMILP := pf.prob.nT*k <= portfolioMILPVarLimit
-	milpOpts := milp.Options{MaxNodes: pf.milpBudget()}
-	var feed *parShared
+	runMILP := milpFits(fr, k, optimize)
+	milpOpts := milp.Options{MaxNodes: portfolioMILPBudget(prob.maxNodes)}
+	var feed *sharedBound
 	var feeder *annealFeeder
 	if optimize {
-		feed = newParShared()
-		if gBus, gObj, ok := pf.prob.greedyBinding(k); ok {
+		feed = newSharedBound()
+		if gBus, gObj, ok := prob.greedyBinding(k); ok {
 			feed.offerBound(gObj)
 			// MILP side: start from the greedy binding as incumbent.
-			// (Gated: ForBusCount builds the formulation skeleton, which
-			// is exactly the allocation the tractability cap avoids.)
+			// (Gated: ForBusCount builds the formulation, which is
+			// exactly the allocation the tableau cap avoids.)
 			if runMILP {
-				if inc, err := pf.fr.ForBusCount(k, true).Inject(gBus); err == nil {
+				if inc, err := fr.ForBusCount(k, true).Inject(gBus); err == nil {
 					milpOpts.Incumbent = inc
 				}
 			}
 			// Annealing feeder: improve the greedy binding in the
-			// background and publish the objective into the shared bound
-			// the branch-and-bound workers prune with. The anneal is
-			// deterministic (fixed seed) and its bound is the objective
-			// of a real validated binding, so feeding it cannot change
-			// the branch and bound's answer — only how fast it gets
-			// there (see the determinism contract in parallel.go).
-			feeder = startAnnealFeeder(ctx, pf.prob, k, gBus, feed)
+			// background and publish the objective into the bound the
+			// branch and bound prunes with. The anneal is deterministic
+			// (fixed seed) and its bound is the objective of a real
+			// validated binding, so feeding it cannot change the branch
+			// and bound's answer — only how fast it gets there (see
+			// solveSeeded).
+			feeder = startAnnealFeeder(ctx, prob, k, gBus, feed)
 		}
 	}
 
@@ -131,7 +120,7 @@ func (pf *portfolio) solve(ctx context.Context, k int, optimize bool) (*assignRe
 	go func() {
 		var res *assignResult
 		err := conc.Protect(func() (err error) {
-			res, err = pf.prob.solveAuto(rctx, k, optimize, pf.workers, nil, 0, feed)
+			res, err = prob.solveSeeded(rctx, k, optimize, nil, 0, feed)
 			return err
 		})
 		ch <- outcome{res, err, false}
@@ -142,7 +131,7 @@ func (pf *portfolio) solve(ctx context.Context, k int, optimize bool) (*assignRe
 		go func() {
 			var res *assignResult
 			err := conc.Protect(func() (err error) {
-				res, err = solveFormulated(rctx, pf.fr, k, optimize, milpOpts)
+				res, err = solveFormulated(rctx, fr, k, optimize, milpOpts)
 				return err
 			})
 			ch <- outcome{res, err, true}
@@ -242,8 +231,9 @@ func (pf *portfolio) solve(ctx context.Context, k int, optimize bool) (*assignRe
 	return nil, ErrSearchLimit
 }
 
-// annealFeeder is one binding probe's background anneal (see solve).
-// It lives no longer than the probe: solve stops it once a contestant
+// annealFeeder is one binding probe's background anneal (see
+// solvePortfolio). It lives no longer than the probe: solvePortfolio
+// stops it once a contestant
 // gives a definitive answer and waits for it on every path.
 type annealFeeder struct {
 	stop context.CancelFunc
@@ -255,7 +245,7 @@ type annealFeeder struct {
 	obj   int64
 }
 
-func startAnnealFeeder(ctx context.Context, prob *assignProblem, k int, start []int, feed *parShared) *annealFeeder {
+func startAnnealFeeder(ctx context.Context, prob *assignProblem, k int, start []int, feed *sharedBound) *annealFeeder {
 	fctx, stop := context.WithCancel(ctx)
 	f := &annealFeeder{stop: stop}
 	rec := obs.FlightRecorderFrom(ctx)
@@ -294,7 +284,6 @@ func (f *annealFeeder) wait(stop bool) error {
 // and the final design is flagged Capped when its minimality rests on
 // such an assumption.
 type undecidedTracker struct {
-	mu  sync.Mutex
 	min int // lowest undecided count; -1 when none
 	any bool
 }
@@ -306,12 +295,10 @@ func (u *undecidedTracker) wrap(solve solveFunc) solveFunc {
 	return func(ctx context.Context, k int, optimize bool) (*assignResult, error) {
 		res, err := solve(ctx, k, optimize)
 		if err != nil && errors.Is(err, ErrSearchLimit) {
-			u.mu.Lock()
 			if !u.any || k < u.min {
 				u.min = k
 			}
 			u.any = true
-			u.mu.Unlock()
 			return &assignResult{}, nil
 		}
 		return res, err
@@ -322,17 +309,11 @@ func (u *undecidedTracker) wrap(solve solveFunc) solveFunc {
 // minimality of best (best == -1 means nothing was proven feasible, so
 // any undecided count does).
 func (u *undecidedTracker) cappedBelow(best int) bool {
-	u.mu.Lock()
-	defer u.mu.Unlock()
 	return u.any && (best == -1 || u.min < best)
 }
 
 // anyUndecided reports whether any probe came back undecided.
-func (u *undecidedTracker) anyUndecided() bool {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.any
-}
+func (u *undecidedTracker) anyUndecided() bool { return u.any }
 
 // greedyUpperBound scans bus counts upward from lb looking for the
 // first count the greedy binding heuristic settles, returning it with

@@ -84,7 +84,6 @@ func TestDesign32TargetsCappedPortfolio(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Engine = EnginePortfolio
 	opts.MaxNodes = 1000
-	opts.Workers = 1
 	d, err := DesignCrossbar(a, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -46,7 +46,6 @@ const (
 	EvProbeClose
 	// EvIncumbent records an improved incumbent binding: K = bus count
 	// (0 when unknown, e.g. inside the MILP), Val = objective,
-	// Aux = frontier subtree index (parallel branch and bound),
 	// Who = producer ("bb", "milp", "anneal", "greedy").
 	EvIncumbent
 	// EvNodes is a node-expansion batch: Val = nodes expanded since the
@@ -123,8 +122,8 @@ func ParseEventKind(s string) (EventKind, bool) {
 // The payload fields carry logical keys, not wall-clock artifacts: K is
 // the bus count the event concerns, Val/Aux the kind-specific values
 // documented on each EventKind. Only Seq and T are schedule-dependent;
-// Canonical strips them, which is what makes recordings diffable across
-// worker counts.
+// Canonical strips them, which is what makes recordings diffable between
+// runs.
 type Event struct {
 	// Seq is the emission sequence number (0-based, assigned by the
 	// recorder).
@@ -417,18 +416,17 @@ func ReadNDJSON(rd io.Reader) ([]Event, FlightMeta, error) {
 // --- canonical reduction ---
 
 // Canonical reduces a recording to its schedule-invariant skeleton, the
-// form golden tests diff across worker counts. Wall-clock artifacts
-// (Seq, T, node counts, pivot batches, race outcomes, canceled or
-// budget-capped probes, raw incumbent streams) are dropped or zeroed;
-// what remains are the logical facts every run proves identically no
-// matter how probes were scheduled:
+// form golden tests diff between runs. Wall-clock artifacts (Seq, T,
+// node counts, pivot batches, race outcomes, canceled or budget-capped
+// probes, raw incumbent streams) are dropped or zeroed; what remains are
+// the logical facts every run proves identically no matter which
+// portfolio contestant won a probe or how far its loser got:
 //
 //   - the design's start (receivers, engine) and outcome (buses,
-//     objective, capped) — bit-identical at every worker count by the
-//     parallel determinism contract;
+//     objective, capped);
 //   - the two tight feasibility facts: the largest bus count decided
-//     infeasible and the smallest decided feasible. Speculative search
-//     decides a worker-dependent *set* of counts, but the search cannot
+//     infeasible and the smallest decided feasible. A warm search and a
+//     cold one decide different *sets* of counts, but no search can
 //     terminate without deciding kmin feasible, and can only advance its
 //     lower bound past kmin-1 by deciding it infeasible, so the extremes
 //     are invariant (and the feasibility witness at kmin, hence its
@@ -449,7 +447,7 @@ func Canonical(events []Event) []Event {
 			c := e
 			c.Seq, c.T = 0, 0
 			if c.Kind == EvDesignDone {
-				c.Aux = 0 // node totals vary with speculation
+				c.Aux = 0 // node totals vary with the portfolio race
 			}
 			out = append(out, c)
 		case EvProbeClose:

@@ -111,12 +111,11 @@ func TestFlightNDJSONRoundTrip(t *testing.T) {
 }
 
 // TestCanonicalReduction feeds two synthetic recordings of the same
-// logical solve — one shaped like a sequential run, one like a
-// speculative multi-worker run with extra decided probes, interleaved
+// logical solve — one lean, one with extra decided probes, interleaved
 // node batches and race outcomes — and requires their canonical forms
 // to be identical.
 func TestCanonicalReduction(t *testing.T) {
-	// Workers=1: probes k=2 (infeasible), k=3 (feasible), optimize k=3.
+	// One run: probes k=2 (infeasible), k=3 (feasible), optimize k=3.
 	w1 := []Event{
 		{Seq: 0, T: 10, Kind: EvDesignStart, Val: 12, Who: "portfolio"},
 		{Seq: 1, T: 20, Kind: EvProbeOpen, K: 2},
@@ -130,9 +129,9 @@ func TestCanonicalReduction(t *testing.T) {
 		{Seq: 9, T: 95, Kind: EvCacheStore, K: 3},
 		{Seq: 10, T: 99, Kind: EvDesignDone, K: 3, Val: 7, Aux: 3248},
 	}
-	// Workers=8: speculation also decided k=1 infeasible and k=4
-	// feasible, probes closed out of order, races ran, one probe was
-	// canceled — all schedule artifacts the reduction must strip.
+	// Another run: it also decided k=1 infeasible and k=4 feasible,
+	// probes closed out of order, races ran, one probe was canceled —
+	// all schedule artifacts the reduction must strip.
 	w8 := []Event{
 		{Seq: 0, T: 11, Kind: EvDesignStart, Val: 12, Who: "portfolio"},
 		{Seq: 1, T: 12, Kind: EvRaceStart, K: 4, Who: "bb"},
@@ -161,7 +160,7 @@ func TestCanonicalReduction(t *testing.T) {
 		t.Fatalf("canonical forms differ:\n%s\nW1: %+v\nW8: %+v", d, c1, c8)
 	}
 	// The reduction keeps the tight facts only: max infeasible k=2, min
-	// feasible k=3 (not the speculative k=4 witness), the optimize close
+	// feasible k=3 (not the extra k=4 witness), the optimize close
 	// at k=3, design start/done and the cache store.
 	want := []Event{
 		{Kind: EvDesignStart, Val: 12, Who: "portfolio"},

@@ -72,7 +72,6 @@ func badRequest(format string, args ...any) error {
 func (s *Server) decodeDesignRequest(r *http.Request) (*designRequest, error) {
 	q := r.URL.Query()
 	req := &designRequest{opts: core.DefaultOptions()}
-	req.opts.Workers = s.cfg.Workers
 	req.opts.Cache = s.cache
 
 	var err error

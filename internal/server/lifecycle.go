@@ -43,7 +43,7 @@ func Run(ctx context.Context, cfg Config, onListen func(net.Addr)) error {
 	if onListen != nil {
 		onListen(ln.Addr())
 	}
-	s.logf("listening on %s (workers %d, queue %d)", ln.Addr(), s.cfg.Concurrency, s.cfg.QueueDepth)
+	s.logf("listening on %s (jobs %d, queue %d)", ln.Addr(), s.cfg.Concurrency, s.cfg.QueueDepth)
 
 	hs := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	serveErr := make(chan error, 1)

@@ -65,9 +65,9 @@ type Config struct {
 	// port). Defaults to ":8377".
 	Addr string
 	// Concurrency is the worker-pool size — the number of design jobs
-	// solved simultaneously. 0 means GOMAXPROCS. Each job may itself
-	// parallelize across Workers cores, so the useful product
-	// Concurrency×Workers is about the machine size.
+	// solved simultaneously. 0 means GOMAXPROCS. Each job runs one
+	// search thread per direction (a portfolio probe races two), so
+	// about one job per core keeps the machine busy.
 	Concurrency int
 	// QueueDepth bounds the jobs admitted but not yet running. A full
 	// queue rejects new work with 429 + Retry-After. 0 means 64.
@@ -97,9 +97,6 @@ type Config struct {
 	// JobHistory bounds how many finished jobs stay pollable before the
 	// oldest are forgotten. 0 means 512.
 	JobHistory int
-	// Workers is the per-job solver parallelism (core.Options.Workers);
-	// 0 means GOMAXPROCS.
-	Workers int
 	// Cache is the shared design cache every job runs through — the
 	// daemon's headline win: a repeated identical request is served in
 	// microseconds, a near-identical one warm-starts. Nil builds one

@@ -115,7 +115,6 @@ func TestTelemetryLiveStream(t *testing.T) {
 	ctx := obs.WithFlightRecorder(context.Background(), rec)
 	opts := core.DefaultOptions()
 	opts.Engine = core.EnginePortfolio
-	opts.Workers = 4
 
 	d, err := core.DesignCrossbarCtx(ctx, benchprobs.Analysis128(), opts)
 	if err != nil {
@@ -184,7 +183,6 @@ func TestPrometheusScrapeDuringSolve(t *testing.T) {
 	go func() {
 		opts := core.DefaultOptions()
 		opts.Engine = core.EnginePortfolio
-		opts.Workers = 4
 		_, err := core.DesignCrossbarCtx(context.Background(), a, opts)
 		solveDone <- err
 	}()
