@@ -190,6 +190,7 @@ func BenchmarkDesignNoBinding(b *testing.B) {
 func BenchmarkSimFullCrossbar(b *testing.B) {
 	app := workloads.Mat2(experiments.Seed)
 	req, resp := app.FullConfig()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Run(app.SimConfig(req, resp)); err != nil {
@@ -203,11 +204,28 @@ func BenchmarkSimFullCrossbar(b *testing.B) {
 func BenchmarkSimSharedBus(b *testing.B) {
 	app := workloads.Mat2(experiments.Seed)
 	req, resp := app.SharedConfig()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Run(app.SimConfig(req, resp)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSimApps times the full-crossbar simulation of each paper
+// app (the app-spec request's first simulation).
+func BenchmarkSimApps(b *testing.B) {
+	for _, app := range workloads.All(experiments.Seed) {
+		b.Run(app.Name, func(b *testing.B) {
+			req, resp := app.FullConfig()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sim.Run(app.SimConfig(req, resp)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

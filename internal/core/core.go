@@ -367,6 +367,13 @@ func DesignCrossbarCtx(ctx context.Context, a *trace.Analysis, opts Options) (*D
 	rawSolve := func(ctx context.Context, k int, optimize bool) (*assignResult, error) {
 		switch {
 		case opts.Engine == EngineMILP:
+			// A tableau over the cap would take the process down with
+			// an unrecoverable out-of-memory; refuse the probe instead.
+			if !milpFits(formulator, k, optimize) {
+				rows, cols := formulator.size(k, optimize)
+				return nil, fmt.Errorf("core: MILP tableau for %d buses (%d rows × %d columns) exceeds %d cells: %w",
+					k, rows, cols, portfolioMILPMaxCells, ErrSearchLimit)
+			}
 			return solveFormulated(ctx, formulator, k, optimize, milp.Options{})
 		case opts.Engine == EnginePortfolio:
 			return solvePortfolio(ctx, prob, formulator, k, optimize)

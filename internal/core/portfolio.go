@@ -53,7 +53,8 @@ const portfolioMILPDivisor = 400
 // the tests build (32 receivers, binding at 8 buses) is 4.1·10⁷. A
 // probe over the cap runs the assignment search alone, which is exact;
 // the race would otherwise lose the machine to an allocation, not a
-// search. 2²⁶ cells is 512 MiB.
+// search. 2²⁶ cells is 512 MiB. EngineMILP, which has no other
+// contestant, fails such a probe with ErrSearchLimit.
 const portfolioMILPMaxCells = 1 << 26
 
 // milpFits reports whether the MILP contestant's tableau for this

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/benchprobs"
 	"repro/internal/conc"
@@ -202,5 +203,29 @@ func TestPortfolioFFTUnderTableauCap(t *testing.T) {
 	}
 	if probes == 0 {
 		t.Fatal("recording holds no probes")
+	}
+}
+
+// TestMILPEngineFFTOverTableauCap designs the FFT request trace with
+// the MILP engine alone. Its first probe's tableau is over
+// portfolioMILPMaxCells, so the design must fail promptly with
+// ErrSearchLimit (stbusd's search_limit/422) instead of allocating
+// gigabytes.
+func TestMILPEngineFFTOverTableauCap(t *testing.T) {
+	var a *trace.Analysis
+	for _, fx := range paperWindowAnalyses(t) {
+		if fx.name == "fft.req" {
+			a = fx.a
+		}
+	}
+	opts := DefaultOptions()
+	opts.Engine = EngineMILP
+	start := time.Now()
+	_, err := DesignCrossbar(a, opts)
+	if !errors.Is(err, ErrSearchLimit) {
+		t.Fatalf("DesignCrossbar = %v, want ErrSearchLimit", err)
+	}
+	if el := time.Since(start); el > 10*time.Second {
+		t.Errorf("refusal took %v", el)
 	}
 }

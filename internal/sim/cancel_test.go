@@ -7,17 +7,16 @@ import (
 )
 
 func TestEngineRunCtxCanceled(t *testing.T) {
-	eng := NewEngine()
 	// A self-rescheduling tick generates one event per cycle, so the
 	// event loop is guaranteed to cross a cancellation checkpoint long
 	// before the horizon.
-	var tick func()
-	tick = func() { eng.At(eng.Now()+1, tick) }
-	eng.At(0, tick)
+	var eng engine
+	eng.at(0, evCoreStep, 0)
+	tick := func(eventKind, int32) { eng.after(1, evCoreStep, 0) }
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	end, err := eng.RunCtx(ctx, 1<<40)
+	end, err := eng.run(ctx, 1<<40, tick)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -30,12 +29,12 @@ func TestEngineRunCtxCanceled(t *testing.T) {
 }
 
 func TestEngineRunCtxBackgroundCompletes(t *testing.T) {
-	eng := NewEngine()
+	var eng engine
+	eng.at(5, evCoreStep, 0)
 	fired := false
-	eng.At(5, func() { fired = true })
-	end, err := eng.RunCtx(context.Background(), 10)
+	end, err := eng.run(context.Background(), 10, func(eventKind, int32) { fired = true })
 	if err != nil || end != 10 || !fired {
-		t.Errorf("RunCtx = (%d, %v), fired=%v; want (10, nil, true)", end, err, fired)
+		t.Errorf("run = (%d, %v), fired=%v; want (10, nil, true)", end, err, fired)
 	}
 }
 

@@ -10,7 +10,6 @@
 package sim
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -40,55 +39,120 @@ var ErrCanceled = errors.New("sim: run canceled")
 // loop branch-cheap while still reacting to cancellation promptly.
 const cancelCheckMask = 4095
 
-// Engine is a deterministic discrete-event clock. Events scheduled for
-// the same cycle run in scheduling order, which makes whole simulations
-// reproducible without any real-time dependence.
-type Engine struct {
+// eventKind says what an event does when it fires; the system's
+// dispatch switches on it. The argument is a core ID for evCoreStep and
+// a transaction tag for the three bus and memory kinds.
+type eventKind int32
+
+const (
+	// evCoreStep resumes a core's program.
+	evCoreStep eventKind = iota
+	// evReqDone ends a transaction's request phase: its request bus
+	// passes to the next queued transfer and the target starts serving.
+	evReqDone
+	// evMemServe is the target finishing its wait states: semaphores
+	// decide, and the response phase is submitted.
+	evMemServe
+	// evRespDone ends a transaction's response phase: its response bus
+	// passes on, the latency sample is recorded and the core resumes.
+	evRespDone
+)
+
+// event is one scheduled occurrence. Events fire in (cycle, seq)
+// order; seq is the scheduling order, so same-cycle events run first
+// scheduled, first fired.
+type event struct {
+	cycle int64
+	seq   int64
+	kind  eventKind
+	arg   int32
+}
+
+func (a *event) before(b *event) bool {
+	return a.cycle < b.cycle || (a.cycle == b.cycle && a.seq < b.seq)
+}
+
+// engine is a deterministic discrete-event clock over a typed event
+// queue: a 4-ary min-heap of event values in one slice, so scheduling
+// and firing allocate nothing once the slice has grown to the run's
+// peak number of pending events.
+type engine struct {
 	now int64
-	pq  eventHeap
+	q   []event
 	seq int64
 }
 
-// NewEngine returns an engine at cycle 0.
-func NewEngine() *Engine { return &Engine{} }
-
-// Now returns the current cycle.
-func (e *Engine) Now() int64 { return e.now }
-
-// At schedules fn to run at the given cycle. Scheduling in the past
-// (including the current cycle) runs fn at the current cycle, after
-// already-pending same-cycle events.
-func (e *Engine) At(cycle int64, fn func()) {
+// at schedules an event at the given cycle. Scheduling in the past
+// (including the current cycle) fires it at the current cycle, after
+// the already-pending same-cycle events.
+func (e *engine) at(cycle int64, kind eventKind, arg int32) {
 	if cycle < e.now {
 		cycle = e.now
 	}
-	heap.Push(&e.pq, event{cycle: cycle, seq: e.seq, fn: fn})
+	ev := event{cycle: cycle, seq: e.seq, kind: kind, arg: arg}
 	e.seq++
-}
-
-// After schedules fn delay cycles from now.
-func (e *Engine) After(delay int64, fn func()) { e.At(e.now+delay, fn) }
-
-// Run processes events in order until the queue drains or the clock
-// would pass horizon. It returns the cycle the clock stopped at.
-func (e *Engine) Run(horizon int64) int64 {
-	end, _ := e.RunCtx(context.Background(), horizon) // Background never cancels
-	return end
-}
-
-// RunCtx is Run with cooperative cancellation: the context is polled
-// every few thousand events and a cancellation stops the clock at the
-// current cycle, returning an error wrapping ErrCanceled.
-func (e *Engine) RunCtx(ctx context.Context, horizon int64) (int64, error) {
-	var processed, flushed int64
-	for len(e.pq) > 0 {
-		next := e.pq[0]
-		if next.cycle > horizon {
+	e.q = append(e.q, ev)
+	q := e.q
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !ev.before(&q[p]) {
 			break
 		}
-		heap.Pop(&e.pq)
-		e.now = next.cycle
-		next.fn()
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = ev
+}
+
+// after schedules an event delay cycles from now.
+func (e *engine) after(delay int64, kind eventKind, arg int32) { e.at(e.now+delay, kind, arg) }
+
+// pop removes and returns the earliest event; the queue must not be
+// empty.
+func (e *engine) pop() event {
+	q := e.q
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q = q[:n]
+	e.q = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j := c + 1; j < c+4 && j < n; j++ {
+			if q[j].before(&q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(&last) {
+			break
+		}
+		q[i] = q[m]
+		i = m
+	}
+	q[i] = last
+	return top
+}
+
+// run fires events in order through dispatch until the queue drains or
+// the clock would pass horizon, and returns the cycle the clock
+// stopped at (horizon unless canceled). The context is polled every
+// few thousand events; a cancellation stops the clock at the current
+// cycle and returns an error wrapping ErrCanceled.
+func (e *engine) run(ctx context.Context, horizon int64, dispatch func(kind eventKind, arg int32)) (int64, error) {
+	var processed, flushed int64
+	for len(e.q) > 0 && e.q[0].cycle <= horizon {
+		ev := e.pop()
+		e.now = ev.cycle
+		dispatch(ev.kind, ev.arg)
 		processed++
 		if processed&cancelCheckMask == 0 {
 			metEvents.Add(processed - flushed)
@@ -104,32 +168,4 @@ func (e *Engine) RunCtx(ctx context.Context, horizon int64) (int64, error) {
 	}
 	metEvents.Add(processed - flushed)
 	return e.now, nil
-}
-
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.pq) }
-
-type event struct {
-	cycle int64
-	seq   int64
-	fn    func()
-}
-
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].cycle != h[j].cycle {
-		return h[i].cycle < h[j].cycle
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }

@@ -101,6 +101,13 @@ func (c *Config) validate() error {
 		return fmt.Errorf("sim: response fabric is %d→%d, want %d→%d",
 			c.Resp.NumSenders, c.Resp.NumReceivers, c.NumTargets, c.NumInitiators)
 	}
+	isSem := make([]bool, c.NumTargets)
+	for _, t := range c.SemTargets {
+		if t < 0 || t >= c.NumTargets {
+			return fmt.Errorf("sim: semaphore target %d out of range", t)
+		}
+		isSem[t] = true
+	}
 	for i, prog := range c.Programs {
 		for pc, op := range prog {
 			switch op.Kind {
@@ -112,6 +119,9 @@ func (c *Config) validate() error {
 			case OpLock, OpUnlock, OpBarrier:
 				if op.Target < 0 || op.Target >= c.NumTargets {
 					return fmt.Errorf("sim: core %d op %d: target %d out of range", i, pc, op.Target)
+				}
+				if (op.Kind == OpLock || op.Kind == OpUnlock) && !isSem[op.Target] {
+					return fmt.Errorf("sim: core %d op %d: %v of target %d, which is not a semaphore", i, pc, op.Kind, op.Target)
 				}
 			case OpCompute:
 				if op.Cycles < 0 {
@@ -146,25 +156,30 @@ type Result struct {
 	EndCycle int64
 }
 
-// system is the runtime state of one simulation.
+// system is the runtime state of one simulation. It allocates in
+// proportion to its cores, buses and peak in-flight transactions; the
+// per-transaction state lives in reused txn records, and the event
+// queue, the fabric queues and the output buffers only grow.
 type system struct {
 	cfg   *Config
-	eng   *Engine
+	eng   engine
 	req   *stbus.Fabric
 	resp  *stbus.Fabric
-	rec   *stats.Recorder
-	cores []*core
-	sems  map[int]*semaphore
-	bars  map[int]*barrier
+	cores []core
+	txns  []txn
+	free  []int32     // tags of finished txns, reused first
+	sems  []semaphore // by target; only SemTargets entries are used
+	bars  []barrier   // barriers with arrivals pending
 
+	// Output buffers, sized from the programs. The Result gets exact
+	// copies, so it retains no spare capacity.
+	samples               []stats.Sample
 	reqEvents, respEvents []trace.Event
 }
 
 type core struct {
-	id      int
 	program []Op
 	pc      int
-	sys     *system
 	done    bool
 	// Posted-write state: remaining FIFO credits and whether the core
 	// is parked waiting for one.
@@ -172,14 +187,29 @@ type core struct {
 	awaitingCredit bool
 }
 
+// txn is one read, write, lock attempt, unlock or barrier access, from
+// issue to its response; its index in system.txns is the tag its bus
+// transfers and events carry.
+type txn struct {
+	issue    int64 // cycle the core issued the access
+	respLen  int64 // response-phase beats
+	barrier  int   // OpBarrier: the barrier ID
+	core     int32
+	target   int32
+	kind     OpKind
+	critical bool
+	blocking bool // OpWrite: the core waits for the acknowledgement
+	acquired bool // OpLock: this attempt took the semaphore
+}
+
 type semaphore struct {
 	held  bool
-	owner int
+	owner int32
 }
 
 type barrier struct {
-	arrived int
-	waiters []func()
+	id      int
+	waiters []int32 // cores arrived so far, in arrival order
 }
 
 // Run executes the simulation described by cfg and returns its results.
@@ -206,45 +236,47 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.PostedWrites && cfg.MaxOutstandingWrites == 0 {
 		cfg.MaxOutstandingWrites = 4
 	}
-	eng := NewEngine()
-	req, err := stbus.NewFabric(cfg.Req, eng)
+	req, err := stbus.NewFabric(cfg.Req)
 	if err != nil {
 		return nil, fmt.Errorf("sim: request fabric: %w", err)
 	}
-	resp, err := stbus.NewFabric(cfg.Resp, eng)
+	resp, err := stbus.NewFabric(cfg.Resp)
 	if err != nil {
 		return nil, fmt.Errorf("sim: response fabric: %w", err)
 	}
+	// Every bus op is one transaction with one sample and one transfer
+	// per direction; only lock retries add more.
+	accesses := busOps(cfg.Programs)
 	s := &system{
-		cfg:  &cfg,
-		eng:  eng,
-		req:  req,
-		resp: resp,
-		rec:  stats.NewRecorder(),
-		sems: map[int]*semaphore{},
-		bars: map[int]*barrier{},
-	}
-	for _, t := range cfg.SemTargets {
-		s.sems[t] = &semaphore{}
+		cfg:     &cfg,
+		eng:     engine{q: make([]event, 0, 2*cfg.NumInitiators)},
+		req:     req,
+		resp:    resp,
+		cores:   make([]core, cfg.NumInitiators),
+		sems:    make([]semaphore, cfg.NumTargets),
+		samples: make([]stats.Sample, 0, accesses),
 	}
 	if cfg.CollectTrace {
+		s.reqEvents = make([]trace.Event, 0, accesses)
+		s.respEvents = make([]trace.Event, 0, accesses)
 		req.Probe = func(ev trace.Event) { s.reqEvents = append(s.reqEvents, ev) }
 		resp.Probe = func(ev trace.Event) { s.respEvents = append(s.respEvents, ev) }
 	}
-	for i := 0; i < cfg.NumInitiators; i++ {
-		c := &core{id: i, program: cfg.Programs[i], sys: s, writeCredits: cfg.MaxOutstandingWrites}
-		s.cores = append(s.cores, c)
-		eng.At(0, c.step)
+	for i := range s.cores {
+		s.cores[i] = core{program: cfg.Programs[i], writeCredits: cfg.MaxOutstandingWrites}
+		s.eng.at(0, evCoreStep, int32(i))
 	}
-	end, err := eng.RunCtx(ctx, cfg.Horizon)
+	end, err := s.eng.run(ctx, cfg.Horizon, s.dispatch)
 	if err != nil {
 		return nil, err
 	}
 	metCycles.Add(end)
 	span.SetInt("end_cycle", end)
 
+	samples := make([]stats.Sample, len(s.samples))
+	copy(samples, s.samples)
 	res := &Result{
-		Latency:    s.rec,
+		Latency:    stats.RecorderOf(samples),
 		ReqUtil:    req.BusUtilization(end),
 		RespUtil:   resp.BusUtilization(end),
 		ReqGrants:  req.Grants(),
@@ -265,6 +297,19 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// busOps counts the ops of the programs that go over the interconnect.
+func busOps(programs [][]Op) int {
+	n := 0
+	for _, prog := range programs {
+		for _, op := range prog {
+			if op.Kind != OpCompute {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // Throughput returns the aggregate delivered words per cycle over both
 // directions.
 func (r *Result) Throughput() float64 {
@@ -274,7 +319,8 @@ func (r *Result) Throughput() float64 {
 	return float64(r.ReqBeats+r.RespBeats) / float64(r.EndCycle)
 }
 
-// buildTrace clamps collected events to the horizon and wraps them.
+// buildTrace clamps collected events to the horizon and copies them
+// into a trace of their own, so a Result holds no spare capacity.
 func buildTrace(events []trace.Event, numSenders, numReceivers int, horizon int64) *trace.Trace {
 	kept := make([]trace.Event, 0, len(events))
 	for _, e := range events {
@@ -294,22 +340,79 @@ func buildTrace(events []trace.Event, numSenders, numReceivers int, horizon int6
 	}
 }
 
-// step advances the core's program until it blocks or finishes.
-func (c *core) step() {
-	s := c.sys
+// dispatch fires one event.
+func (s *system) dispatch(kind eventKind, arg int32) {
+	switch kind {
+	case evCoreStep:
+		s.step(arg)
+	case evReqDone:
+		t := &s.txns[arg]
+		s.release(s.req, int(t.target), evReqDone)
+		s.eng.after(s.memWait(t.target), evMemServe, arg)
+	case evMemServe:
+		t := &s.txns[arg]
+		// The semaphore decides when the request is serviced at the
+		// device, so lock attempts arbitrated earlier on its bus win.
+		switch t.kind {
+		case OpLock:
+			sem := &s.sems[t.target]
+			t.acquired = !sem.held
+			if t.acquired {
+				sem.held, sem.owner = true, t.core
+			}
+		case OpUnlock:
+			if sem := &s.sems[t.target]; sem.held && sem.owner == t.core {
+				sem.held = false
+			}
+		}
+		s.submit(s.resp, stbus.Transfer{
+			Sender:   int(t.target),
+			Receiver: int(t.core),
+			Cycles:   t.respLen,
+			Critical: t.critical,
+			Tag:      arg,
+		}, evRespDone)
+	case evRespDone:
+		t := s.txns[arg]
+		s.free = append(s.free, arg)
+		s.release(s.resp, int(t.core), evRespDone)
+		s.complete(&t)
+	default:
+		panic(fmt.Sprintf("sim: unknown event kind %d", kind))
+	}
+}
+
+// submit hands a transfer to a fabric and, if it is granted at once,
+// schedules its finish event.
+func (s *system) submit(f *stbus.Fabric, t stbus.Transfer, finish eventKind) {
+	if end, ok := f.Submit(t, s.eng.now); ok {
+		s.eng.at(end, finish, t.Tag)
+	}
+}
+
+// release frees the bus of the receiver whose transfer just finished
+// and schedules the finish event of the transfer granted next, if any.
+// The finish event names its transaction rather than its bus: a bus
+// can be granted again in the very cycle it frees, before the finish
+// event of its previous transfer has fired.
+func (s *system) release(f *stbus.Fabric, receiver int, finish eventKind) {
+	if next, end, ok := f.Release(f.Config().BusOf[receiver], s.eng.now); ok {
+		s.eng.at(end, finish, next.Tag)
+	}
+}
+
+// step advances core id's program until it blocks or finishes.
+func (s *system) step(id int32) {
+	c := &s.cores[id]
 	for c.pc < len(c.program) {
-		op := c.program[c.pc]
+		op := &c.program[c.pc]
 		switch op.Kind {
 		case OpCompute:
 			c.pc++
 			if op.Cycles > 0 {
-				s.eng.After(op.Cycles, c.step)
+				s.eng.after(op.Cycles, evCoreStep, id)
 				return
 			}
-		case OpRead:
-			c.pc++
-			s.startRead(c, op)
-			return
 		case OpWrite:
 			if s.cfg.PostedWrites {
 				if c.writeCredits == 0 {
@@ -318,22 +421,19 @@ func (c *core) step() {
 				}
 				c.writeCredits--
 				c.pc++
-				s.startWrite(c, op, false)
+				s.issue(id, op, false)
 				continue
 			}
 			c.pc++
-			s.startWrite(c, op, true)
+			s.issue(id, op, true)
 			return
 		case OpLock:
-			s.tryLock(c, op)
+			// The pc advances only once an attempt acquires the lock.
+			s.issue(id, op, true)
 			return
-		case OpUnlock:
+		case OpRead, OpUnlock, OpBarrier:
 			c.pc++
-			s.doUnlock(c, op)
-			return
-		case OpBarrier:
-			c.pc++
-			s.arrive(c, op)
+			s.issue(id, op, true)
 			return
 		default:
 			panic(fmt.Sprintf("sim: unknown op kind %v", op.Kind))
@@ -342,218 +442,122 @@ func (c *core) step() {
 	c.done = true
 }
 
+// issue starts a transaction for op on behalf of core id: its request
+// phase goes on the initiator→target crossbar; after the target's
+// service latency (evMemServe) its response phase goes on the
+// target→initiator crossbar. A read's response carries its burst, and
+// every other access is answered by a one-beat acknowledgement. A
+// write's request carries its burst, and an unlock or a barrier signal
+// is a one-word write.
+func (s *system) issue(id int32, op *Op, blocking bool) {
+	reqLen, respLen := s.cfg.ReqCycles, int64(1)
+	switch op.Kind {
+	case OpRead:
+		respLen = op.Burst
+	case OpWrite:
+		reqLen += op.Burst
+	case OpUnlock, OpBarrier:
+		reqLen++
+	}
+	var tag int32
+	if n := len(s.free); n > 0 {
+		tag, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		tag = int32(len(s.txns))
+		s.txns = append(s.txns, txn{})
+	}
+	s.txns[tag] = txn{
+		issue:    s.eng.now,
+		respLen:  respLen,
+		barrier:  op.Barrier,
+		core:     id,
+		target:   int32(op.Target),
+		kind:     op.Kind,
+		critical: op.Critical,
+		blocking: blocking,
+	}
+	s.submit(s.req, stbus.Transfer{
+		Sender:   int(id),
+		Receiver: op.Target,
+		Cycles:   reqLen,
+		Critical: op.Critical,
+		Tag:      tag,
+	}, evReqDone)
+}
+
+// complete records a transaction whose response has just arrived and
+// moves its core on: a blocking access resumes it, a posted write's
+// acknowledgement returns a FIFO credit (unparking a core waiting for
+// one), a failed lock attempt backs off and retries, and a barrier
+// access waits for the other participants.
+func (s *system) complete(t *txn) {
+	now := s.eng.now
+	s.samples = append(s.samples, stats.Sample{
+		Latency:   now - t.issue,
+		Packet:    now - t.respLen + 1 - t.issue,
+		Initiator: int(t.core),
+		Target:    int(t.target),
+		Critical:  t.critical,
+	})
+	c := &s.cores[t.core]
+	switch t.kind {
+	case OpWrite:
+		if !t.blocking {
+			c.writeCredits++
+			if c.awaitingCredit {
+				c.awaitingCredit = false
+				s.step(t.core)
+			}
+			return
+		}
+	case OpLock:
+		if !t.acquired {
+			// Staggered back-off keeps deterministic retries from
+			// livelocking in lockstep.
+			s.eng.after(s.cfg.LockRetry+int64(t.core), evCoreStep, t.core)
+			return
+		}
+		c.pc++
+	case OpBarrier:
+		s.arrive(t.core, t.barrier)
+		return
+	}
+	s.step(t.core)
+}
+
+// arrive registers core id at barrier bid and, once every initiator
+// has arrived, releases them all one cycle later in arrival order.
+func (s *system) arrive(id int32, bid int) {
+	i := 0
+	for i < len(s.bars) && s.bars[i].id != bid {
+		i++
+	}
+	if i == len(s.bars) {
+		// Reuse a released slot (and its waiter buffer) if there is one.
+		if i < cap(s.bars) {
+			s.bars = s.bars[:i+1]
+		} else {
+			s.bars = append(s.bars, barrier{})
+		}
+		s.bars[i].id, s.bars[i].waiters = bid, s.bars[i].waiters[:0]
+	}
+	b := &s.bars[i]
+	b.waiters = append(b.waiters, id)
+	if len(b.waiters) < s.cfg.NumInitiators {
+		return
+	}
+	for _, w := range b.waiters {
+		s.eng.after(1, evCoreStep, w)
+	}
+	last := len(s.bars) - 1
+	s.bars[i], s.bars[last] = s.bars[last], s.bars[i]
+	s.bars = s.bars[:last]
+}
+
 // memWait returns the service latency of a target.
-func (s *system) memWait(target int) int64 {
+func (s *system) memWait(target int32) int64 {
 	if s.cfg.MemWaitOf != nil {
 		return s.cfg.MemWaitOf[target]
 	}
 	return s.cfg.MemWait
-}
-
-// startRead performs a blocking read transaction: request phase on the
-// initiator→target crossbar, the target's service latency, response
-// phase on the target→initiator crossbar, then the core resumes.
-func (s *system) startRead(c *core, op Op) {
-	issue := s.eng.Now()
-	respLen := op.Burst
-	s.req.Submit(&stbus.Transfer{
-		Sender:   c.id,
-		Receiver: op.Target,
-		Cycles:   s.cfg.ReqCycles,
-		Critical: op.Critical,
-		Done: func(reqDone int64) {
-			s.eng.At(reqDone+s.memWait(op.Target), func() {
-				s.resp.Submit(&stbus.Transfer{
-					Sender:   op.Target,
-					Receiver: c.id,
-					Cycles:   respLen,
-					Critical: op.Critical,
-					Done: func(respDone int64) {
-						s.rec.Add(stats.Sample{
-							Latency:   respDone - issue,
-							Packet:    respDone - respLen + 1 - issue,
-							Initiator: c.id,
-							Target:    op.Target,
-							Critical:  op.Critical,
-						})
-						c.step()
-					},
-				})
-			})
-		},
-	})
-}
-
-// startWrite performs a write transaction (address + data beats, then
-// a one-beat acknowledgement). With blocking set the core resumes when
-// the acknowledgement arrives; otherwise (a posted write) the ack only
-// returns a FIFO credit, unparking the core if it was waiting for one.
-func (s *system) startWrite(c *core, op Op, blocking bool) {
-	issue := s.eng.Now()
-	s.req.Submit(&stbus.Transfer{
-		Sender:   c.id,
-		Receiver: op.Target,
-		Cycles:   s.cfg.ReqCycles + op.Burst,
-		Critical: op.Critical,
-		Done: func(reqDone int64) {
-			s.eng.At(reqDone+s.memWait(op.Target), func() {
-				s.resp.Submit(&stbus.Transfer{
-					Sender:   op.Target,
-					Receiver: c.id,
-					Cycles:   1,
-					Critical: op.Critical,
-					Done: func(respDone int64) {
-						s.rec.Add(stats.Sample{
-							Latency:   respDone - issue,
-							Packet:    respDone - issue,
-							Initiator: c.id,
-							Target:    op.Target,
-							Critical:  op.Critical,
-						})
-						if blocking {
-							c.step()
-							return
-						}
-						c.writeCredits++
-						if c.awaitingCredit {
-							c.awaitingCredit = false
-							c.step()
-						}
-					},
-				})
-			})
-		},
-	})
-}
-
-// tryLock performs one read-modify-write attempt on a semaphore target
-// and either advances past the OpLock or backs off and retries. The
-// acquisition decision happens when the request is serviced at the
-// device, so attempts arbitrated earlier on the semaphore's bus win.
-func (s *system) tryLock(c *core, op Op) {
-	sem := s.sems[op.Target]
-	if sem == nil {
-		panic(fmt.Sprintf("sim: core %d locks target %d which is not a semaphore", c.id, op.Target))
-	}
-	issue := s.eng.Now()
-	s.req.Submit(&stbus.Transfer{
-		Sender:   c.id,
-		Receiver: op.Target,
-		Cycles:   s.cfg.ReqCycles,
-		Critical: op.Critical,
-		Done: func(reqDone int64) {
-			s.eng.At(reqDone+s.memWait(op.Target), func() {
-				acquired := !sem.held
-				if acquired {
-					sem.held = true
-					sem.owner = c.id
-				}
-				s.resp.Submit(&stbus.Transfer{
-					Sender:   op.Target,
-					Receiver: c.id,
-					Cycles:   1,
-					Critical: op.Critical,
-					Done: func(respDone int64) {
-						s.rec.Add(stats.Sample{
-							Latency:   respDone - issue,
-							Packet:    respDone - issue,
-							Initiator: c.id,
-							Target:    op.Target,
-							Critical:  op.Critical,
-						})
-						if acquired {
-							c.pc++
-							c.step()
-							return
-						}
-						// Staggered back-off keeps deterministic
-						// retries from livelocking in lockstep.
-						s.eng.After(s.cfg.LockRetry+int64(c.id), c.step)
-					},
-				})
-			})
-		},
-	})
-}
-
-// doUnlock releases the semaphore with a one-word write.
-func (s *system) doUnlock(c *core, op Op) {
-	sem := s.sems[op.Target]
-	if sem == nil {
-		panic(fmt.Sprintf("sim: core %d unlocks target %d which is not a semaphore", c.id, op.Target))
-	}
-	issue := s.eng.Now()
-	s.req.Submit(&stbus.Transfer{
-		Sender:   c.id,
-		Receiver: op.Target,
-		Cycles:   s.cfg.ReqCycles + 1,
-		Critical: op.Critical,
-		Done: func(reqDone int64) {
-			s.eng.At(reqDone+s.memWait(op.Target), func() {
-				if sem.held && sem.owner == c.id {
-					sem.held = false
-				}
-				s.resp.Submit(&stbus.Transfer{
-					Sender:   op.Target,
-					Receiver: c.id,
-					Cycles:   1,
-					Critical: op.Critical,
-					Done: func(respDone int64) {
-						s.rec.Add(stats.Sample{
-							Latency:   respDone - issue,
-							Packet:    respDone - issue,
-							Initiator: c.id,
-							Target:    op.Target,
-							Critical:  op.Critical,
-						})
-						c.step()
-					},
-				})
-			})
-		},
-	})
-}
-
-// arrive signals the interrupt device (a one-word write) and blocks the
-// core until every initiator has arrived at the same barrier ID.
-func (s *system) arrive(c *core, op Op) {
-	issue := s.eng.Now()
-	s.req.Submit(&stbus.Transfer{
-		Sender:   c.id,
-		Receiver: op.Target,
-		Cycles:   s.cfg.ReqCycles + 1,
-		Critical: op.Critical,
-		Done: func(reqDone int64) {
-			s.eng.At(reqDone+s.memWait(op.Target), func() {
-				s.resp.Submit(&stbus.Transfer{
-					Sender:   op.Target,
-					Receiver: c.id,
-					Cycles:   1,
-					Critical: op.Critical,
-					Done: func(respDone int64) {
-						s.rec.Add(stats.Sample{
-							Latency:   respDone - issue,
-							Packet:    respDone - issue,
-							Initiator: c.id,
-							Target:    op.Target,
-							Critical:  op.Critical,
-						})
-						b := s.bars[op.Barrier]
-						if b == nil {
-							b = &barrier{}
-							s.bars[op.Barrier] = b
-						}
-						b.arrived++
-						b.waiters = append(b.waiters, c.step)
-						if b.arrived == s.cfg.NumInitiators {
-							for _, w := range b.waiters {
-								s.eng.After(1, w)
-							}
-							delete(s.bars, op.Barrier)
-						}
-					},
-				})
-			})
-		},
-	})
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/stbus"
@@ -281,13 +282,17 @@ func TestValidateConfigErrors(t *testing.T) {
 		{"bad target", func(c *Config) { c.Programs = [][]Op{{Read(7, 1)}} }},
 		{"negative compute", func(c *Config) { c.Programs = [][]Op{{Compute(-1)}} }},
 		{"zero reqcycles", func(c *Config) { c.ReqCycles = 0 }},
+		{"semaphore target above range", func(c *Config) { c.SemTargets = []int{1} }},
+		{"semaphore target negative", func(c *Config) { c.SemTargets = []int{-1} }},
+		{"lock of non-semaphore", func(c *Config) { c.Programs = [][]Op{{Lock(0)}} }},
+		{"unlock of non-semaphore", func(c *Config) { c.Programs = [][]Op{{Unlock(0)}} }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := good
 			c.mutate(&cfg)
-			if _, err := Run(cfg); err == nil {
-				t.Error("invalid config accepted")
+			if _, err := Run(cfg); !errors.Is(err, ErrInvalidConfig) {
+				t.Errorf("Run = %v, want an error wrapping ErrInvalidConfig", err)
 			}
 		})
 	}

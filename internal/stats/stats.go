@@ -33,6 +33,10 @@ type Recorder struct {
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
+// RecorderOf returns a recorder holding samples; it takes ownership of
+// the slice.
+func RecorderOf(samples []Sample) *Recorder { return &Recorder{samples: samples} }
+
 // Add records one sample.
 func (r *Recorder) Add(s Sample) { r.samples = append(r.samples, s) }
 

@@ -6,29 +6,24 @@ import (
 	"repro/internal/trace"
 )
 
-// Scheduler is the minimal simulation-clock interface the fabric needs;
-// it is implemented by sim.Engine. Callbacks scheduled for the current
-// cycle run later in the same cycle, in scheduling order.
-type Scheduler interface {
-	Now() int64
-	At(cycle int64, fn func())
-}
-
 // Transfer is one bus transaction: Cycles consecutive data beats from
-// Sender toward Receiver. Done is invoked at the cycle the transfer
-// completes (i.e. the first cycle after its last beat).
+// Sender toward Receiver. Tag is the caller's handle on the transaction
+// the transfer belongs to; the fabric only hands it back.
 type Transfer struct {
 	Sender   int
 	Receiver int
 	Cycles   int64
 	Critical bool
-	Done     func(completeCycle int64)
+	Tag      int32
 }
 
-// Fabric is the runtime state of one interconnect direction.
+// Fabric is the runtime state of one interconnect direction. It is
+// passive: it schedules nothing. Submit and Release report each grant
+// with the cycle the granted transfer completes (the first cycle after
+// its last beat, adapter delay included), and the caller must call
+// Release for that transfer's bus at that cycle.
 type Fabric struct {
 	cfg   *Config
-	sched Scheduler
 	buses []bus
 
 	// Probe, when non-nil, observes every granted transfer; it is how
@@ -38,19 +33,19 @@ type Fabric struct {
 
 type bus struct {
 	busyUntil   int64
-	queue       []*Transfer
+	queue       []Transfer
 	lastGranted int   // sender index of the last grant (round-robin state)
 	busyCycles  int64 // total occupancy, for utilization reporting
 	dataBeats   int64 // data cycles only (occupancy minus adapter delay)
 	grants      int64
 }
 
-// NewFabric creates a fabric over the given configuration and clock.
-func NewFabric(cfg *Config, sched Scheduler) (*Fabric, error) {
+// NewFabric creates a fabric over the given configuration.
+func NewFabric(cfg *Config) (*Fabric, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	f := &Fabric{cfg: cfg, sched: sched, buses: make([]bus, cfg.NumBuses)}
+	f := &Fabric{cfg: cfg, buses: make([]bus, cfg.NumBuses)}
 	for i := range f.buses {
 		f.buses[i].lastGranted = cfg.NumSenders - 1 // so sender 0 is first
 	}
@@ -60,9 +55,11 @@ func NewFabric(cfg *Config, sched Scheduler) (*Fabric, error) {
 // Config returns the fabric's configuration.
 func (f *Fabric) Config() *Config { return f.cfg }
 
-// Submit requests a transfer. It is granted immediately if the
-// receiver's bus is idle, otherwise it queues under the bus arbiter.
-func (f *Fabric) Submit(t *Transfer) {
+// Submit requests a transfer at cycle now. If the receiver's bus is
+// idle with nothing queued the transfer is granted at once and Submit
+// returns true with its completion cycle; otherwise it queues under
+// the bus arbiter until a Release grants it.
+func (f *Fabric) Submit(t Transfer, now int64) (end int64, granted bool) {
 	if t.Cycles <= 0 {
 		panic(fmt.Sprintf("stbus: transfer with non-positive length %d", t.Cycles))
 	}
@@ -72,20 +69,32 @@ func (f *Fabric) Submit(t *Transfer) {
 	if t.Sender < 0 || t.Sender >= f.cfg.NumSenders {
 		panic(fmt.Sprintf("stbus: sender %d out of range", t.Sender))
 	}
-	bi := f.cfg.BusOf[t.Receiver]
-	b := &f.buses[bi]
-	now := f.sched.Now()
+	b := &f.buses[f.cfg.BusOf[t.Receiver]]
 	if b.busyUntil <= now && len(b.queue) == 0 {
-		f.grant(bi, t, now)
-		return
+		return f.grant(b, t, now), true
 	}
 	b.queue = append(b.queue, t)
+	return 0, false
 }
 
-// grant starts a transfer on bus bi at the given cycle. The adapter
-// delay extends the occupancy but not the traced data length.
-func (f *Fabric) grant(bi int, t *Transfer, start int64) {
+// Release is called at the cycle a transfer on bus bi completes. If a
+// transfer is queued there it is granted back to back, per the
+// arbitration policy, and returned with its completion cycle.
+func (f *Fabric) Release(bi int, now int64) (next Transfer, end int64, granted bool) {
 	b := &f.buses[bi]
+	if len(b.queue) == 0 {
+		return Transfer{}, 0, false
+	}
+	idx := f.pick(b)
+	next = b.queue[idx]
+	b.queue = append(b.queue[:idx], b.queue[idx+1:]...)
+	return next, f.grant(b, next, now), true
+}
+
+// grant starts a transfer on bus b at the given cycle and returns its
+// completion cycle. The adapter delay extends the occupancy but not
+// the traced data length.
+func (f *Fabric) grant(b *bus, t Transfer, start int64) int64 {
 	occupancy := t.Cycles + f.cfg.AdapterDelay
 	b.busyUntil = start + occupancy
 	b.busyCycles += occupancy
@@ -101,27 +110,7 @@ func (f *Fabric) grant(bi int, t *Transfer, start int64) {
 			Critical: t.Critical,
 		})
 	}
-	done := t.Done
-	end := b.busyUntil
-	f.sched.At(end, func() {
-		f.release(bi, end)
-		if done != nil {
-			done(end)
-		}
-	})
-}
-
-// release is called when a transfer finishes; it grants the next
-// queued transfer (if any) per the arbitration policy, back to back.
-func (f *Fabric) release(bi int, now int64) {
-	b := &f.buses[bi]
-	if len(b.queue) == 0 {
-		return
-	}
-	idx := f.pick(b)
-	t := b.queue[idx]
-	b.queue = append(b.queue[:idx], b.queue[idx+1:]...)
-	f.grant(bi, t, now)
+	return b.busyUntil
 }
 
 // pick selects the next queued transfer index per the policy.
