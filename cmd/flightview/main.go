@@ -86,6 +86,9 @@ func writeReplay(events []obs.Event) error {
 		if e.Who != "" {
 			fmt.Printf("  who=%s", e.Who)
 		}
+		if e.Str != "" {
+			fmt.Printf("  str=%q", e.Str)
+		}
 		if e.Flag {
 			fmt.Printf("  flag")
 		}

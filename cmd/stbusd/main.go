@@ -24,9 +24,10 @@
 // jobs finish within -drain-timeout (stragglers are canceled), then
 // the listener closes. The shared observability flags apply: add
 // -metrics-addr for the daemon-wide telemetry listener (Prometheus at
-// /metrics, the daemon-wide flight recording as SSE at /events) and
-// -flight-out to write that recording on exit. A POST /v1/design body
-// must arrive within two minutes.
+// /metrics, the daemon-wide flight recording as SSE at /events),
+// -flight-out to write that recording on exit and -trace-out to write
+// its Chrome trace view, every job's spans included. A POST
+// /v1/design body must arrive within two minutes.
 package main
 
 import (

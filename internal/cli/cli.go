@@ -101,41 +101,37 @@ func StartProfiling() (stop func() error, err error) {
 // like the profiling flags above.
 var (
 	traceOutPath  = flag.String("trace-out", "", "write a Chrome trace-event JSON of this run to the given file (open in chrome://tracing or Perfetto)")
-	flightOutPath = flag.String("flight-out", "", "write an NDJSON flight recording of the solver's events to the given file (inspect with cmd/flightview)")
+	flightOutPath = flag.String("flight-out", "", "write an NDJSON flight recording of the solver's events and spans to the given file (inspect with cmd/flightview)")
 	metricsAddr   = flag.String("metrics-addr", "", "serve live telemetry over HTTP on this address: Prometheus at /metrics, the flight recording as an SSE stream at /events")
 )
 
 // StartObs honors the -trace-out, -flight-out and -metrics-addr flags.
 // Call it after flag.Parse with the tool's root context; run the
-// workload under the returned context (it carries the span tracer when
-// -trace-out is set and the flight recorder when -flight-out or
-// -metrics-addr is set) and call finish on every exit path — it shuts
-// the telemetry endpoint down and writes the Chrome trace and the
-// flight recording, so a canceled run still yields loadable partial
-// artifacts. Output files are created eagerly so an unwritable path
-// fails the run up front.
+// workload under the returned context (it carries one flight recorder,
+// which also records the spans, when any of the three flags is set) and
+// call finish on every exit path — it shuts the telemetry endpoint down
+// and writes the flight recording and its Chrome trace view, so a
+// canceled run still yields loadable partial artifacts. Output files
+// are created eagerly so an unwritable path fails the run up front.
 func StartObs(ctx context.Context) (_ context.Context, finish func() error, err error) {
 	var (
 		traceFile  *os.File
-		tracer     *obs.Tracer
 		flightFile *os.File
 		rec        *obs.FlightRecorder
 		stopHTTP   func() error
 	)
-	if *traceOutPath != "" {
-		traceFile, err = os.Create(*traceOutPath)
-		if err != nil {
-			return ctx, nil, fmt.Errorf("-trace-out: %w", err)
-		}
-		tracer = obs.NewTracer()
-		ctx = obs.WithTracer(ctx, tracer)
-	}
 	closeFiles := func() {
 		if traceFile != nil {
 			traceFile.Close()
 		}
 		if flightFile != nil {
 			flightFile.Close()
+		}
+	}
+	if *traceOutPath != "" {
+		traceFile, err = os.Create(*traceOutPath)
+		if err != nil {
+			return ctx, nil, fmt.Errorf("-trace-out: %w", err)
 		}
 	}
 	if *flightOutPath != "" {
@@ -145,9 +141,9 @@ func StartObs(ctx context.Context) (_ context.Context, finish func() error, err 
 			return ctx, nil, fmt.Errorf("-flight-out: %w", err)
 		}
 	}
-	// The recorder runs whenever anything can consume it: a -flight-out
-	// file, or SSE streams behind -metrics-addr.
-	if *flightOutPath != "" || *metricsAddr != "" {
+	// The recorder runs whenever anything can consume it: a -trace-out
+	// or -flight-out file, or SSE streams behind -metrics-addr.
+	if *traceOutPath != "" || *flightOutPath != "" || *metricsAddr != "" {
 		rec = obs.NewFlightRecorder(0)
 		ctx = obs.WithFlightRecorder(ctx, rec)
 	}
@@ -184,7 +180,7 @@ func StartObs(ctx context.Context) (_ context.Context, finish func() error, err 
 			}
 		}
 		if traceFile != nil {
-			if err := tracer.WriteChromeTrace(traceFile); err != nil {
+			if err := obs.WriteChromeTrace(traceFile, rec.Events()); err != nil {
 				traceFile.Close()
 				errs = append(errs, fmt.Errorf("-trace-out: %w", err))
 			} else if err := traceFile.Close(); err != nil {

@@ -287,8 +287,6 @@ func DesignCrossbarCtx(ctx context.Context, a *trace.Analysis, opts Options) (*D
 
 	ctx, designSpan := obs.Start(ctx, "core.design")
 	defer designSpan.End()
-	designSpan.SetInt("receivers", int64(nT))
-	designSpan.SetStr("engine", opts.Engine.String())
 	metDesigns.Inc()
 	rec := obs.FlightRecorderFrom(ctx)
 	rec.Emit(obs.Event{Kind: obs.EvDesignStart, Val: int64(nT), Who: opts.Engine.String()})
@@ -298,8 +296,6 @@ func DesignCrossbarCtx(ctx context.Context, a *trace.Analysis, opts Options) (*D
 	// built, so a hit stays microseconds regardless of problem size.
 	if opts.Cache != nil {
 		if d, ok := opts.Cache.Lookup(ctx, a, opts); ok {
-			designSpan.SetBool("cache_hit", true)
-			designSpan.SetInt("buses", int64(d.NumBuses))
 			rec.Emit(obs.Event{Kind: obs.EvDesignDone, K: d.NumBuses,
 				Val: d.MaxBusOverlap, Aux: d.SearchNodes, Flag: d.Capped})
 			return d, nil
@@ -389,17 +385,11 @@ func DesignCrossbarCtx(ctx context.Context, a *trace.Analysis, opts Options) (*D
 	solve := func(ctx context.Context, k int, optimize bool) (*assignResult, error) {
 		ctx, sp := obs.Start(ctx, "core.probe")
 		defer sp.End()
-		sp.SetInt("buses", int64(k))
-		sp.SetBool("optimize", optimize)
 		metProbes.Inc()
 		rec.Emit(obs.Event{Kind: obs.EvProbeOpen, K: k, Flag: optimize})
 		start := time.Now()
 		res, err := rawSolve(ctx, k, optimize)
 		metProbeNS.Observe(time.Since(start).Nanoseconds())
-		if err == nil && res != nil {
-			sp.SetBool("feasible", res.feasible)
-			sp.SetInt("nodes", res.nodes)
-		}
 		rec.Emit(probeCloseEvent(k, optimize, res, err))
 		return res, err
 	}
@@ -408,18 +398,12 @@ func DesignCrossbarCtx(ctx context.Context, a *trace.Analysis, opts Options) (*D
 	solveWarm := func(ctx context.Context, k int, seedBus []int, seedObj int64) (*assignResult, error) {
 		ctx, sp := obs.Start(ctx, "core.probe")
 		defer sp.End()
-		sp.SetInt("buses", int64(k))
-		sp.SetBool("optimize", true)
 		sp.SetBool("seeded", true)
 		metProbes.Inc()
 		rec.Emit(obs.Event{Kind: obs.EvProbeOpen, K: k, Flag: true})
 		start := time.Now()
 		res, err := prob.solveSeeded(ctx, k, true, seedBus, seedObj, nil)
 		metProbeNS.Observe(time.Since(start).Nanoseconds())
-		if err == nil && res != nil {
-			sp.SetBool("feasible", res.feasible)
-			sp.SetInt("nodes", res.nodes)
-		}
 		rec.Emit(probeCloseEvent(k, true, res, err))
 		return res, err
 	}
@@ -523,8 +507,6 @@ func DesignCrossbarCtx(ctx context.Context, a *trace.Analysis, opts Options) (*D
 		return nil, fmt.Errorf("core: internal: no binding at proven-feasible count %d", best)
 	}
 
-	designSpan.SetInt("buses", int64(best))
-	designSpan.SetInt("nodes", nodes)
 	design := &Design{
 		NumBuses:      best,
 		BusOf:         result.busOf,

@@ -39,12 +39,6 @@ var (
 	metSeeded     = obs.NewCounter("milp.seeded")
 )
 
-// nodeSpanMask samples per-node tracing: with a Tracer attached, one
-// node in (nodeSpanMask+1) records a span, so a 10k-node solve emits
-// ~160 node spans instead of 10k (which would dominate the trace and
-// its own cost).
-const nodeSpanMask = 63
-
 // Problem is an LP plus binary integrality requirements.
 type Problem struct {
 	LP lp.Problem
@@ -174,7 +168,6 @@ func solveIncremental(ctx context.Context, p *Problem, opts Options, maxNodes in
 	ctx, solveSpan := obs.Start(ctx, "milp.solve")
 	solveSpan.SetInt("vars", int64(n))
 	solveSpan.SetBool("first_feasible", opts.FirstFeasible)
-	tracer := obs.TracerFrom(ctx)
 	rec := obs.FlightRecorderFrom(ctx)
 	ns.Rec = rec
 
@@ -278,19 +271,7 @@ func solveIncremental(ctx context.Context, p *Problem, opts Options, maxNodes in
 			return nil, fmt.Errorf("%w after %d nodes: %w", ErrCanceled, nodes, err)
 		}
 
-		var nodeSpan *obs.Span
-		if tracer != nil && nodes&nodeSpanMask == 1 {
-			nodeSpan = obs.StartDetached(tracer, solveSpan, "milp.node")
-			nodeSpan.SetInt("node", int64(nodes))
-			nodeSpan.SetInt("depth", int64(depth))
-		}
 		sol, err := ns.Solve(cur.fixes.appendTo(fixBuf[:0]))
-		if nodeSpan != nil {
-			if err == nil {
-				nodeSpan.SetStr("status", sol.Status.String())
-			}
-			nodeSpan.End()
-		}
 		if err != nil {
 			if errors.Is(err, lp.ErrInterrupted) {
 				return nil, fmt.Errorf("%w mid-node after %d nodes: %w", ErrCanceled, nodes, context.Cause(ctx))

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"strings"
 	"testing"
 	"time"
 )
@@ -14,8 +13,8 @@ import (
 // encoding/json sorts map keys, so any diff here is a real format
 // change — chrome://tracing and Perfetto both parse this shape.
 func TestChromeTraceGolden(t *testing.T) {
-	tr, advance := fakeTracer()
-	ctx := WithTracer(context.Background(), tr)
+	r, advance := fakeFlightRecorder(64)
+	ctx := WithFlightRecorder(context.Background(), r)
 
 	ctx, root := Start(ctx, "designer.design")
 	root.SetStr("app", "mat2")
@@ -28,7 +27,7 @@ func TestChromeTraceGolden(t *testing.T) {
 	root.End()
 
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	if err := WriteChromeTrace(&buf, r.Events()); err != nil {
 		t.Fatal(err)
 	}
 	golden := `{"traceEvents":[` +
@@ -41,40 +40,54 @@ func TestChromeTraceGolden(t *testing.T) {
 	}
 }
 
+// chromeTraceEvent is the subset of an exported trace event the tests
+// inspect.
+type chromeTraceEvent struct {
+	Name string         `json:"name"`
+	Ph   string         `json:"ph"`
+	Ts   float64        `json:"ts"`
+	Dur  float64        `json:"dur"`
+	Tid  int            `json:"tid"`
+	Args map[string]any `json:"args"`
+}
+
+// exportChrome renders events and parses the result back.
+func exportChrome(t *testing.T, events []Event) []chromeTraceEvent {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, events); err != nil {
+		t.Fatal(err)
+	}
+	var parsed struct {
+		TraceEvents []chromeTraceEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
+		t.Fatalf("exported trace does not parse: %v\n%s", err, buf.String())
+	}
+	return parsed.TraceEvents
+}
+
 // TestChromeTraceLanes checks the lane (tid) assignment invariants on
 // a parallel shape: two overlapping siblings must land on different
 // lanes, and a child must share its parent's lane so the viewer nests
 // them.
 func TestChromeTraceLanes(t *testing.T) {
-	tr, advance := fakeTracer()
+	r, advance := fakeFlightRecorder(64)
+	ctx := WithFlightRecorder(context.Background(), r)
 
-	root := StartDetached(tr, nil, "root")
-	a := StartDetached(tr, root, "worker.a")
-	b := StartDetached(tr, root, "worker.b") // overlaps a
+	rootCtx, root := Start(ctx, "root")
+	aCtx, a := Start(rootCtx, "worker.a")
+	_, b := Start(rootCtx, "worker.b") // overlaps a
 	advance(1 * time.Millisecond)
-	aChild := StartDetached(tr, a, "worker.a.inner")
+	_, aChild := Start(aCtx, "worker.a.inner")
 	advance(1 * time.Millisecond)
 	aChild.End()
 	a.End()
 	b.End()
 	root.End()
 
-	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var parsed struct {
-		TraceEvents []struct {
-			Name string `json:"name"`
-			Ph   string `json:"ph"`
-			Tid  int    `json:"tid"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &parsed); err != nil {
-		t.Fatal(err)
-	}
 	lane := map[string]int{}
-	for _, e := range parsed.TraceEvents {
+	for _, e := range exportChrome(t, r.Events()) {
 		if e.Ph == "X" {
 			lane[e.Name] = e.Tid
 		}
@@ -90,24 +103,67 @@ func TestChromeTraceLanes(t *testing.T) {
 	}
 }
 
-// TestChromeTraceUnendedSpansOmitted: only finished spans are
-// exported; an unended span must not corrupt the JSON.
+// TestChromeTraceUnendedSpansOmitted: only spans whose begin and end
+// the recording holds are exported — one still open and one whose begin
+// the ring overwrote are left out without corrupting the JSON.
 func TestChromeTraceUnendedSpansOmitted(t *testing.T) {
-	tr, advance := fakeTracer()
-	open := StartDetached(tr, nil, "never.ends")
-	done := StartDetached(tr, open, "done")
+	r, advance := fakeFlightRecorder(5)
+	ctx := WithFlightRecorder(context.Background(), r)
+	_, lost := Start(ctx, "begin.overwritten") // seq 0, overwritten below
+	openCtx, _ := Start(ctx, "never.ends")     // seq 1
+	_, done := Start(openCtx, "done")          // seq 2
 	advance(time.Millisecond)
-	done.End()
+	done.End()                                        // seq 3
+	lost.End()                                        // seq 4
+	r.Emit(Event{Kind: EvNodes, Val: 256, Who: "bb"}) // seq 5: the ring drops seq 0
 
-	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
+	names := map[string]bool{}
+	for _, e := range exportChrome(t, r.Events()) {
+		if e.Ph == "X" {
+			names[e.Name] = true
+		}
 	}
-	out := buf.String()
-	if strings.Contains(out, "never.ends") {
-		t.Error("unended span leaked into the export")
+	if names["never.ends"] || names["begin.overwritten"] {
+		t.Errorf("incomplete span leaked into the export: %v", names)
 	}
-	if !strings.Contains(out, `"done"`) {
+	if !names["done"] {
 		t.Error("finished span missing from the export")
+	}
+}
+
+// TestChromeTraceInstants: every event that is not a span becomes a
+// zero-duration event carrying its non-zero payload, on a named lane
+// below the span lanes, so the solver facts show in the timeline beside
+// the spans.
+func TestChromeTraceInstants(t *testing.T) {
+	r, advance := fakeFlightRecorder(16)
+	ctx := WithFlightRecorder(context.Background(), r)
+	_, sp := Start(ctx, "core.probe")
+	advance(time.Millisecond)
+	r.Emit(Event{Kind: EvProbeOpen, K: 3, Flag: true})
+	r.Emit(Event{Kind: EvDesignDone, K: 3, Val: 269, Aux: 41})
+	sp.End()
+
+	var instants []chromeTraceEvent
+	lane := map[string]int{}
+	for _, e := range exportChrome(t, r.Events()) {
+		lane[e.Name] = e.Tid
+		if e.Ph == "X" && e.Dur == 0 {
+			instants = append(instants, e)
+		}
+	}
+	if len(instants) != 2 {
+		t.Fatalf("got %d instant events, want 2: %+v", len(instants), instants)
+	}
+	open, done := instants[0], instants[1]
+	if open.Name != "probe_open" || open.Ts != 1000 || open.Args["k"] != 3.0 || open.Args["flag"] != true {
+		t.Errorf("probe_open instant = %+v", open)
+	}
+	if done.Name != "design_done" || done.Args["val"] != 269.0 || done.Args["aux"] != 41.0 || len(done.Args) != 3 {
+		t.Errorf("design_done instant = %+v", done)
+	}
+	if lane["core.probe"] != 0 || open.Tid != 1 || done.Tid != 1 || lane["thread_name"] != 1 {
+		t.Errorf("lanes = %v, instants on %d and %d; want spans on 0, instants and their name on 1",
+			lane, open.Tid, done.Tid)
 	}
 }

@@ -11,19 +11,20 @@ import (
 	"time"
 )
 
-// The flight recorder is the third obs instrument, next to spans and
-// metrics: a bounded ring journal of typed solver events (incumbents
-// found, node-expansion batches, LP pivot batches, portfolio race
-// outcomes, cache traffic, probe open/close) cheap enough to stay on
-// for production solves. Spans answer "where did the time go", metrics
-// answer "how fast is it going right now"; the recorder answers "what
-// did the search actually do, in what order" — and can replay it after
-// the fact (cmd/flightview) or stream it live (StreamEvents, see
+// The flight recorder is the event instrument of obs: a bounded ring
+// journal of typed events (incumbents found, node-expansion batches, LP
+// pivot batches, portfolio race outcomes, cache traffic, probe
+// open/close, and the begin, attributes and end of every span) cheap
+// enough to stay on for production solves. Spans answer "where did the
+// time go", the solver events "what did the search actually do, in what
+// order", and metrics "how fast is it going right now". A recording can
+// be replayed after the fact (cmd/flightview), rendered as a Chrome
+// trace (WriteChromeTrace) or streamed live (StreamEvents, see
 // telemetry.go).
 //
-// Like the other instruments it is carried by the context and nil-safe:
-// with no recorder attached, FlightRecorderFrom returns nil and every
-// method on the nil *FlightRecorder returns immediately without
+// Like the metrics it is nil-safe: with no recorder attached to the
+// context, FlightRecorderFrom returns nil, Start returns a nil span, and
+// every method on the nil *FlightRecorder returns immediately without
 // allocating, so instrumentation stays on unconditionally in the hot
 // loops (pinned by TestFlightDisabledPathAllocationFree).
 
@@ -77,6 +78,14 @@ const (
 	// EvPanic is a panic recovered from a job: the job fails as an
 	// internal error, with its stack in the log. Who = "server".
 	EvPanic
+	// EvSpanBegin opens a span (see Start): Val = span ID, Aux = parent
+	// span ID (0 for a root), Who = span name.
+	EvSpanBegin
+	// EvSpanEnd closes a span: Val = span ID, Flag = failed (SetError).
+	EvSpanEnd
+	// EvSpanAttr annotates a span: Val = span ID, Who = key, K = value
+	// type (0 integer in Aux, 1 boolean in Aux as 0/1, 2 string in Str).
+	EvSpanAttr
 
 	numEventKinds // sentinel; keep last
 )
@@ -96,6 +105,9 @@ var eventKindNames = [numEventKinds]string{
 	EvCacheWarm:   "cache_warm",
 	EvCacheStore:  "cache_store",
 	EvPanic:       "panic",
+	EvSpanBegin:   "span_begin",
+	EvSpanEnd:     "span_end",
+	EvSpanAttr:    "span_attr",
 }
 
 func (k EventKind) String() string {
@@ -115,9 +127,10 @@ func ParseEventKind(s string) (EventKind, bool) {
 	return 0, false
 }
 
-// Event is one flight-recorder entry. It is a flat value type — no
-// pointers beyond the static Who string — so emitting one allocates
-// nothing and recording is a struct copy into the ring.
+// Event is one flight-recorder entry. It is a flat value type — its
+// only pointers are the Who and Str strings, which Emit copies as they
+// are — so emitting one allocates nothing and recording is a struct
+// copy into the ring.
 //
 // The payload fields carry logical keys, not wall-clock artifacts: K is
 // the bus count the event concerns, Val/Aux the kind-specific values
@@ -130,17 +143,21 @@ type Event struct {
 	Seq int64
 	// T is nanoseconds since the recorder's epoch.
 	T int64
-	// Kind discriminates the payload.
-	Kind EventKind
-	// K is the bus count the event concerns (0 when not applicable).
+	// K is the bus count the event concerns (0 when not applicable),
+	// or an EvSpanAttr's value type.
 	K int
 	// Val and Aux are kind-specific payloads (see EventKind docs).
 	Val int64
 	Aux int64
-	// Who names the emitting engine/tier/contestant; always a static
-	// string so emission never allocates.
+	// Who names the emitting engine/tier/contestant, or the span or
+	// attribute; always a static string so emission never allocates.
 	Who string
-	// Flag is the kind-specific boolean (optimize probes, capped runs).
+	// Str is the value of a string span attribute (EvSpanAttr only).
+	Str string
+	// Kind discriminates the payload.
+	Kind EventKind
+	// Flag is the kind-specific boolean (optimize probes, capped runs,
+	// failed spans).
 	Flag bool
 }
 
@@ -193,6 +210,26 @@ func (r *FlightRecorder) Emit(e Event) {
 		return
 	}
 	e.T = r.now().Sub(r.epoch).Nanoseconds()
+	r.record(e)
+}
+
+// Forward appends the events src still retains to r, oldest first. Each
+// keeps its time: T is shifted from src's epoch onto r's, so intervals
+// measured in src (probe and span durations) read the same in r. Seq is
+// restamped from r's sequence.
+func (r *FlightRecorder) Forward(src *FlightRecorder) {
+	if r == nil || src == nil {
+		return
+	}
+	shift := src.epoch.Sub(r.epoch).Nanoseconds()
+	for _, e := range src.Events() {
+		e.T += shift
+		r.record(e)
+	}
+}
+
+// record stamps e's Seq, stores it in the ring and wakes the streams.
+func (r *FlightRecorder) record(e Event) {
 	r.mu.Lock()
 	e.Seq = r.n
 	r.buf[r.n%int64(len(r.buf))] = e
@@ -325,16 +362,21 @@ type eventJSON struct {
 	Val  int64  `json:"val,omitempty"`
 	Aux  int64  `json:"aux,omitempty"`
 	Who  string `json:"who,omitempty"`
+	Str  string `json:"str,omitempty"`
 	Flag bool   `json:"flag,omitempty"`
+}
+
+// wire converts e to its NDJSON wire form.
+func (e Event) wire() eventJSON {
+	return eventJSON{Seq: e.Seq, T: e.T, Kind: e.Kind.String(),
+		K: e.K, Val: e.Val, Aux: e.Aux, Who: e.Who, Str: e.Str, Flag: e.Flag}
 }
 
 // wireJSON renders e in the recording wire form — the same JSON object
 // the NDJSON export carries — as the data of StreamEvents' "flight"
 // frames.
 func (e Event) wireJSON() []byte {
-	je := eventJSON{Seq: e.Seq, T: e.T, Kind: e.Kind.String(),
-		K: e.K, Val: e.Val, Aux: e.Aux, Who: e.Who, Flag: e.Flag}
-	data, err := json.Marshal(je)
+	data, err := json.Marshal(e.wire())
 	if err != nil {
 		return nil // unreachable: eventJSON marshals cleanly by construction
 	}
@@ -361,9 +403,7 @@ func WriteEventsNDJSON(w io.Writer, meta FlightMeta, events []Event) error {
 		return fmt.Errorf("obs: flight header: %w", err)
 	}
 	for _, e := range events {
-		je := eventJSON{Seq: e.Seq, T: e.T, Kind: e.Kind.String(),
-			K: e.K, Val: e.Val, Aux: e.Aux, Who: e.Who, Flag: e.Flag}
-		if err := enc.Encode(je); err != nil {
+		if err := enc.Encode(e.wire()); err != nil {
 			return fmt.Errorf("obs: flight event %d: %w", e.Seq, err)
 		}
 	}
@@ -402,7 +442,7 @@ func ReadNDJSON(rd io.Reader) ([]Event, FlightMeta, error) {
 			return events, meta, fmt.Errorf("obs: unknown event kind %q", je.Kind)
 		}
 		events = append(events, Event{Seq: je.Seq, T: je.T, Kind: kind,
-			K: je.K, Val: je.Val, Aux: je.Aux, Who: je.Who, Flag: je.Flag})
+			K: je.K, Val: je.Val, Aux: je.Aux, Who: je.Who, Str: je.Str, Flag: je.Flag})
 	}
 	if err := sc.Err(); err != nil {
 		return events, meta, err
@@ -435,6 +475,9 @@ func ReadNDJSON(rd io.Reader) ([]Event, FlightMeta, error) {
 //     count;
 //   - cache traffic (hit/warm/store), which depends only on content;
 //   - recovered job panics.
+//
+// Spans (begin, attribute and end events) are dropped: they time the
+// run rather than state what it proved.
 func Canonical(events []Event) []Event {
 	var out []Event
 	maxInfeas, haveInfeas := 0, false

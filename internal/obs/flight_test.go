@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"context"
+	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -73,6 +75,7 @@ func TestFlightNDJSONRoundTrip(t *testing.T) {
 	r.Emit(Event{Kind: EvIncumbent, K: 4, Val: 99, Aux: 2, Who: "bb"})
 	r.Emit(Event{Kind: EvProbeClose, K: 4, Flag: true, Who: "feasible", Val: 42, Aux: 1234})
 	r.Emit(Event{Kind: EvDesignDone, K: 4, Val: 42, Aux: 1234})
+	r.Emit(Event{Kind: EvSpanAttr, Val: 7, K: attrStr, Who: "app", Str: "mat2"})
 
 	var buf bytes.Buffer
 	if err := r.WriteNDJSON(&buf); err != nil {
@@ -82,8 +85,8 @@ func TestFlightNDJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Flight != 1 || meta.Emitted != 5 || meta.Dropped != 0 {
-		t.Errorf("meta = %+v, want flight 1, 5 emitted, 0 dropped", meta)
+	if meta.Flight != 1 || meta.Emitted != 6 || meta.Dropped != 0 {
+		t.Errorf("meta = %+v, want flight 1, 6 emitted, 0 dropped", meta)
 	}
 	want := r.Events()
 	if len(events) != len(want) {
@@ -178,6 +181,37 @@ func TestCanonicalReduction(t *testing.T) {
 	if d := DiffEvents(Canonical(w1), Canonical(w8)); d == "" {
 		t.Error("objective divergence not detected by canonical diff")
 	}
+}
+
+// TestCanonicalDropsSpans: spans time a run rather than state what it
+// proved, so the canonical reduction of a real recording equals that of
+// the same recording with every span event stripped.
+func TestCanonicalDropsSpans(t *testing.T) {
+	events := readRecording(t, "testdata/xbargen-mat2.flight")
+	stripped := slices.DeleteFunc(slices.Clone(events), func(e Event) bool {
+		return e.Kind == EvSpanBegin || e.Kind == EvSpanEnd || e.Kind == EvSpanAttr
+	})
+	if len(stripped) == len(events) {
+		t.Fatal("recording holds no span events")
+	}
+	if d := DiffEvents(Canonical(events), Canonical(stripped)); d != "" {
+		t.Errorf("spans leak into the canonical form: %s", d)
+	}
+}
+
+// readRecording parses an NDJSON recording from a file.
+func readRecording(t *testing.T, path string) []Event {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, _, err := ReadNDJSON(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return events
 }
 
 // TestCanonicalKeepsPanic pins that a recovered job panic survives the

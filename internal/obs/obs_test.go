@@ -3,124 +3,136 @@ package obs
 import (
 	"context"
 	"io"
+	"maps"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 )
 
-// fakeTracer returns a tracer driven by a manual clock starting at
-// epoch; advance moves the clock forward.
-func fakeTracer() (tr *Tracer, advance func(d time.Duration)) {
-	now := time.Unix(1000, 0)
-	tr = &Tracer{now: func() time.Time { return now }}
-	tr.epoch = now
-	return tr, func(d time.Duration) { now = now.Add(d) }
-}
-
 func TestSpanNestingAndAttributes(t *testing.T) {
-	tr, advance := fakeTracer()
-	ctx := WithTracer(context.Background(), tr)
+	r, advance := fakeFlightRecorder(64)
+	ctx := WithFlightRecorder(context.Background(), r)
 
 	ctx1, root := Start(ctx, "root")
 	root.SetStr("app", "mat2")
 	advance(10 * time.Millisecond)
 
-	ctx2, child := Start(ctx1, "child")
+	_, child := Start(ctx1, "child")
 	child.SetInt("buses", 3)
 	child.SetBool("feasible", true)
-	child.SetFloat("threshold", 0.3)
 	advance(5 * time.Millisecond)
 	child.End()
-
-	if got := SpanFrom(ctx2); got != child {
-		t.Errorf("SpanFrom(child ctx) = %v, want the child span", got)
-	}
-	if got := SpanFrom(ctx1); got != root {
-		t.Errorf("SpanFrom(root ctx) = %v, want the root span", got)
-	}
 
 	advance(5 * time.Millisecond)
 	root.End()
 
-	spans := tr.Spans()
+	// The ring holds the spans as events, in emission order.
+	var kinds []EventKind
+	for _, e := range r.Events() {
+		kinds = append(kinds, e.Kind)
+	}
+	wantKinds := []EventKind{EvSpanBegin, EvSpanAttr, EvSpanBegin, EvSpanAttr, EvSpanAttr, EvSpanEnd, EvSpanEnd}
+	if !slices.Equal(kinds, wantKinds) {
+		t.Fatalf("event kinds = %v, want %v", kinds, wantKinds)
+	}
+
+	spans, _ := chromeSpans(r.Events())
 	if len(spans) != 2 {
 		t.Fatalf("got %d spans, want 2", len(spans))
 	}
-	// Completion order: child first.
-	c, r := spans[0], spans[1]
-	if c.Name != "child" || r.Name != "root" {
-		t.Fatalf("span order = %q, %q; want child, root", c.Name, r.Name)
+	// Start order: root first.
+	rt, c := spans[0], spans[1]
+	if rt.name != "root" || c.name != "child" {
+		t.Fatalf("span order = %q, %q; want root, child", rt.name, c.name)
 	}
-	if c.Parent != r.ID {
-		t.Errorf("child.Parent = %d, want root ID %d", c.Parent, r.ID)
+	if c.parent != rt.id {
+		t.Errorf("child parent = %d, want root ID %d", c.parent, rt.id)
 	}
-	if r.Parent != 0 {
-		t.Errorf("root.Parent = %d, want 0", r.Parent)
+	if rt.parent != 0 {
+		t.Errorf("root parent = %d, want 0", rt.parent)
 	}
-	if c.Start != 10*time.Millisecond || c.Dur != 5*time.Millisecond {
-		t.Errorf("child interval = (%v, %v), want (10ms, 5ms)", c.Start, c.Dur)
+	if ms := int64(time.Millisecond); c.start != 10*ms || c.end != 15*ms {
+		t.Errorf("child interval = [%d, %d), want [10ms, 15ms)", c.start, c.end)
 	}
-	if r.Start != 0 || r.Dur != 20*time.Millisecond {
-		t.Errorf("root interval = (%v, %v), want (0, 20ms)", r.Start, r.Dur)
+	if rt.start != 0 || rt.end != int64(20*time.Millisecond) {
+		t.Errorf("root interval = [%d, %d), want [0, 20ms)", rt.start, rt.end)
 	}
-	want := map[string]any{"buses": int64(3), "feasible": true, "threshold": 0.3}
-	got := map[string]any{}
-	for _, a := range c.Attrs {
-		got[a.Key] = a.Value()
+	want := map[string]any{"buses": int64(3), "feasible": true}
+	if !maps.Equal(c.args, want) {
+		t.Errorf("child args = %v, want %v", c.args, want)
 	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Errorf("child attr %s = %v, want %v", k, got[k], v)
-		}
+	if want := map[string]any{"app": "mat2"}; !maps.Equal(rt.args, want) {
+		t.Errorf("root args = %v, want %v", rt.args, want)
 	}
 }
 
-func TestStartWithoutTracer(t *testing.T) {
+func TestStartWithoutRecorder(t *testing.T) {
 	ctx := context.Background()
 	ctx2, s := Start(ctx, "ignored")
 	if ctx2 != ctx {
-		t.Error("Start without tracer should return the input context")
+		t.Error("Start without recorder should return the input context")
 	}
 	if s != nil {
-		t.Fatal("Start without tracer should return a nil span")
+		t.Fatal("Start without recorder should return a nil span")
 	}
 	// Nil-span methods must be safe no-ops.
 	s.SetInt("k", 1)
 	s.SetStr("k", "v")
 	s.SetBool("k", true)
-	s.SetFloat("k", 1.5)
+	s.SetError(io.EOF)
 	s.End()
-	if got := TracerFrom(ctx); got != nil {
-		t.Errorf("TracerFrom(background) = %v, want nil", got)
-	}
-}
-
-func TestStartDetached(t *testing.T) {
-	if s := StartDetached(nil, nil, "x"); s != nil {
-		t.Fatal("StartDetached(nil tracer) should return nil")
-	}
-	tr, advance := fakeTracer()
-	parent := StartDetached(tr, nil, "parent")
-	child := StartDetached(tr, parent, "child")
-	advance(time.Millisecond)
-	child.End()
-	parent.End()
-	spans := tr.Spans()
-	if len(spans) != 2 {
-		t.Fatalf("got %d spans, want 2", len(spans))
-	}
-	if spans[0].Parent != spans[1].ID {
-		t.Errorf("detached child parent = %d, want %d", spans[0].Parent, spans[1].ID)
-	}
 }
 
 func TestSpanEndIdempotent(t *testing.T) {
-	tr, _ := fakeTracer()
-	_, s := Start(WithTracer(context.Background(), tr), "once")
+	r := NewFlightRecorder(16)
+	_, s := Start(WithFlightRecorder(context.Background(), r), "once")
 	s.End()
 	s.End()
-	if got := len(tr.Spans()); got != 1 {
-		t.Errorf("double End recorded %d spans, want 1", got)
+	ends := 0
+	for _, e := range r.Events() {
+		if e.Kind == EvSpanEnd {
+			ends++
+		}
+	}
+	if ends != 1 {
+		t.Errorf("double End recorded %d span ends, want 1", ends)
+	}
+}
+
+// TestSpanIDsUniqueAcrossRecorders: span IDs come from one process-wide
+// counter, so rings forwarded into one (a daemon's jobs into its global
+// recorder) never merge two spans.
+func TestSpanIDsUniqueAcrossRecorders(t *testing.T) {
+	a, b := NewFlightRecorder(64), NewFlightRecorder(64)
+	ctxA := WithFlightRecorder(context.Background(), a)
+	ctxB := WithFlightRecorder(context.Background(), b)
+	var wg sync.WaitGroup
+	for _, ctx := range []context.Context{ctxA, ctxB} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				_, s := Start(ctx, "span")
+				s.End()
+			}
+		}()
+	}
+	wg.Wait()
+	seen := map[int64]bool{}
+	for _, r := range []*FlightRecorder{a, b} {
+		for _, e := range r.Events() {
+			if e.Kind != EvSpanBegin {
+				continue
+			}
+			if seen[e.Val] {
+				t.Fatalf("span ID %d recorded twice", e.Val)
+			}
+			seen[e.Val] = true
+		}
+	}
+	if len(seen) != 20 {
+		t.Errorf("recorded %d spans, want 20", len(seen))
 	}
 }
 
@@ -195,7 +207,7 @@ func TestHistogramSnapshotBuckets(t *testing.T) {
 }
 
 // TestDisabledPathAllocationFree is the overhead guarantee: with no
-// tracer in the context, the full span API and the metric updates must
+// recorder in the context, the full span API and the metric updates must
 // not allocate at all.
 func TestDisabledPathAllocationFree(t *testing.T) {
 	ctx := context.Background()
@@ -204,6 +216,7 @@ func TestDisabledPathAllocationFree(t *testing.T) {
 		s.SetInt("k", 1)
 		s.SetStr("k", "v")
 		s.SetBool("k", true)
+		s.SetError(io.EOF)
 		s.End()
 		_ = ctx2
 	}); n != 0 {
@@ -215,11 +228,6 @@ func TestDisabledPathAllocationFree(t *testing.T) {
 		testHist.Observe(7)
 	}); n != 0 {
 		t.Errorf("metric updates allocate %.1f per op, want 0", n)
-	}
-	if n := testing.AllocsPerRun(1000, func() {
-		_ = StartDetached(nil, nil, "disabled")
-	}); n != 0 {
-		t.Errorf("disabled StartDetached allocates %.1f per op, want 0", n)
 	}
 }
 
@@ -241,10 +249,11 @@ func BenchmarkCounterAdd(b *testing.B) {
 }
 
 // TestSpanSetError pins the error-annotation contract: nil errors and
-// nil spans are no-ops, real errors attach the error flag and text.
+// nil spans are no-ops, real errors mark the span failed and attach the
+// error text.
 func TestSpanSetError(t *testing.T) {
-	tr, _ := fakeTracer()
-	ctx := WithTracer(context.Background(), tr)
+	r, _ := fakeFlightRecorder(16) // a still clock: spans order by ID
+	ctx := WithFlightRecorder(context.Background(), r)
 
 	_, ok := Start(ctx, "ok")
 	ok.SetError(nil)
@@ -255,21 +264,14 @@ func TestSpanSetError(t *testing.T) {
 	var nilSpan *Span
 	nilSpan.SetError(io.ErrUnexpectedEOF) // must not panic
 
-	spans := tr.Spans()
+	spans, _ := chromeSpans(r.Events())
 	if len(spans) != 2 {
 		t.Fatalf("got %d spans, want 2", len(spans))
 	}
-	attrs := func(s SpanRecord) map[string]any {
-		m := map[string]any{}
-		for _, a := range s.Attrs {
-			m[a.Key] = a.Value()
-		}
-		return m
-	}
-	if a := attrs(spans[0]); len(a) != 0 {
+	if a := spans[0].args; len(a) != 0 {
 		t.Errorf("nil error annotated the span: %v", a)
 	}
-	a := attrs(spans[1])
+	a := spans[1].args
 	if a["error"] != true || a["error_msg"] != io.ErrUnexpectedEOF.Error() {
 		t.Errorf("error attributes = %v", a)
 	}

@@ -306,19 +306,13 @@ func (s *Server) execute(j *job) (design *core.Design, result *stbusgen.Result, 
 }
 
 // forwardToGlobal copies the job's flight events into the daemon-wide
-// recorder when one is attached (the shared -flight-out flag), so a
-// single recording journals the whole service while per-job streams
-// stay isolated. Events are re-emitted, acquiring daemon-global
-// sequence numbers.
+// recorder when one is attached (the shared -flight-out, -trace-out and
+// -metrics-addr flags), so a single recording journals the whole
+// service while per-job streams stay isolated. Events acquire
+// daemon-global sequence numbers and keep their times, shifted onto the
+// daemon-wide recorder's clock.
 func (s *Server) forwardToGlobal(j *job) {
-	global := obs.FlightRecorderFrom(s.baseCtx)
-	if global == nil {
-		return
-	}
-	for _, e := range j.rec.Events() {
-		e.Seq, e.T = 0, 0
-		global.Emit(e)
-	}
+	obs.FlightRecorderFrom(s.baseCtx).Forward(j.rec)
 }
 
 // admit registers and enqueues a job, enforcing admission control.

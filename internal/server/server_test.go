@@ -879,3 +879,50 @@ func TestJobEventsOverrunReportsDropped(t *testing.T) {
 		}
 	}
 }
+
+// TestForwardKeepsJobTiming: a job's events forwarded into the
+// daemon-wide recorder keep their job-relative times, shifted onto the
+// daemon-wide clock, so a probe lasts as long in the daemon's recording
+// as in the job's own.
+func TestForwardKeepsJobTiming(t *testing.T) {
+	global := obs.NewFlightRecorder(0)
+	s := New(obs.WithFlightRecorder(context.Background(), global), testConfig())
+	hs := httptest.NewServer(s.Handler())
+	defer func() {
+		hs.Close()
+		s.Close()
+	}()
+	j, code := postDesign(t, hs.URL+"/v1/design", traceBody(t, slowTrace(5)))
+	if code != http.StatusOK {
+		t.Fatalf("POST: status %d", code)
+	}
+	// Drain waits for the job to retire, forwarding included.
+	dctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	s.Drain(dctx)
+
+	firstProbe := func(events []obs.Event) (ns int64) {
+		t.Helper()
+		var open *obs.Event
+		for i, e := range events {
+			switch {
+			case e.Kind == obs.EvProbeOpen && open == nil:
+				open = &events[i]
+			case e.Kind == obs.EvProbeClose && open != nil:
+				return e.T - open.T
+			}
+		}
+		t.Fatal("no probe recorded")
+		return 0
+	}
+	s.jobMu.Lock()
+	jobEvents := s.jobs[j.Job].rec.Events()
+	s.jobMu.Unlock()
+	want := firstProbe(jobEvents)
+	if got := firstProbe(global.Events()); got != want {
+		t.Errorf("forwarded probe lasts %dns, the job's own %dns", got, want)
+	}
+	if got, n := global.Emitted(), int64(len(jobEvents)); got != n {
+		t.Errorf("global recorder holds %d events, the job %d", got, n)
+	}
+}

@@ -315,7 +315,6 @@ func (sw *sweeper) annotate(span *obs.Span) {
 	gagActivePeak.Set(int64(sw.busy.peakActive))
 	span.SetInt("segments", segments)
 	span.SetInt("active_peak", int64(sw.busy.peakActive))
-	span.SetFloat("sparse_fill", sw.a.Overlap.FillRatio())
 }
 
 // sweepCancelStride is how many events the kernels process between

@@ -12,8 +12,41 @@ import (
 	"repro/internal/trace"
 )
 
+// ringSpan is one span read back from a flight recording.
+type ringSpan struct {
+	name       string
+	begin, end int64
+	ended      bool
+	failed     bool
+	strs       map[string]string // string attributes
+}
+
+// ringSpans rebuilds the spans a recording holds from its span events,
+// in begin order.
+func ringSpans(events []obs.Event) []*ringSpan {
+	var spans []*ringSpan
+	byID := map[int64]*ringSpan{}
+	for _, e := range events {
+		switch e.Kind {
+		case obs.EvSpanBegin:
+			s := &ringSpan{name: e.Who, begin: e.T, strs: map[string]string{}}
+			byID[e.Val] = s
+			spans = append(spans, s)
+		case obs.EvSpanAttr:
+			if s := byID[e.Val]; s != nil && e.Str != "" {
+				s.strs[e.Who] = e.Str
+			}
+		case obs.EvSpanEnd:
+			if s := byID[e.Val]; s != nil {
+				s.end, s.ended, s.failed = e.T, true, e.Flag
+			}
+		}
+	}
+	return spans
+}
+
 // TestDesignerTraceCoverage runs the full Designer pipeline under a
-// tracer and checks the acceptance bar of the telemetry layer: the
+// flight recorder and checks the acceptance bar of the telemetry layer: the
 // phase spans (simulation, analysis, design, validation) must cover
 // nearly all of the root span's wall time, so a trace actually
 // explains where a run went.
@@ -21,20 +54,26 @@ func TestDesignerTraceCoverage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline in -short mode")
 	}
-	tr := obs.NewTracer()
-	ctx := obs.WithTracer(context.Background(), tr)
+	rec := obs.NewFlightRecorder(0)
+	ctx := obs.WithFlightRecorder(context.Background(), rec)
 	d := stbusgen.NewDesigner(stbusgen.DefaultOptions())
 	if _, err := d.Design(ctx, stbusgen.Mat2(1)); err != nil {
 		t.Fatal(err)
 	}
+	if n := rec.Dropped(); n != 0 {
+		t.Fatalf("ring overwrote %d events", n)
+	}
 
 	var rootDur, phaseDur int64
-	for _, s := range tr.Spans() {
-		switch s.Name {
+	for _, s := range ringSpans(rec.Events()) {
+		if !s.ended {
+			t.Errorf("span %s never ended", s.name)
+		}
+		switch s.name {
 		case "designer.design":
-			rootDur = s.Dur.Nanoseconds()
+			rootDur = s.end - s.begin
 		case "pipeline.prepare", "pipeline.design", "pipeline.validate":
-			phaseDur += s.Dur.Nanoseconds()
+			phaseDur += s.end - s.begin
 		}
 	}
 	if rootDur == 0 {
@@ -49,7 +88,7 @@ func TestDesignerTraceCoverage(t *testing.T) {
 
 	// The export of a real concurrent run must be loadable JSON.
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	if err := obs.WriteChromeTrace(&buf, rec.Events()); err != nil {
 		t.Fatal(err)
 	}
 	var parsed map[string]any
@@ -60,7 +99,8 @@ func TestDesignerTraceCoverage(t *testing.T) {
 
 // TestDesignerTracedMatchesUntraced is the determinism guarantee:
 // telemetry observes, never steers. The same app designed with and
-// without a tracer must produce bit-identical crossbars.
+// without a flight recorder (which also records the spans) must produce
+// bit-identical crossbars.
 func TestDesignerTracedMatchesUntraced(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline in -short mode")
@@ -70,10 +110,14 @@ func TestDesignerTracedMatchesUntraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := obs.WithTracer(context.Background(), obs.NewTracer())
+	rec := obs.NewFlightRecorder(0)
+	ctx := obs.WithFlightRecorder(context.Background(), rec)
 	traced, err := d.Design(ctx, stbusgen.Mat2(1))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(ringSpans(rec.Events())) == 0 {
+		t.Fatal("the traced run recorded no spans")
 	}
 	if traced.Pair.Req.NumBuses != plain.Pair.Req.NumBuses ||
 		traced.Pair.Resp.NumBuses != plain.Pair.Resp.NumBuses {
@@ -93,9 +137,9 @@ func TestDesignerTracedMatchesUntraced(t *testing.T) {
 	}
 }
 
-// TestDesignerSpanRecordsError: a failed design run annotates its root
-// span with the error, so a trace of a failed run explains itself; a
-// successful run stays unannotated.
+// TestDesignerSpanRecordsError: a failed design run marks its root span
+// failed and attaches the error, so a trace of a failed run explains
+// itself; a successful run stays unannotated.
 func TestDesignerSpanRecordsError(t *testing.T) {
 	// Two receivers overlapping across the whole horizon, zero overlap
 	// tolerance, one bus allowed: provably infeasible.
@@ -108,42 +152,37 @@ func TestDesignerSpanRecordsError(t *testing.T) {
 	opts.MaxPerBus = 0
 	opts.MaxBuses = 1
 
-	rec := obs.NewTracer()
-	ctx := obs.WithTracer(context.Background(), rec)
-	if _, err := stbusgen.NewDesigner(opts).DesignTrace(ctx, tr2, 100); err == nil {
-		t.Fatal("infeasible case designed successfully")
-	}
-	spanAttrs := func(rec *obs.Tracer) map[string]any {
-		for _, s := range rec.Spans() {
-			if s.Name == "designer.design_trace" {
-				m := map[string]any{}
-				for _, a := range s.Attrs {
-					m[a.Key] = a.Value()
-				}
-				return m
+	designTrace := func(opts stbusgen.Options) (*ringSpan, error) {
+		rec := obs.NewFlightRecorder(0)
+		ctx := obs.WithFlightRecorder(context.Background(), rec)
+		_, err := stbusgen.NewDesigner(opts).DesignTrace(ctx, tr2, 100)
+		for _, s := range ringSpans(rec.Events()) {
+			if s.name == "designer.design_trace" {
+				return s, err
 			}
 		}
 		t.Fatal("no designer.design_trace span recorded")
-		return nil
+		return nil, err
 	}
-	attrs := spanAttrs(rec)
-	if attrs["error"] != true {
-		t.Errorf("failed run not marked on its span: %v", attrs)
+	s, err := designTrace(opts)
+	if err == nil {
+		t.Fatal("infeasible case designed successfully")
 	}
-	msg, _ := attrs["error_msg"].(string)
-	if !strings.Contains(msg, "feasible") {
+	if !s.ended || !s.failed {
+		t.Errorf("failed run not marked on its span: %+v", s)
+	}
+	if msg := s.strs["error_msg"]; !strings.Contains(msg, "feasible") {
 		t.Errorf("error_msg = %q, want the infeasibility error", msg)
 	}
 
 	// Success leaves no error attributes behind.
 	opts.MaxBuses = 0
 	opts.OverlapThreshold = 0.9
-	rec = obs.NewTracer()
-	ctx = obs.WithTracer(context.Background(), rec)
-	if _, err := stbusgen.NewDesigner(opts).DesignTrace(ctx, tr2, 100); err != nil {
+	s, err = designTrace(opts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if attrs := spanAttrs(rec); attrs["error"] != nil {
-		t.Errorf("successful run carries error attributes: %v", attrs)
+	if s.failed || s.strs["error_msg"] != "" {
+		t.Errorf("successful run carries error attributes: %+v", s)
 	}
 }
