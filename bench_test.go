@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/explore"
+	"repro/internal/oracle"
 	"repro/internal/sim"
 	"repro/internal/stbus"
 	"repro/internal/trace"
@@ -127,8 +128,9 @@ func BenchmarkDesignBranchBound(b *testing.B) {
 	}
 }
 
-// BenchmarkDesignMILP times the literal MILP formulation (Eq. 3–9, 11)
-// for comparison with the specialized solver. The instance is a small
+// BenchmarkDesignMILP times the literal MILP formulation (Eq. 3–9, 11),
+// the test-only oracle, for comparison with the specialized solver.
+// The instance is a small
 // 5-receiver trace: the generic simplex/branch-and-bound path is only
 // practical at cross-validation sizes (its per-node dense LP re-solve
 // is orders of magnitude more expensive than the specialized search —
@@ -147,10 +149,9 @@ func BenchmarkDesignMILP(b *testing.B) {
 		b.Fatal(err)
 	}
 	opts := core.DefaultOptions()
-	opts.Engine = core.EngineMILP
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.DesignCrossbar(a, opts); err != nil {
+		if _, err := oracle.Design(context.Background(), a, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,12 +1,13 @@
 // Command flightview inspects a solver flight recording written by the
 // shared -flight-out flag (see internal/cli and internal/obs): the
 // NDJSON journal of typed solver events — probes opened and closed,
-// incumbents found, node-expansion and LP-pivot batches, portfolio race
-// outcomes and cache traffic.
+// incumbents found, node-expansion batches and cache traffic.
 //
 // The default mode prints a summary: per-kind event counts, a probe
 // table (bus count, phase, outcome, duration, nodes), the incumbent
-// staircase, engine node throughput, race outcomes and cache traffic.
+// staircase, search node throughput and cache traffic. Older
+// recordings may also hold the retired LP-pivot and race kinds: they
+// are counted and replayed, and have no section of their own.
 // -replay dumps every retained event in emission order; -canon reduces
 // the recording to its schedule-invariant canonical form (the shape the
 // golden tests diff between runs) and re-emits it as NDJSON.
@@ -209,49 +210,20 @@ func writeSummary(events []obs.Event, meta obs.FlightMeta) error {
 			time.Duration(e.T).Round(time.Microsecond), k, e.Val, e.Who)
 	}
 
-	// Node throughput per engine, plus LP pivots.
-	nodesBy := map[string]int64{}
-	var pivots int64
+	// Node throughput.
+	var nodes int64
 	for _, e := range events {
-		switch e.Kind {
-		case obs.EvNodes:
-			nodesBy[e.Who] += e.Val
-		case obs.EvLPPivots:
-			pivots += e.Val
+		if e.Kind == obs.EvNodes {
+			nodes += e.Val
 		}
 	}
-	if len(nodesBy) > 0 || pivots > 0 {
+	if nodes > 0 {
 		fmt.Println("\nsearch effort (batched; tails below one batch not journaled):")
-		span := time.Duration(events[len(events)-1].T - events[0].T)
-		for _, eng := range []string{"bb", "milp"} {
-			if n := nodesBy[eng]; n > 0 {
-				rate := ""
-				if secs := span.Seconds(); secs > 0 {
-					rate = fmt.Sprintf(" (%.0f/s over the recording)", float64(n)/secs)
-				}
-				fmt.Printf("  %-5s %d nodes%s\n", eng, n, rate)
-			}
+		rate := ""
+		if secs := time.Duration(events[len(events)-1].T - events[0].T).Seconds(); secs > 0 {
+			rate = fmt.Sprintf(" (%.0f/s over the recording)", float64(nodes)/secs)
 		}
-		if pivots > 0 {
-			fmt.Printf("  lp    %d pivots\n", pivots)
-		}
-	}
-
-	// Race outcomes.
-	var haveRace bool
-	for _, e := range events {
-		switch e.Kind {
-		case obs.EvRaceWin, obs.EvRaceCancel:
-			if !haveRace {
-				fmt.Println("\nportfolio races:")
-				haveRace = true
-			}
-			verb := "won"
-			if e.Kind == obs.EvRaceCancel {
-				verb = "canceled"
-			}
-			fmt.Printf("  k=%-4d %s %s\n", e.K, e.Who, verb)
-		}
+		fmt.Printf("  %d nodes%s\n", nodes, rate)
 	}
 	return nil
 }

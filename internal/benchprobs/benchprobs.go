@@ -18,7 +18,7 @@ import (
 
 // Analysis32 returns the window analysis of a synthetic trace with 32
 // receivers — the STbus architectural maximum and the largest
-// feasibility MILP the crossbar methodology ever formulates. The
+// feasibility problem the crossbar methodology ever poses. The
 // traffic is staggered DMA-style bursts with a deterministic layout:
 // heavy enough that several buses are needed, light enough that the
 // instance stays feasible well below 32 buses.

@@ -18,7 +18,8 @@ import (
 // warm delta re-solve (cache primed with a 5%-perturbed sibling of the
 // problem) must be bit-identical to the cold design and pass the
 // independent auditor. The default engine path runs on every case;
-// every seventh case repeats the check on the MILP engine.
+// every seventh case repeats the check on the portfolio, the branch
+// and bound's anytime mode.
 func TestCacheEquivalenceDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cache equivalence sweep skipped in -short mode")
@@ -31,7 +32,7 @@ func TestCacheEquivalenceDifferential(t *testing.T) {
 			c := check.RandomCase(seed, check.DefaultGenParams())
 			engines := []core.Engine{core.EngineBranchBound}
 			if seed%7 == 0 {
-				engines = append(engines, core.EngineMILP)
+				engines = append(engines, core.EnginePortfolio)
 			}
 			for _, eng := range engines {
 				opts := c.Opts

@@ -13,9 +13,10 @@
 //     recomputed maximum per-bus aggregate overlap, and the reported
 //     conflict count the recomputed Eq. 2 count), returning structured
 //     violations rather than a bool; and
-//   - a differential harness (Diff, RandomCase) that runs the
-//     specialized assignment solver, the warm-started MILP and the
-//     racing portfolio on the same seeded random problem and asserts
+//   - a seeded problem generator (RandomCase) for differential tests.
+//     The solver differential itself is test code (diff_test.go): it
+//     runs the branch and bound, its anytime mode and the literal MILP
+//     oracle (internal/oracle) on the same problem and asserts
 //     identical feasibility verdicts and optimal objectives.
 //
 // The auditor deliberately shares no code with the design pipeline: it

@@ -214,12 +214,10 @@ func ParseEngine(name string) (core.Engine, error) {
 	switch name {
 	case "", "bb":
 		return core.EngineBranchBound, nil
-	case "milp":
-		return core.EngineMILP, nil
 	case "portfolio":
 		return core.EnginePortfolio, nil
 	}
-	return 0, fmt.Errorf("unknown engine %q (want bb, milp or portfolio)", name)
+	return 0, fmt.Errorf("unknown engine %q (want bb or portfolio)", name)
 }
 
 // Main is the shared entry point of the command-line tools: logger

@@ -19,8 +19,8 @@ const (
 // anneal improves a feasible binding by simulated annealing on the
 // binding objective (maximum per-bus aggregate overlap, paper Eq. 11).
 // It is the portfolio engine's incumbent feeder: a heuristic whose
-// result only bounds the exact searches or, when every exact
-// contestant runs out of budget, stands in as a capped incumbent.
+// result only bounds the exact search or, when the search runs out of
+// budget, stands in as a capped incumbent.
 // Moves relocate one receiver to another bus or swap two receivers,
 // and are only accepted when the result stays feasible (bandwidth,
 // conflicts, cap).

@@ -111,18 +111,19 @@ func TestAnnealMatchesExactOnEasyInstances(t *testing.T) {
 func TestAnnealStopsOnCanceledContext(t *testing.T) {
 	a := stressAnalysis(t, 1)
 	p := annealProblem(a, DefaultOptions())
-	k, res := greedyUpperBound(p, p.lowerBound(), a.NumReceivers)
+	k := greedyUpperBound(p, p.lowerBound(), a.NumReceivers)
 	if k < 0 {
 		t.Fatal("greedy found no binding near the lower bound")
 	}
+	start, startObj, _ := p.greedyBinding(k)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	busOf, obj := p.anneal(ctx, k, res.busOf)
-	if obj != res.maxOverlap {
-		t.Errorf("canceled anneal objective %d, want its start %d", obj, res.maxOverlap)
+	busOf, obj := p.anneal(ctx, k, start)
+	if obj != startObj {
+		t.Errorf("canceled anneal objective %d, want its start %d", obj, startObj)
 	}
 	for r := range busOf {
-		if busOf[r] != res.busOf[r] {
+		if busOf[r] != start[r] {
 			t.Fatalf("canceled anneal moved receiver %d", r)
 		}
 	}

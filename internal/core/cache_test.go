@@ -104,7 +104,7 @@ func TestCacheStoresSolvedDesigns(t *testing.T) {
 // arrives.
 func TestCacheWarmEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	engines := []Engine{EngineBranchBound, EngineMILP}
+	engines := []Engine{EngineBranchBound, EnginePortfolio}
 	for iter := 0; iter < 60; iter++ {
 		nRecv := 3 + rng.Intn(4)
 		a := randomAnalysis(t, rng, nRecv)
@@ -185,7 +185,7 @@ func TestCacheWarmFromPerturbedProblem(t *testing.T) {
 		next := mkAnalysis(t, nRecv, horizon, 100, perturbed)
 
 		opts := DefaultOptions()
-		opts.Engine = []Engine{EngineBranchBound, EngineMILP}[iter%2]
+		opts.Engine = []Engine{EngineBranchBound, EnginePortfolio}[iter%2]
 
 		prior, err := DesignCrossbar(base, opts)
 		if err != nil {

@@ -15,7 +15,7 @@ import (
 // cooperative cancellation checkpoint the solver reaches observes the
 // cancellation, independent of wall-clock timing. Its Done channel is
 // nil, so it only works on code paths that poll Err directly, as the
-// branch-and-bound and MILP searches do.
+// branch-and-bound search does.
 type countingCtx struct {
 	context.Context
 	polls atomic.Int64
@@ -38,7 +38,7 @@ func TestDesignCtxPreCanceled(t *testing.T) {
 	a := randomAnalysis(t, rng, 5)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, eng := range []Engine{EngineBranchBound, EngineMILP, EnginePortfolio} {
+	for _, eng := range []Engine{EngineBranchBound, EnginePortfolio} {
 		opts := Options{OverlapThreshold: 0.4, MaxPerBus: 3, Engine: eng}
 		_, err := DesignCrossbarCtx(ctx, a, opts)
 		if !errors.Is(err, ErrCanceled) {
@@ -63,42 +63,38 @@ func TestDesignCtxExpiredDeadline(t *testing.T) {
 
 // TestDesignCtxCanceledMidSearch cancels at successive cooperative
 // checkpoints (search-loop boundary, solver entry, node-boundary poll)
-// and checks that every interruption surfaces as a wrapped ErrCanceled
-// from both the branch-and-bound and the MILP paths.
+// and checks that every interruption surfaces as a wrapped ErrCanceled.
 func TestDesignCtxCanceledMidSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	a := randomAnalysis(t, rng, 7)
-	for _, eng := range []Engine{EngineBranchBound, EngineMILP} {
-		opts := Options{
-			OverlapThreshold: 0.3,
-			MaxPerBus:        3,
-			OptimizeBinding:  true,
-			Engine:           eng,
-		}
-		canceledRuns := 0
-		for _, limit := range []int64{1, 2, 3, 5, 8, 13, 1 << 40} {
-			ctx := newCountingCtx(limit)
-			d, err := DesignCrossbarCtx(ctx, a, opts)
-			if err == nil {
-				if limit < 3 {
-					t.Errorf("%s: limit %d: design completed before any checkpoint fired", eng, limit)
-				}
-				if d == nil {
-					t.Fatalf("%s: nil design without error", eng)
-				}
-				continue
+	opts := Options{
+		OverlapThreshold: 0.3,
+		MaxPerBus:        3,
+		OptimizeBinding:  true,
+	}
+	canceledRuns := 0
+	for _, limit := range []int64{1, 2, 3, 5, 8, 13, 1 << 40} {
+		ctx := newCountingCtx(limit)
+		d, err := DesignCrossbarCtx(ctx, a, opts)
+		if err == nil {
+			if limit < 3 {
+				t.Errorf("limit %d: design completed before any checkpoint fired", limit)
 			}
-			canceledRuns++
-			if !errors.Is(err, ErrCanceled) {
-				t.Errorf("%s: limit %d: err = %v, want ErrCanceled", eng, limit, err)
+			if d == nil {
+				t.Fatal("nil design without error")
 			}
-			if !errors.Is(err, context.Canceled) {
-				t.Errorf("%s: limit %d: err = %v, want to also wrap context.Canceled", eng, limit, err)
-			}
+			continue
 		}
-		if canceledRuns == 0 {
-			t.Errorf("%s: no limit produced a cancellation", eng)
+		canceledRuns++
+		if !errors.Is(err, ErrCanceled) {
+			t.Errorf("limit %d: err = %v, want ErrCanceled", limit, err)
 		}
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("limit %d: err = %v, want to also wrap context.Canceled", limit, err)
+		}
+	}
+	if canceledRuns == 0 {
+		t.Error("no limit produced a cancellation")
 	}
 }
 

@@ -16,10 +16,12 @@
 //     traffic overlap on any bus (the paper's MILP-2, Eq. 11), which
 //     minimizes average and peak packet latency.
 //
-// Two interchangeable solution engines are provided: a specialized
-// exact branch-and-bound over the assignment structure (the default,
-// see assign.go) and a literal MILP formulation of Eq. 3–9/11 solved
-// with internal/milp (see formulate.go), substituting for CPLEX.
+// Both problems are solved exactly by a specialized branch and bound
+// over the assignment structure (see assign.go), which takes the place
+// of the paper's CPLEX runs. EnginePortfolio is the same search in an
+// anytime mode (see portfolio.go). The literal Eq. 3–9/11 MILP lives in
+// internal/oracle, which only tests import: it cross-checks this
+// package's answers.
 package core
 
 import (
@@ -28,7 +30,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/milp"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -36,8 +37,7 @@ import (
 // Methodology instruments (see internal/obs): designs run,
 // feasibility/binding probes dispatched, branch-and-bound nodes
 // expanded by the specialized assignment solver, and the per-probe
-// wall-time distribution. MILP-engine probes account their nodes under
-// the milp.* metrics instead.
+// wall-time distribution.
 var (
 	metDesigns = obs.NewCounter("core.designs")
 	metProbes  = obs.NewCounter("core.probes")
@@ -45,27 +45,22 @@ var (
 	metProbeNS = obs.NewHistogram("core.probe_ns")
 )
 
-// Engine selects the solver used for feasibility and binding. The
-// values are fixed because Options.Fingerprint hashes them: 2 is
-// unassigned.
+// Engine selects how the branch and bound runs. The values are fixed
+// because Options.Fingerprint hashes them: 1 (the retired literal-MILP
+// engine) and 2 (the retired annealing engine) are unassigned.
 type Engine int
 
 const (
 	// EngineBranchBound is the specialized exact assignment solver.
 	EngineBranchBound Engine = 0
-	// EngineMILP solves the paper's literal MILP formulation with the
-	// built-in branch-and-bound LP solver. Practical for small
-	// instances; used to cross-validate EngineBranchBound.
-	EngineMILP Engine = 1
-	// EnginePortfolio races the branch and bound against the
-	// warm-started MILP on every probe under one context — the first
-	// proven answer cancels the rest — with annealing feeding incumbents
-	// into the shared bound during the binding phase. Exact results
-	// whenever either contestant settles within budget; past the budget
-	// it degrades to the best incumbent of the contestants and the
-	// annealing feeder, with Design.Capped set, instead of failing (see
-	// portfolio.go). The engine for the 128–512-target scale where no
-	// single solver dominates.
+	// EnginePortfolio is the branch and bound's anytime mode. Each
+	// binding probe runs an anneal from the greedy binding beside the
+	// search and feeds its objective into the bound the search prunes
+	// with, and a greedy scan narrows the cold bus-count range. Its
+	// answers equal EngineBranchBound's whenever the node budget
+	// suffices; past the budget it returns the best binding in hand with
+	// Design.Capped set instead of failing (see portfolio.go). The
+	// engine for the 128–512-target scale.
 	EnginePortfolio Engine = 3
 )
 
@@ -73,8 +68,6 @@ func (e Engine) String() string {
 	switch e {
 	case EngineBranchBound:
 		return "branch-and-bound"
-	case EngineMILP:
-		return "milp"
 	case EnginePortfolio:
 		return "portfolio"
 	}
@@ -188,7 +181,7 @@ func (o Options) Validate() error {
 		return fmt.Errorf("core: MaxNodes %d is negative (0 means the default budget)", o.MaxNodes)
 	}
 	switch o.Engine {
-	case EngineBranchBound, EngineMILP, EnginePortfolio:
+	case EngineBranchBound, EnginePortfolio:
 	default:
 		return fmt.Errorf("core: unknown engine %d", int(o.Engine))
 	}
@@ -230,10 +223,10 @@ type Design struct {
 	// within the node budget (Options.MaxNodes): the binding-phase
 	// search ran out before proving optimality — BusOf is the best
 	// incumbent found and MaxBusOverlap an upper bound on the optimum —
-	// or, for EnginePortfolio only, some bus count below NumBuses
-	// exhausted every contestant undecided, so NumBuses is feasible but
-	// its minimality is unproven (anytime semantics; the other engines
-	// fail such searches with ErrSearchLimit instead).
+	// or, for EnginePortfolio only, the probe of some bus count below
+	// NumBuses ran out of budget undecided, so NumBuses is feasible but
+	// its minimality is unproven (anytime semantics; EngineBranchBound
+	// fails such searches with ErrSearchLimit instead).
 	Capped bool
 }
 
@@ -257,11 +250,6 @@ var ErrCanceled = errors.New("core: design canceled")
 func canceledErr(ctx context.Context) error {
 	return fmt.Errorf("%w: %w", ErrCanceled, context.Cause(ctx))
 }
-
-// errObsolete is the cancellation cause used to stop a portfolio
-// contestant once its sibling decided the probe. It never escapes this
-// package.
-var errObsolete = errors.New("core: probe obsoleted by sibling result")
 
 // DesignCrossbar runs the full methodology on one direction's analysis.
 func DesignCrossbar(a *trace.Analysis, opts Options) (*Design, error) {
@@ -332,8 +320,8 @@ func DesignCrossbarCtx(ctx context.Context, a *trace.Analysis, opts Options) (*D
 	// bus count (narrowing the search to the counts below) and, for the
 	// branch-and-bound engine, seeds the binding phase (see solveSeeded
 	// for why the output stays bit-identical to a cold solve). The
-	// other engines get the range narrowing only: their binding paths
-	// are not seed-invariant, and warm results must equal cold ones.
+	// portfolio gets the range narrowing only: its binding probe already
+	// starts from the greedy and annealed bounds.
 	warmK := -1
 	var seedBus []int
 	var seedObj int64
@@ -352,30 +340,9 @@ func DesignCrossbarCtx(ctx context.Context, a *trace.Analysis, opts Options) (*D
 		}
 	}
 
-	// The MILP and portfolio engines share one formulation skeleton
-	// across every bus-count probe of this design run; its window
-	// reduction is the one prob already holds.
-	var formulator *Formulator
-	if opts.Engine == EngineMILP || opts.Engine == EnginePortfolio {
-		formulator = prob.formulator(a)
-	}
-
-	rawSolve := func(ctx context.Context, k int, optimize bool) (*assignResult, error) {
-		switch {
-		case opts.Engine == EngineMILP:
-			// A tableau over the cap would take the process down with
-			// an unrecoverable out-of-memory; refuse the probe instead.
-			if !milpFits(formulator, k, optimize) {
-				rows, cols := formulator.size(k, optimize)
-				return nil, fmt.Errorf("core: MILP tableau for %d buses (%d rows × %d columns) exceeds %d cells: %w",
-					k, rows, cols, portfolioMILPMaxCells, ErrSearchLimit)
-			}
-			return solveFormulated(ctx, formulator, k, optimize, milp.Options{})
-		case opts.Engine == EnginePortfolio:
-			return solvePortfolio(ctx, prob, formulator, k, optimize)
-		default:
-			return prob.solve(ctx, k, optimize)
-		}
+	rawSolve := prob.solve
+	if opts.Engine == EnginePortfolio {
+		rawSolve = prob.solveAnytime
 	}
 	// Every probe — feasibility or the final binding solve — goes
 	// through this wrapper, so each one shows up as its own span (child
@@ -417,17 +384,17 @@ func DesignCrossbarCtx(ctx context.Context, a *trace.Analysis, opts Options) (*D
 	searchSpan.SetInt("lb", int64(lb))
 	searchSpan.SetInt("ub", int64(ub))
 	// The portfolio engine gets anytime semantics: probes undecided
-	// after every contestant's budget are treated as infeasible so the
-	// search keeps narrowing, and the tracker flags the design Capped
-	// when its minimality rests on such an assumption. A greedy-success
-	// upper bound pre-narrows the cold search range for free.
+	// within the node budget are treated as infeasible so the search
+	// keeps narrowing, and the tracker flags the design Capped when its
+	// minimality rests on such an assumption. A greedy-success upper
+	// bound pre-narrows the cold search range for free.
 	var und undecidedTracker
 	feasSolve := solve
-	gub, gubRes := -1, (*assignResult)(nil)
+	gub := -1
 	if opts.Engine == EnginePortfolio {
 		feasSolve = und.wrap(solve)
 		if warmK < 0 {
-			gub, gubRes = greedyUpperBound(prob, lb, ub)
+			gub = greedyUpperBound(prob, lb, ub)
 			if gub >= 0 {
 				searchSpan.SetInt("greedy_ub", int64(gub))
 			}
@@ -449,7 +416,9 @@ func DesignCrossbarCtx(ctx context.Context, a *trace.Analysis, opts Options) (*D
 		}
 		best, firstFeasible, nodes, err = searchMinFeasible(sctx, lb, searchUB, feasSolve)
 		if err == nil && best == -1 && gub >= 0 {
-			best, firstFeasible = gub, gubRes
+			// The greedy binding proves gub feasible, but no probe ran
+			// there: firstFeasible stays nil, as on the warm path.
+			best = gub
 		}
 	}
 	searchSpan.SetInt("best", int64(best))
@@ -466,10 +435,10 @@ func DesignCrossbarCtx(ctx context.Context, a *trace.Analysis, opts Options) (*D
 	searchCapped := und.cappedBelow(best)
 
 	// The warm search can prove the minimal count without a probe at
-	// that count (the incumbent itself is the feasibility witness).
-	// When the binding phase is off, run the probe the cold search
-	// would have ended with — the per-count solve is deterministic, so
-	// the binding is the one a cold run returns.
+	// that count (the incumbent itself is the feasibility witness), and
+	// so can the portfolio's greedy scan. When the binding phase is off,
+	// both end on the feasibility probe at that count: the per-count
+	// solve is deterministic, so warm and cold runs return one binding.
 	if firstFeasible == nil && !opts.OptimizeBinding {
 		res, err := solve(ctx, best, false)
 		if err != nil {

@@ -411,44 +411,9 @@ func TestDesignQuickMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestEnginesAgree: the specialized solver and the literal MILP
-// formulation produce the same bus count and objective.
-func TestEnginesAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for iter := 0; iter < 10; iter++ {
-		a := randomAnalysis(t, rng, 2+rng.Intn(4)) // up to 5 receivers
-		base := Options{
-			OverlapThreshold: 0.4,
-			SeparateCritical: true,
-			MaxPerBus:        3,
-			OptimizeBinding:  true,
-		}
-		bb := base
-		bb.Engine = EngineBranchBound
-		dBB, err := DesignCrossbar(a, bb)
-		if err != nil {
-			t.Fatalf("iter %d: branch-bound: %v", iter, err)
-		}
-		mi := base
-		mi.Engine = EngineMILP
-		dMI, err := DesignCrossbar(a, mi)
-		if err != nil {
-			t.Fatalf("iter %d: milp: %v", iter, err)
-		}
-		if dBB.NumBuses != dMI.NumBuses {
-			t.Errorf("iter %d: bus counts differ: bb=%d milp=%d", iter, dBB.NumBuses, dMI.NumBuses)
-		}
-		if dBB.MaxBusOverlap != dMI.MaxBusOverlap {
-			t.Errorf("iter %d: objectives differ: bb=%d milp=%d", iter, dBB.MaxBusOverlap, dMI.MaxBusOverlap)
-		}
-		if err := dMI.Validate(a, mi); err != nil {
-			t.Errorf("iter %d: MILP design invalid: %v", iter, err)
-		}
-	}
-}
-
 func TestEngineString(t *testing.T) {
-	if EngineBranchBound.String() != "branch-and-bound" || EngineMILP.String() != "milp" {
+	if EngineBranchBound.String() != "branch-and-bound" || EnginePortfolio.String() != "portfolio" ||
+		Engine(1).String() != "Engine(1)" {
 		t.Error("Engine.String mismatch")
 	}
 }

@@ -3,8 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/benchprobs"
 	"repro/internal/conc"
@@ -13,9 +14,13 @@ import (
 )
 
 // TestPortfolioMatchesBranchBound runs the full design through both
-// engines on instances the branch and bound settles exactly: bus count
-// and objective must agree (bindings may differ — the race winner's
-// binding is returned).
+// engines on instances the branch and bound settles within its budget,
+// from 8 receivers to the 128-receiver production scale (the FFT
+// request trace is TestPortfolioFFTUnderTableauCap's). The anytime mode
+// only adds a fed bound, which never changes the search's answer, so
+// the designs must be identical: bus count, binding, objective and the
+// Capped flag. SearchNodes is left out: the asynchronous anneal lowers
+// the bound at a schedule-dependent moment.
 func TestPortfolioMatchesBranchBound(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -23,6 +28,7 @@ func TestPortfolioMatchesBranchBound(t *testing.T) {
 	}{
 		{"analysis8", benchprobs.Analysis8()},
 		{"analysis12", benchprobs.Analysis12()},
+		{"analysis128", benchprobs.Analysis128()},
 	} {
 		opts := DefaultOptions()
 		ref, err := DesignCrossbar(tc.a, opts)
@@ -34,10 +40,7 @@ func TestPortfolioMatchesBranchBound(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: portfolio: %v", tc.name, err)
 		}
-		if got.NumBuses != ref.NumBuses || got.MaxBusOverlap != ref.MaxBusOverlap {
-			t.Fatalf("%s: portfolio (%d buses, obj %d) != branch-and-bound (%d buses, obj %d)",
-				tc.name, got.NumBuses, got.MaxBusOverlap, ref.NumBuses, ref.MaxBusOverlap)
-		}
+		samePortfolioDesign(t, tc.name, ref, got)
 		if got.Capped {
 			t.Fatalf("%s: portfolio capped on an instance branch-and-bound settles", tc.name)
 		}
@@ -47,9 +50,72 @@ func TestPortfolioMatchesBranchBound(t *testing.T) {
 	}
 }
 
+// TestPortfolioFFTUnderTableauCap designs the FFT request trace, whose
+// ~1,500 reduced windows would make a dense MILP tableau of gigabytes
+// at its bus counts, with the portfolio. The design must equal the
+// branch and bound's, binding for binding, and the recording must show
+// only the search, the anneal and the greedy scan at work: no MILP
+// producer and none of the retired LP-pivot or race kinds.
+func TestPortfolioFFTUnderTableauCap(t *testing.T) {
+	var a *trace.Analysis
+	for _, fx := range paperWindowAnalyses(t) {
+		if fx.name == "fft.req" {
+			a = fx.a
+		}
+	}
+	if a == nil {
+		t.Fatal("no fft.req fixture")
+	}
+	opts := DefaultOptions()
+	ref, err := DesignCrossbar(a, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewFlightRecorder(obs.DefaultFlightCapacity)
+	opts.Engine = EnginePortfolio
+	got, err := DesignCrossbarCtx(obs.WithFlightRecorder(context.Background(), rec), a, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePortfolioDesign(t, "fft.req", ref, got)
+	if got.Capped {
+		t.Fatal("fft.req: portfolio capped on an instance branch-and-bound settles")
+	}
+	if err := got.Validate(a, opts); err != nil {
+		t.Fatalf("fft.req: portfolio design invalid: %v", err)
+	}
+	probes := 0
+	for _, e := range rec.Events() {
+		switch {
+		case e.Kind == obs.EvProbeOpen:
+			probes++
+		case e.Kind > obs.EvNodes && e.Kind < obs.EvCacheHit:
+			t.Errorf("k=%d: retired event kind %v recorded", e.K, e.Kind)
+		case e.Who == "milp":
+			t.Errorf("k=%d: %v event from a MILP producer", e.K, e.Kind)
+		}
+	}
+	if probes == 0 {
+		t.Fatal("recording holds no probes")
+	}
+}
+
+// samePortfolioDesign fails unless got is want's crossbar: bus count,
+// binding, objective and Capped. SearchNodes may differ (see
+// TestPortfolioMatchesBranchBound).
+func samePortfolioDesign(t *testing.T, label string, want, got *Design) {
+	t.Helper()
+	if got.NumBuses != want.NumBuses || got.MaxBusOverlap != want.MaxBusOverlap ||
+		got.Capped != want.Capped || !slices.Equal(got.BusOf, want.BusOf) {
+		t.Fatalf("%s: portfolio (%d buses, obj %d, capped %v, binding %v) != reference (%d buses, obj %d, capped %v, binding %v)",
+			label, got.NumBuses, got.MaxBusOverlap, got.Capped, got.BusOf,
+			want.NumBuses, want.MaxBusOverlap, want.Capped, want.BusOf)
+	}
+}
+
 // TestPortfolioObjectiveDeterminism re-runs the portfolio design and
-// expects the same bus count and objective every time (the binding may
-// come from either racing engine, but both are exact).
+// expects the same design every time: the anneal feeds the bound
+// asynchronously, but no fed bound changes the search's answer.
 func TestPortfolioObjectiveDeterminism(t *testing.T) {
 	a := benchprobs.Analysis12()
 	opts := DefaultOptions()
@@ -63,10 +129,7 @@ func TestPortfolioObjectiveDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
-		if d.NumBuses != first.NumBuses || d.MaxBusOverlap != first.MaxBusOverlap {
-			t.Fatalf("run %d: (%d buses, obj %d) != first run (%d buses, obj %d)",
-				i, d.NumBuses, d.MaxBusOverlap, first.NumBuses, first.MaxBusOverlap)
-		}
+		samePortfolioDesign(t, fmt.Sprintf("run %d", i), first, d)
 	}
 }
 
@@ -113,119 +176,18 @@ func TestLargeInstanceOptimality(t *testing.T) {
 	}
 }
 
-// TestPortfolioRecoversContestantPanic: a branch-and-bound contestant
-// that panics fails the probe instead of crashing the process. The
-// 128-receiver probe at one bus per receiver is far over the tableau
-// cap, so the branch and bound races alone, and the last target in
-// visit order has lost its conflict row, which only the search reads.
+// TestPortfolioRecoversContestantPanic: a search that panics inside an
+// anytime probe fails the probe with a *conc.PanicError instead of
+// crashing the process. The last target in visit order has lost its
+// conflict row, which only the search reads.
 func TestPortfolioRecoversContestantPanic(t *testing.T) {
 	a := benchprobs.Analysis128()
 	prob := testProblem(t, a, 0)
-	fr := prob.formulator(a)
-	if milpFits(fr, prob.nT, false) {
-		t.Fatalf("%d-bus probe fits the tableau cap; the MILP would race", prob.nT)
-	}
 	prob.conflict = append([][]bool(nil), prob.conflict...)
 	prob.conflict[prob.order[prob.nT-1]] = nil
-	_, err := solvePortfolio(context.Background(), prob, fr, prob.nT, false)
+	_, err := prob.solveAnytime(context.Background(), prob.nT, false)
 	var pe *conc.PanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want a recovered contestant panic", err)
-	}
-}
-
-// TestFormulatorSize pins size to the formulation ForBusCount builds,
-// so the tableau cap is checked against the real row and column counts.
-func TestFormulatorSize(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		a    *trace.Analysis
-	}{
-		{"analysis8", benchprobs.Analysis8()},
-		{"analysis12", benchprobs.Analysis12()},
-		{"analysis32", benchprobs.Analysis32()},
-	} {
-		for _, maxPerBus := range []int{3, tc.a.NumReceivers} {
-			fr := NewFormulator(tc.a, BuildConflicts(tc.a, DefaultOptions()), maxPerBus)
-			for k := 1; k <= 6; k++ {
-				for _, optimize := range []bool{false, true} {
-					f := fr.ForBusCount(k, optimize)
-					rows, cols := fr.size(k, optimize)
-					if rows != len(f.Problem.LP.Constraints) || cols != f.Problem.LP.NumVars {
-						t.Errorf("%s maxPerBus=%d k=%d optimize=%v: size (%d rows, %d cols), built (%d, %d)",
-							tc.name, maxPerBus, k, optimize, rows, cols, len(f.Problem.LP.Constraints), f.Problem.LP.NumVars)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestPortfolioFFTUnderTableauCap designs the FFT request trace, whose
-// ~1,500 reduced windows make a dense MILP tableau of gigabytes at its
-// bus counts, with the portfolio. The design must equal the branch and
-// bound's, and no MILP contestant may race a formulation over the cap.
-func TestPortfolioFFTUnderTableauCap(t *testing.T) {
-	var a *trace.Analysis
-	for _, fx := range paperWindowAnalyses(t) {
-		if fx.name == "fft.req" {
-			a = fx.a
-		}
-	}
-	opts := DefaultOptions()
-	ref, err := DesignCrossbar(a, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := obs.NewFlightRecorder(obs.DefaultFlightCapacity)
-	opts.Engine = EnginePortfolio
-	got, err := DesignCrossbarCtx(obs.WithFlightRecorder(context.Background(), rec), a, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumBuses != ref.NumBuses || got.MaxBusOverlap != ref.MaxBusOverlap || got.Capped {
-		t.Fatalf("portfolio (%d buses, obj %d, capped %v) != branch-and-bound (%d buses, obj %d)",
-			got.NumBuses, got.MaxBusOverlap, got.Capped, ref.NumBuses, ref.MaxBusOverlap)
-	}
-	fr := NewFormulator(a, BuildConflicts(a, opts), opts.MaxPerBus)
-	optimize, probes := false, 0
-	for _, e := range rec.Events() {
-		switch {
-		case e.Kind == obs.EvProbeOpen:
-			optimize = e.Flag
-			probes++
-			if rows, cols := fr.size(e.K, optimize); int64(rows)*int64(cols+2*rows) <= portfolioMILPMaxCells {
-				t.Errorf("k=%d optimize=%v: %d rows × %d cols fits the cap; the probe no longer exercises it", e.K, optimize, rows, cols)
-			}
-		case e.Kind == obs.EvRaceStart && e.Who == "milp":
-			t.Errorf("k=%d optimize=%v: MILP contestant raced over the tableau cap", e.K, optimize)
-		}
-	}
-	if probes == 0 {
-		t.Fatal("recording holds no probes")
-	}
-}
-
-// TestMILPEngineFFTOverTableauCap designs the FFT request trace with
-// the MILP engine alone. Its first probe's tableau is over
-// portfolioMILPMaxCells, so the design must fail promptly with
-// ErrSearchLimit (stbusd's search_limit/422) instead of allocating
-// gigabytes.
-func TestMILPEngineFFTOverTableauCap(t *testing.T) {
-	var a *trace.Analysis
-	for _, fx := range paperWindowAnalyses(t) {
-		if fx.name == "fft.req" {
-			a = fx.a
-		}
-	}
-	opts := DefaultOptions()
-	opts.Engine = EngineMILP
-	start := time.Now()
-	_, err := DesignCrossbar(a, opts)
-	if !errors.Is(err, ErrSearchLimit) {
-		t.Fatalf("DesignCrossbar = %v, want ErrSearchLimit", err)
-	}
-	if el := time.Since(start); el > 10*time.Second {
-		t.Errorf("refusal took %v", el)
+		t.Fatalf("err = %v, want a recovered search panic", err)
 	}
 }

@@ -10,9 +10,9 @@
 // variables, warm-starting each solve from the previous basis. It is
 // the LP engine under the MILP solver in internal/milp, which together
 // substitute for the CPLEX package the paper uses to solve its
-// crossbar-design MILPs (paper Section 6). Problem sizes there are
-// small (the largest STbus crossbar has 32 targets), so a dense
-// tableau is appropriate.
+// crossbar-design MILPs (paper Section 6) in the test-only oracle
+// (internal/oracle). Problem sizes there are small, so a dense tableau
+// is appropriate.
 package lp
 
 import (

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"repro/internal/obs"
 )
 
 // Fix pins one variable to an exact value for a node solve.
@@ -80,12 +78,6 @@ type NodeSolver struct {
 	Interrupt func() bool
 	stopped   bool // an interrupt fired during the current Solve
 
-	// Rec, when set, receives batched EvLPPivots flight events (one per
-	// lpPivotBatch pivots) so a replay shows where simplex time went
-	// without paying an event per pivot. Nil disables emission entirely.
-	Rec      *obs.FlightRecorder
-	pivotAcc int64 // pivots since the last flight event
-
 	// Stats observe how many node solves took each path.
 	warm, cold int64
 	dualPivots int64
@@ -95,22 +87,6 @@ type NodeSolver struct {
 // incrementally updated tableau before a cold solve re-anchors it
 // against numerical drift.
 const resyncEvery = 64
-
-// lpPivotBatch is how many simplex pivots accumulate between EvLPPivots
-// flight events; one event per pivot would swamp the journal.
-const lpPivotBatch = 4096
-
-// notePivots accumulates n pivots toward the next EvLPPivots event.
-func (s *NodeSolver) notePivots(n int64) {
-	if s.Rec == nil || n <= 0 {
-		return
-	}
-	s.pivotAcc += n
-	if s.pivotAcc >= lpPivotBatch {
-		s.Rec.Emit(obs.Event{Kind: obs.EvLPPivots, Val: s.pivotAcc, Who: "lp"})
-		s.pivotAcc = 0
-	}
-}
 
 // NewNodeSolver validates p and precomputes the dense base image the
 // per-node tableau is rebuilt from. upper[j] bounds variable j from
@@ -263,7 +239,6 @@ func (s *NodeSolver) Solve(fixes []Fix) (*Solution, error) {
 			s.warm++
 			s.sinceRe++
 			sol.Iterations = s.t.pivots - before
-			s.notePivots(sol.Iterations)
 			return sol, nil
 		}
 		if s.stopped {
@@ -278,7 +253,6 @@ func (s *NodeSolver) Solve(fixes []Fix) (*Solution, error) {
 	sol, err := s.solveCold(fixes)
 	if sol != nil {
 		sol.Iterations = s.t.pivots - before
-		s.notePivots(sol.Iterations)
 	}
 	return sol, err
 }

@@ -4,7 +4,8 @@
 // substitutes for the CPLEX package used by the paper: the crossbar
 // feasibility MILP (paper Eq. 10) and binding MILP (paper Eq. 11) use
 // only binary integer variables (x_{i,k}, sb_{i,j,k}, s_{i,j}) plus the
-// continuous maxov objective variable.
+// continuous maxov objective variable. Its one client is the test-only
+// oracle (internal/oracle); no production build links it.
 //
 // Binary bounds are enforced by the bounded-variable simplex (no
 // explicit 0/1 rows). The search keeps one lp.NodeSolver for the whole
@@ -21,22 +22,6 @@ import (
 	"math"
 
 	"repro/internal/lp"
-	"repro/internal/obs"
-)
-
-// Live solver metrics (see internal/obs). Per-node updates are plain
-// atomic adds — three orders of magnitude cheaper than the node's LP
-// solve — so they stay on unconditionally and a -metrics-addr scrape
-// of /metrics sees node throughput while a solve runs.
-var (
-	metSolves     = obs.NewCounter("milp.solves")
-	metNodes      = obs.NewCounter("milp.nodes")
-	metWarm       = obs.NewCounter("milp.warm_solves")
-	metCold       = obs.NewCounter("milp.cold_solves")
-	metDualPivots = obs.NewCounter("milp.dual_pivots")
-	metLPIters    = obs.NewCounter("milp.lp_iterations")
-	metIncumbents = obs.NewCounter("milp.incumbents")
-	metSeeded     = obs.NewCounter("milp.seeded")
 )
 
 // Problem is an LP plus binary integrality requirements.
@@ -59,18 +44,6 @@ type Options struct {
 	// which both finds integral points quickly and keeps consecutive
 	// node LPs one fix apart so warm starts are cheap.
 	FirstFeasible bool
-	// Incumbent optionally seeds the search with a known-feasible
-	// solution vector over all variables (len == NumVars), typically a
-	// cached solution of a nearby problem. It is validated against the
-	// constraints and integrality before use — an invalid or mis-sized
-	// incumbent is silently ignored, never trusted. A valid incumbent
-	// bounds the search from node one and is returned when nothing
-	// strictly better is found, so the reported objective is exact; the
-	// reported vector, however, may be the incumbent rather than the
-	// equally-good vertex an unseeded search would have found. In
-	// FirstFeasible mode a valid incumbent short-circuits the search
-	// entirely (any feasible point suffices).
-	Incumbent []float64
 }
 
 // Solution is the result of a MILP solve.
@@ -86,9 +59,6 @@ type Solution struct {
 	// DualPivots counts the dual-simplex pivots spent across all warm
 	// solves.
 	DualPivots int64
-	// Seeded reports that Options.Incumbent passed validation and
-	// bounded the search from the start.
-	Seeded bool
 }
 
 // ErrNodeLimit is returned when the node budget is exhausted before
@@ -120,7 +90,6 @@ func SolveCtx(ctx context.Context, p *Problem, opts Options) (*Solution, error) 
 	if maxNodes == 0 {
 		maxNodes = 200000
 	}
-	metSolves.Inc()
 	return solveIncremental(ctx, p, opts, maxNodes)
 }
 
@@ -165,12 +134,6 @@ func solveIncremental(ctx context.Context, p *Problem, opts Options, maxNodes in
 	// can notice. The solver polls this between pivots.
 	ns.Interrupt = func() bool { return ctx.Err() != nil }
 
-	ctx, solveSpan := obs.Start(ctx, "milp.solve")
-	solveSpan.SetInt("vars", int64(n))
-	solveSpan.SetBool("first_feasible", opts.FirstFeasible)
-	rec := obs.FlightRecorderFrom(ctx)
-	ns.Rec = rec
-
 	type node struct {
 		fixes *chainFix
 		bound float64 // parent's LP relaxation objective
@@ -180,53 +143,11 @@ func solveIncremental(ctx context.Context, p *Problem, opts Options, maxNodes in
 
 	var best *Solution
 	nodes := 0
-	maxDepth := 0
-	seeded := false
-	var lastWarm, lastCold, lastDual int64
-	var flushedNodes int
 	finish := func(s *Solution) *Solution {
 		s.Nodes = nodes
 		s.WarmSolves, s.ColdSolves = ns.Stats()
 		s.DualPivots = ns.DualPivots()
-		s.Seeded = seeded
-		solveSpan.SetInt("nodes", int64(nodes))
-		solveSpan.SetInt("warm", s.WarmSolves)
-		solveSpan.SetInt("cold", s.ColdSolves)
-		solveSpan.SetInt("max_depth", int64(maxDepth))
-		solveSpan.SetStr("status", s.Status.String())
-		solveSpan.End()
 		return s
-	}
-	if opts.Incumbent != nil {
-		if s := seedIncumbent(p, opts.Incumbent); s != nil {
-			best = s
-			seeded = true
-			metSeeded.Inc()
-			rec.Emit(obs.Event{Kind: obs.EvIncumbent, Val: int64(math.Round(best.Objective)), Who: "milp"})
-			solveSpan.SetBool("seeded", true)
-			if opts.FirstFeasible {
-				// Any feasible point suffices; the incumbent is one.
-				return finish(best), nil
-			}
-		}
-	}
-	defer func() {
-		// Stream warm/cold/dual-pivot deltas not yet flushed (error
-		// paths included) so the live rates stay truthful, and close
-		// the span if an error path skipped finish.
-		w, c := ns.Stats()
-		metWarm.Add(w - lastWarm)
-		metCold.Add(c - lastCold)
-		metDualPivots.Add(ns.DualPivots() - lastDual)
-		solveSpan.End()
-	}()
-	flushSolves := func() {
-		w, c := ns.Stats()
-		d := ns.DualPivots()
-		metWarm.Add(w - lastWarm)
-		metCold.Add(c - lastCold)
-		metDualPivots.Add(d - lastDual)
-		lastWarm, lastCold, lastDual = w, c, d
 	}
 	for len(open) > 0 {
 		var cur node
@@ -256,14 +177,6 @@ func solveIncremental(ctx context.Context, p *Problem, opts Options, maxNodes in
 		if cur.fixes != nil {
 			depth = cur.fixes.depth
 		}
-		if depth > maxDepth {
-			maxDepth = depth
-		}
-		metNodes.Inc()
-		if nodes&255 == 0 {
-			rec.Emit(obs.Event{Kind: obs.EvNodes, Val: int64(nodes - flushedNodes), Who: "milp"})
-			flushedNodes = nodes
-		}
 		if nodes > maxNodes {
 			return nil, ErrNodeLimit
 		}
@@ -278,8 +191,6 @@ func solveIncremental(ctx context.Context, p *Problem, opts Options, maxNodes in
 			}
 			return nil, err
 		}
-		metLPIters.Add(sol.Iterations)
-		flushSolves()
 		switch sol.Status {
 		case lp.Infeasible:
 			continue
@@ -297,8 +208,6 @@ func solveIncremental(ctx context.Context, p *Problem, opts Options, maxNodes in
 				cand := &Solution{Status: lp.Optimal, X: rounded, Objective: sol.Objective}
 				if best == nil || cand.Objective < best.Objective {
 					best = cand
-					metIncumbents.Inc()
-					rec.Emit(obs.Event{Kind: obs.EvIncumbent, Val: int64(math.Round(cand.Objective)), Who: "milp"})
 				}
 				if opts.FirstFeasible {
 					return finish(best), nil
@@ -333,36 +242,6 @@ func solveIncremental(ctx context.Context, p *Problem, opts Options, maxNodes in
 		return finish(&Solution{Status: lp.Infeasible}), nil
 	}
 	return finish(best), nil
-}
-
-// seedIncumbent validates a caller-provided incumbent vector and turns
-// it into a starting best solution. The vector goes through the same
-// check as any candidate integral point (roundBinaries: integrality to
-// tolerance plus every constraint row), so a stale or corrupt cached
-// solution can never leak into a result — it is simply ignored.
-func seedIncumbent(p *Problem, x []float64) *Solution {
-	if len(x) != p.LP.NumVars {
-		return nil
-	}
-	// roundBinaries snaps first and checks constraints after, so a
-	// far-from-integral vector could sneak in as its rounding; an
-	// incumbent must already be integral to tolerance.
-	for v, isBin := range p.Binary {
-		if isBin && math.Abs(x[v]-math.Round(x[v])) > intTol {
-			return nil
-		}
-	}
-	rounded, ok, _ := roundBinaries(p, x)
-	if !ok {
-		return nil
-	}
-	var obj float64
-	if p.LP.Objective != nil {
-		for j, c := range p.LP.Objective {
-			obj += c * rounded[j]
-		}
-	}
-	return &Solution{Status: lp.Optimal, X: rounded, Objective: obj, Seeded: true}
 }
 
 // mostFractional returns the binary variable farthest from integrality

@@ -12,9 +12,9 @@ import (
 )
 
 // The flight recorder is the event instrument of obs: a bounded ring
-// journal of typed events (incumbents found, node-expansion batches, LP
-// pivot batches, portfolio race outcomes, cache traffic, probe
-// open/close, and the begin, attributes and end of every span) cheap
+// journal of typed events (incumbents found, node-expansion batches,
+// cache traffic, probe open/close, and the begin, attributes and end of
+// every span) cheap
 // enough to stay on for production solves. Spans answer "where did the
 // time go", the solver events "what did the search actually do, in what
 // order", and metrics "how fast is it going right now". A recording can
@@ -45,27 +45,21 @@ const (
 	// ("feasible", "infeasible", "capped", "exhausted", "canceled",
 	// "error"), Val = objective when feasible, Aux = solver nodes.
 	EvProbeClose
-	// EvIncumbent records an improved incumbent binding: K = bus count
-	// (0 when unknown, e.g. inside the MILP), Val = objective,
-	// Who = producer ("bb", "milp", "anneal", "greedy").
+	// EvIncumbent records an improved incumbent binding: K = bus count,
+	// Val = objective, Who = producer ("bb", "anneal", "greedy").
 	EvIncumbent
 	// EvNodes is a node-expansion batch: Val = nodes expanded since the
-	// previous batch, K = bus count (0 inside the MILP), Who = engine
-	// ("bb", "milp").
+	// previous batch, K = bus count, Who = "bb".
 	EvNodes
-	// EvLPPivots is a simplex pivot batch from the incremental node
-	// solver: Val = pivots since the previous batch, Who = "lp".
-	EvLPPivots
-	// EvRaceStart marks a portfolio contestant entering a probe race:
-	// K = bus count, Who = contestant ("bb", "milp").
-	EvRaceStart
-	// EvRaceWin marks the contestant whose definitive answer won the
-	// probe: K = bus count, Who = contestant.
-	EvRaceWin
-	// EvRaceCancel marks a contestant canceled because its sibling
-	// decided the probe (or the wall-clock governor fired): K = bus
-	// count, Who = the canceled contestant.
-	EvRaceCancel
+	// Kinds 6–9 are retired: LP pivot batches and the outcomes of the
+	// race between the branch and bound and the MILP, which left
+	// production together. Nothing emits them any more. The slots stay
+	// so that later kinds keep their numbers, and their names stay in
+	// eventKindNames so that older recordings still read.
+	_
+	_
+	_
+	_
 	// EvCacheHit is an exact content hit: K = cached bus count,
 	// Who = tier ("memory", "disk").
 	EvCacheHit
@@ -97,10 +91,10 @@ var eventKindNames = [numEventKinds]string{
 	EvProbeClose:  "probe_close",
 	EvIncumbent:   "incumbent",
 	EvNodes:       "nodes",
-	EvLPPivots:    "lp_pivots",
-	EvRaceStart:   "race_start",
-	EvRaceWin:     "race_win",
-	EvRaceCancel:  "race_cancel",
+	6:             "lp_pivots",
+	7:             "race_start",
+	8:             "race_win",
+	9:             "race_cancel",
 	EvCacheHit:    "cache_hit",
 	EvCacheWarm:   "cache_warm",
 	EvCacheStore:  "cache_store",
@@ -149,8 +143,8 @@ type Event struct {
 	// Val and Aux are kind-specific payloads (see EventKind docs).
 	Val int64
 	Aux int64
-	// Who names the emitting engine/tier/contestant, or the span or
-	// attribute; always a static string so emission never allocates.
+	// Who names the emitting engine or tier, or the span or attribute;
+	// always a static string so emission never allocates.
 	Who string
 	// Str is the value of a string span attribute (EvSpanAttr only).
 	Str string
@@ -457,10 +451,10 @@ func ReadNDJSON(rd io.Reader) ([]Event, FlightMeta, error) {
 
 // Canonical reduces a recording to its schedule-invariant skeleton, the
 // form golden tests diff between runs. Wall-clock artifacts (Seq, T,
-// node counts, pivot batches, race outcomes, canceled or budget-capped
-// probes, raw incumbent streams) are dropped or zeroed; what remains are
-// the logical facts every run proves identically no matter which
-// portfolio contestant won a probe or how far its loser got:
+// node counts, canceled or budget-capped probes, raw incumbent streams,
+// and the retired pivot and race kinds of older recordings) are dropped
+// or zeroed; what remains are the logical facts every run proves
+// identically however its search was scheduled:
 //
 //   - the design's start (receivers, engine) and outcome (buses,
 //     objective, capped);
@@ -490,7 +484,7 @@ func Canonical(events []Event) []Event {
 			c := e
 			c.Seq, c.T = 0, 0
 			if c.Kind == EvDesignDone {
-				c.Aux = 0 // node totals vary with the portfolio race
+				c.Aux = 0 // node totals vary with the anneal feeder's timing
 			}
 			out = append(out, c)
 		case EvProbeClose:

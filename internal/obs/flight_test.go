@@ -113,6 +113,58 @@ func TestFlightNDJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// retiredKind looks up a retired event kind by its name; the kinds
+// have no constant any more, but older recordings still carry them.
+func retiredKind(t *testing.T, name string) EventKind {
+	t.Helper()
+	k, ok := ParseEventKind(name)
+	if !ok {
+		t.Fatalf("retired kind %q no longer parses", name)
+	}
+	return k
+}
+
+// TestReadNDJSONRetiredKinds reads a portfolio recording from before
+// the LP pivot and race kinds were retired: every line still parses,
+// each retired kind keeps its number and its name, the kinds after
+// them keep theirs, and the canonical form drops the retired events.
+func TestReadNDJSONRetiredKinds(t *testing.T) {
+	const recording = `{"flight":1,"capacity":64,"emitted":9,"dropped":0}
+{"seq":0,"t_ns":10,"kind":"design_start","val":12,"who":"portfolio"}
+{"seq":1,"t_ns":20,"kind":"probe_open","k":4}
+{"seq":2,"t_ns":21,"kind":"race_start","k":4,"who":"bb"}
+{"seq":3,"t_ns":22,"kind":"race_start","k":4,"who":"milp"}
+{"seq":4,"t_ns":30,"kind":"lp_pivots","val":4096,"who":"lp"}
+{"seq":5,"t_ns":40,"kind":"race_win","k":4,"who":"bb"}
+{"seq":6,"t_ns":41,"kind":"race_cancel","k":4,"who":"milp"}
+{"seq":7,"t_ns":42,"kind":"probe_close","k":4,"val":3,"aux":50,"who":"feasible"}
+{"seq":8,"t_ns":50,"kind":"cache_hit","k":4,"who":"memory"}
+`
+	events, meta, err := ReadNDJSON(strings.NewReader(recording))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 9 || meta.Emitted != 9 {
+		t.Fatalf("read %d events, meta %+v; want 9", len(events), meta)
+	}
+	for i, want := range []struct {
+		kind EventKind
+		name string
+	}{{6, "lp_pivots"}, {7, "race_start"}, {8, "race_win"}, {9, "race_cancel"}, {10, "cache_hit"}} {
+		if k := retiredKind(t, want.name); k != want.kind || k.String() != want.name {
+			t.Errorf("case %d: %q parses to kind %d (%s), want %d", i, want.name, k, k, want.kind)
+		}
+	}
+	if events[4].Kind != 6 || events[4].Val != 4096 || events[8].Kind != EvCacheHit {
+		t.Errorf("events read as %+v", events)
+	}
+	for _, e := range Canonical(events) {
+		if e.Kind >= 6 && e.Kind <= 9 {
+			t.Errorf("canonical form keeps retired event %+v", e)
+		}
+	}
+}
+
 // TestCanonicalReduction feeds two synthetic recordings of the same
 // logical solve — one lean, one with extra decided probes, interleaved
 // node batches and race outcomes — and requires their canonical forms
@@ -132,17 +184,18 @@ func TestCanonicalReduction(t *testing.T) {
 		{Seq: 9, T: 95, Kind: EvCacheStore, K: 3},
 		{Seq: 10, T: 99, Kind: EvDesignDone, K: 3, Val: 7, Aux: 3248},
 	}
-	// Another run: it also decided k=1 infeasible and k=4 feasible,
-	// probes closed out of order, races ran, one probe was canceled —
-	// all schedule artifacts the reduction must strip.
+	// Another run, recorded before the race kinds were retired: it also
+	// decided k=1 infeasible and k=4 feasible, probes closed out of
+	// order, races ran, one probe was canceled — all schedule artifacts
+	// the reduction must strip.
 	w8 := []Event{
 		{Seq: 0, T: 11, Kind: EvDesignStart, Val: 12, Who: "portfolio"},
-		{Seq: 1, T: 12, Kind: EvRaceStart, K: 4, Who: "bb"},
-		{Seq: 2, T: 13, Kind: EvRaceStart, K: 4, Who: "milp"},
+		{Seq: 1, T: 12, Kind: retiredKind(t, "race_start"), K: 4, Who: "bb"},
+		{Seq: 2, T: 13, Kind: retiredKind(t, "race_start"), K: 4, Who: "milp"},
 		{Seq: 3, T: 20, Kind: EvProbeOpen, K: 4},
 		{Seq: 4, T: 25, Kind: EvProbeClose, K: 4, Who: "feasible", Val: 3, Aux: 50},
-		{Seq: 5, T: 26, Kind: EvRaceWin, K: 4, Who: "bb"},
-		{Seq: 6, T: 27, Kind: EvRaceCancel, K: 4, Who: "milp"},
+		{Seq: 5, T: 26, Kind: retiredKind(t, "race_win"), K: 4, Who: "bb"},
+		{Seq: 6, T: 27, Kind: retiredKind(t, "race_cancel"), K: 4, Who: "milp"},
 		{Seq: 7, T: 30, Kind: EvProbeOpen, K: 1},
 		{Seq: 8, T: 31, Kind: EvProbeClose, K: 1, Who: "infeasible", Aux: 10},
 		{Seq: 9, T: 35, Kind: EvProbeOpen, K: 5},

@@ -20,10 +20,10 @@
 // with no recorder in the context, Start performs one context lookup,
 // allocates nothing and returns a nil *Span whose methods are no-ops;
 // Emit on a nil *FlightRecorder returns at once; metric updates are
-// single atomic adds. Hot loops (the MILP node expansion, the simulator
-// event loop) therefore keep their instrumentation unconditionally, and
-// golden designs are bit-identical with telemetry on or off — the
-// instruments only observe, never steer.
+// single atomic adds. Hot loops (the branch-and-bound node expansion,
+// the simulator event loop) therefore keep their instrumentation
+// unconditionally, and golden designs are bit-identical with telemetry
+// on or off — the instruments only observe, never steer.
 package obs
 
 import (

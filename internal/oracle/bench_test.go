@@ -1,10 +1,11 @@
-package core
+package oracle
 
 import (
 	"context"
 	"testing"
 
 	"repro/internal/benchprobs"
+	"repro/internal/core"
 	"repro/internal/milp"
 	"repro/internal/trace"
 )
@@ -14,17 +15,16 @@ import (
 // and optimize mode adds the canonical-ordering symmetry rows. CI runs
 // every benchmark in this package once per push, so they stay
 // runnable; BENCH_solver.json holds the historical numbers of the
-// retired standalone solver benchmark.
+// retired standalone solver benchmark, taken over core's reduced
+// window set rather than the oracle's full one.
 
-func benchFeasibility(b *testing.B, a *trace.Analysis, numBuses int, opts milp.Options) {
-	conflicts := BuildConflicts(a, DefaultOptions())
-	fr := NewFormulator(a, conflicts, 4)
-	f := fr.ForBusCount(numBuses, false)
-	opts.FirstFeasible = true
+func benchFeasibility(b *testing.B, a *trace.Analysis, numBuses int) {
+	conflicts := core.BuildConflicts(a, core.DefaultOptions())
+	f := NewFormulator(a, conflicts, 4).ForBusCount(numBuses, false)
 	b.ResetTimer()
 	var nodes, warm, pivots int64
 	for i := 0; i < b.N; i++ {
-		sol, err := milp.SolveCtx(context.Background(), f.Problem, opts)
+		sol, err := milp.SolveCtx(context.Background(), f.Problem, milp.Options{FirstFeasible: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -40,35 +40,34 @@ func benchFeasibility(b *testing.B, a *trace.Analysis, numBuses int, opts milp.O
 // BenchmarkMILPFeasible12Warm solves the 12-receiver feasibility MILP
 // at its first feasible bus count.
 func BenchmarkMILPFeasible12Warm(b *testing.B) {
-	benchFeasibility(b, benchprobs.Analysis12(), 4, milp.Options{})
+	benchFeasibility(b, benchprobs.Analysis12(), 4)
 }
 
 // BenchmarkMILPFeasible32Warm solves the 32-receiver feasibility MILP
 // (the STbus architectural maximum) at its first feasible bus count.
 func BenchmarkMILPFeasible32Warm(b *testing.B) {
-	benchFeasibility(b, benchprobs.Analysis32(), 12, milp.Options{})
+	benchFeasibility(b, benchprobs.Analysis32(), 12)
 }
 
 // BenchmarkMILPInfeasible32Root measures the fast-rejection path: one
 // bus short of any conflict-free packing, proven infeasible at the root
 // relaxation without branching.
 func BenchmarkMILPInfeasible32Root(b *testing.B) {
-	benchFeasibility(b, benchprobs.Analysis32(), 8, milp.Options{})
+	benchFeasibility(b, benchprobs.Analysis32(), 8)
 }
 
 // BenchmarkMILPBinding8Warm exercises optimize mode (the exact binding
 // MILP of Eq. 9–11) end to end.
 func BenchmarkMILPBinding8Warm(b *testing.B) {
 	a := benchprobs.Analysis8()
-	conflicts := BuildConflicts(a, DefaultOptions())
-	fr := NewFormulator(a, conflicts, 4)
+	fr := NewFormulator(a, core.BuildConflicts(a, core.DefaultOptions()), 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := solveFormulated(context.Background(), fr, 3, true, milp.Options{})
+		busOf, _, err := fr.Probe(context.Background(), 3, true)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !res.feasible {
+		if busOf == nil {
 			b.Fatal("binding instance became infeasible")
 		}
 	}

@@ -407,6 +407,7 @@ func TestBadRequests(t *testing.T) {
 		{"unknown app", "/v1/design", "application/json", `{"app":"nope"}`, 400},
 		{"unknown engine", "/v1/design?engine=quantum", "application/json", `{"app":"mat1"}`, 400},
 		{"removed anneal engine", "/v1/design?engine=anneal", "application/json", `{"app":"mat1"}`, 400},
+		{"removed milp engine", "/v1/design?engine=milp", "application/json", `{"app":"mat1"}`, 400},
 		{"bad content type", "/v1/design", "text/csv", "a,b", 415},
 		{"garbage binary", "/v1/design", "application/octet-stream", "not a trace", 400},
 		{"bad mode", "/v1/design?mode=wat", "application/json", `{"app":"mat1"}`, 400},
@@ -427,6 +428,20 @@ func TestBadRequests(t *testing.T) {
 				t.Errorf("error body not JSON: %v", err)
 			}
 		})
+	}
+
+	// The retired literal-MILP engine is a classified bad request that
+	// names the engines still accepted.
+	resp, err := http.Post(hs.URL+"/v1/design?engine=milp", "application/json", strings.NewReader(`{"app":"mat1"}`))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	var e errorJSON
+	err = json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusBadRequest || e.Reason != "bad_request" ||
+		!strings.Contains(e.Error, `unknown engine "milp"`) || !strings.Contains(e.Error, "bb or portfolio") {
+		t.Errorf("engine=milp: status %d, body %+v (%v); want 400 bad_request naming bb and portfolio", resp.StatusCode, e, err)
 	}
 
 	// Unknown job ids 404 on both status and events.

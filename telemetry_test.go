@@ -63,8 +63,8 @@ func (s *sseKinds) consume(body io.Reader) {
 }
 
 // perturbedAnalysis16 is a 16-receiver instance hard enough to drive
-// real search traffic — node batches, incumbent improvements and
-// portfolio races — through the telemetry path in about 100ms.
+// real search traffic — node batches and incumbent improvements —
+// through the telemetry path in about 100ms.
 func perturbedAnalysis16(t *testing.T) *trace.Analysis {
 	t.Helper()
 	tr := benchprobs.PerturbTrace(benchprobs.TraceN(16), 0.3, 1)
@@ -78,7 +78,7 @@ func perturbedAnalysis16(t *testing.T) *trace.Analysis {
 // TestTelemetryLiveStream is the end-to-end acceptance test of the
 // observability PR: a 128-target portfolio solve (plus a perturbed
 // 16-receiver solve that forces node-batch traffic) streams live
-// incumbent, node and race events over /events to two concurrent SSE
+// incumbent and node events over /events to two concurrent SSE
 // subscribers while /metrics serves valid Prometheus exposition. A
 // subscriber that was not told of dropped events saw the whole journal,
 // so two such subscribers see identical sequences.
@@ -148,7 +148,7 @@ func TestTelemetryLiveStream(t *testing.T) {
 	wg.Wait()
 
 	for i, s := range subs {
-		for _, kind := range []string{"design_start", "incumbent", "nodes", "race_start", "race_win", "design_done"} {
+		for _, kind := range []string{"design_start", "incumbent", "nodes", "design_done"} {
 			if s.kinds[kind] == 0 {
 				t.Errorf("subscriber %d saw no %s events (kinds: %v)", i, kind, s.kinds)
 			}
