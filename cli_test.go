@@ -62,7 +62,7 @@ func TestCLIPipeline(t *testing.T) {
 	out = runTool(t, genBin,
 		"-trace", prefix+".req.trc", "-window", "900",
 		"-netlist", netlistPath)
-	if !strings.Contains(out, "design (branch-and-bound engine): 3 buses") {
+	if !strings.Contains(out, "design: 3 buses") {
 		t.Errorf("xbargen output unexpected (want 3 buses):\n%s", out)
 	}
 	data, err := os.ReadFile(netlistPath)

@@ -134,7 +134,7 @@ func writeSummary(events []obs.Event, meta obs.FlightMeta) error {
 	for _, e := range events {
 		switch e.Kind {
 		case obs.EvDesignStart:
-			fmt.Printf("\ndesign start: %d receivers, engine %s\n", e.Val, e.Who)
+			fmt.Printf("\ndesign start: %d receivers\n", e.Val)
 		case obs.EvDesignDone:
 			fmt.Printf("design done: %d buses, objective %d, %d nodes%s\n",
 				e.K, e.Val, e.Aux, cappedSuffix(e.Flag))

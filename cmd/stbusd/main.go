@@ -20,6 +20,13 @@
 //	curl -s --data-binary @mat2.req.trc 'localhost:8377/v1/design?window=800'
 //	curl -s -H 'Content-Type: application/json' -d '{"app":"mat2"}' localhost:8377/v1/design
 //
+// POST /v1/design reads the query keys window, threshold, maxtb, mode
+// (optimize or first-feasible), critical, audit, max_nodes, timeout and
+// async, and ignores any other key. Among those is engine=, with which
+// older clients picked a solver engine: there is one. A design whose
+// node budget runs out still answers 200, with "capped": true; only a
+// budget that settles no bus count at all answers 422 search_limit.
+//
 // SIGTERM/SIGINT drain gracefully: admission stops (503), in-flight
 // jobs finish within -drain-timeout (stragglers are canceled), then
 // the listener closes. The shared observability flags apply: add
@@ -47,7 +54,7 @@ var (
 	queueDepth   = flag.Int("queue", 64, "admitted-but-not-running job bound; a full queue answers 429")
 	defTimeout   = flag.Duration("default-timeout", 0, "per-job solve budget when the request names none (0 = 60s)")
 	maxTimeout   = flag.Duration("max-timeout", 0, "upper clamp on per-request timeouts (0 = 10m)")
-	maxNodes     = flag.Int64("max-nodes", 0, "upper clamp on per-job solver node budgets (0 = engine default)")
+	maxNodes     = flag.Int64("max-nodes", 0, "upper clamp on per-job solver node budgets (0 = the solver default); a design that outruns its budget is returned capped")
 	drainTimeout = flag.Duration("drain-timeout", 0, "graceful-drain budget on SIGTERM before in-flight jobs are canceled (0 = 15s)")
 	maxBody      = flag.Int64("max-body", 0, "request body size bound in bytes (0 = 64 MiB)")
 	spoolLimit   = flag.Int64("spool-threshold", 0, "binary trace bodies above this many bytes are spooled to disk and analyzed out-of-core via the sharded driver (0 = 8 MiB, negative = always decode in memory)")

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	xbargen -trace mat2.req.trc -window 800
-//	xbargen -trace mat2.resp.trc -window 800 -threshold 0.4 -maxtb 4 -engine portfolio
+//	xbargen -trace mat2.resp.trc -window 800 -threshold 0.4 -maxtb 4
 //	xbargen -trace mat2.req.trc -trace-out design.trace.json
 package main
 
@@ -32,7 +32,6 @@ var (
 	maxtb      = flag.Int("maxtb", 4, "maximum receivers per bus (0 = unlimited)")
 	noBind     = flag.Bool("no-binding", false, "skip the optimal-binding phase")
 	noCrit     = flag.Bool("no-critical", false, "do not separate overlapping critical streams")
-	engine     = flag.String("engine", "bb", "solver engine: bb (branch and bound) or portfolio (its anytime mode: a capped design instead of a node-limit failure)")
 	jsonTrace  = flag.Bool("json", false, "trace file is JSON")
 	netlist    = flag.String("netlist", "", "also write a JSON netlist of the designed direction (paired with a full crossbar for the other direction)")
 	structural = flag.Bool("structural", false, "print a structural-HDL rendering of the design")
@@ -76,9 +75,6 @@ func run(ctx context.Context) (err error) {
 		MaxPerBus:        *maxtb,
 		OptimizeBinding:  !*noBind,
 	}
-	if opts.Engine, err = cli.ParseEngine(*engine); err != nil {
-		return fmt.Errorf("-engine: %w", err)
-	}
 	if *cacheDir != "" {
 		opts.Cache = cache.New(cache.Config{Dir: *cacheDir})
 	}
@@ -93,8 +89,11 @@ func run(ctx context.Context) (err error) {
 		tr.NumReceivers, len(tr.Events), tr.Horizon, burst.MeanLen)
 	fmt.Printf("analysis: %d windows of %d cycles, peak windowed demand %d buses\n",
 		a.NumWindows(), ws, a.MaxWindowLoad())
-	fmt.Printf("design (%s engine): %d buses, %d conflict pairs, max bus overlap %d cycles, %d search nodes\n",
-		d.Engine, d.NumBuses, d.Conflicts, d.MaxBusOverlap, d.SearchNodes)
+	fmt.Printf("design: %d buses, %d conflict pairs, max bus overlap %d cycles, %d search nodes\n",
+		d.NumBuses, d.Conflicts, d.MaxBusOverlap, d.SearchNodes)
+	if d.Capped {
+		fmt.Println("  capped: the node budget ran out; the bus count's minimality or the binding's optimality is unproven")
+	}
 	for b := 0; b < d.NumBuses; b++ {
 		fmt.Printf("  bus %d:", b)
 		for r, bus := range d.BusOf {

@@ -24,9 +24,9 @@ type goldenDesign struct {
 }
 
 // golden holds the designs produced at the time the warm-started MILP
-// engine landed, captured with the default options (EngineBranchBound)
-// and the published workload seed. The solver rework must not move any
-// of these: a changed binding here means the default engine's search is
+// engine landed, captured with the default options and the published
+// workload seed. The solver rework must not move any of these: a
+// changed binding here means the search is
 // no longer deterministic — or no longer optimal — and is a regression
 // even if every other test passes.
 var golden = map[string]goldenDesign{

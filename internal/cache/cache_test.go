@@ -44,7 +44,6 @@ func sameCrossbar(a, b *core.Design) bool {
 		reflect.DeepEqual(a.BusOf, b.BusOf) &&
 		a.MaxBusOverlap == b.MaxBusOverlap &&
 		a.Conflicts == b.Conflicts &&
-		a.Engine == b.Engine &&
 		a.Capped == b.Capped
 }
 

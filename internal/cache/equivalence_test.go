@@ -17,9 +17,7 @@ import (
 // design served from an exact cache hit and the design produced by a
 // warm delta re-solve (cache primed with a 5%-perturbed sibling of the
 // problem) must be bit-identical to the cold design and pass the
-// independent auditor. The default engine path runs on every case;
-// every seventh case repeats the check on the portfolio, the branch
-// and bound's anytime mode.
+// independent auditor.
 func TestCacheEquivalenceDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cache equivalence sweep skipped in -short mode")
@@ -30,15 +28,7 @@ func TestCacheEquivalenceDifferential(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			c := check.RandomCase(seed, check.DefaultGenParams())
-			engines := []core.Engine{core.EngineBranchBound}
-			if seed%7 == 0 {
-				engines = append(engines, core.EnginePortfolio)
-			}
-			for _, eng := range engines {
-				opts := c.Opts
-				opts.Engine = eng
-				checkCaseEquivalence(t, c, opts)
-			}
+			checkCaseEquivalence(t, c, c.Opts)
 		})
 	}
 }

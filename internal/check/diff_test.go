@@ -40,8 +40,8 @@ func TestRandomTraceValid(t *testing.T) {
 }
 
 // TestDifferentialSolvers is the solver-agreement gate: ≥200 seeded
-// cases solved by the specialized assignment search, the literal MILP
-// oracle and the portfolio must produce identical feasibility verdicts,
+// cases solved by the specialized assignment search and the literal
+// MILP oracle must produce identical feasibility verdicts,
 // identical minimal bus counts, identical optimal objectives (binding
 // mode), and constraint-clean designs under the independent auditor.
 func TestDifferentialSolvers(t *testing.T) {
@@ -105,22 +105,13 @@ type SolverPath struct {
 	Design func(context.Context, *trace.Analysis, core.Options) (*core.Design, error)
 }
 
-// solverPaths returns the paths the harness pins: the branch and bound,
-// its anytime mode (the portfolio), which must land on the same bus
-// count and objective whenever its budget suffices, and the literal
-// MILP oracle, which shares nothing with the branch and bound past the
-// conflict matrix.
+// solverPaths returns the paths the harness pins: the branch and bound
+// and the literal MILP oracle, which shares nothing with the branch and
+// bound past the conflict matrix.
 func solverPaths() []SolverPath {
-	engine := func(e core.Engine) func(context.Context, *trace.Analysis, core.Options) (*core.Design, error) {
-		return func(ctx context.Context, a *trace.Analysis, o core.Options) (*core.Design, error) {
-			o.Engine = e
-			return core.DesignCrossbarCtx(ctx, a, o)
-		}
-	}
 	return []SolverPath{
-		{Name: "assign", Design: engine(core.EngineBranchBound)},
+		{Name: "assign", Design: core.DesignCrossbarCtx},
 		{Name: "milp-oracle", Design: oracle.Design},
-		{Name: "portfolio", Design: engine(core.EnginePortfolio)},
 	}
 }
 
@@ -173,7 +164,7 @@ func (o *DiffOutcome) Disagreements() []string {
 			continue
 		}
 		if v.Design.Capped {
-			// The differential cases are sized so every engine proves its
+			// The differential cases are sized so every path proves its
 			// answer; a budget-capped (unproven) design here means a path
 			// silently degraded to best-effort.
 			out = append(out, fmt.Sprintf("capped(%s): returned an unproven design on a case every path must prove", v.Path))

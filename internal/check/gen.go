@@ -75,8 +75,7 @@ func RandomTrace(seed int64, p GenParams) *trace.Trace {
 }
 
 // Case is one differential problem: a trace, a window size and the
-// methodology options to solve under (Engine is overridden per solver
-// path by Diff).
+// methodology options every solver path solves under.
 type Case struct {
 	Seed       int64
 	Trace      *trace.Trace

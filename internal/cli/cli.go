@@ -19,7 +19,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -207,18 +206,6 @@ var shardsFlag = flag.Int("shards", 0, "trace-analysis shards (0 = one per CPU c
 // Shards reports the -shards flag for tools to pass into the sharded
 // trace-analysis entry points.
 func Shards() int { return *shardsFlag }
-
-// ParseEngine maps the user-facing engine names shared by the -engine
-// flags and the daemon's engine= request parameter onto core.Engine.
-func ParseEngine(name string) (core.Engine, error) {
-	switch name {
-	case "", "bb":
-		return core.EngineBranchBound, nil
-	case "portfolio":
-		return core.EnginePortfolio, nil
-	}
-	return 0, fmt.Errorf("unknown engine %q (want bb or portfolio)", name)
-}
 
 // Main is the shared entry point of the command-line tools: logger
 // prefix, flag parsing, then Run around the tool body. Tools reduce to

@@ -4,11 +4,12 @@ import (
 	"context"
 	"math"
 	"math/rand"
+
+	"repro/internal/obs"
 )
 
-// Annealing schedule of the portfolio's incumbent feeder. The seed is
-// fixed so the feeder's binding, and every bound it publishes, is
-// deterministic.
+// Annealing schedule of the capped-binding fallback. The seed is fixed
+// so the annealed binding is deterministic.
 const (
 	annealSeed         = 1
 	annealMovesPerRecv = 4000 // proposed moves per receiver
@@ -16,11 +17,41 @@ const (
 	annealPollInterval = 1024 // moves between stop-context polls
 )
 
+// bindAnytime is the binding probe at k buses: the branch and bound,
+// from the warm incumbent seedBus when one is given (see solveSeeded).
+// A decided search returns its answer. A search the node budget cuts
+// short is followed, on the same goroutine, by an anneal from the
+// greedy binding run to completion, and the probe returns the strictly
+// better of the search's incumbent and the annealed binding, capped. A
+// canceled context fails the probe with ErrCanceled.
+func (p *assignProblem) bindAnytime(ctx context.Context, k int, seedBus []int, seedObj int64) (*assignResult, error) {
+	res, err := p.solveSeeded(ctx, k, true, seedBus, seedObj)
+	if err != nil || !res.capped {
+		return res, err
+	}
+	start, _, ok := p.greedyBinding(k)
+	if !ok {
+		return res, nil
+	}
+	busOf, obj := p.anneal(ctx, k, start)
+	if ctx.Err() != nil {
+		return nil, canceledErr(ctx)
+	}
+	if !p.validBinding(k, busOf) {
+		return res, nil
+	}
+	obs.FlightRecorderFrom(ctx).Emit(obs.Event{Kind: obs.EvIncumbent, K: k, Val: obj, Who: "anneal"})
+	if obj < res.maxOverlap {
+		return &assignResult{feasible: true, busOf: busOf, maxOverlap: obj, nodes: res.nodes, capped: true}, nil
+	}
+	return res, nil
+}
+
 // anneal improves a feasible binding by simulated annealing on the
 // binding objective (maximum per-bus aggregate overlap, paper Eq. 11).
-// It is the portfolio engine's incumbent feeder: a heuristic whose
-// result only bounds the exact search or, when the search runs out of
-// budget, stands in as a capped incumbent.
+// It is the fallback of a binding search that runs out of budget
+// (bindAnytime): a heuristic whose result only ever stands in as a
+// capped incumbent.
 // Moves relocate one receiver to another bus or swap two receivers,
 // and are only accepted when the result stays feasible (bandwidth,
 // conflicts, cap).

@@ -9,7 +9,7 @@ import (
 )
 
 // annealProblem builds the assignment problem DesignCrossbar would
-// build for a and opts, the one the portfolio's feeder anneals on.
+// build for a and opts, the one a capped binding probe anneals on.
 func annealProblem(a *trace.Analysis, opts Options) *assignProblem {
 	maxPerBus := opts.MaxPerBus
 	if maxPerBus <= 0 || maxPerBus > a.NumReceivers {
@@ -105,7 +105,7 @@ func TestAnnealMatchesExactOnEasyInstances(t *testing.T) {
 	}
 }
 
-// TestAnnealStopsOnCanceledContext pins the feeder's lifetime
+// TestAnnealStopsOnCanceledContext pins the anneal's cancellation
 // contract: an anneal handed a done context returns its start binding
 // at once instead of running its full move schedule.
 func TestAnnealStopsOnCanceledContext(t *testing.T) {

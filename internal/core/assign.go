@@ -6,7 +6,6 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/ds"
 	"repro/internal/obs"
@@ -329,9 +328,8 @@ type searchState struct {
 	best     int64               // incumbent objective (binding mode)
 	bestBus  []int
 	optimize bool
-	capped   bool         // node budget exhausted
-	stopErr  error        // context cancellation observed mid-search
-	fed      *sharedBound // bound published by a sibling engine (nil: none)
+	capped   bool  // node budget exhausted
+	stopErr  error // context cancellation observed mid-search
 }
 
 // cancelCheckMask throttles context polling in the hot search loop:
@@ -344,40 +342,18 @@ const cancelCheckMask = 1023
 // by a greedy incumbent). The context is polled at node-expansion
 // boundaries; cancellation surfaces as a wrapped ErrCanceled.
 func (p *assignProblem) solve(ctx context.Context, nB int, optimize bool) (*assignResult, error) {
-	return p.solveSeeded(ctx, nB, optimize, nil, 0, nil)
+	return p.solveSeeded(ctx, nB, optimize, nil, 0)
 }
 
-// sharedBound is the objective of the best known-valid binding another
-// engine has published while a binding solve runs (the portfolio's
-// annealing feeder). It only ever decreases.
-type sharedBound struct{ atomic.Int64 }
-
-func newSharedBound() *sharedBound {
-	b := &sharedBound{}
-	b.Store(int64(1) << 62)
-	return b
-}
-
-// offerBound publishes the objective of a valid binding; the bound
-// keeps the minimum ever offered.
-func (b *sharedBound) offerBound(obj int64) {
-	for {
-		cur := b.Load()
-		if obj >= cur || b.CompareAndSwap(cur, obj) {
-			return
-		}
-	}
-}
-
-// solveSeeded is solve with two optional accelerators for the optimize
-// mode, neither of which changes the returned binding.
+// solveSeeded is solve with an external warm incumbent for the
+// optimize mode, which does not change the returned binding.
 //
-// seedBus is an external warm incumbent: a known-feasible binding
-// (already validated by the caller) with objective seedObj on THIS
-// problem. When the seed beats the greedy incumbent it becomes the
-// starting incumbent with the bound tightened to seedObj+1, pruning
-// every subtree that cannot strictly improve on it. Let G be the greedy
-// incumbent's objective and opt the true optimum.
+// seedBus is a known-feasible binding (already validated by the
+// caller) with objective seedObj on THIS problem. When the seed beats
+// the greedy incumbent it becomes the starting incumbent with the bound
+// tightened to seedObj+1, pruning every subtree that cannot strictly
+// improve on it. Let G be the greedy incumbent's objective and opt the
+// true optimum.
 //
 //   - If opt < G, the unseeded search returns the first
 //     depth-first binding achieving opt (each improvement overwrites
@@ -389,15 +365,9 @@ func (b *sharedBound) offerBound(obj int64) {
 //   - If opt == G, then seedObj ≥ opt = G means seedObj+1 > G: the seed
 //     does not tighten the bound, and the search is the unseeded one.
 //
-// fed, when non-nil, is a bound other goroutines lower while the search
-// runs, and the search prunes a placement whose bus overlap strictly
-// exceeds it. Every value offered is the objective of a real binding,
-// so the bound is always ≥ opt. All prefix overlaps of the first
-// depth-first opt-achiever are ≤ opt, so the strict comparison never
-// prunes it; every leaf recorded before it is > opt, so it is still
-// recorded when reached, and nothing after it improves on it. A fed
-// bound changes how many nodes the search expands, never its answer.
-func (p *assignProblem) solveSeeded(ctx context.Context, nB int, optimize bool, seedBus []int, seedObj int64, fed *sharedBound) (*assignResult, error) {
+// A search cut short by the node budget before it improves on the seed
+// returns the seed itself, capped, at its own objective seedObj.
+func (p *assignProblem) solveSeeded(ctx context.Context, nB int, optimize bool, seedBus []int, seedObj int64) (*assignResult, error) {
 	if nB <= 0 {
 		return &assignResult{}, nil
 	}
@@ -405,7 +375,7 @@ func (p *assignProblem) solveSeeded(ctx context.Context, nB int, optimize bool, 
 		return nil, canceledErr(ctx)
 	}
 	st := p.newSearchState(ctx, nB, optimize)
-	st.fed = fed
+	seeded := false
 
 	if optimize {
 		// Seed the incumbent with a greedy min-overlap binding so the
@@ -420,6 +390,7 @@ func (p *assignProblem) solveSeeded(ctx context.Context, nB int, optimize bool, 
 		if seedBus != nil && seedObj+1 < st.best {
 			st.best = seedObj + 1
 			st.bestBus = append([]int(nil), seedBus...)
+			seeded = true
 		}
 	}
 
@@ -439,6 +410,11 @@ func (p *assignProblem) solveSeeded(ctx context.Context, nB int, optimize bool, 
 		res.feasible = true
 		res.busOf = st.bestBus
 		res.maxOverlap = st.best
+		if seeded && st.best == seedObj+1 {
+			// No improvement recorded: the incumbent is still the seed,
+			// whose objective is seedObj, not the tightened bound.
+			res.maxOverlap = seedObj
+		}
 		// A truncated optimality search still holds a feasible
 		// incumbent, but it is not proven optimal — surface that
 		// instead of passing the incumbent off as the optimum.
@@ -572,11 +548,6 @@ func (st *searchState) dfs(idx int, curMax int64) bool {
 			newOv := st.overlap[b] + added
 			if newOv >= st.best {
 				continue // cannot improve the incumbent
-			}
-			// A fed bound prunes strictly worse subtrees only: ties stay
-			// explorable, which keeps the answer unchanged (solveSeeded).
-			if st.fed != nil && newOv > st.fed.Load() {
-				continue
 			}
 		}
 		// Place.

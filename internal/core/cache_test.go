@@ -44,7 +44,6 @@ func sameCrossbar(a, b *Design) bool {
 		reflect.DeepEqual(a.BusOf, b.BusOf) &&
 		a.MaxBusOverlap == b.MaxBusOverlap &&
 		a.Conflicts == b.Conflicts &&
-		a.Engine == b.Engine &&
 		a.Capped == b.Capped
 }
 
@@ -97,14 +96,13 @@ func TestCacheStoresSolvedDesigns(t *testing.T) {
 }
 
 // TestCacheWarmEquivalence is the bit-identity property of the warm
-// path: across random problems, engines and binding modes, a design
+// path: across random problems and binding modes, a design
 // produced with any warm incumbent — the problem's own cold binding, a
 // nearby problem's binding, or outright garbage — must equal the cold
 // design exactly. The incumbent may only change how fast the answer
 // arrives.
 func TestCacheWarmEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	engines := []Engine{EngineBranchBound, EnginePortfolio}
 	for iter := 0; iter < 60; iter++ {
 		nRecv := 3 + rng.Intn(4)
 		a := randomAnalysis(t, rng, nRecv)
@@ -113,7 +111,6 @@ func TestCacheWarmEquivalence(t *testing.T) {
 			SeparateCritical: rng.Intn(2) == 0,
 			MaxPerBus:        rng.Intn(4),
 			OptimizeBinding:  rng.Intn(3) != 0,
-			Engine:           engines[iter%len(engines)],
 		}
 		rng.Intn(3) // a spare draw: keeps the instances this seed has always produced
 		cold, coldErr := DesignCrossbar(a, opts)
@@ -147,8 +144,8 @@ func TestCacheWarmEquivalence(t *testing.T) {
 				continue
 			}
 			if !sameCrossbar(got, cold) {
-				t.Fatalf("iter %d warm %d (engine %v, optimize %v): warm design %+v, cold %+v",
-					iter, wi, opts.Engine, opts.OptimizeBinding, got, cold)
+				t.Fatalf("iter %d warm %d (optimize %v): warm design %+v, cold %+v",
+					iter, wi, opts.OptimizeBinding, got, cold)
 			}
 		}
 	}
@@ -185,7 +182,6 @@ func TestCacheWarmFromPerturbedProblem(t *testing.T) {
 		next := mkAnalysis(t, nRecv, horizon, 100, perturbed)
 
 		opts := DefaultOptions()
-		opts.Engine = []Engine{EngineBranchBound, EnginePortfolio}[iter%2]
 
 		prior, err := DesignCrossbar(base, opts)
 		if err != nil {
@@ -203,7 +199,7 @@ func TestCacheWarmFromPerturbedProblem(t *testing.T) {
 			continue
 		}
 		if !sameCrossbar(got, cold) {
-			t.Fatalf("iter %d (engine %v): delta design %+v, cold %+v", iter, opts.Engine, got, cold)
+			t.Fatalf("iter %d: delta design %+v, cold %+v", iter, got, cold)
 		}
 	}
 }

@@ -38,15 +38,12 @@ func TestDesignCtxPreCanceled(t *testing.T) {
 	a := randomAnalysis(t, rng, 5)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, eng := range []Engine{EngineBranchBound, EnginePortfolio} {
-		opts := Options{OverlapThreshold: 0.4, MaxPerBus: 3, Engine: eng}
-		_, err := DesignCrossbarCtx(ctx, a, opts)
-		if !errors.Is(err, ErrCanceled) {
-			t.Errorf("%s: err = %v, want ErrCanceled", eng, err)
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: err = %v, want to also wrap context.Canceled", eng, err)
-		}
+	_, err := DesignCrossbarCtx(ctx, a, Options{OverlapThreshold: 0.4, MaxPerBus: 3})
+	if !errors.Is(err, ErrCanceled) {
+		t.Errorf("err = %v, want ErrCanceled", err)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want to also wrap context.Canceled", err)
 	}
 }
 

@@ -3,8 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/benchprobs"
 	"repro/internal/trace"
 )
 
@@ -84,5 +87,139 @@ func TestCappedFeasibilityStillErrors(t *testing.T) {
 	_, err := DesignCrossbar(a, opts)
 	if !errors.Is(err, ErrSearchLimit) {
 		t.Fatalf("want ErrSearchLimit from a 2-node budget, got %v", err)
+	}
+}
+
+// TestDesign32TargetsCapped pins the capped binding fallback: when the
+// binding search runs out of budget, the annealed greedy binding is as
+// much a fallback as the search's incumbent, so the capped design is
+// never worse than the anneal from the greedy start.
+func TestDesign32TargetsCapped(t *testing.T) {
+	a := stressAnalysis(t, 1)
+	opts := DefaultOptions()
+	opts.MaxNodes = 1000
+	d, err := DesignCrossbar(a, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Validate(a, opts); err != nil {
+		t.Fatalf("capped design invalid: %v", err)
+	}
+	if !d.Capped {
+		t.Fatalf("1000-node budget settled the 32-target binding; the fallback is not exercised")
+	}
+	p := annealProblem(a, opts)
+	greedy, _, ok := p.greedyBinding(d.NumBuses)
+	if !ok {
+		t.Fatalf("greedy found no binding at %d buses", d.NumBuses)
+	}
+	if _, annObj := p.anneal(context.Background(), d.NumBuses, greedy); d.MaxBusOverlap > annObj {
+		t.Errorf("capped design objective %d, worse than the anneal %d", d.MaxBusOverlap, annObj)
+	}
+}
+
+// TestCappedDesignDeterminism designs a capped instance three times and
+// expects the whole Design each time, SearchNodes included: the
+// fallback anneal runs on the designing goroutine, after the search.
+func TestCappedDesignDeterminism(t *testing.T) {
+	a := stressAnalysis(t, 1)
+	opts := DefaultOptions()
+	opts.MaxNodes = 1000
+	first, err := DesignCrossbar(a, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !first.Capped {
+		t.Fatal("design not capped; the fallback is not exercised")
+	}
+	for i := 1; i < 3; i++ {
+		d, err := DesignCrossbar(a, opts)
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(d, first) {
+			t.Fatalf("run %d: %+v, want %+v", i, d, first)
+		}
+	}
+}
+
+// TestCappedDesignPins pins the capped designs of three instances whose
+// node budget runs out: buses, objective and binding. The first has
+// every feasibility probe decided and a binding search cut short; the
+// second decides no probe, so the greedy scan picks the count; the
+// third has undecided probes below its count and a capped binding.
+// These designs equal what the former portfolio engine returned.
+func TestCappedDesignPins(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		a        *trace.Analysis
+		maxNodes int64
+		buses    int
+		obj      int64
+		busOf    []int
+	}{
+		{"stress1/1000", stressAnalysis(t, 1), 1000, 8, 48,
+			[]int{0, 4, 6, 4, 6, 7, 7, 0, 5, 6, 5, 2, 1, 5, 2, 5, 3, 2, 3, 3, 7, 0, 4, 1, 2, 3, 0, 7, 4, 1, 1, 6}},
+		{"stress3/3", stressAnalysis(t, 3), 3, 8, 13,
+			[]int{4, 6, 4, 3, 3, 2, 6, 2, 0, 0, 2, 6, 5, 3, 0, 0, 6, 4, 1, 1, 1, 7, 3, 7, 2, 5, 5, 5, 7, 1, 7, 4}},
+		{"analysis32/1e6", benchprobs.Analysis32(), 1_000_000, 10, 1810,
+			[]int{6, 5, 4, 2, 7, 2, 1, 3, 8, 9, 0, 1, 9, 7, 7, 0, 8, 6, 5, 5, 8, 4, 4, 6, 8, 3, 1, 3, 9, 9, 0, 2}},
+	} {
+		opts := DefaultOptions()
+		opts.MaxNodes = tc.maxNodes
+		d, err := DesignCrossbar(tc.a, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if d.NumBuses != tc.buses || d.MaxBusOverlap != tc.obj || !d.Capped || !slices.Equal(d.BusOf, tc.busOf) {
+			t.Errorf("%s: %d buses, objective %d, capped %v, binding %v; want %d, %d, capped, %v",
+				tc.name, d.NumBuses, d.MaxBusOverlap, d.Capped, d.BusOf, tc.buses, tc.obj, tc.busOf)
+		}
+		if err := d.Validate(tc.a, opts); err != nil {
+			t.Errorf("%s: capped design invalid: %v", tc.name, err)
+		}
+	}
+}
+
+// TestDesignNodeLimitSurfaces pins the contract of an absurdly small
+// budget: the design either fails with a classified ErrSearchLimit or
+// returns a Capped design that satisfies every constraint. It never
+// passes an unproven design off as proven.
+func TestDesignNodeLimitSurfaces(t *testing.T) {
+	a := stressAnalysis(t, 3)
+	opts := DefaultOptions()
+	opts.MaxNodes = 3
+	d, err := DesignCrossbar(a, opts)
+	if err != nil {
+		if !errors.Is(err, ErrSearchLimit) {
+			t.Fatalf("err = %v, want ErrSearchLimit", err)
+		}
+		return
+	}
+	if !d.Capped {
+		t.Fatalf("3-node budget returned an uncapped design: %+v", d)
+	}
+	if err := d.Validate(a, opts); err != nil {
+		t.Fatalf("capped design invalid: %v", err)
+	}
+}
+
+// TestBindAnytimeCanceledDuringAnneal cancels a capped binding probe
+// after its search, while the fallback anneal runs: the probe fails
+// with ErrCanceled instead of returning a half-annealed binding. The
+// 1000-node search never reaches a node-boundary poll, so the one poll
+// the context allows is the search's entry check.
+func TestBindAnytimeCanceledDuringAnneal(t *testing.T) {
+	a := stressAnalysis(t, 1)
+	opts := DefaultOptions()
+	opts.MaxNodes = 1000
+	p := annealProblem(a, opts)
+	ctx := newCountingCtx(1)
+	_, err := p.bindAnytime(ctx, 8, nil, 0)
+	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want ErrCanceled wrapping context.Canceled", err)
+	}
+	if ctx.polls.Load() < 2 {
+		t.Fatalf("%d context polls: the anneal never ran", ctx.polls.Load())
 	}
 }

@@ -18,10 +18,14 @@
 //
 // Both problems are solved exactly by a specialized branch and bound
 // over the assignment structure (see assign.go), which takes the place
-// of the paper's CPLEX runs. EnginePortfolio is the same search in an
-// anytime mode (see portfolio.go). The literal Eq. 3–9/11 MILP lives in
-// internal/oracle, which only tests import: it cross-checks this
-// package's answers.
+// of the paper's CPLEX runs. When its node budget (Options.MaxNodes)
+// runs out the design does not fail outright: an undecided bus count
+// counts as infeasible, a greedy scan stands in when no count was
+// proven feasible, and a binding search cut short is finished by an
+// anneal from the greedy binding (see anneal.go). Such a design is
+// flagged Design.Capped. A design decided within the budget never runs
+// any of this. The literal Eq. 3–9/11 MILP lives in internal/oracle,
+// which only tests import: it cross-checks this package's answers.
 package core
 
 import (
@@ -45,35 +49,6 @@ var (
 	metProbeNS = obs.NewHistogram("core.probe_ns")
 )
 
-// Engine selects how the branch and bound runs. The values are fixed
-// because Options.Fingerprint hashes them: 1 (the retired literal-MILP
-// engine) and 2 (the retired annealing engine) are unassigned.
-type Engine int
-
-const (
-	// EngineBranchBound is the specialized exact assignment solver.
-	EngineBranchBound Engine = 0
-	// EnginePortfolio is the branch and bound's anytime mode. Each
-	// binding probe runs an anneal from the greedy binding beside the
-	// search and feeds its objective into the bound the search prunes
-	// with, and a greedy scan narrows the cold bus-count range. Its
-	// answers equal EngineBranchBound's whenever the node budget
-	// suffices; past the budget it returns the best binding in hand with
-	// Design.Capped set instead of failing (see portfolio.go). The
-	// engine for the 128–512-target scale.
-	EnginePortfolio Engine = 3
-)
-
-func (e Engine) String() string {
-	switch e {
-	case EngineBranchBound:
-		return "branch-and-bound"
-	case EnginePortfolio:
-		return "portfolio"
-	}
-	return fmt.Sprintf("Engine(%d)", int(e))
-}
-
 // Options are the tunable parameters of the methodology (the design
 // knobs explored in paper Sections 7.2–7.4).
 type Options struct {
@@ -95,8 +70,6 @@ type Options struct {
 	// maximum per-bus aggregate overlap. When false the first feasible
 	// binding is returned.
 	OptimizeBinding bool
-	// Engine selects the solver.
-	Engine Engine
 	// MaxNodes bounds the search effort per solve (0 = default).
 	MaxNodes int64
 	// Deprecated: ignored; every design runs one search thread.
@@ -180,11 +153,6 @@ func (o Options) Validate() error {
 	if o.MaxNodes < 0 {
 		return fmt.Errorf("core: MaxNodes %d is negative (0 means the default budget)", o.MaxNodes)
 	}
-	switch o.Engine {
-	case EngineBranchBound, EnginePortfolio:
-	default:
-		return fmt.Errorf("core: unknown engine %d", int(o.Engine))
-	}
 	return nil
 }
 
@@ -198,7 +166,6 @@ func DefaultOptions() Options {
 		SeparateCritical: true,
 		MaxPerBus:        4,
 		OptimizeBinding:  true,
-		Engine:           EngineBranchBound,
 	}
 }
 
@@ -217,16 +184,15 @@ type Design struct {
 	Conflicts int
 	// SearchNodes counts solver nodes over all phases.
 	SearchNodes int64
-	// Engine records which solver produced the design.
-	Engine Engine
 	// Capped reports a result that is feasible but not fully proven
 	// within the node budget (Options.MaxNodes): the binding-phase
-	// search ran out before proving optimality — BusOf is the best
-	// incumbent found and MaxBusOverlap an upper bound on the optimum —
-	// or, for EnginePortfolio only, the probe of some bus count below
-	// NumBuses ran out of budget undecided, so NumBuses is feasible but
-	// its minimality is unproven (anytime semantics; EngineBranchBound
-	// fails such searches with ErrSearchLimit instead).
+	// search ran out before proving optimality — BusOf is the better of
+	// its incumbent and the annealed greedy binding, and MaxBusOverlap
+	// an upper bound on the optimum — or the probe of some bus count
+	// below NumBuses ran out of budget undecided, so NumBuses is
+	// feasible but its minimality is unproven. When no probe proved any
+	// count feasible, NumBuses is the first count the greedy binding
+	// settles. Capped designs are never cached.
 	Capped bool
 }
 
@@ -277,7 +243,7 @@ func DesignCrossbarCtx(ctx context.Context, a *trace.Analysis, opts Options) (*D
 	defer designSpan.End()
 	metDesigns.Inc()
 	rec := obs.FlightRecorderFrom(ctx)
-	rec.Emit(obs.Event{Kind: obs.EvDesignStart, Val: int64(nT), Who: opts.Engine.String()})
+	rec.Emit(obs.Event{Kind: obs.EvDesignStart, Val: int64(nT)})
 
 	// A content-addressed exact hit costs two fingerprints and a map
 	// probe — checked before the conflict matrix or any solver state is
@@ -317,11 +283,9 @@ func DesignCrossbarCtx(ctx context.Context, a *trace.Analysis, opts Options) (*D
 	// Near-hit warm start: a binding cached for a nearby problem. It is
 	// a hint, never trusted — re-validated against THIS problem's
 	// constraints first. Once validated it proves feasibility at its
-	// bus count (narrowing the search to the counts below) and, for the
-	// branch-and-bound engine, seeds the binding phase (see solveSeeded
-	// for why the output stays bit-identical to a cold solve). The
-	// portfolio gets the range narrowing only: its binding probe already
-	// starts from the greedy and annealed bounds.
+	// bus count (narrowing the search to the counts below) and seeds
+	// the binding phase (see solveSeeded for why the output stays
+	// bit-identical to a cold solve).
 	warmK := -1
 	var seedBus []int
 	var seedObj int64
@@ -340,40 +304,40 @@ func DesignCrossbarCtx(ctx context.Context, a *trace.Analysis, opts Options) (*D
 		}
 	}
 
-	rawSolve := prob.solve
-	if opts.Engine == EnginePortfolio {
-		rawSolve = prob.solveAnytime
-	}
 	// Every probe — feasibility or the final binding solve — goes
 	// through this wrapper, so each one shows up as its own span (child
 	// of core.search or core.bind) in the trace, as an open/close pair in
 	// the flight journal, and as a sample in the probe wall-time
-	// histogram.
-	solve := func(ctx context.Context, k int, optimize bool) (*assignResult, error) {
+	// histogram. A binding probe (optimize set) starts from the warm
+	// incumbent when one is given and finishes a search cut short by the
+	// budget with an anneal (bindAnytime).
+	probe := func(ctx context.Context, k int, optimize bool, seedBus []int, seedObj int64) (*assignResult, error) {
 		ctx, sp := obs.Start(ctx, "core.probe")
 		defer sp.End()
+		if seedBus != nil {
+			sp.SetBool("seeded", true)
+		}
 		metProbes.Inc()
 		rec.Emit(obs.Event{Kind: obs.EvProbeOpen, K: k, Flag: optimize})
 		start := time.Now()
-		res, err := rawSolve(ctx, k, optimize)
+		var res *assignResult
+		var err error
+		if optimize {
+			res, err = prob.bindAnytime(ctx, k, seedBus, seedObj)
+		} else {
+			res, err = prob.solve(ctx, k, false)
+		}
 		metProbeNS.Observe(time.Since(start).Nanoseconds())
 		rec.Emit(probeCloseEvent(k, optimize, res, err))
 		return res, err
 	}
-	// solveWarm is the binding-phase probe with the cache incumbent
-	// installed (EngineBranchBound only; see solveSeeded).
-	solveWarm := func(ctx context.Context, k int, seedBus []int, seedObj int64) (*assignResult, error) {
-		ctx, sp := obs.Start(ctx, "core.probe")
-		defer sp.End()
-		sp.SetBool("seeded", true)
-		metProbes.Inc()
-		rec.Emit(obs.Event{Kind: obs.EvProbeOpen, K: k, Flag: true})
-		start := time.Now()
-		res, err := prob.solveSeeded(ctx, k, true, seedBus, seedObj, nil)
-		metProbeNS.Observe(time.Since(start).Nanoseconds())
-		rec.Emit(probeCloseEvent(k, true, res, err))
-		return res, err
-	}
+	// A feasibility probe that runs out of budget counts as infeasible
+	// so the search keeps narrowing; the tracker flags the design Capped
+	// when its minimality rests on that assumption.
+	var und undecidedTracker
+	feasSolve := und.wrap(func(ctx context.Context, k int, _ bool) (*assignResult, error) {
+		return probe(ctx, k, false, nil, 0)
+	})
 
 	// Phase 1: find the minimum feasible bus count. Feasibility is
 	// monotone in the bus count (extra buses can stay unused), so a
@@ -383,23 +347,6 @@ func DesignCrossbarCtx(ctx context.Context, a *trace.Analysis, opts Options) (*D
 	sctx, searchSpan := obs.Start(ctx, "core.search")
 	searchSpan.SetInt("lb", int64(lb))
 	searchSpan.SetInt("ub", int64(ub))
-	// The portfolio engine gets anytime semantics: probes undecided
-	// within the node budget are treated as infeasible so the search
-	// keeps narrowing, and the tracker flags the design Capped when its
-	// minimality rests on such an assumption. A greedy-success upper
-	// bound pre-narrows the cold search range for free.
-	var und undecidedTracker
-	feasSolve := solve
-	gub := -1
-	if opts.Engine == EnginePortfolio {
-		feasSolve = und.wrap(solve)
-		if warmK < 0 {
-			gub = greedyUpperBound(prob, lb, ub)
-			if gub >= 0 {
-				searchSpan.SetInt("greedy_ub", int64(gub))
-			}
-		}
-	}
 	var (
 		best          int
 		firstFeasible *assignResult
@@ -410,15 +357,17 @@ func DesignCrossbarCtx(ctx context.Context, a *trace.Analysis, opts Options) (*D
 		searchSpan.SetBool("warm", true)
 		best, firstFeasible, nodes, err = searchBelowIncumbent(sctx, lb, warmK, feasSolve)
 	} else {
-		searchUB := ub
-		if gub >= 0 && gub-1 < searchUB {
-			searchUB = gub - 1
-		}
-		best, firstFeasible, nodes, err = searchMinFeasible(sctx, lb, searchUB, feasSolve)
-		if err == nil && best == -1 && gub >= 0 {
-			// The greedy binding proves gub feasible, but no probe ran
-			// there: firstFeasible stays nil, as on the warm path.
-			best = gub
+		best, firstFeasible, nodes, err = searchMinFeasible(sctx, lb, ub, feasSolve)
+	}
+	searchCapped := und.cappedBelow(best)
+	if err == nil && best == -1 && und.any {
+		// Last resort, off the decided path: no probe proved any count
+		// feasible, but some ran out of budget. The first count the
+		// greedy binding settles is feasible; its minimality is unproven.
+		// firstFeasible stays nil, as on the warm path.
+		if gub := greedyUpperBound(prob, lb, ub); gub >= 0 {
+			searchSpan.SetInt("greedy_ub", int64(gub))
+			best, searchCapped = gub, true
 		}
 	}
 	searchSpan.SetInt("best", int64(best))
@@ -427,20 +376,19 @@ func DesignCrossbarCtx(ctx context.Context, a *trace.Analysis, opts Options) (*D
 		return nil, err
 	}
 	if best == -1 {
-		if und.anyUndecided() {
+		if und.any {
 			return nil, fmt.Errorf("core: feasibility of the range up to %d buses undecided within the node budget: %w", ub, ErrSearchLimit)
 		}
 		return nil, fmt.Errorf("core: no feasible crossbar with at most %d buses (conflicts or bus cap too tight): %w", ub, ErrInfeasible)
 	}
-	searchCapped := und.cappedBelow(best)
 
 	// The warm search can prove the minimal count without a probe at
 	// that count (the incumbent itself is the feasibility witness), and
-	// so can the portfolio's greedy scan. When the binding phase is off,
+	// so can the greedy last resort. When the binding phase is off,
 	// both end on the feasibility probe at that count: the per-count
 	// solve is deterministic, so warm and cold runs return one binding.
 	if firstFeasible == nil && !opts.OptimizeBinding {
-		res, err := solve(ctx, best, false)
+		res, err := probe(ctx, best, false, nil, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -449,18 +397,15 @@ func DesignCrossbarCtx(ctx context.Context, a *trace.Analysis, opts Options) (*D
 	}
 
 	result := firstFeasible
-	// Phase 2: optimal binding on the chosen configuration.
+	// Phase 2: optimal binding on the chosen configuration. The cached
+	// binding, when valid at the chosen count, seeds the branch and
+	// bound (output unchanged, subtrees that cannot beat it pruned).
 	if opts.OptimizeBinding {
-		bctx, bindSpan := obs.Start(ctx, "core.bind")
-		var res *assignResult
-		if seedBus != nil && best == warmK && opts.Engine == EngineBranchBound {
-			// The cached binding is valid at the chosen count: seed the
-			// branch and bound with it (output unchanged, subtrees that
-			// cannot beat it pruned).
-			res, err = solveWarm(bctx, best, seedBus, seedObj)
-		} else {
-			res, err = solve(bctx, best, true)
+		if best != warmK {
+			seedBus = nil
 		}
+		bctx, bindSpan := obs.Start(ctx, "core.bind")
+		res, err := probe(bctx, best, true, seedBus, seedObj)
 		bindSpan.End()
 		if err != nil {
 			return nil, err
@@ -482,7 +427,6 @@ func DesignCrossbarCtx(ctx context.Context, a *trace.Analysis, opts Options) (*D
 		MaxBusOverlap: result.maxOverlap,
 		Conflicts:     nConf,
 		SearchNodes:   nodes,
-		Engine:        opts.Engine,
 		Capped:        result.capped || searchCapped,
 	}
 	// Publish the finished design for reuse. Capped results are

@@ -411,13 +411,6 @@ func TestDesignQuickMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestEngineString(t *testing.T) {
-	if EngineBranchBound.String() != "branch-and-bound" || EnginePortfolio.String() != "portfolio" ||
-		Engine(1).String() != "Engine(1)" {
-		t.Error("Engine.String mismatch")
-	}
-}
-
 func TestDefaultOptions(t *testing.T) {
 	o := DefaultOptions()
 	if o.OverlapThreshold != 0.30 || !o.SeparateCritical || o.MaxPerBus != 4 || !o.OptimizeBinding {

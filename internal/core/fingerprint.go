@@ -47,11 +47,13 @@ func (o Options) Fingerprint() trace.Fingerprint {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(o.MinBuses))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(o.MaxBuses))
 	buf = append(buf, b2u8(o.OptimizeBinding))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(o.Engine))
-	// The last byte once held a legacy-MILP solver flag. That solver is
-	// gone and the byte is always 0; writing it keeps every option set
+	// The next eight bytes once held the solver engine and the last
+	// byte a legacy-MILP solver flag. Both choices are gone and the
+	// slots are always 0, as the default engine and the unset flag
+	// wrote them; writing them keeps every default-engine option set
 	// hashing as before, so existing stbus.options.v1 cache entries
 	// stay valid.
+	buf = binary.LittleEndian.AppendUint64(buf, 0)
 	buf = append(buf, 0)
 
 	h.Write(buf)

@@ -15,8 +15,6 @@ func TestOptionsFingerprintStable(t *testing.T) {
 	}{
 		{"default", DefaultOptions(), "41624f500f4b3853e053823317f163ffbfff354fc1a67a57aa9b855c57d25897"},
 		{"zero", Options{}, zeroFP},
-		{"branch-bound", Options{Engine: EngineBranchBound}, zeroFP},
-		{"portfolio", Options{Engine: EnginePortfolio}, "bab377644fb8b5b758c37eb58c36e878b59ba7118f5b379a8e0c5fc9345ab87b"},
 		{"threshold-disabled", Options{OverlapThreshold: -0.5}, "7aae42d64a2be9439bb11e4274c475fefe86caea894a53d26408adc161329f57"},
 		{"threshold-disabled-canonical", Options{OverlapThreshold: -1}, "7aae42d64a2be9439bb11e4274c475fefe86caea894a53d26408adc161329f57"},
 		{"max-per-bus-uncapped", Options{MaxPerBus: -3}, zeroFP},

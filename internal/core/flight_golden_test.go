@@ -8,15 +8,13 @@ import (
 	"repro/internal/obs"
 )
 
-// recordedSolve runs one Analysis12 branch-and-bound design under a
-// fresh flight recorder and returns both the design and the recording.
+// recordedSolve runs one Analysis12 design under a fresh flight
+// recorder and returns both the design and the recording.
 func recordedSolve(t *testing.T) (*Design, []obs.Event) {
 	t.Helper()
 	rec := obs.NewFlightRecorder(obs.DefaultFlightCapacity)
 	ctx := obs.WithFlightRecorder(context.Background(), rec)
-	opts := DefaultOptions()
-	opts.Engine = EngineBranchBound
-	d, err := DesignCrossbarCtx(ctx, benchprobs.Analysis12(), opts)
+	d, err := DesignCrossbarCtx(ctx, benchprobs.Analysis12(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +41,7 @@ func sameDesign(t *testing.T, label string, a, b *Design) {
 }
 
 // TestFlightGoldenCanonical pins the schedule-invariant canonical
-// reduction of a fixed 12-receiver branch-and-bound solve: two
+// reduction of a fixed 12-receiver solve: two
 // recordings of the same problem must reduce to the same canonical
 // event sequence, and that sequence itself is pinned here so a change
 // to the search's decision structure (not just its schedule) fails
@@ -61,7 +59,7 @@ func TestFlightGoldenCanonical(t *testing.T) {
 	}
 
 	// Pinned canonical sequence for benchprobs.Analysis12 under
-	// DefaultOptions + EngineBranchBound. The clique lower bound starts
+	// DefaultOptions. The clique lower bound starts
 	// the search at k=4, which is feasible outright (first binding at
 	// objective 856), so no infeasible close survives the reduction;
 	// the optimize pass then settles the objective at 432. Seq/T and
@@ -71,7 +69,7 @@ func TestFlightGoldenCanonical(t *testing.T) {
 			d1.NumBuses, d1.MaxBusOverlap)
 	}
 	want := []obs.Event{
-		{Kind: obs.EvDesignStart, Val: 12, Who: "branch-and-bound"},
+		{Kind: obs.EvDesignStart, Val: 12},
 		{Kind: obs.EvProbeClose, K: 4, Who: "feasible", Val: 856},
 		{Kind: obs.EvProbeClose, K: 4, Flag: true, Who: "feasible", Val: 432},
 		{Kind: obs.EvDesignDone, K: 4, Val: 432},
@@ -85,9 +83,7 @@ func TestFlightGoldenCanonical(t *testing.T) {
 // criterion that recorded and unrecorded solves produce bit-identical
 // designs: the recorder is observation only.
 func TestFlightRecordingDoesNotPerturbDesign(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Engine = EngineBranchBound
-	bare, err := DesignCrossbarCtx(context.Background(), benchprobs.Analysis12(), opts)
+	bare, err := DesignCrossbarCtx(context.Background(), benchprobs.Analysis12(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

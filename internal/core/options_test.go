@@ -26,9 +26,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative max buses", func(o *Options) { o.MaxBuses = -1 }},
 		{"min above max buses", func(o *Options) { o.MinBuses = 5; o.MaxBuses = 3 }},
 		{"negative node budget", func(o *Options) { o.MaxNodes = -7 }},
-		{"unknown engine", func(o *Options) { o.Engine = Engine(99) }},
-		{"removed anneal engine", func(o *Options) { o.Engine = Engine(2) }},
-		{"removed milp engine", func(o *Options) { o.Engine = Engine(1) }},
 	}
 	for _, tc := range cases {
 		opts := base
@@ -56,7 +53,7 @@ func TestDesignRejectsInvalidOptions(t *testing.T) {
 	for _, opts := range []Options{
 		{OverlapThreshold: math.NaN()},
 		{OverlapThreshold: -1, MaxPerBus: -1},
-		{OverlapThreshold: -1, Engine: Engine(42)},
+		{OverlapThreshold: -1, MaxNodes: -1},
 	} {
 		if _, err := DesignCrossbar(a, opts); err == nil {
 			t.Errorf("design accepted invalid options %+v", opts)

@@ -1,6 +1,9 @@
 package core
 
-import "context"
+import (
+	"context"
+	"errors"
+)
 
 // solveFunc probes one candidate bus count. It must be deterministic
 // for a given (k, optimize) pair.
@@ -69,4 +72,54 @@ func searchBelowIncumbent(ctx context.Context, lb, warmK int, solve solveFunc) (
 		return b2, fr, nodes, nil
 	}
 	return warmK - 1, res, nodes, nil
+}
+
+// undecidedTracker records bus counts whose feasibility probe ran out
+// of budget undecided. The search treats such a count as infeasible so
+// it keeps narrowing, and the design is flagged Capped when its
+// minimality rests on that assumption. A search that decides every
+// probe never sees the tracker act.
+type undecidedTracker struct {
+	min int  // lowest undecided count, when any
+	any bool // some probe came back undecided
+}
+
+// wrap converts probe-level ErrSearchLimit into an "assume infeasible"
+// outcome, recording the count.
+func (u *undecidedTracker) wrap(solve solveFunc) solveFunc {
+	return func(ctx context.Context, k int, optimize bool) (*assignResult, error) {
+		res, err := solve(ctx, k, optimize)
+		if err != nil && errors.Is(err, ErrSearchLimit) {
+			if !u.any || k < u.min {
+				u.min = k
+			}
+			u.any = true
+			return &assignResult{}, nil
+		}
+		return res, err
+	}
+}
+
+// cappedBelow reports whether an undecided count undermines the
+// minimality of best (best == -1 means nothing was proven feasible, so
+// any undecided count does).
+func (u *undecidedTracker) cappedBelow(best int) bool {
+	return u.any && (best == -1 || u.min < best)
+}
+
+// greedyUpperBound scans bus counts upward from lb for the first count
+// the greedy binding heuristic settles, or returns -1 when the bounded
+// scan finds none. A greedy success is a real feasibility proof. It is
+// the last resort of a search whose probes all ran out of budget, so it
+// never runs on a decided design. The scan span is bounded: greedy
+// either succeeds within a few counts of the lower bound or the
+// instance is so conflict-dense that the exact probes are cheap anyway.
+func greedyUpperBound(prob *assignProblem, lb, ub int) int {
+	const span = 8
+	for k := lb; k <= ub && k-lb <= span; k++ {
+		if _, _, ok := prob.greedyBinding(k); ok {
+			return k
+		}
+	}
+	return -1
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -39,57 +40,50 @@ func sameResult(t *testing.T, label string, want, got *assignResult) {
 	}
 }
 
-// TestSolveSeededFedBound checks that a fed bound (the annealing feeder
-// of the portfolio) cannot change the answer — only how much is
-// explored. The fed bound is the known optimum, the most aggressive
-// valid feed possible.
-func TestSolveSeededFedBound(t *testing.T) {
+// TestSolveSeededOptimalSeed checks that a warm seed cannot change the
+// answer, only how much is explored. The seed is the proven optimum
+// itself, the tightest valid seed possible.
+func TestSolveSeededOptimalSeed(t *testing.T) {
 	a := benchprobs.Analysis12()
 	prob := testProblem(t, a, 0)
 	ctx := context.Background()
 	k := prob.lowerBound()
-	want, err := prob.solveSeeded(ctx, k, true, nil, 0, nil)
+	want, err := prob.solveSeeded(ctx, k, true, nil, 0)
 	if err != nil || !want.feasible {
-		t.Fatalf("unfed: feasible=%v err=%v", want != nil && want.feasible, err)
+		t.Fatalf("unseeded: feasible=%v err=%v", want != nil && want.feasible, err)
 	}
-	fed := newSharedBound()
-	fed.offerBound(want.maxOverlap) // optimum, as if annealing found it instantly
-	got, err := prob.solveSeeded(ctx, k, true, nil, 0, fed)
+	got, err := prob.solveSeeded(ctx, k, true, want.busOf, want.maxOverlap)
 	if err != nil {
-		t.Fatalf("fed: %v", err)
+		t.Fatalf("seeded: %v", err)
 	}
-	sameResult(t, "fed", want, got)
+	sameResult(t, "seeded", want, got)
+	if got.nodes > want.nodes {
+		t.Errorf("seeded search expanded %d nodes, unseeded %d", got.nodes, want.nodes)
+	}
 }
 
-// TestSolveSeededFedBoundStress lowers the fed bound from a racing
-// goroutine while repeated solves run — meaningful under -race, and a
-// determinism check besides: every iteration must reproduce the
-// unfed binding.
-func TestSolveSeededFedBoundStress(t *testing.T) {
+// TestSolveSeededCappedKeepsSeedObjective: a binding search cut short
+// by its node budget before it improves on the warm seed returns the
+// seed with the seed's own objective, not the tightened bound it
+// searched under.
+func TestSolveSeededCappedKeepsSeedObjective(t *testing.T) {
 	a := benchprobs.Analysis12()
-	prob := testProblem(t, a, 0)
-	ctx := context.Background()
-	k := prob.lowerBound()
-	want, err := prob.solveSeeded(ctx, k, true, nil, 0, nil)
+	full := testProblem(t, a, 0)
+	k := full.lowerBound()
+	seed, err := full.solveSeeded(context.Background(), k, true, nil, 0)
+	if err != nil || !seed.feasible {
+		t.Fatalf("uncapped solve at %d buses: feasible=%v err=%v", k, seed != nil && seed.feasible, err)
+	}
+	capped := testProblem(t, a, 1)
+	got, err := capped.solveSeeded(context.Background(), k, true, seed.busOf, seed.maxOverlap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for iter := 0; iter < 8; iter++ {
-		fed := newSharedBound()
-		done := make(chan struct{})
-		go func() {
-			// Feed progressively tighter valid bounds, racing the search.
-			for obj := want.maxOverlap + 3; obj >= want.maxOverlap; obj-- {
-				fed.offerBound(obj)
-			}
-			close(done)
-		}()
-		got, err := prob.solveSeeded(ctx, k, true, nil, 0, fed)
-		<-done
-		if err != nil {
-			t.Fatalf("iter %d: %v", iter, err)
-		}
-		sameResult(t, "stress", want, got)
+	if !got.capped || !slices.Equal(got.busOf, seed.busOf) {
+		t.Fatalf("1-node seeded solve: capped %v, binding %v; want the capped seed %v", got.capped, got.busOf, seed.busOf)
+	}
+	if want := MaxOverlapOfMatrix(capped.om, k, got.busOf); got.maxOverlap != want {
+		t.Errorf("capped seed reported objective %d, its binding's is %d", got.maxOverlap, want)
 	}
 }
 
@@ -103,7 +97,7 @@ func TestSolveSeededCancellation(t *testing.T) {
 	done := make(chan error, 1)
 	start := time.Now()
 	go func() {
-		_, err := prob.solveSeeded(ctx, prob.lowerBound(), false, nil, 0, nil)
+		_, err := prob.solveSeeded(ctx, prob.lowerBound(), false, nil, 0)
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond)

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math/rand"
-	"runtime"
 	"testing"
 	"time"
 
@@ -74,66 +73,42 @@ func TestDesign32TargetsCompletesQuickly(t *testing.T) {
 	}
 }
 
-// TestDesign32TargetsCappedPortfolio pins the portfolio's capped
-// fallback: when every contestant runs out of budget in the binding
-// phase, the annealed binding the feeder already validated is as much
-// a fallback as the branch and bound's incumbent, so the capped design
-// is never worse than the anneal from the greedy start.
-func TestDesign32TargetsCappedPortfolio(t *testing.T) {
-	a := stressAnalysis(t, 1)
-	opts := DefaultOptions()
-	opts.Engine = EnginePortfolio
-	opts.MaxNodes = 1000
-	d, err := DesignCrossbar(a, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Validate(a, opts); err != nil {
-		t.Fatalf("capped portfolio design invalid: %v", err)
-	}
-	if !d.Capped {
-		t.Fatalf("1000-node budget settled the 32-target binding; the fallback is not exercised")
-	}
-	p := annealProblem(a, opts)
-	greedy, _, ok := p.greedyBinding(d.NumBuses)
-	if !ok {
-		t.Fatalf("greedy found no binding at %d buses", d.NumBuses)
-	}
-	if _, annObj := p.anneal(context.Background(), d.NumBuses, greedy); d.MaxBusOverlap > annObj {
-		t.Errorf("capped design objective %d, worse than the feeder's anneal %d", d.MaxBusOverlap, annObj)
-	}
-}
-
-// TestPortfolioJoinsFeeder pins the anneal feeder's lifetime: it must
-// not outlive the design. On the 128-receiver instance the race is
-// decided long before a full anneal would finish, so a feeder left
-// running would keep its goroutine alive well past the return.
-func TestPortfolioJoinsFeeder(t *testing.T) {
-	a := benchprobs.Analysis128()
-	opts := DefaultOptions()
-	opts.Engine = EnginePortfolio
-	before := runtime.NumGoroutine()
-	if _, err := DesignCrossbarCtx(context.Background(), a, opts); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(100 * time.Millisecond)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines 100ms after the design returned, %d before it started",
-				runtime.NumGoroutine(), before)
+// TestLargeInstanceOptimality designs the 128-receiver production-scale
+// instance to audited-equivalent optimality within the default budget:
+// the exact clique bound (43 conflicting same-phase receivers) must
+// meet the achieved count, proving minimality without search, and the
+// binding objective must be the true optimum of the block-diagonal
+// overlap structure, zero.
+func TestLargeInstanceOptimality(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		a     *trace.Analysis
+		buses int
+	}{
+		{"analysis128", benchprobs.Analysis128(), 43},
+		{"analysis256", benchprobs.Analysis256(), 86},
+		{"analysis512", benchprobs.Analysis512(), 171},
+	} {
+		prob := testProblem(t, tc.a, 0)
+		if lb := prob.lowerBound(); lb != tc.buses {
+			t.Fatalf("%s: lower bound %d, want %d (clique bound should be exact)", tc.name, lb, tc.buses)
 		}
-		time.Sleep(time.Millisecond)
+		opts := DefaultOptions()
+		d, err := DesignCrossbar(tc.a, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if d.NumBuses != tc.buses {
+			t.Fatalf("%s: %d buses, want %d", tc.name, d.NumBuses, tc.buses)
+		}
+		if d.MaxBusOverlap != 0 {
+			t.Fatalf("%s: objective %d, want 0", tc.name, d.MaxBusOverlap)
+		}
+		if d.Capped {
+			t.Fatalf("%s: capped, want proven", tc.name)
+		}
+		if err := d.Validate(tc.a, opts); err != nil {
+			t.Fatalf("%s: invalid design: %v", tc.name, err)
+		}
 	}
-}
-
-func TestDesignNodeLimitSurfaces(t *testing.T) {
-	a := stressAnalysis(t, 3)
-	opts := DefaultOptions()
-	opts.MaxNodes = 3 // absurdly small: must fail loudly, not silently
-	_, err := DesignCrossbar(a, opts)
-	if err == nil {
-		t.Skip("instance solved within 3 nodes; limit not exercised")
-	}
-	// Either the explicit limit error or a search failure is fine, but
-	// it must not return a design.
 }

@@ -120,8 +120,8 @@ func reductionDigest(keep []int, comm [][]int64) string {
 // TestReduceWindowsPaperTraces pins the window reduction on the ten
 // paper traces (seed 1, each at its WindowSizeHint): how many windows
 // are kept, and a SHA-256 of the kept indices and loads. The reduction
-// feeds both exact engines, so a moved pin means the constraint set
-// the solvers see changed.
+// feeds the branch and bound, so a moved pin means the constraint set
+// the solver sees changed.
 func TestReduceWindowsPaperTraces(t *testing.T) {
 	want := map[string]struct {
 		kept   int

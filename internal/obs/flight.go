@@ -32,8 +32,8 @@ import (
 type EventKind uint8
 
 const (
-	// EvDesignStart opens one design run: Val = receiver count,
-	// Who = engine name.
+	// EvDesignStart opens one design run: Val = receiver count. Older
+	// recordings name the solver engine in Who.
 	EvDesignStart EventKind = iota
 	// EvDesignDone closes a design run: K = buses, Val = objective,
 	// Aux = total solver nodes, Flag = capped.
@@ -171,17 +171,27 @@ const DefaultFlightCapacity = 1 << 15
 // FlightRecorder is a bounded ring journal of Events. All methods are
 // safe for concurrent use, and all methods on a nil receiver are
 // allocation-free no-ops — the disabled path.
+//
+// The ring's storage grows on demand: it doubles, from
+// flightInitialStorage events, until it holds capacity events, and only
+// then wraps. A recorder that journals a few dozen events keeps a few
+// kilobytes however large its capacity.
 type FlightRecorder struct {
 	epoch time.Time
 	now   func() time.Time // test hook; defaults to time.Now
 
-	mu  sync.Mutex
-	buf []Event // ring storage; entry for seq s lives at s % len(buf)
-	n   int64   // events emitted so far (next Seq)
+	mu       sync.Mutex
+	capacity int     // events retained once the ring wraps
+	buf      []Event // ring storage; entry for seq s lives at s % capacity
+	n        int64   // events emitted so far (next Seq)
 	// watchers are the wakeup channels of attached streams (see watch):
 	// Emit signals each without blocking.
 	watchers []chan struct{}
 }
+
+// flightInitialStorage is the event count a recorder's storage starts
+// at on its first event (see FlightRecorder).
+const flightInitialStorage = 16
 
 // NewFlightRecorder returns an empty recorder holding the last
 // `capacity` events (0 means DefaultFlightCapacity). Its clock starts
@@ -190,15 +200,17 @@ func NewFlightRecorder(capacity int) *FlightRecorder {
 	if capacity <= 0 {
 		capacity = DefaultFlightCapacity
 	}
-	r := &FlightRecorder{now: time.Now, buf: make([]Event, capacity)}
+	r := &FlightRecorder{now: time.Now, capacity: capacity}
 	r.epoch = r.now()
 	return r
 }
 
 // Emit records e, stamping its Seq and T, and wakes every attached
-// stream. The caller fills the payload fields only. Nil-safe and
-// allocation-free (the event is copied into preallocated ring storage,
-// and each wakeup is a non-blocking send of an empty struct).
+// stream. The caller fills the payload fields only. Nil-safe and, in
+// amortized terms, allocation-free: the event is copied into ring
+// storage, which grows by doubling only O(log capacity) times over the
+// recorder's life, and each wakeup is a non-blocking send of an empty
+// struct.
 func (r *FlightRecorder) Emit(e Event) {
 	if r == nil {
 		return
@@ -223,12 +235,22 @@ func (r *FlightRecorder) Forward(src *FlightRecorder) {
 }
 
 // record stamps e's Seq, stores it in the ring and wakes the streams.
+// Until the ring first fills, Seq equals the event's index in buf.
 func (r *FlightRecorder) record(e Event) {
 	r.mu.Lock()
 	e.Seq = r.n
-	r.buf[r.n%int64(len(r.buf))] = e
+	if len(r.buf) < r.capacity {
+		if len(r.buf) == cap(r.buf) {
+			grown := make([]Event, len(r.buf), min(max(2*cap(r.buf), flightInitialStorage), r.capacity))
+			copy(grown, r.buf)
+			r.buf = grown
+		}
+		r.buf = append(r.buf, e)
+	} else {
+		r.buf[r.n%int64(r.capacity)] = e
+	}
 	r.n++
-	dropped := r.n > int64(len(r.buf))
+	dropped := r.n > int64(r.capacity)
 	for _, c := range r.watchers {
 		select {
 		case c <- struct{}{}:
@@ -278,7 +300,7 @@ func (r *FlightRecorder) Dropped() int64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if d := r.n - int64(len(r.buf)); d > 0 {
+	if d := r.n - int64(r.capacity); d > 0 {
 		return d
 	}
 	return 0
@@ -300,7 +322,7 @@ func (r *FlightRecorder) EventsSince(seq int64) []Event {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	size := int64(len(r.buf))
+	size := int64(r.capacity)
 	first := int64(0)
 	if r.n > size {
 		first = r.n - size
@@ -456,7 +478,7 @@ func ReadNDJSON(rd io.Reader) ([]Event, FlightMeta, error) {
 // or zeroed; what remains are the logical facts every run proves
 // identically however its search was scheduled:
 //
-//   - the design's start (receivers, engine) and outcome (buses,
+//   - the design's start (receivers) and outcome (buses,
 //     objective, capped);
 //   - the two tight feasibility facts: the largest bus count decided
 //     infeasible and the smallest decided feasible. A warm search and a

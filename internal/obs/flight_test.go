@@ -9,13 +9,14 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // fakeFlightRecorder returns a recorder driven by a manual clock, so
 // event timestamps are deterministic.
 func fakeFlightRecorder(capacity int) (r *FlightRecorder, advance func(d time.Duration)) {
 	now := time.Unix(2000, 0)
-	r = &FlightRecorder{now: func() time.Time { return now }, buf: make([]Event, capacity)}
+	r = &FlightRecorder{now: func() time.Time { return now }, capacity: capacity}
 	r.epoch = now
 	return r, func(d time.Duration) { now = now.Add(d) }
 }
@@ -280,6 +281,50 @@ func TestCanonicalKeepsPanic(t *testing.T) {
 	}
 	if k, ok := ParseEventKind(EvPanic.String()); !ok || k != EvPanic || k.String() != "panic" {
 		t.Errorf("panic kind round-trips to %v, %v", k, ok)
+	}
+}
+
+// TestFlightStorageGrowsOnDemand pins the ring's storage growth: a
+// recorder of the per-job capacity (4,096 events) that has journaled a
+// typical job's 44 events keeps under a tenth of the storage a
+// preallocated ring would, and the sequence numbers, the drop count and
+// the replay stay exact as the storage grows to the capacity and wraps.
+func TestFlightStorageGrowsOnDemand(t *testing.T) {
+	const capacity = 4096
+	r := NewFlightRecorder(capacity)
+	emit := func(n int) {
+		for i := 0; i < n; i++ {
+			r.Emit(Event{Kind: EvNodes, Val: r.Emitted(), Who: "bb"})
+		}
+	}
+	emit(44)
+	size := int(unsafe.Sizeof(Event{}))
+	if kept, full := cap(r.buf)*size, capacity*size; kept*10 >= full {
+		t.Errorf("44 events keep %d bytes of storage, want under a tenth of %d", kept, full)
+	}
+	check := func(emitted int64) {
+		t.Helper()
+		events := r.Events()
+		retained := min(emitted, capacity)
+		if r.Emitted() != emitted || r.Dropped() != emitted-retained || int64(len(events)) != retained {
+			t.Fatalf("after %d events: emitted %d, dropped %d, retained %d", emitted, r.Emitted(), r.Dropped(), len(events))
+		}
+		for i, e := range events {
+			if want := emitted - retained + int64(i); e.Seq != want || e.Val != want {
+				t.Fatalf("after %d events: event %d has seq %d, val %d; want %d", emitted, i, e.Seq, e.Val, want)
+			}
+		}
+		if cap(r.buf) > capacity {
+			t.Fatalf("after %d events: storage for %d events, capacity %d", emitted, cap(r.buf), capacity)
+		}
+	}
+	check(44)
+	emit(capacity - 44)
+	check(capacity)
+	emit(1000)
+	check(capacity + 1000)
+	if since := r.EventsSince(capacity + 990); len(since) != 10 || since[0].Seq != capacity+990 {
+		t.Errorf("EventsSince after the wrap returned %d events from seq %d", len(since), since[0].Seq)
 	}
 }
 

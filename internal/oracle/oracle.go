@@ -17,8 +17,7 @@ import (
 // core's. A range without a feasible count fails with an error wrapping
 // core.ErrInfeasible.
 //
-// The design's Engine is opts.Engine, since the oracle is not an engine,
-// and it is never Capped: a MILP solve that runs out of nodes fails.
+// The design is never Capped: a MILP solve that runs out of nodes fails.
 func Design(ctx context.Context, a *trace.Analysis, opts core.Options) (*core.Design, error) {
 	if a == nil || a.NumReceivers == 0 {
 		return nil, fmt.Errorf("oracle: empty analysis")
@@ -81,6 +80,5 @@ func Design(ctx context.Context, a *trace.Analysis, opts core.Options) (*core.De
 		MaxBusOverlap: core.MaxOverlapOf(a, best, bestBus),
 		Conflicts:     nConf,
 		SearchNodes:   nodes,
-		Engine:        opts.Engine,
 	}, nil
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	stbusgen "repro"
-	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -69,6 +68,8 @@ func badRequest(format string, args ...any) error {
 // the query string, the problem from the body. Binary traces arrive as
 // application/octet-stream (the stbus-sim -dump-traces format), JSON
 // bodies carry either a JSON trace or an application spec ({"app":...}).
+// Unknown query keys are ignored, among them engine=, which older
+// clients send to pick a solver engine: there is one.
 func (s *Server) decodeDesignRequest(r *http.Request) (*designRequest, error) {
 	q := r.URL.Query()
 	req := &designRequest{opts: core.DefaultOptions()}
@@ -92,9 +93,6 @@ func (s *Server) decodeDesignRequest(r *http.Request) (*designRequest, error) {
 		req.opts.OptimizeBinding = false
 	default:
 		return nil, badRequest("mode: unknown %q (want optimize or first-feasible)", mode)
-	}
-	if req.opts.Engine, err = cli.ParseEngine(q.Get("engine")); err != nil {
-		return nil, badRequest("engine: %v", err)
 	}
 	if v := q.Get("critical"); v != "" {
 		if req.opts.SeparateCritical, err = strconv.ParseBool(v); err != nil {
@@ -293,13 +291,12 @@ func contentType(r *http.Request) string {
 
 // designJSON is the wire form of one designed crossbar direction.
 type designJSON struct {
-	NumBuses      int    `json:"num_buses"`
-	BusOf         []int  `json:"bus_of"`
-	MaxBusOverlap int64  `json:"max_bus_overlap"`
-	Conflicts     int    `json:"conflicts"`
-	SearchNodes   int64  `json:"search_nodes"`
-	Engine        string `json:"engine"`
-	Capped        bool   `json:"capped,omitempty"`
+	NumBuses      int   `json:"num_buses"`
+	BusOf         []int `json:"bus_of"`
+	MaxBusOverlap int64 `json:"max_bus_overlap"`
+	Conflicts     int   `json:"conflicts"`
+	SearchNodes   int64 `json:"search_nodes"`
+	Capped        bool  `json:"capped,omitempty"`
 }
 
 func designWire(d *core.Design) *designJSON {
@@ -312,7 +309,6 @@ func designWire(d *core.Design) *designJSON {
 		MaxBusOverlap: d.MaxBusOverlap,
 		Conflicts:     d.Conflicts,
 		SearchNodes:   d.SearchNodes,
-		Engine:        d.Engine.String(),
 		Capped:        d.Capped,
 	}
 }

@@ -37,7 +37,9 @@ func (s jobState) String() string {
 
 // jobFlightCapacity is the per-job flight-recorder ring size: every
 // event of a typical paper design (tens to a few hundred) with room to
-// spare. A stream that falls further behind is told what it missed.
+// spare. The ring's storage grows with the events a job journals, so a
+// retained job keeps only what it recorded. A stream that falls further
+// behind is told what it missed.
 const jobFlightCapacity = 4096
 
 // job is one admitted design request. Telemetry is per-job: the flight

@@ -66,8 +66,8 @@ type Config struct {
 	Addr string
 	// Concurrency is the worker-pool size — the number of design jobs
 	// solved simultaneously. 0 means GOMAXPROCS. Each job runs one
-	// search thread per direction (a portfolio binding probe adds its
-	// anneal feeder), so about one job per core keeps the machine busy.
+	// search thread per direction, so about one job per core keeps the
+	// machine busy.
 	Concurrency int
 	// QueueDepth bounds the jobs admitted but not yet running. A full
 	// queue rejects new work with 429 + Retry-After. 0 means 64.

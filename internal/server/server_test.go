@@ -395,9 +395,9 @@ func TestJobPanicRecovered(t *testing.T) {
 	s.Close()
 }
 
-// TestBadRequests pins the rejection surface: unknown app, unknown
-// engine, bad content type, and garbage binary bodies all answer 4xx
-// with a JSON error, never a 500.
+// TestBadRequests pins the rejection surface: unknown app, bad content
+// type, and garbage binary bodies all answer 4xx with a JSON error,
+// never a 500.
 func TestBadRequests(t *testing.T) {
 	_, hs := newTestServer(t, testConfig())
 	cases := []struct {
@@ -405,9 +405,6 @@ func TestBadRequests(t *testing.T) {
 		want                int
 	}{
 		{"unknown app", "/v1/design", "application/json", `{"app":"nope"}`, 400},
-		{"unknown engine", "/v1/design?engine=quantum", "application/json", `{"app":"mat1"}`, 400},
-		{"removed anneal engine", "/v1/design?engine=anneal", "application/json", `{"app":"mat1"}`, 400},
-		{"removed milp engine", "/v1/design?engine=milp", "application/json", `{"app":"mat1"}`, 400},
 		{"bad content type", "/v1/design", "text/csv", "a,b", 415},
 		{"garbage binary", "/v1/design", "application/octet-stream", "not a trace", 400},
 		{"bad mode", "/v1/design?mode=wat", "application/json", `{"app":"mat1"}`, 400},
@@ -430,20 +427,6 @@ func TestBadRequests(t *testing.T) {
 		})
 	}
 
-	// The retired literal-MILP engine is a classified bad request that
-	// names the engines still accepted.
-	resp, err := http.Post(hs.URL+"/v1/design?engine=milp", "application/json", strings.NewReader(`{"app":"mat1"}`))
-	if err != nil {
-		t.Fatalf("POST: %v", err)
-	}
-	var e errorJSON
-	err = json.NewDecoder(resp.Body).Decode(&e)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusBadRequest || e.Reason != "bad_request" ||
-		!strings.Contains(e.Error, `unknown engine "milp"`) || !strings.Contains(e.Error, "bb or portfolio") {
-		t.Errorf("engine=milp: status %d, body %+v (%v); want 400 bad_request naming bb and portfolio", resp.StatusCode, e, err)
-	}
-
 	// Unknown job ids 404 on both status and events.
 	for _, path := range []string{"/v1/jobs/j-999999", "/v1/jobs/j-999999/events"} {
 		resp, err := http.Get(hs.URL + path)
@@ -454,6 +437,51 @@ func TestBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("GET %s: status %d, want 404", path, resp.StatusCode)
 		}
+	}
+}
+
+// TestEngineParamIgnored: engine= once picked a solver engine and is now
+// an unknown query key, which the server ignores like any other. An
+// older client's engine=portfolio gets the design a request without the
+// key gets, served from the cache entry that request stored: the key
+// does not reach the options.
+func TestEngineParamIgnored(t *testing.T) {
+	_, hs := newTestServer(t, testConfig())
+	body := traceBody(t, benchprobs.TraceN(12))
+	url := fmt.Sprintf("%s/v1/design?window=%d", hs.URL, benchprobs.AnalysisWindow)
+	plain, code := postDesign(t, url, body)
+	if code != http.StatusOK || plain.Design == nil {
+		t.Fatalf("no engine key: status %d, job %+v", code, plain)
+	}
+	for _, engine := range []string{"portfolio", "bb", "milp"} {
+		got, code := postDesign(t, url+"&engine="+engine, body)
+		if code != http.StatusOK || !designEqual(got.Design, plain.Design) ||
+			got.Design.MaxBusOverlap != plain.Design.MaxBusOverlap || got.Cached != "memory" {
+			t.Errorf("engine=%s: status %d, cached %q, design %+v; want 200, a memory hit, %+v",
+				engine, code, got.Cached, got.Design, plain.Design)
+		}
+	}
+}
+
+// TestCappedDesignAnswered pins the capped contract at the service: a
+// 32-receiver trace whose feasibility and binding searches outrun a
+// small max_nodes budget answers 200 with an audited design flagged
+// capped, not 422 search_limit. Capped designs are never stored, so a
+// repeat solves again instead of hitting the cache.
+func TestCappedDesignAnswered(t *testing.T) {
+	_, hs := newTestServer(t, testConfig())
+	body := traceBody(t, benchprobs.TraceN(32))
+	url := fmt.Sprintf("%s/v1/design?window=%d&max_nodes=1000&audit=true", hs.URL, benchprobs.AnalysisWindow)
+	first, code := postDesign(t, url, body)
+	if code != http.StatusOK || first.Design == nil || !first.Design.Capped {
+		t.Fatalf("status %d, reason %q, design %+v; want 200 with a capped design", code, first.Reason, first.Design)
+	}
+	again, code := postDesign(t, url, body)
+	if code != http.StatusOK || again.Cached != "" || !again.Design.Capped {
+		t.Fatalf("repeat: status %d, cached %q, design %+v; want a fresh capped solve", code, again.Cached, again.Design)
+	}
+	if !designEqual(again.Design, first.Design) || again.Design.MaxBusOverlap != first.Design.MaxBusOverlap {
+		t.Errorf("repeat designed %+v, first %+v; capped designs are deterministic", again.Design, first.Design)
 	}
 }
 

@@ -76,7 +76,7 @@ func perturbedAnalysis16(t *testing.T) *trace.Analysis {
 }
 
 // TestTelemetryLiveStream is the end-to-end acceptance test of the
-// observability PR: a 128-target portfolio solve (plus a perturbed
+// observability surface: a 128-target solve (plus a perturbed
 // 16-receiver solve that forces node-batch traffic) streams live
 // incumbent and node events over /events to two concurrent SSE
 // subscribers while /metrics serves valid Prometheus exposition. A
@@ -114,7 +114,6 @@ func TestTelemetryLiveStream(t *testing.T) {
 
 	ctx := obs.WithFlightRecorder(context.Background(), rec)
 	opts := core.DefaultOptions()
-	opts.Engine = core.EnginePortfolio
 
 	d, err := core.DesignCrossbarCtx(ctx, benchprobs.Analysis128(), opts)
 	if err != nil {
@@ -181,9 +180,7 @@ func TestPrometheusScrapeDuringSolve(t *testing.T) {
 	a := perturbedAnalysis16(t)
 	solveDone := make(chan error, 1)
 	go func() {
-		opts := core.DefaultOptions()
-		opts.Engine = core.EnginePortfolio
-		_, err := core.DesignCrossbarCtx(context.Background(), a, opts)
+		_, err := core.DesignCrossbarCtx(context.Background(), a, core.DefaultOptions())
 		solveDone <- err
 	}()
 
