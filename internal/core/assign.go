@@ -366,7 +366,9 @@ func (p *assignProblem) solve(ctx context.Context, nB int, optimize bool) (*assi
 //     does not tighten the bound, and the search is the unseeded one.
 //
 // A search cut short by the node budget before it improves on the seed
-// returns the seed itself, capped, at its own objective seedObj.
+// returns the seed itself, capped, at its own objective seedObj. One cut
+// short with no binding at all returns ErrSearchLimit together with a
+// result that holds only the nodes it spent.
 func (p *assignProblem) solveSeeded(ctx context.Context, nB int, optimize bool, seedBus []int, seedObj int64) (*assignResult, error) {
 	if nB <= 0 {
 		return &assignResult{}, nil
@@ -401,7 +403,7 @@ func (p *assignProblem) solveSeeded(ctx context.Context, nB int, optimize bool, 
 		return nil, st.stopErr
 	}
 	if st.capped && !found && st.bestBus == nil {
-		return nil, ErrSearchLimit
+		return res, ErrSearchLimit // res carries the nodes the probe spent
 	}
 	if optimize {
 		if st.bestBus == nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/benchprobs"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -221,5 +222,46 @@ func TestBindAnytimeCanceledDuringAnneal(t *testing.T) {
 	}
 	if ctx.polls.Load() < 2 {
 		t.Fatalf("%d context polls: the anneal never ran", ctx.polls.Load())
+	}
+}
+
+// TestCappedDesignCountsUndecidedNodes: a feasibility probe that runs
+// out of budget still spent its nodes. At a 30-node budget every
+// feasibility dive of stressAnalysis(1) (33 nodes each) comes back
+// undecided; each such probe must report at least the budget in its
+// probe_close event, and the design's SearchNodes must include all of
+// them.
+func TestCappedDesignCountsUndecidedNodes(t *testing.T) {
+	const budget = 30
+	a := stressAnalysis(t, 1)
+	opts := DefaultOptions()
+	opts.MaxNodes = budget
+	rec := obs.NewFlightRecorder(obs.DefaultFlightCapacity)
+	d, err := DesignCrossbarCtx(obs.WithFlightRecorder(context.Background(), rec), a, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var undecided, probeNodes int64
+	for _, e := range rec.Events() {
+		if e.Kind != obs.EvProbeClose {
+			continue
+		}
+		probeNodes += e.Aux
+		if e.Who != "exhausted" {
+			continue
+		}
+		undecided++
+		if e.Aux < budget {
+			t.Errorf("undecided probe at k=%d reports %d nodes, want at least %d", e.K, e.Aux, budget)
+		}
+	}
+	if undecided == 0 {
+		t.Fatal("no probe ran out of budget; the undecided path is not exercised")
+	}
+	if d.SearchNodes < undecided*budget {
+		t.Errorf("SearchNodes = %d with %d undecided probes, want at least %d", d.SearchNodes, undecided, undecided*budget)
+	}
+	if d.SearchNodes != probeNodes {
+		t.Errorf("SearchNodes = %d, probe_close events sum to %d", d.SearchNodes, probeNodes)
 	}
 }

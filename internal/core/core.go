@@ -452,6 +452,9 @@ func probeCloseEvent(k int, optimize bool, res *assignResult, err error) obs.Eve
 		switch {
 		case errors.Is(err, ErrSearchLimit):
 			e.Who = "exhausted"
+			if res != nil {
+				e.Aux = res.nodes
+			}
 		case errors.Is(err, ErrCanceled):
 			e.Who = "canceled"
 		default:

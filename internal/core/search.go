@@ -85,7 +85,8 @@ type undecidedTracker struct {
 }
 
 // wrap converts probe-level ErrSearchLimit into an "assume infeasible"
-// outcome, recording the count.
+// outcome, recording the count. The nodes the undecided probe spent
+// stay on the result, so the design's SearchNodes counts them.
 func (u *undecidedTracker) wrap(solve solveFunc) solveFunc {
 	return func(ctx context.Context, k int, optimize bool) (*assignResult, error) {
 		res, err := solve(ctx, k, optimize)
@@ -94,7 +95,11 @@ func (u *undecidedTracker) wrap(solve solveFunc) solveFunc {
 				u.min = k
 			}
 			u.any = true
-			return &assignResult{}, nil
+			out := &assignResult{}
+			if res != nil {
+				out.nodes = res.nodes
+			}
+			return out, nil
 		}
 		return res, err
 	}

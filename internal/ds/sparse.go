@@ -206,6 +206,48 @@ func (m *SparseInt64Matrix) Compact() {
 	m.arenaBlock = sparseArenaStart
 }
 
+// ConcatColumns builds the compacted rows×cols matrix whose columns
+// [offsets[i], offsets[i]+parts[i].Cols) hold parts[i]: each output row
+// is the concatenation of the parts' rows in order, their columns
+// rebased by the part's offset. The parts need not be compacted. The
+// result is deeply equal to Appending every cell of the parts in that
+// order and compacting, at one exact-size allocation instead of growing
+// rows: the stored cells are counted first, then copied once. A stored
+// zero cell of a part stays stored, where Append would drop it; every
+// consumer treats the two alike. parts must be nonempty, share one row
+// count, and lie in order without overlapping inside [0, cols).
+func ConcatColumns(parts []*SparseInt64Matrix, offsets []int, cols int) *SparseInt64Matrix {
+	if len(parts) == 0 || len(parts) != len(offsets) {
+		panic(fmt.Sprintf("ds: %d parts with %d offsets", len(parts), len(offsets)))
+	}
+	rows := parts[0].Rows
+	nnz, end := 0, 0
+	for i, p := range parts {
+		if p.Rows != rows {
+			panic(fmt.Sprintf("ds: part %d has %d rows, want %d", i, p.Rows, rows))
+		}
+		if offsets[i] < end || offsets[i]+p.Cols > cols {
+			panic(fmt.Sprintf("ds: part %d columns [%d,%d) overlap the previous part or leave [0,%d)", i, offsets[i], offsets[i]+p.Cols, cols))
+		}
+		end = offsets[i] + p.Cols
+		nnz += p.nnz
+	}
+	out := NewSparseInt64Matrix(rows, cols)
+	out.nnz = nnz
+	backing := make([]SparseCell, 0, nnz)
+	for r := range out.rows {
+		start := len(backing)
+		for i, p := range parts {
+			off := int32(offsets[i])
+			for _, c := range p.rows[r] {
+				backing = append(backing, SparseCell{Col: c.Col + off, Val: c.Val})
+			}
+		}
+		out.rows[r] = backing[start:len(backing):len(backing)]
+	}
+	return out
+}
+
 // Clone returns a compacted deep copy.
 func (m *SparseInt64Matrix) Clone() *SparseInt64Matrix {
 	out := NewSparseInt64Matrix(m.Rows, m.Cols)

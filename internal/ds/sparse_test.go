@@ -1,6 +1,7 @@
 package ds
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -185,4 +186,78 @@ func TestNewSparseInt64MatrixPanicsOnNegative(t *testing.T) {
 		}
 	}()
 	NewSparseInt64Matrix(-1, 3)
+}
+
+// TestConcatColumnsMatchesAppend: for random parts — empty parts,
+// zero-column parts, empty rows, gaps between parts, compacted or
+// still building — ConcatColumns equals Appending the parts' cells in
+// order and compacting, down to the representation and NNZ.
+func TestConcatColumnsMatchesAppend(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 500; trial++ {
+		rows := rng.Intn(6)
+		nParts := 1 + rng.Intn(5)
+		parts := make([]*SparseInt64Matrix, nParts)
+		offsets := make([]int, nParts)
+		col := 0
+		for i := range parts {
+			col += rng.Intn(3) // a gap of unclaimed columns
+			offsets[i] = col
+			p := NewSparseInt64Matrix(rows, rng.Intn(8))
+			for r := 0; r < rows; r++ {
+				if rng.Intn(3) == 0 {
+					continue // empty row
+				}
+				for c := 0; c < p.Cols; c++ {
+					if rng.Intn(2) == 0 {
+						p.Append(r, c, 1+rng.Int63n(1000))
+					}
+				}
+			}
+			if rng.Intn(2) == 0 {
+				p.Compact()
+			}
+			parts[i] = p
+			col += p.Cols
+		}
+		cols := col + rng.Intn(3)
+
+		want := NewSparseInt64Matrix(rows, cols)
+		for r := 0; r < rows; r++ {
+			for i, p := range parts {
+				for _, c := range p.RowCells(r) {
+					want.Append(r, offsets[i]+int(c.Col), c.Val)
+				}
+			}
+		}
+		want.Compact()
+		got := ConcatColumns(parts, offsets, cols)
+		if got.NNZ() != want.NNZ() || !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: ConcatColumns (nnz %d) differs from Append+Compact (nnz %d)", trial, got.NNZ(), want.NNZ())
+		}
+	}
+}
+
+// TestConcatColumnsRejectsOverlap: parts must lie in order inside the
+// output's columns.
+func TestConcatColumnsRejectsOverlap(t *testing.T) {
+	a, b := NewSparseInt64Matrix(2, 4), NewSparseInt64Matrix(2, 4)
+	for _, tc := range []struct {
+		name    string
+		offsets []int
+		cols    int
+	}{
+		{"overlap", []int{0, 3}, 8},
+		{"out of order", []int{4, 0}, 8},
+		{"past cols", []int{0, 4}, 7},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: ConcatColumns accepted offsets %v in %d columns", tc.name, tc.offsets, tc.cols)
+				}
+			}()
+			ConcatColumns([]*SparseInt64Matrix{a, b}, tc.offsets, tc.cols)
+		}()
+	}
 }

@@ -86,73 +86,90 @@ func (bh *v2BlockHeader) validate(remaining uint64) error {
 	return nil
 }
 
-// v2DecodeBlock decodes one block payload, yielding events in order.
-// It performs the structural checks — varints in bounds, payload fully
+// v2BlockDecoder holds the column scratch of the v2 block decoder.
+// Each decoding goroutine (a stream reader, a shard) keeps one and
+// reuses it for every block, so a trace costs one set of columns sized
+// to its largest block rather than four fresh columns per block.
+// Every column entry below the block's count is written before it is
+// read, so a smaller block after a larger one never sees stale values.
+type v2BlockDecoder struct {
+	starts, lens   []int64
+	senders, recvs []uint32
+}
+
+// decode decodes one block payload, yielding events in order. It
+// performs the structural checks — varints in bounds, payload fully
 // consumed, first start matching the header, nonnegative spans, and
 // the decoded max end equal to the header's maxEnd (the summary the
-// sharded reader plans with). Semantic validation (receiver ranges,
-// horizon) is the caller's, matching the v1 paths.
-func v2DecodeBlock(bh v2BlockHeader, payload []byte, yield func(Event) error) error {
+// sharded reader plans with). Every column and the bitmap length are
+// checked before the first event is yielded; maxEnd is checked after
+// the last. Semantic validation (receiver ranges, horizon) is the
+// caller's, matching the v1 paths.
+func (d *v2BlockDecoder) decode(bh v2BlockHeader, payload []byte, yield func(Event) error) error {
 	n := int(bh.count)
 	if int(bh.payloadLen) != len(payload) {
 		return fmt.Errorf("trace: v2 block payload: got %d bytes, header says %d", len(payload), bh.payloadLen)
 	}
+	if cap(d.starts) < n {
+		d.starts, d.lens = make([]int64, n), make([]int64, n)
+		d.senders, d.recvs = make([]uint32, n), make([]uint32, n)
+	}
+	starts, lens, senders, recvs := d.starts[:n], d.lens[:n], d.senders[:n], d.recvs[:n]
 
-	// Column offsets: walk the varint columns once to slice them.
-	starts := make([]int64, n)
 	starts[0] = bh.firstStart
 	pos := 0
-	readUvarint := func() (uint64, error) {
-		v, k := binary.Uvarint(payload[pos:])
-		if k <= 0 {
-			return 0, fmt.Errorf("trace: v2 block: truncated or oversized varint at payload offset %d", pos)
-		}
-		pos += k
-		return v, nil
-	}
 	for k := 1; k < n; k++ {
-		d, err := readUvarint()
-		if err != nil {
-			return err
+		v, next := uint64(0), pos+1
+		if pos < len(payload) && payload[pos] < 0x80 {
+			v = uint64(payload[pos])
+		} else if v, next = v2Uvarint(payload, pos); next < 0 {
+			return v2VarintError(pos)
 		}
-		s := starts[k-1] + int64(d)
+		pos = next
+		s := starts[k-1] + int64(v)
 		if s < starts[k-1] { // overflow
 			return fmt.Errorf("trace: v2 block: start delta overflows at event %d", k)
 		}
 		starts[k] = s
 	}
-	lens := make([]int64, n)
 	for k := 0; k < n; k++ {
-		v, err := readUvarint()
-		if err != nil {
-			return err
+		v, next := uint64(0), pos+1
+		if pos < len(payload) && payload[pos] < 0x80 {
+			v = uint64(payload[pos])
+		} else if v, next = v2Uvarint(payload, pos); next < 0 {
+			return v2VarintError(pos)
 		}
+		pos = next
 		lens[k] = int64(v)
 		if lens[k] < 0 {
 			return fmt.Errorf("trace: v2 block: length overflows at event %d", k)
 		}
 	}
-	senders := make([]int, n)
 	for k := 0; k < n; k++ {
-		v, err := readUvarint()
-		if err != nil {
-			return err
+		v, next := uint64(0), pos+1
+		if pos < len(payload) && payload[pos] < 0x80 {
+			v = uint64(payload[pos])
+		} else if v, next = v2Uvarint(payload, pos); next < 0 {
+			return v2VarintError(pos)
 		}
+		pos = next
 		if v > 1<<31 {
 			return fmt.Errorf("trace: v2 block: implausible sender %d", v)
 		}
-		senders[k] = int(v)
+		senders[k] = uint32(v)
 	}
-	recvs := make([]int, n)
 	for k := 0; k < n; k++ {
-		v, err := readUvarint()
-		if err != nil {
-			return err
+		v, next := uint64(0), pos+1
+		if pos < len(payload) && payload[pos] < 0x80 {
+			v = uint64(payload[pos])
+		} else if v, next = v2Uvarint(payload, pos); next < 0 {
+			return v2VarintError(pos)
 		}
+		pos = next
 		if v > 1<<31 {
 			return fmt.Errorf("trace: v2 block: implausible receiver %d", v)
 		}
-		recvs[k] = int(v)
+		recvs[k] = uint32(v)
 	}
 	bitmapLen := (n + 7) / 8
 	if len(payload)-pos != bitmapLen {
@@ -172,8 +189,8 @@ func v2DecodeBlock(bh v2BlockHeader, payload []byte, yield func(Event) error) er
 		ev := Event{
 			Start:    starts[k],
 			Len:      lens[k],
-			Sender:   senders[k],
-			Receiver: recvs[k],
+			Sender:   int(senders[k]),
+			Receiver: int(recvs[k]),
 			Critical: bitmap[k/8]&(1<<(k%8)) != 0,
 		}
 		if err := yield(ev); err != nil {
@@ -184,6 +201,23 @@ func v2DecodeBlock(bh v2BlockHeader, payload []byte, yield func(Event) error) er
 		return fmt.Errorf("trace: v2 block: header maxEnd %d does not match decoded %d", bh.maxEnd, maxEnd)
 	}
 	return nil
+}
+
+// v2Uvarint is the multi-byte half of the block decoder's varint
+// reader: the decode loops read one-byte values — nearly every start
+// delta, length, sender and receiver — inline and call it for the
+// rest. It returns the value and the offset just past it, or a
+// negative offset when the varint is truncated or oversized.
+func v2Uvarint(payload []byte, pos int) (uint64, int) {
+	v, k := binary.Uvarint(payload[pos:])
+	if k <= 0 {
+		return 0, -1
+	}
+	return v, pos + k
+}
+
+func v2VarintError(pos int) error {
+	return fmt.Errorf("trace: v2 block: truncated or oversized varint at payload offset %d", pos)
 }
 
 // V2Writer streams a trace into the v2 columnar format. The event
@@ -345,6 +379,7 @@ func WriteBinaryV2(w io.Writer, tr *Trace) error {
 // decoded events to the trace (the ReadBinary half of v2 support).
 func readV2Events(br *bufio.Reader, hdr binHeader, tr *Trace) error {
 	var hb [v2BlockHeaderSize]byte
+	var dec v2BlockDecoder
 	payload := make([]byte, 0, 1<<16)
 	var done uint64
 	lastStart := int64(-1)
@@ -363,7 +398,7 @@ func readV2Events(br *bufio.Reader, hdr binHeader, tr *Trace) error {
 		if _, err := io.ReadFull(br, payload); err != nil {
 			return fmt.Errorf("trace: reading v2 block payload at event %d: %w", done, err)
 		}
-		err := v2DecodeBlock(bh, payload, func(e Event) error {
+		err := dec.decode(bh, payload, func(e Event) error {
 			tr.Events = append(tr.Events, e)
 			lastStart = e.Start
 			return nil
@@ -380,6 +415,7 @@ func readV2Events(br *bufio.Reader, hdr binHeader, tr *Trace) error {
 // validate each record against the header shape, feed the sweeper.
 func analyzeReaderV2(ctx context.Context, br *bufio.Reader, hdr binHeader, sw *sweeper, nT, nS int) error {
 	var hb [v2BlockHeaderSize]byte
+	var dec v2BlockDecoder
 	payload := make([]byte, 0, 1<<16)
 	var done uint64
 	lastStart := int64(-1)
@@ -402,7 +438,7 @@ func analyzeReaderV2(ctx context.Context, br *bufio.Reader, hdr binHeader, sw *s
 			return fmt.Errorf("trace: reading v2 block payload at event %d: %w", done, err)
 		}
 		i := done
-		err := v2DecodeBlock(bh, payload, func(e Event) error {
+		err := dec.decode(bh, payload, func(e Event) error {
 			if err := validateStreamEvent(i, e, nT, nS, hdr.horizon); err != nil {
 				return err
 			}

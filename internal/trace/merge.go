@@ -36,30 +36,18 @@ func MergeAnalyses(analyses ...*Analysis) (*Analysis, error) {
 		totalWindows += a.NumWindows()
 	}
 
-	var t [4]*ds.SparseInt64Matrix
-	for k := range t {
-		t[k] = concatSparseRows(k, totalWindows, analyses)
-	}
-	merged := &Analysis{
-		NumReceivers: nT,
-		Boundaries:   make([]int64, 1, totalWindows+1),
-		Comm:         t[0],
-		CritComm:     t[1],
-		Overlap:      t[2],
-		CritOverlap:  t[3],
-		OM:           analyses[0].OM.Clone(),
-	}
-
-	// Concatenated timeline boundaries.
-	offset := int64(0)
-	for _, a := range analyses {
+	offsets := make([]int, len(analyses))
+	boundaries := make([]int64, 1, totalWindows+1)
+	for i, a := range analyses {
+		// Concatenated timeline boundaries.
+		offsets[i] = len(boundaries) - 1
 		for m := 0; m < a.NumWindows(); m++ {
-			offset += a.WindowLen(m)
-			merged.Boundaries = append(merged.Boundaries, offset)
+			boundaries = append(boundaries, boundaries[len(boundaries)-1]+a.WindowLen(m))
 		}
 	}
-	// Sum the aggregate overlap matrices of the remaining scenarios.
-	for _, a := range analyses[1:] {
+	merged := concatAnalyses(nT, boundaries, analyses, offsets)
+	// Sum the scenarios' aggregate overlap matrices.
+	for _, a := range analyses {
 		for i := 0; i < nT; i++ {
 			for j := i + 1; j < nT; j++ {
 				if v := a.OM.At(i, j); v != 0 {
@@ -71,22 +59,27 @@ func MergeAnalyses(analyses ...*Analysis) (*Analysis, error) {
 	return merged, nil
 }
 
-// concatSparseRows concatenates table k (in Analysis.tables order) of
-// every scenario along the window axis. Iterating rows outer and
-// scenarios inner keeps columns nondecreasing within each output row,
-// as Append requires.
-func concatSparseRows(k, totalWindows int, analyses []*Analysis) *ds.SparseInt64Matrix {
-	rows := analyses[0].tables()[k].Rows
-	out := ds.NewSparseInt64Matrix(rows, totalWindows)
-	for r := 0; r < rows; r++ {
-		col := 0
-		for _, a := range analyses {
-			for _, cell := range a.tables()[k].RowCells(r) {
-				out.Append(r, col+int(cell.Col), cell.Val)
-			}
-			col += a.NumWindows()
+// concatAnalyses builds the analysis over boundaries whose per-window
+// tables concatenate those of parts along the window axis, part i's
+// windows starting at window offsets[i]. OM is left empty for the
+// caller to fill.
+func concatAnalyses(nT int, boundaries []int64, parts []*Analysis, offsets []int) *Analysis {
+	nW := len(boundaries) - 1
+	var t [4]*ds.SparseInt64Matrix
+	cols := make([]*ds.SparseInt64Matrix, len(parts))
+	for k := range t {
+		for i, p := range parts {
+			cols[i] = p.tables()[k]
 		}
+		t[k] = ds.ConcatColumns(cols, offsets, nW)
 	}
-	out.Compact()
-	return out
+	return &Analysis{
+		NumReceivers: nT,
+		Boundaries:   boundaries,
+		Comm:         t[0],
+		CritComm:     t[1],
+		Overlap:      t[2],
+		CritOverlap:  t[3],
+		OM:           ds.NewSymMatrix(nT),
+	}
 }

@@ -145,6 +145,12 @@ func planShards(boundaries []int64, src shardSrc, shards int) (spans []shardSpan
 			evLo:  sort.Search(n, func(k int) bool { return src.startAt(k) >= boundaries[lo] }),
 			evHi:  sort.Search(n, func(k int) bool { return src.startAt(k) >= boundaries[hi] }),
 		}
+		if lo < hi && hi == nW {
+			// The last shard also owns the events that start at or past
+			// the horizon: they belong to no window, and its feed
+			// rejects them as the single-pass reader does.
+			spans[s].evHi = n
+		}
 	}
 
 	// Carry-ins: one ordered pass over every event. h tracks the home
@@ -248,22 +254,16 @@ func analyzeShardedIndexed(ctx context.Context, nT int, boundaries []int64, src 
 // mergeShards assembles the global analysis from the per-shard partial
 // tables. Every window belongs to exactly one shard, so each row of
 // every table is the ordered concatenation of the shards' cells with
-// their columns rebased — the same Append sequence the single-pass
-// sweep produces, hence the same compacted CSR structure. OM is
-// derived from the merged rows exactly as the single-pass finish does.
+// their columns rebased — the cells the single-pass sweep appends, in
+// its order — which ConcatColumns lays out as the same compacted CSR
+// structure at exact size. OM is derived from the merged rows exactly
+// as the single-pass finish does.
 func mergeShards(nT int, boundaries []int64, spans []shardSpan, parts []*Analysis) *Analysis {
-	a := newAnalysis(nT, boundaries)
-	for k, out := range a.tables() {
-		for r := 0; r < out.Rows; r++ {
-			for si, pa := range parts {
-				wLo := spans[si].winLo
-				for _, c := range pa.tables()[k].RowCells(r) {
-					out.Append(r, int(c.Col)+wLo, c.Val)
-				}
-			}
-		}
+	offsets := make([]int, len(spans))
+	for s, sp := range spans {
+		offsets[s] = sp.winLo
 	}
-	a.compact()
+	a := concatAnalyses(nT, boundaries, parts, offsets)
 	deriveOM(a)
 	return a
 }

@@ -205,9 +205,13 @@ func analyzeV2Sharded(ctx context.Context, body []byte, hdr binHeader, boundarie
 		sp := spans[s]
 		lo, hi := boundaries[sp.winLo], boundaries[sp.winHi]
 		sw := newSweeper(nT, boundaries[sp.winLo:sp.winHi+1])
+		var dec v2BlockDecoder
 		var fed int64
 		for _, ent := range idx {
-			if sp.winLo == sp.winHi || ent.bh.firstStart >= hi || ent.bh.maxEnd <= lo {
+			// The last shard also decodes the blocks that start at or
+			// past the horizon, so their events fail validation as in
+			// the single-pass reader instead of going unread.
+			if sp.winLo == sp.winHi || (ent.bh.firstStart >= hi && sp.winHi < nW) || ent.bh.maxEnd <= lo {
 				continue
 			}
 			if err := ctx.Err(); err != nil {
@@ -215,7 +219,7 @@ func analyzeV2Sharded(ctx context.Context, body []byte, hdr binHeader, boundarie
 			}
 			payload := body[ent.off : ent.off+int(ent.bh.payloadLen)]
 			i := ent.cumEvents
-			err := v2DecodeBlock(ent.bh, payload, func(e Event) error {
+			err := dec.decode(ent.bh, payload, func(e Event) error {
 				if err := validateStreamEvent(i, e, nT, nS, hdr.horizon); err != nil {
 					return err
 				}

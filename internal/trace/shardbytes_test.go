@@ -1,0 +1,288 @@
+package trace
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"encoding/binary"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+)
+
+// benchImageWindow is the analysis window of the tiled benchmark image.
+const benchImageWindow = 800
+
+// benchImageV2 returns a v2 image of the shape the out-of-core service
+// path analyzes: a 9,600-event, 12-receiver base tile of bursty,
+// start-ordered grants (three phases of four receivers, short grants,
+// one critical grant in eight), tiled 60 times with every copy starting
+// on a window boundary. That is 576,000 events in ≈2.4 MB, ≈9,700
+// windows at benchImageWindow cycles. It is built once per test binary.
+var benchImageV2 = sync.OnceValue(func() []byte {
+	const (
+		recv    = 12
+		senders = 9
+		perTile = 9600
+		tiles   = 60
+	)
+	rng := rand.New(rand.NewSource(1))
+	base := make([]Event, 0, perTile)
+	var t, maxEnd int64
+	for k := 0; k < perTile; k++ {
+		t += int64(rng.Intn(28))
+		phase := (k / 400) % 3
+		r := phase*3 + rng.Intn(3)
+		if rng.Intn(4) == 0 {
+			r = 9 + phase
+		}
+		e := Event{Start: t, Len: int64(2 + rng.Intn(9)), Sender: rng.Intn(senders), Receiver: r, Critical: rng.Intn(8) == 0}
+		base = append(base, e)
+		maxEnd = max(maxEnd, e.End())
+	}
+	period := (maxEnd/benchImageWindow + 1) * benchImageWindow
+	var buf bytes.Buffer
+	vw, err := NewV2Writer(&buf, recv, senders, period*tiles, perTile*tiles)
+	if err != nil {
+		panic(err)
+	}
+	for tile := int64(0); tile < tiles; tile++ {
+		for _, e := range base {
+			e.Start += tile * period
+			if err := vw.Add(e); err != nil {
+				panic(err)
+			}
+		}
+	}
+	if err := vw.Close(); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+})
+
+// BenchmarkAnalyzeBytesSharded times the out-of-core analysis of the
+// tiled benchmark image at a fixed two shards. Run with -benchmem to
+// see the bytes and allocations per call.
+func BenchmarkAnalyzeBytesSharded(b *testing.B) {
+	data := benchImageV2()
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := AnalyzeBytesSharded(context.Background(), data, benchImageWindow, 2, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// allocBytesPerCall measures the heap bytes one call of f allocates,
+// averaged over runs calls after a warm-up call.
+func allocBytesPerCall(runs int, f func()) uint64 {
+	f()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&m1)
+	return (m1.TotalAlloc - m0.TotalAlloc) / uint64(runs)
+}
+
+// parentAllocBytes is what one AnalyzeBytesSharded call on the
+// benchmark image allocated (Go 1.24, linux/amd64) when every v2 block
+// decode made four fresh columns and the shard merge re-Appended every
+// cell into growing rows before compacting.
+const parentAllocBytes = 41_917_997
+
+// TestAnalyzeBytesShardedAllocBytes pins the sharded analysis of the
+// benchmark image at no more than half parentAllocBytes per call: the
+// block decoder reuses one column scratch per shard and the merge lays
+// the tables out at exact size. It also checks the result against the
+// streaming single-pass analysis, so the saving cannot come from
+// skipped work.
+func TestAnalyzeBytesShardedAllocBytes(t *testing.T) {
+	data := benchImageV2()
+	want, err := AnalyzeReader(context.Background(), bytes.NewReader(data), benchImageWindow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got *Analysis
+	perCall := allocBytesPerCall(3, func() {
+		if got, err = AnalyzeBytesSharded(context.Background(), data, benchImageWindow, 2, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	mustEqualAnalyses(t, "bench-image/sh2", got, want)
+	t.Logf("%d bytes per call (%.0f%% of %d)", perCall, 100*float64(perCall)/parentAllocBytes, parentAllocBytes)
+	if perCall > parentAllocBytes/2 {
+		t.Errorf("AnalyzeBytesSharded allocates %d bytes per call, want at most %d", perCall, parentAllocBytes/2)
+	}
+}
+
+// TestV2DecoderScratchReuse decodes a two-block image whose second
+// block is smaller than its first through one decoder, as every stream
+// and shard does, and checks each block against a fresh decoder's
+// events: a stale value left in the scratch tail would surface as a
+// mismatch. ReadBinary over the image must return the same events.
+func TestV2DecoderScratchReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	tr := &Trace{NumReceivers: 7, NumSenders: 5, Horizon: 1 << 30}
+	start := int64(0)
+	for k := 0; k < v2BlockMaxEvents+37; k++ {
+		start += int64(rng.Intn(300))
+		tr.Events = append(tr.Events, Event{
+			Start:    start,
+			Len:      1 + int64(rng.Intn(2000)),
+			Sender:   rng.Intn(5),
+			Receiver: rng.Intn(7),
+			Critical: rng.Intn(3) == 0,
+		})
+	}
+	data := encodeTraceV2(t, tr)
+	hdr, err := readBinaryHeader(bufio.NewReader(bytes.NewReader(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := data[binaryHeaderSize:]
+	idx, err := parseV2Index(body, hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(idx) != 2 || idx[1].bh.count >= idx[0].bh.count {
+		t.Fatalf("image has %d blocks; want a full block then a smaller one", len(idx))
+	}
+	collect := func(dec *v2BlockDecoder, ent v2IndexEntry) []Event {
+		var evs []Event
+		err := dec.decode(ent.bh, body[ent.off:ent.off+int(ent.bh.payloadLen)], func(e Event) error {
+			evs = append(evs, e)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return evs
+	}
+	var shared v2BlockDecoder
+	var all []Event
+	for b, ent := range idx {
+		got := collect(&shared, ent)
+		if want := collect(&v2BlockDecoder{}, ent); !reflect.DeepEqual(got, want) {
+			t.Fatalf("block %d: reused decoder disagrees with a fresh one", b)
+		}
+		all = append(all, got...)
+	}
+	if !reflect.DeepEqual(all, tr.Events) {
+		t.Fatal("decoded events differ from the encoded trace")
+	}
+	back, err := ReadBinary(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.Events, tr.Events) {
+		t.Fatal("ReadBinary events differ from the encoded trace")
+	}
+}
+
+// v2OneBlockImage is a hand-built v2 image of one block: 4 receivers,
+// 2 senders, horizon 100, and the given block header fields and
+// payload (payloadLen is the payload's length).
+func v2OneBlockImage(count uint32, firstStart, maxEnd int64, payload []byte) []byte {
+	b := append([]byte(nil), binaryMagic[:]...)
+	b = binary.LittleEndian.AppendUint32(b, binaryVersionV2)
+	b = binary.LittleEndian.AppendUint32(b, 4)
+	b = binary.LittleEndian.AppendUint32(b, 2)
+	b = binary.LittleEndian.AppendUint64(b, 100)
+	b = binary.LittleEndian.AppendUint64(b, uint64(count))
+	b = binary.LittleEndian.AppendUint32(b, count)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint64(b, uint64(firstStart))
+	b = binary.LittleEndian.AppendUint64(b, uint64(maxEnd))
+	return append(b, payload...)
+}
+
+// TestV2CorruptBlockErrorsAgree feeds corrupt blocks to the three v2
+// decode paths — the two-shard byte analysis, the streaming analysis
+// and ReadBinary — and expects each to fail with the same error. The
+// valid block holds events [10,+5) sender 0 receiver 1 and [12,+3)
+// sender 1 receiver 0, so its max end is 15.
+func TestV2CorruptBlockErrorsAgree(t *testing.T) {
+	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	valid := cat(uv(2), uv(5), uv(3), uv(0), uv(1), uv(1), uv(0), []byte{0})
+	if _, err := ReadBinary(bytes.NewReader(v2OneBlockImage(2, 10, 15, valid))); err != nil {
+		t.Fatalf("valid block rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name    string
+		image   []byte
+		wantErr string
+	}{
+		{"truncated-varint", v2OneBlockImage(2, 10, 15, cat(uv(2), uv(5), uv(3), uv(0), uv(1), uv(1), []byte{0x80})),
+			"trace: v2 block: truncated or oversized varint at payload offset 6"},
+		{"start-overflow", v2OneBlockImage(2, 10, 15, cat(uv(1<<64-5), uv(5), uv(3), uv(0), uv(1), uv(1), uv(0), []byte{0})),
+			"trace: v2 block: start delta overflows at event 1"},
+		{"implausible-sender", v2OneBlockImage(2, 10, 15, cat(uv(2), uv(5), uv(3), uv(0), uv(1<<31+1), uv(1), uv(0), []byte{0})),
+			"trace: v2 block: implausible sender 2147483649"},
+		{"implausible-receiver", v2OneBlockImage(2, 10, 15, cat(uv(2), uv(5), uv(3), uv(0), uv(1), uv(1<<31+1), uv(0), []byte{0})),
+			"trace: v2 block: implausible receiver 2147483649"},
+		{"bitmap-length", v2OneBlockImage(2, 10, 15, cat(uv(2), uv(5), uv(3), uv(0), uv(1), uv(1), uv(0), []byte{0, 0})),
+			"trace: v2 block: 2 payload bytes after columns, want 1 bitmap bytes"},
+		{"maxEnd-mismatch", v2OneBlockImage(2, 10, 16, valid),
+			"trace: v2 block: header maxEnd 16 does not match decoded 15"},
+	} {
+		_, errSharded := AnalyzeBytesSharded(context.Background(), tc.image, 4, 2, nil)
+		_, errStream := AnalyzeReader(context.Background(), bytes.NewReader(tc.image), 4)
+		_, errRead := ReadBinary(bytes.NewReader(tc.image))
+		for _, got := range []struct {
+			path string
+			err  error
+		}{{"AnalyzeBytesSharded", errSharded}, {"AnalyzeReader", errStream}, {"ReadBinary", errRead}} {
+			if got.err == nil || got.err.Error() != tc.wantErr {
+				t.Errorf("%s: %s: err = %v, want %q", tc.name, got.path, got.err, tc.wantErr)
+			}
+		}
+	}
+}
+
+// TestAnalyzeBytesShardedRejectsPastHorizon: an event that starts at or
+// past the horizon belongs to no window. The streaming reader rejects
+// it, and so must the sharded analysis at every shard count, over v1
+// and v2 images — the last shard owns such events rather than no shard
+// reading them.
+func TestAnalyzeBytesShardedRejectsPastHorizon(t *testing.T) {
+	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	v2 := v2OneBlockImage(2, 150, 155, bytes.Join([][]byte{uv(2), uv(5), uv(3), uv(0), uv(1), uv(1), uv(0), {0}}, nil))
+
+	v1 := append([]byte(nil), binaryMagic[:]...)
+	v1 = binary.LittleEndian.AppendUint32(v1, binaryVersion)
+	v1 = binary.LittleEndian.AppendUint32(v1, 4)
+	v1 = binary.LittleEndian.AppendUint32(v1, 2)
+	v1 = binary.LittleEndian.AppendUint64(v1, 100)
+	v1 = binary.LittleEndian.AppendUint64(v1, 2)
+	for _, start := range []uint64{10, 150} {
+		var rec [binaryEventSize]byte
+		binary.LittleEndian.PutUint64(rec[0:], start)
+		binary.LittleEndian.PutUint64(rec[8:], 5)
+		v1 = append(v1, rec[:]...)
+	}
+
+	for _, tc := range []struct {
+		name    string
+		image   []byte
+		wantErr string
+	}{
+		{"v1", v1, "trace: event 1 [150,+5) outside horizon 100"},
+		{"v2", v2, "trace: event 0 [150,+5) outside horizon 100"},
+	} {
+		if _, err := AnalyzeReader(context.Background(), bytes.NewReader(tc.image), 4); err == nil || err.Error() != tc.wantErr {
+			t.Fatalf("%s: AnalyzeReader err = %v, want %q", tc.name, err, tc.wantErr)
+		}
+		for _, shards := range []int{1, 2, 3, 25} {
+			if _, err := AnalyzeBytesSharded(context.Background(), tc.image, 4, shards, nil); err == nil || err.Error() != tc.wantErr {
+				t.Errorf("%s: %d shards: err = %v, want %q", tc.name, shards, err, tc.wantErr)
+			}
+		}
+	}
+}

@@ -276,17 +276,18 @@ func (sw *sweeper) feed(start, length int64, recv int, critical bool) {
 // aggregate OM and returns the completed analysis.
 func (sw *sweeper) finish() *Analysis {
 	sw.finishTables()
+	sw.a.compact()
 	deriveOM(sw.a)
 	return sw.a
 }
 
-// finishTables flushes both streams and compacts the sparse tables
-// without deriving OM — the per-shard half of the sharded driver, whose
-// partial tables are merged before the aggregate matrix is meaningful.
+// finishTables flushes both streams without compacting the sparse
+// tables or deriving OM — the per-shard half of the sharded drivers,
+// whose partial tables are read once by the merge (which lays out the
+// merged tables at exact size) and then dropped.
 func (sw *sweeper) finishTables() *Analysis {
 	sw.busy.finish()
 	sw.crit.finish()
-	sw.a.compact()
 	return sw.a
 }
 
