@@ -5,13 +5,12 @@
 // threshold) before running xbargen.
 //
 // With -stream, the binary trace is instead analyzed directly from the
-// file without materializing the events, so arbitrarily long traces
-// fit in memory bounded by the output tables. -shards N (0 = one per
-// CPU core) runs the memory-mapped sharded driver — bit-identical to
-// the single pass, with per-shard throughput in the report; -shards 1
-// forces the sequential streaming kernel (trace.AnalyzeReader). The
-// report then covers the window analysis plus the measured allocation
-// footprint.
+// memory-mapped file without materializing the events
+// (trace.AnalyzeFileSharded), so arbitrarily long traces fit in memory
+// bounded by the output tables. -shards N (0 = one per CPU core) sets
+// the shard count; every count, 1 included, runs the same driver and
+// gives the same analysis. The report then covers the window analysis,
+// per-shard throughput and the measured allocation footprint.
 //
 // Usage:
 //
@@ -47,14 +46,14 @@ func run(ctx context.Context) (err error) {
 	if *tracePath == "" {
 		return errors.New("missing -trace")
 	}
+	if *stream {
+		return runStream(ctx, *tracePath)
+	}
 	f, err := os.Open(*tracePath)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if *stream {
-		return runStream(ctx, f, *tracePath)
-	}
 	var tr *trace.Trace
 	if *jsonTrace {
 		tr, err = trace.ReadJSON(f)
@@ -146,11 +145,10 @@ func run(ctx context.Context) (err error) {
 }
 
 // runStream analyzes the binary trace without materializing the events
-// — through the mmap-backed sharded driver (default; -shards picks the
-// count) or the sequential streaming kernel (-shards 1) — and reports
-// the window analysis alongside per-shard throughput and the measured
-// allocation footprint.
-func runStream(ctx context.Context, f *os.File, path string) error {
+// — through the mmap-backed image driver at -shards shards — and
+// reports the window analysis alongside per-shard throughput and the
+// measured allocation footprint.
+func runStream(ctx context.Context, path string) error {
 	if *jsonTrace {
 		return errors.New("-stream reads the binary format only (JSON traces must be loaded; drop -stream)")
 	}
@@ -163,13 +161,7 @@ func runStream(ctx context.Context, f *os.File, path string) error {
 	runtime.ReadMemStats(&before)
 
 	var stats trace.ShardStats
-	var a *trace.Analysis
-	var err error
-	if cli.Shards() == 1 {
-		a, err = trace.AnalyzeReader(ctx, f, *window)
-	} else {
-		a, err = trace.AnalyzeFileSharded(ctx, path, *window, cli.Shards(), &stats)
-	}
+	a, err := trace.AnalyzeFileSharded(ctx, path, *window, cli.Shards(), &stats)
 	if err != nil {
 		return err
 	}
@@ -180,17 +172,15 @@ func runStream(ctx context.Context, f *os.File, path string) error {
 	nW := a.NumWindows()
 	fmt.Printf("streamed analysis: %d receivers, %d windows of %d cycles\n",
 		a.NumReceivers, nW, *window)
-	if n := len(stats.Shards); n > 0 {
-		fmt.Printf("shards: %d (plan %.2fms, merge %.2fms), %.1fM events/s aggregate\n",
-			n, float64(stats.PlanNS)/1e6, float64(stats.MergeNS)/1e6, stats.EventsPerSec()/1e6)
-		for s, st := range stats.Shards {
-			rate := 0.0
-			if st.NS > 0 {
-				rate = float64(st.Events) / (float64(st.NS) / 1e9)
-			}
-			fmt.Printf("  shard %2d: %7d windows  %10d events  %8.2fms  %7.1fM ev/s\n",
-				s, st.Windows, st.Events, float64(st.NS)/1e6, rate/1e6)
+	fmt.Printf("shards: %d (plan %.2fms, merge %.2fms), %.1fM events/s aggregate\n",
+		len(stats.Shards), float64(stats.PlanNS)/1e6, float64(stats.MergeNS)/1e6, stats.EventsPerSec()/1e6)
+	for s, st := range stats.Shards {
+		rate := 0.0
+		if st.NS > 0 {
+			rate = float64(st.Events) / (float64(st.NS) / 1e9)
 		}
+		fmt.Printf("  shard %2d: %7d windows  %10d events  %8.2fms  %7.1fM ev/s\n",
+			s, st.Windows, st.Events, float64(st.NS)/1e6, rate/1e6)
 	}
 	fmt.Printf("max window load: %d fully-loaded buses\n", a.MaxWindowLoad())
 	fmt.Printf("overlap table: %d nonzero cells (fill %.2f%%), critical %d (fill %.2f%%)\n",
@@ -209,6 +199,6 @@ func runStream(ctx context.Context, f *os.File, path string) error {
 	allocDelta := after.TotalAlloc - before.TotalAlloc
 	fmt.Printf("\nmemory: %.1f MiB allocated during analysis, %.1f MiB heap in use after\n",
 		float64(allocDelta)/(1<<20), float64(after.HeapInuse)/(1<<20))
-	fmt.Println("(the event stream is processed record by record; peak memory is the output tables plus O(receivers) sweep state, independent of trace length)")
+	fmt.Println("(the mapped trace is decoded block by block; peak memory is the output tables plus per-shard O(receivers) sweep state, independent of trace length)")
 	return nil
 }

@@ -30,9 +30,9 @@ func analysisGenParams() GenParams {
 }
 
 // analysisDiff runs one random trace through the production analysis
-// paths — the sweep-line kernel (AnalyzeCtx), the streaming reader fed
-// the binary encoding of a start-sorted copy, and the sharded driver
-// over the columnar v2 byte image at a seed-drawn shard count — and
+// paths — the sweep-line kernel (AnalyzeCtx), the image driver at one
+// shard over the v1 encoding of a start-sorted copy, and the image
+// driver over the columnar v2 encoding at a seed-drawn shard count — and
 // returns a description per output mismatch. The sweep kernel's
 // oracle, the legacy pairwise kernel, is test code in internal/trace,
 // where TestSweepMatchesLegacyDifferential runs it on the same cases.
@@ -53,9 +53,9 @@ func analysisDiff(ctx context.Context, seed int64) ([]string, error) {
 	if err != nil {
 		return nil, fmt.Errorf("check: case %d: sweep kernel: %w", seed, err)
 	}
-	streamed, err := analyzeStreamed(ctx, tr, ws)
+	v1, err := analyzeV1OneShard(ctx, tr, ws)
 	if err != nil {
-		return nil, fmt.Errorf("check: case %d: streaming kernel: %w", seed, err)
+		return nil, fmt.Errorf("check: case %d: one-shard v1 image: %w", seed, err)
 	}
 	sharded, err := analyzeShardedV2(ctx, tr, ws, shards)
 	if err != nil {
@@ -63,8 +63,8 @@ func analysisDiff(ctx context.Context, seed int64) ([]string, error) {
 	}
 
 	var out []string
-	for _, d := range trace.DiffAnalyses(sweep, streamed) {
-		out = append(out, fmt.Sprintf("sweep vs stream (ws=%d): %s", ws, d))
+	for _, d := range trace.DiffAnalyses(sweep, v1) {
+		out = append(out, fmt.Sprintf("sweep vs v1-image (ws=%d shards=1): %s", ws, d))
 	}
 	for _, d := range trace.DiffAnalyses(sweep, sharded) {
 		out = append(out, fmt.Sprintf("sweep vs sharded-v2 (ws=%d shards=%d): %s", ws, shards, d))
@@ -83,10 +83,11 @@ func analyzeShardedV2(ctx context.Context, tr *trace.Trace, ws int64, shards int
 	return trace.AnalyzeBytesSharded(ctx, buf.Bytes(), ws, shards, nil)
 }
 
-// analyzeStreamed encodes a start-sorted copy of the trace in the
-// binary format and analyzes it through trace.AnalyzeReader, never
-// materializing the decoded events — the path a simulator pipe takes.
-func analyzeStreamed(ctx context.Context, tr *trace.Trace, ws int64) (*trace.Analysis, error) {
+// analyzeV1OneShard encodes a start-sorted copy of the trace in the v1
+// binary format and analyzes the byte image through the image driver at
+// one shard, never materializing the decoded events (a sorted image
+// takes no in-memory fallback).
+func analyzeV1OneShard(ctx context.Context, tr *trace.Trace, ws int64) (*trace.Analysis, error) {
 	sorted := &trace.Trace{
 		NumReceivers: tr.NumReceivers,
 		NumSenders:   tr.NumSenders,
@@ -100,12 +101,12 @@ func analyzeStreamed(ctx context.Context, tr *trace.Trace, ws int64) (*trace.Ana
 	if err := trace.WriteBinary(&buf, sorted); err != nil {
 		return nil, err
 	}
-	return trace.AnalyzeReader(ctx, &buf, ws)
+	return trace.AnalyzeBytesSharded(ctx, buf.Bytes(), ws, 1, nil)
 }
 
 // TestDifferentialAnalysisKernels is the analysis counterpart of
 // TestDifferentialSolvers: on thousands of random traces the sweep-line
-// kernel, the streaming binary reader and the sharded v2 driver must
+// kernel, the one-shard v1 image and the sharded v2 image must
 // produce bit-identical analyses — including on receiver counts past 64
 // (multi-word active bitset).
 func TestDifferentialAnalysisKernels(t *testing.T) {

@@ -194,13 +194,12 @@ func windowBoundaries(horizon, ws int64) ([]int64, error) {
 	}
 	numWindows := int(numWindows64)
 	boundaries := make([]int64, numWindows+1)
-	for m := 0; m <= numWindows; m++ {
-		b := int64(m) * ws
-		if b > horizon {
-			b = horizon
-		}
-		boundaries[m] = b
+	// Every edge but the last lies below the horizon, so m·ws cannot
+	// overflow there; numWindows·ws can, for a horizon near MaxInt64.
+	for m := 0; m < numWindows; m++ {
+		boundaries[m] = int64(m) * ws
 	}
+	boundaries[numWindows] = horizon
 	return boundaries, nil
 }
 

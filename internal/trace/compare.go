@@ -14,7 +14,7 @@ const diffLimit = 20
 // returns a human-readable description of each mismatch (empty when the
 // analyses are identical). It is the equivalence check used by the
 // differential harnesses and the fuzz oracle to pin the sweep kernel,
-// the streaming reader, the sharded drivers and the test-only legacy
+// the image driver at every shard count and the test-only legacy
 // pairwise kernel to bit-identical outputs. For the sparse per-window
 // tables it compares the stored cell structure, not just values, so a
 // kernel that stores explicit zeros where another stores nothing is

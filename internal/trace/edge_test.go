@@ -61,6 +61,42 @@ func TestAnalyzeWindowLargerThanHorizon(t *testing.T) {
 	}
 }
 
+// TestAnalyzeHorizonNearMaxInt64 pins the other window overflow: with a
+// horizon near MaxInt64, the last window's nominal edge numWindows·ws
+// overflows, and the edge used to come out negative, leaving the
+// boundaries unordered. The one-shard image analysis, which clips
+// events to its last edge, then credited nothing.
+func TestAnalyzeHorizonNearMaxInt64(t *testing.T) {
+	const horizon = math.MaxInt64 - 1
+	tr := &Trace{NumReceivers: 2, NumSenders: 1, Horizon: horizon, Events: []Event{
+		{Start: 0, Len: horizon / 2, Sender: 0, Receiver: 0},
+		{Start: horizon / 2, Len: horizon / 2, Sender: 0, Receiver: 1, Critical: true},
+	}}
+	ws := int64(horizon/4 + 1)
+	want, err := AnalyzeCtx(context.Background(), tr, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := want.NumWindows(); n != 4 {
+		t.Fatalf("%d windows, want 4", n)
+	}
+	for m := 0; m < want.NumWindows(); m++ {
+		if want.WindowLen(m) <= 0 {
+			t.Fatalf("window %d has length %d; boundaries %v", m, want.WindowLen(m), want.Boundaries)
+		}
+	}
+	if got := want.Comm.RowSum(0) + want.Comm.RowSum(1); got != horizon/2*2 {
+		t.Fatalf("Comm sums to %d, want %d", got, int64(horizon/2*2))
+	}
+	for _, shards := range []int{1, 2} {
+		got, err := AnalyzeBytesSharded(context.Background(), encodeTrace(t, tr), ws, shards, nil)
+		if err != nil {
+			t.Fatalf("%d shards: %v", shards, err)
+		}
+		mustEqualAnalyses(t, "near-max-horizon/sh"+itoa(shards), got, want)
+	}
+}
+
 // TestAnalyzeShortLastWindow covers a horizon that is not a multiple
 // of the window size: the last window must be exactly the remainder
 // and account the tail cycles.

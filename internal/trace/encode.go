@@ -66,6 +66,17 @@ func WriteBinary(w io.Writer, tr *Trace) error {
 // binaryEventSize is the wire size of one event record.
 const binaryEventSize = 25
 
+// decodeBinaryEvent parses one WriteBinary event record.
+func decodeBinaryEvent(buf *[binaryEventSize]byte) Event {
+	return Event{
+		Start:    int64(binary.LittleEndian.Uint64(buf[0:])),
+		Len:      int64(binary.LittleEndian.Uint64(buf[8:])),
+		Sender:   int(binary.LittleEndian.Uint32(buf[16:])),
+		Receiver: int(binary.LittleEndian.Uint32(buf[20:])),
+		Critical: buf[24] != 0,
+	}
+}
+
 // binHeader is the parsed fixed-size header of a binary trace.
 type binHeader struct {
 	version      uint32
@@ -76,9 +87,9 @@ type binHeader struct {
 }
 
 // readBinaryHeader parses and sanity-checks the magic and header of a
-// binary trace stream. It is shared by ReadBinary and the streaming
-// AnalyzeReader so both enforce the same bounds against corrupt or
-// hostile headers.
+// binary trace stream. It is shared by ReadBinary and the image
+// analysis so both enforce the same bounds against corrupt or hostile
+// headers.
 func readBinaryHeader(br *bufio.Reader) (binHeader, error) {
 	var hdr binHeader
 	var magic [4]byte

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -27,12 +26,13 @@ import (
 //	  ⌈count/8⌉ bytes  critical bitmap (LSB-first)
 //
 // Start deltas are unsigned, so a valid v2 stream is start-ordered by
-// construction — the property the sweep kernel and the sharded driver
-// need. firstStart/maxEnd summarize the block's cycle range, which is
-// what lets the sharded reader skip blocks that cannot intersect a
-// shard; every block is still fully decoded by the shard owning its
-// firstStart, which verifies maxEnd against the decoded events, so a
-// corrupt summary is an error rather than silently dropped work.
+// construction within a block — the property the sweep kernel and the
+// image driver need; across blocks the readers check it. firstStart/
+// maxEnd summarize the block's cycle range, which is what lets the
+// image driver skip blocks that cannot intersect a shard; every block
+// is still fully decoded by the shard owning its firstStart, which
+// verifies maxEnd against the decoded events, so a corrupt summary is
+// an error rather than silently dropped work.
 //
 // On the benchmark workloads (bursty starts, short grants, few
 // senders) the payload averages ≈4–5 bytes/event versus 25 in v1.
@@ -87,7 +87,7 @@ func (bh *v2BlockHeader) validate(remaining uint64) error {
 }
 
 // v2BlockDecoder holds the column scratch of the v2 block decoder.
-// Each decoding goroutine (a stream reader, a shard) keeps one and
+// Each decoding goroutine (ReadBinary, a shard) keeps one and
 // reuses it for every block, so a trace costs one set of columns sized
 // to its largest block rather than four fresh columns per block.
 // Every column entry below the block's count is written before it is
@@ -411,50 +411,6 @@ func readV2Events(br *bufio.Reader, hdr binHeader, tr *Trace) error {
 	return nil
 }
 
-// analyzeReaderV2 is the v2 half of AnalyzeReader: stream blocks,
-// validate each record against the header shape, feed the sweeper.
-func analyzeReaderV2(ctx context.Context, br *bufio.Reader, hdr binHeader, sw *sweeper, nT, nS int) error {
-	var hb [v2BlockHeaderSize]byte
-	var dec v2BlockDecoder
-	payload := make([]byte, 0, 1<<16)
-	var done uint64
-	lastStart := int64(-1)
-	for done < hdr.numEvents {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("trace: analysis canceled: %w", err)
-		}
-		if _, err := io.ReadFull(br, hb[:]); err != nil {
-			return fmt.Errorf("trace: reading v2 block header at event %d: %w", done, err)
-		}
-		bh := parseV2BlockHeader(&hb)
-		if err := bh.validate(hdr.numEvents - done); err != nil {
-			return err
-		}
-		if bh.firstStart < lastStart {
-			return fmt.Errorf("trace: v2 block at event %d starts at %d, before the previous start %d", done, bh.firstStart, lastStart)
-		}
-		payload = growTo(payload, int(bh.payloadLen))
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return fmt.Errorf("trace: reading v2 block payload at event %d: %w", done, err)
-		}
-		i := done
-		err := dec.decode(bh, payload, func(e Event) error {
-			if err := validateStreamEvent(i, e, nT, nS, hdr.horizon); err != nil {
-				return err
-			}
-			lastStart = e.Start
-			sw.feed(e.Start, e.Len, e.Receiver, e.Critical)
-			i++
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		done += uint64(bh.count)
-	}
-	return nil
-}
-
 // growTo returns buf resized to n bytes, reallocating if its capacity
 // is short (payloadLen is bounded by v2MaxPayload before this runs).
 func growTo(buf []byte, n int) []byte {
@@ -465,7 +421,7 @@ func growTo(buf []byte, n int) []byte {
 }
 
 // validateStreamEvent applies the per-record semantic checks shared by
-// the streaming and sharded byte-backed paths.
+// the image analysis at every shard count.
 func validateStreamEvent(i uint64, e Event, nT, nS int, horizon int64) error {
 	switch {
 	case e.Receiver < 0 || e.Receiver >= nT:
@@ -480,20 +436,12 @@ func validateStreamEvent(i uint64, e Event, nT, nS int, horizon int64) error {
 	return nil
 }
 
-// v2IndexEntry is one block of a parsed in-memory v2 image: where its
-// payload lives and the planning summary from its header.
-type v2IndexEntry struct {
-	off       int // payload offset in the image
-	bh        v2BlockHeader
-	cumEvents uint64 // events before this block
-}
-
 // parseV2Index walks the block headers of a v2 image (payloads are
 // skipped, so this is O(blocks), not O(events)) and returns the block
-// index the sharded reader plans with. body is the image after the
+// index the image driver plans with. body is the image after the
 // 32-byte file header.
-func parseV2Index(body []byte, hdr binHeader) ([]v2IndexEntry, error) {
-	var idx []v2IndexEntry
+func parseV2Index(body []byte, hdr binHeader) ([]imageBlock, error) {
+	var idx []imageBlock
 	pos := 0
 	var done uint64
 	lastFirst := int64(-1)
@@ -515,7 +463,7 @@ func parseV2Index(body []byte, hdr binHeader) ([]v2IndexEntry, error) {
 		if len(body)-pos < int(bh.payloadLen) {
 			return nil, fmt.Errorf("trace: v2 image truncated at block payload (event %d)", done)
 		}
-		idx = append(idx, v2IndexEntry{off: pos, bh: bh, cumEvents: done})
+		idx = append(idx, imageBlock{off: pos, bh: bh, cumEvents: done})
 		pos += int(bh.payloadLen)
 		done += uint64(bh.count)
 	}

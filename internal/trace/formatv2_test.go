@@ -142,7 +142,9 @@ func TestV2Corrupt(t *testing.T) {
 	}
 }
 
-func TestAnalyzeReaderV2MatchesAnalyze(t *testing.T) {
+// TestV2ImageMatchesAnalyze runs the image driver over v2 images of
+// random traces at one and two shards.
+func TestV2ImageMatchesAnalyze(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 6; trial++ {
 		tr := randomSweepTrace(rng, 2+rng.Intn(16), 1+rng.Intn(400), int64(100+rng.Intn(3000)))
@@ -151,11 +153,13 @@ func TestAnalyzeReaderV2MatchesAnalyze(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := AnalyzeReader(context.Background(), bytes.NewReader(encodeTraceV2(t, tr)), ws)
-			if err != nil {
-				t.Fatalf("AnalyzeReader(v2): %v", err)
+			for _, shards := range []int{1, 2} {
+				got, err := AnalyzeBytesSharded(context.Background(), encodeTraceV2(t, tr), ws, shards, nil)
+				if err != nil {
+					t.Fatalf("v2 image, %d shards: %v", shards, err)
+				}
+				mustEqualAnalyses(t, "v2-image/sh"+itoa(shards), got, want)
 			}
-			mustEqualAnalyses(t, "stream-v2", got, want)
 		}
 	}
 }
@@ -193,16 +197,24 @@ func TestAnalyzeBytesShardedMatches(t *testing.T) {
 }
 
 // TestAnalyzeBytesShardedUnsortedV1 checks that an unordered v1 image,
-// which neither the planner nor the streaming pass can sweep, is
-// decoded and analyzed in memory: over the bytes and the file path, at
-// every shard count, the result equals AnalyzeCtx on the decoded trace.
+// which the image driver cannot sweep, is decoded and analyzed in
+// memory: over the bytes and the file path, at every shard count, the
+// result equals AnalyzeCtx on the decoded trace.
 func TestAnalyzeBytesShardedUnsortedV1(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	tr := randomSweepTrace(rng, 5, 300, 2000)
 	tr.Events = append(tr.Events, Event{Start: 0, Len: 5, Receiver: 1}) // out of order for certain
 	data := encodeTrace(t, tr)
-	if _, err := AnalyzeReader(context.Background(), bytes.NewReader(data), 100); !errors.Is(err, ErrUnsorted) {
-		t.Fatalf("streaming unordered v1 image: got %v, want ErrUnsorted", err)
+	hdr, err := readImageHeader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boundaries, err := windowBoundaries(hdr.horizon, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := analyzeImage(context.Background(), data[binaryHeaderSize:], hdr, boundaries, 1, nil); !errors.Is(err, errUnsorted) {
+		t.Fatalf("driver on an unordered v1 image: got %v, want errUnsorted", err)
 	}
 	decoded, err := ReadBinary(bytes.NewReader(data))
 	if err != nil {

@@ -143,8 +143,9 @@ func FuzzAnalyze(f *testing.F) {
 
 		// Cross-kernel equivalence. The legacy kernel buffers every pair
 		// row densely, so it is gated on the table area staying sane;
-		// the streaming reader costs the same as the sweep and always
-		// runs (on a start-sorted copy — order must not matter).
+		// the image driver at one shard costs about the same as the
+		// sweep and always runs (on a start-sorted copy's v1 image —
+		// order must not matter).
 		nPairs := tr.NumReceivers * (tr.NumReceivers - 1) / 2
 		if nPairs*nW <= 1<<22 {
 			legacy, err := AnalyzeLegacy(tr, ws)
@@ -155,13 +156,12 @@ func FuzzAnalyze(f *testing.F) {
 				t.Fatalf("sweep vs legacy:\n%s", strings.Join(diffs, "\n"))
 			}
 		}
-		sorted := sortedCopy(tr)
-		streamed, err := AnalyzeReader(context.Background(), bytes.NewReader(encodeTrace(t, sorted)), ws)
+		image, err := AnalyzeBytesSharded(context.Background(), encodeTrace(t, sortedCopy(tr)), ws, 1, nil)
 		if err != nil {
-			t.Fatalf("AnalyzeReader rejected a valid stream: %v", err)
+			t.Fatalf("the one-shard image analysis rejected a valid v1 image: %v", err)
 		}
-		if diffs := DiffAnalyses(a, streamed); len(diffs) > 0 {
-			t.Fatalf("sweep vs stream:\n%s", strings.Join(diffs, "\n"))
+		if diffs := DiffAnalyses(a, image); len(diffs) > 0 {
+			t.Fatalf("sweep vs one-shard v1 image:\n%s", strings.Join(diffs, "\n"))
 		}
 
 		// Brute-force oracle: explicit busy bitmaps, restricted to
@@ -226,11 +226,12 @@ func FuzzAnalyze(f *testing.F) {
 	})
 }
 
-// FuzzShardedAnalyze cross-checks the sharded drivers against the
-// single-pass sweep on arbitrary traces: the in-memory sharded driver,
-// the byte-backed sharded driver over a v2 re-encode, and the v2
-// streaming reader must all be bit-identical to Analyze at an
-// arbitrary shard count — the fuzz form of the shard-boundary suite.
+// FuzzShardedAnalyze cross-checks the image driver against the
+// single-pass sweep on arbitrary traces: the v1 image of a start-sorted
+// copy, the v2 image, and the v1 image in the trace's own event order
+// (an unordered one takes the in-memory fallback) must all be
+// bit-identical to Analyze at an arbitrary shard count — the fuzz form
+// of the shard-boundary suite.
 func FuzzShardedAnalyze(f *testing.F) {
 	f.Add([]byte{3, 1, 40, 0}, int64(10), int64(2))
 	// A grant spanning the whole horizon straddles every cut.
@@ -250,6 +251,12 @@ func FuzzShardedAnalyze(f *testing.F) {
 	wide = append(wide, fuzzEvent(0, 150, 70, 0, true)...)
 	wide = append(wide, fuzzEvent(10, 120, 90, 0, false)...)
 	f.Add(wide, int64(25), int64(0))
+	// Events out of start order: the as-is v1 image takes the fallback.
+	unsorted := []byte{3, 1, 200, 0}
+	unsorted = append(unsorted, fuzzEvent(150, 30, 2, 0, true)...)
+	unsorted = append(unsorted, fuzzEvent(20, 100, 0, 0, false)...)
+	unsorted = append(unsorted, fuzzEvent(60, 40, 1, 0, true)...)
+	f.Add(unsorted, int64(50), int64(3))
 
 	f.Fuzz(func(t *testing.T, data []byte, ws int64, shards int64) {
 		tr := decodeFuzzTrace(data)
@@ -263,32 +270,73 @@ func FuzzShardedAnalyze(f *testing.F) {
 		// 0 (auto) or 1..9 explicit shards.
 		n := int(((shards % 10) + 10) % 10)
 
-		got, err := analyzeSharded(context.Background(), tr, ws, n, nil)
-		if err != nil {
-			t.Fatalf("analyzeSharded(%d) rejected a valid trace: %v", n, err)
+		for _, leg := range []struct {
+			name  string
+			image []byte
+		}{
+			{"sorted v1", encodeTrace(t, sortedCopy(tr))},
+			{"v2", encodeTraceV2(t, tr)},
+			{"as-is v1", encodeTrace(t, tr)},
+		} {
+			got, err := AnalyzeBytesSharded(context.Background(), leg.image, ws, n, nil)
+			if err != nil {
+				t.Fatalf("%s image, %d shards: %v", leg.name, n, err)
+			}
+			if diffs := DiffAnalyses(got, want); len(diffs) > 0 {
+				t.Fatalf("%s image, %d shards, vs sweep:\n%s", leg.name, n, strings.Join(diffs, "\n"))
+			}
 		}
-		if diffs := DiffAnalyses(got, want); len(diffs) > 0 {
-			t.Fatalf("sharded(%d) vs sweep:\n%s", n, strings.Join(diffs, "\n"))
-		}
+	})
+}
 
-		var v2 bytes.Buffer
-		if err := WriteBinaryV2(&v2, tr); err != nil {
-			t.Fatalf("WriteBinaryV2: %v", err)
-		}
-		got, err = AnalyzeBytesSharded(context.Background(), v2.Bytes(), ws, n, nil)
-		if err != nil {
-			t.Fatalf("AnalyzeBytesSharded(v2, %d): %v", n, err)
-		}
-		if diffs := DiffAnalyses(got, want); len(diffs) > 0 {
-			t.Fatalf("v2 sharded(%d) vs sweep:\n%s", n, strings.Join(diffs, "\n"))
-		}
+// FuzzAnalyzeImage hammers the image driver with arbitrary bytes at
+// one and two shards: it must never panic, both counts must accept or
+// reject alike, and an accepted image must decode with ReadBinary to a
+// trace whose in-memory analysis is bit-identical. The window size is a
+// quarter of the declared horizon, so the analysis has a few windows
+// whatever the header says. The seeds are a valid v1 and v2 image.
+func FuzzAnalyzeImage(f *testing.F) {
+	valid := &Trace{NumReceivers: 3, NumSenders: 2, Horizon: 64, Events: []Event{
+		{Start: 0, Len: 20, Sender: 0, Receiver: 0, Critical: true},
+		{Start: 5, Len: 30, Sender: 1, Receiver: 1},
+		{Start: 33, Len: 4, Sender: 1, Receiver: 2},
+		{Start: 40, Len: 24, Sender: 0, Receiver: 0},
+	}}
+	var v1, v2 bytes.Buffer
+	if err := WriteBinary(&v1, valid); err != nil {
+		f.Fatal(err)
+	}
+	if err := WriteBinaryV2(&v2, valid); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1.Bytes())
+	f.Add(v2.Bytes())
 
-		got, err = AnalyzeReader(context.Background(), bytes.NewReader(v2.Bytes()), ws)
-		if err != nil {
-			t.Fatalf("AnalyzeReader(v2): %v", err)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// The tables are O(R²) rows, so a large declared receiver count
+		// only costs memory here.
+		if len(data) < binaryHeaderSize || binary.LittleEndian.Uint32(data[8:]) > 256 {
+			return
 		}
-		if diffs := DiffAnalyses(got, want); len(diffs) > 0 {
-			t.Fatalf("v2 stream vs sweep:\n%s", strings.Join(diffs, "\n"))
+		ws := max(1, int64(binary.LittleEndian.Uint64(data[16:])/4))
+		one, errOne := AnalyzeBytesSharded(context.Background(), data, ws, 1, nil)
+		_, errTwo := AnalyzeBytesSharded(context.Background(), data, ws, 2, nil)
+		if (errOne == nil) != (errTwo == nil) {
+			t.Fatalf("one shard: %v; two shards: %v", errOne, errTwo)
+		}
+		if errOne != nil {
+			return
+		}
+		tr, err := ReadBinary(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("the image analysis accepted an image ReadBinary rejects: %v", err)
+		}
+		want, err := AnalyzeCtx(context.Background(), tr, ws)
+		if err != nil {
+			t.Fatalf("AnalyzeCtx: %v", err)
+		}
+		if diffs := DiffAnalyses(one, want); len(diffs) > 0 {
+			t.Fatalf("image vs in-memory sweep:\n%s", strings.Join(diffs, "\n"))
 		}
 	})
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -11,20 +12,21 @@ import (
 	"repro/internal/obs"
 )
 
-// Sharded-driver instruments: sharded analyses run, and shards executed
+// Sharded-driver instruments: image analyses run, and shards executed
 // across them.
 var (
 	metShardedRuns = obs.NewCounter("trace.sharded.analyses")
 	metShardsRun   = obs.NewCounter("trace.sharded.shards")
 )
 
-// ErrUnsorted reports a streaming analysis (AnalyzeReader) that met an
-// event starting before its predecessor: a single pass over a reader
-// cannot sort. The byte-image entry points never return it; they decode
-// an unsorted v1 image and sort it in memory instead.
-var ErrUnsorted = errors.New("trace: events not start-ordered")
+// errUnsorted reports a v1 image whose events are not start-ordered:
+// the block-index driver sweeps events in file order, so it cannot
+// analyze one. AnalyzeBytesSharded catches it and decodes the image in
+// memory instead (AnalyzeCtx sorts); v2 images are start-ordered by
+// construction.
+var errUnsorted = errors.New("trace: events not start-ordered")
 
-// ShardStat describes one shard of a sharded analysis: the window range
+// ShardStat describes one shard of an image analysis: the window range
 // it covered, the event pieces it fed (a grant straddling a cut is
 // counted once per shard it touches) and the wall-clock time of its
 // sweep pass.
@@ -34,9 +36,10 @@ type ShardStat struct {
 	NS      int64
 }
 
-// ShardStats is the optional instrumentation output of the sharded
-// analysis drivers, for tools that report per-shard throughput
-// (tracestat -stream -shards).
+// ShardStats is the optional instrumentation output of the image
+// analysis (AnalyzeBytesSharded, AnalyzeFileSharded) at every shard
+// count, for tools that report per-shard throughput (tracestat
+// -stream). PlanNS covers the block index and the cut plan.
 type ShardStats struct {
 	Shards  []ShardStat
 	PlanNS  int64
@@ -76,121 +79,45 @@ func resolveShards(shards, nW int) int {
 	return shards
 }
 
-// shardSpan is one shard of the plan: the half-open window range
-// [winLo, winHi) and the half-open range [evLo, evHi) of source events
-// whose start cycle lies inside the shard's cycle range.
-type shardSpan struct {
-	winLo, winHi int
-	evLo, evHi   int
+// imageBlock is one entry of a binary image's block index: a run of
+// consecutive events that one call decodes. In a v2 image it is a
+// container block; in a v1 image, a run of up to v1BlockEvents
+// fixed-stride records. bh is the planning summary in the v2 block
+// header's shape (count, payload bytes, first start, max end).
+type imageBlock struct {
+	off       int // payload offset in the image body
+	bh        v2BlockHeader
+	cumEvents uint64 // events before this block
 }
 
-// shardSrc is an indexed, start-ordered event source the sharded driver
-// can partition, such as the fixed-stride v1 binary image (v1Src).
-// startAt/endAt are the cheap planning accessors; feed
-// decodes event k fully, clips it to [lo, hi) and feeds the sweeper
-// (validating the record when it comes from untrusted bytes).
-type shardSrc interface {
-	events() int
-	startAt(k int) int64
-	endAt(k int) int64
-	feed(sw *sweeper, k int, lo, hi int64) error
-}
-
-// planShards chooses the cut cycles and carry-in lists. Cuts are
-// event-count balanced: the s-th cut aims at event index n·s/shards and
-// snaps down to the boundary of the window containing that event's
-// start, so every window — and therefore every output table cell —
-// belongs to exactly one shard. carries[s] lists the events that start
-// before shard s but whose grant extends into it; the driver feeds them
-// first, clipped to the shard's cycle range, which is what keeps the
-// sharded result bit-identical to the single-pass sweep.
+// analyzeImage is the analysis driver for binary images, v1 and v2, at
+// every shard count. It builds the block index, cuts the window range
+// into shards, sweeps each shard on the worker pool and merges the
+// per-shard tables.
 //
-// The planning pass reads every event's start and end once; for
-// byte-backed sources it doubles as the stream-order check.
-func planShards(boundaries []int64, src shardSrc, shards int) (spans []shardSpan, carries [][]int, err error) {
+// Cuts are event-count balanced: the s-th cut aims at event
+// numEvents·s/shards and snaps down to the boundary of the window
+// holding that event's start (a v1 record is read directly; a v2 cut
+// uses its block's first start), so every window belongs to exactly
+// one shard. A shard decodes every block whose [firstStart, maxEnd)
+// range meets its cycle range [lo, hi) and feeds each event clipped to
+// it, which keeps the merged result bit-identical to the single-pass
+// sweep. The shard holding a block's first start (the last shard, for
+// a block starting at or past the horizon) always decodes it, so every
+// record is validated. It returns errUnsorted for an out-of-order v1
+// image.
+func analyzeImage(ctx context.Context, body []byte, hdr binHeader, boundaries []int64, shards int, stats *ShardStats) (*Analysis, error) {
 	nW := len(boundaries) - 1
-	n := src.events()
-
-	// Window cut indices: cutW[s] is the first window of shard s.
-	cutW := make([]int, shards+1)
-	cutW[shards] = nW
-	for s := 1; s < shards; s++ {
-		var w int
-		if n == 0 {
-			w = nW * s / shards
-		} else {
-			ti := n * s / shards
-			if ti >= n {
-				ti = n - 1
-			}
-			cs := src.startAt(ti)
-			// The window containing cycle cs: the last boundary ≤ cs.
-			w = sort.Search(nW, func(m int) bool { return boundaries[m+1] > cs })
-		}
-		if w < cutW[s-1] {
-			w = cutW[s-1] // zero-length shard; kept, handled as empty
-		}
-		if w > nW {
-			w = nW
-		}
-		cutW[s] = w
-	}
-
-	spans = make([]shardSpan, shards)
-	for s := 0; s < shards; s++ {
-		lo, hi := cutW[s], cutW[s+1]
-		spans[s] = shardSpan{
-			winLo: lo,
-			winHi: hi,
-			evLo:  sort.Search(n, func(k int) bool { return src.startAt(k) >= boundaries[lo] }),
-			evHi:  sort.Search(n, func(k int) bool { return src.startAt(k) >= boundaries[hi] }),
-		}
-		if lo < hi && hi == nW {
-			// The last shard also owns the events that start at or past
-			// the horizon: they belong to no window, and its feed
-			// rejects them as the single-pass reader does.
-			spans[s].evHi = n
-		}
-	}
-
-	// Carry-ins: one ordered pass over every event. h tracks the home
-	// shard of event k (the shard whose cycle range holds its start).
-	carries = make([][]int, shards)
-	h := 0
-	last := int64(-1)
-	for k := 0; k < n; k++ {
-		start := src.startAt(k)
-		if start < last {
-			return nil, nil, fmt.Errorf("%w: event %d starts at %d, before the previous start %d — sharded analysis requires start-ordered traces", ErrUnsorted, k, start, last)
-		}
-		last = start
-		for h+1 < shards && start >= boundaries[cutW[h+1]] {
-			h++
-		}
-		end := src.endAt(k)
-		for s := h + 1; s < shards && end > boundaries[cutW[s]]; s++ {
-			if cutW[s] < cutW[s+1] { // skip zero-length shards
-				carries[s] = append(carries[s], k)
-			}
-		}
-	}
-	return spans, carries, nil
-}
-
-// analyzeShardedIndexed is the sharded driver over an indexed source:
-// plan the cuts, run one sweep kernel per shard on the worker pool, and
-// merge the per-shard tables. The result is bit-identical to the
-// single-pass sweep at every shard count (the shard_test suite and the
-// differential harness gate this).
-func analyzeShardedIndexed(ctx context.Context, nT int, boundaries []int64, src shardSrc, shards int, events int64, stats *ShardStats) (*Analysis, error) {
-	nW := len(boundaries) - 1
+	nT, nS := int(hdr.numReceivers), int(hdr.numSenders)
+	shards = resolveShards(shards, nW)
+	v2 := hdr.version == binaryVersionV2
 
 	ctx, span := obs.Start(ctx, "trace.analyze")
 	defer span.End()
 	span.SetStr("kernel", "sharded")
 	span.SetInt("receivers", int64(nT))
 	span.SetInt("windows", int64(nW))
-	span.SetInt("events", events)
+	span.SetInt("events", int64(hdr.numEvents))
 	span.SetInt("shards", int64(shards))
 	metAnalyses.Inc()
 	metWindows.Add(int64(nW))
@@ -198,9 +125,33 @@ func analyzeShardedIndexed(ctx context.Context, nT int, boundaries []int64, src 
 	metShardsRun.Add(int64(shards))
 
 	t0 := time.Now()
-	spans, carries, err := planShards(boundaries, src, shards)
+	var idx []imageBlock
+	var err error
+	if v2 {
+		idx, err = parseV2Index(body, hdr)
+	} else {
+		idx, err = parseV1Index(body, hdr)
+	}
 	if err != nil {
 		return nil, err
+	}
+	cutW := make([]int, shards+1)
+	cutW[shards] = nW
+	for s := 1; s < shards; s++ {
+		w := nW * s / shards
+		if len(idx) > 0 {
+			te := hdr.numEvents * uint64(s) / uint64(shards)
+			var cs int64
+			if v2 {
+				bi := sort.Search(len(idx), func(i int) bool { return idx[i].cumEvents > te }) - 1
+				cs = idx[bi].bh.firstStart
+			} else {
+				cs = int64(min(binary.LittleEndian.Uint64(body[te*binaryEventSize:]), uint64(hdr.horizon)))
+			}
+			cs = min(cs, hdr.horizon-1) // a start past the horizon: the last shard rejects it
+			w = sort.Search(nW, func(m int) bool { return boundaries[m+1] > cs })
+		}
+		cutW[s] = min(max(w, cutW[s-1]), nW) // a zero-length shard is kept, and sweeps nothing
 	}
 	planNS := time.Since(t0).Nanoseconds()
 
@@ -208,29 +159,56 @@ func analyzeShardedIndexed(ctx context.Context, nT int, boundaries []int64, src 
 	stat := make([]ShardStat, shards)
 	err = conc.ForEach(ctx, shards, 0, func(ctx context.Context, s int) error {
 		ts := time.Now()
-		sp := spans[s]
-		lo, hi := boundaries[sp.winLo], boundaries[sp.winHi]
-		sw := newSweeper(nT, boundaries[sp.winLo:sp.winHi+1])
+		lo, hi := boundaries[cutW[s]], boundaries[cutW[s+1]]
+		sw := newSweeper(nT, boundaries[cutW[s]:cutW[s+1]+1])
+		var dec v2BlockDecoder
 		var fed int64
-		for _, k := range carries[s] {
-			if err := src.feed(sw, k, lo, hi); err != nil {
+		last := int64(-1) // start of the last decoded event
+		for _, b := range idx {
+			// The last shard also decodes the blocks that start at or
+			// past the horizon, so their events fail validation instead
+			// of going unread.
+			if cutW[s] == cutW[s+1] || (b.bh.firstStart >= hi && s < shards-1) || b.bh.maxEnd <= lo {
+				continue
+			}
+			if err := ctx.Err(); err != nil {
 				return err
 			}
-			fed++
-		}
-		for k := sp.evLo; k < sp.evHi; k++ {
-			if fed%sweepCancelStride == 0 {
-				if err := ctx.Err(); err != nil {
+			// v2 stores starts as in-block deltas, so only the order
+			// across blocks can break (the v1 index pass checked every
+			// record). In an ordered image the blocks a shard skips start
+			// no earlier than the last event it decoded, so comparing
+			// with that event never rejects one.
+			if b.bh.firstStart < last {
+				return fmt.Errorf("trace: v2 block at event %d starts at %d, before the previous start %d", b.cumEvents, b.bh.firstStart, last)
+			}
+			i := b.cumEvents
+			feed := func(e Event) error {
+				if err := validateStreamEvent(i, e, nT, nS, hdr.horizon); err != nil {
 					return err
 				}
+				i++
+				last = e.Start
+				start, end := max(e.Start, lo), min(e.End(), hi)
+				if start < end {
+					sw.feed(start, end-start, e.Receiver, e.Critical)
+					fed++
+				}
+				return nil
 			}
-			if err := src.feed(sw, k, lo, hi); err != nil {
+			payload := body[b.off : b.off+int(b.bh.payloadLen)]
+			var err error
+			if v2 {
+				err = dec.decode(b.bh, payload, feed)
+			} else {
+				err = decodeV1Block(payload, feed)
+			}
+			if err != nil {
 				return err
 			}
-			fed++
 		}
 		parts[s] = sw.finishTables()
-		stat[s] = ShardStat{Windows: sp.winHi - sp.winLo, Events: fed, NS: time.Since(ts).Nanoseconds()}
+		stat[s] = ShardStat{Windows: cutW[s+1] - cutW[s], Events: fed, NS: time.Since(ts).Nanoseconds()}
 		return nil
 	})
 	if err != nil {
@@ -241,29 +219,32 @@ func analyzeShardedIndexed(ctx context.Context, nT int, boundaries []int64, src 
 	}
 
 	tm := time.Now()
-	a := mergeShards(nT, boundaries, spans, parts)
+	a := mergeShards(nT, boundaries, cutW[:shards], parts)
 	if stats != nil {
-		stats.Shards = stat
-		stats.PlanNS = planNS
-		stats.MergeNS = time.Since(tm).Nanoseconds()
+		*stats = ShardStats{Shards: stat, PlanNS: planNS, MergeNS: time.Since(tm).Nanoseconds()}
 	}
 	span.SetInt("sparse_cells", int64(a.Overlap.NNZ()+a.CritOverlap.NNZ()))
 	return a, nil
 }
 
 // mergeShards assembles the global analysis from the per-shard partial
-// tables. Every window belongs to exactly one shard, so each row of
-// every table is the ordered concatenation of the shards' cells with
-// their columns rebased — the cells the single-pass sweep appends, in
-// its order — which ConcatColumns lays out as the same compacted CSR
-// structure at exact size. OM is derived from the merged rows exactly
-// as the single-pass finish does.
-func mergeShards(nT int, boundaries []int64, spans []shardSpan, parts []*Analysis) *Analysis {
-	offsets := make([]int, len(spans))
-	for s, sp := range spans {
-		offsets[s] = sp.winLo
+// tables, shard s starting at window offsets[s]. Every window belongs
+// to exactly one shard, so each row of every table is the ordered
+// concatenation of the shards' cells with their columns rebased — the
+// cells the single-pass sweep appends, in its order — which
+// ConcatColumns lays out as the same compacted CSR structure at exact
+// size. A lone part already spans every window and is compacted in
+// place instead, which lays out the same structure without a second
+// set of row headers. OM is derived from the merged rows exactly as the
+// single-pass finish does.
+func mergeShards(nT int, boundaries []int64, offsets []int, parts []*Analysis) *Analysis {
+	var a *Analysis
+	if len(parts) == 1 {
+		a = parts[0]
+		a.compact()
+	} else {
+		a = concatAnalyses(nT, boundaries, parts, offsets)
 	}
-	a := concatAnalyses(nT, boundaries, parts, offsets)
 	deriveOM(a)
 	return a
 }

@@ -1,69 +1,52 @@
 package trace
 
 import (
+	"bytes"
 	"context"
 	"math/rand"
 	"testing"
-	"time"
 )
 
-// memSrc adapts a start-sorted event slice as a shard source. No
-// production path shards an in-memory trace; the tests use it to drive
-// the planner and the merge on hand-built traces without encoding them.
-type memSrc []Event
-
-func (m memSrc) events() int         { return len(m) }
-func (m memSrc) startAt(k int) int64 { return m[k].Start }
-func (m memSrc) endAt(k int) int64   { return m[k].End() }
-
-func (m memSrc) feed(sw *sweeper, k int, lo, hi int64) error {
-	e := &m[k]
-	start, end := e.Start, e.End()
-	if start < lo {
-		start = lo
-	}
-	if end > hi {
-		end = hi
-	}
-	if start < end {
-		sw.feed(start, end-start, e.Receiver, e.Critical)
-	}
-	return nil
-}
-
-// analyzeSharded is the in-memory sharded driver over fixed windows of
-// ws cycles: sort the events by start, plan the cuts, sweep each shard
-// and merge. shards ≤ 0 means one per CPU core; one shard runs the
-// single-pass sweep. stats may be nil.
-func analyzeSharded(ctx context.Context, tr *Trace, ws int64, shards int, stats *ShardStats) (*Analysis, error) {
-	if err := tr.Validate(); err != nil {
+// v1Image encodes a start-sorted copy of tr as a v1 binary image, so
+// the shard suites drive the production image driver on hand-built
+// traces (an unsorted image would take the in-memory fallback).
+func v1Image(tr *Trace) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, sortedCopy(tr)); err != nil {
 		return nil, err
 	}
-	boundaries, err := windowBoundaries(tr.Horizon, ws)
+	return buf.Bytes(), nil
+}
+
+// analyzeSharded runs the image driver over tr's v1 image at fixed
+// windows of ws cycles. shards ≤ 0 means one per CPU core. stats may
+// be nil.
+func analyzeSharded(ctx context.Context, tr *Trace, ws int64, shards int, stats *ShardStats) (*Analysis, error) {
+	data, err := v1Image(tr)
 	if err != nil {
 		return nil, err
 	}
-	return analyzeShardedBoundaries(ctx, tr, boundaries, shards, stats)
+	return AnalyzeBytesSharded(ctx, data, ws, shards, stats)
 }
 
 // analyzeShardedBoundaries is analyzeSharded over explicit (valid)
-// window edges; cuts still snap to the given boundaries.
+// window edges, through the driver's boundaries entry; cuts still snap
+// to the given boundaries.
 func analyzeShardedBoundaries(ctx context.Context, tr *Trace, boundaries []int64, shards int, stats *ShardStats) (*Analysis, error) {
-	shards = resolveShards(shards, len(boundaries)-1)
-	if shards <= 1 {
-		t0 := time.Now()
-		a, err := analyzeSweep(ctx, tr, boundaries)
-		if err == nil && stats != nil {
-			stats.Shards = []ShardStat{{Windows: len(boundaries) - 1, Events: int64(len(tr.Events)), NS: time.Since(t0).Nanoseconds()}}
-		}
-		return a, err
+	data, err := v1Image(tr)
+	if err != nil {
+		return nil, err
 	}
-	events := sortEventsByStart(tr.Events)
-	return analyzeShardedIndexed(ctx, tr.NumReceivers, boundaries, memSrc(events), shards, int64(len(events)), stats)
+	hdr, err := readImageHeader(data)
+	if err != nil {
+		return nil, err
+	}
+	return analyzeBytes(ctx, data, hdr, boundaries, shards, stats)
 }
 
-// mustShardEqual runs the sharded driver at the given shard count and
-// asserts bit-identity against the single-pass sweep.
+// mustShardEqual runs the image driver at the given shard count over
+// tr's v1 and v2 images and asserts bit-identity against the
+// single-pass sweep. It returns the v1 run's stats.
 func mustShardEqual(t *testing.T, tag string, tr *Trace, ws int64, shards int) *ShardStats {
 	t.Helper()
 	want, err := AnalyzeCtx(context.Background(), tr, ws)
@@ -75,7 +58,12 @@ func mustShardEqual(t *testing.T, tag string, tr *Trace, ws int64, shards int) *
 	if err != nil {
 		t.Fatalf("%s: analyzeSharded(%d): %v", tag, shards, err)
 	}
-	mustEqualAnalyses(t, tag, got, want)
+	mustEqualAnalyses(t, tag+"/v1", got, want)
+	got, err = AnalyzeBytesSharded(context.Background(), encodeTraceV2(t, tr), ws, shards, nil)
+	if err != nil {
+		t.Fatalf("%s: v2 image (%d shards): %v", tag, shards, err)
+	}
+	mustEqualAnalyses(t, tag+"/v2", got, want)
 	return &stats
 }
 
@@ -190,8 +178,10 @@ func TestShardedDegenerate(t *testing.T) {
 	}
 }
 
-// TestShardedUnsortedInput checks the in-memory driver accepts
-// unordered event slices, like AnalyzeCtx does.
+// TestShardedUnsortedInput checks that an image of unordered events is
+// accepted, like an unordered slice is by AnalyzeCtx: the driver
+// rejects the v1 image (no shard stats are written) and the in-memory
+// fallback analyzes it.
 func TestShardedUnsortedInput(t *testing.T) {
 	tr := &Trace{NumReceivers: 3, NumSenders: 1, Horizon: 600, Events: []Event{
 		{Start: 500, Len: 90, Receiver: 2},
@@ -199,11 +189,26 @@ func TestShardedUnsortedInput(t *testing.T) {
 		{Start: 250, Len: 100, Receiver: 1},
 		{Start: 10, Len: 40, Receiver: 1},
 	}}
-	mustShardEqual(t, "unsorted", tr, 100, 3)
+	want, err := AnalyzeCtx(context.Background(), tr, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 3} {
+		var stats ShardStats
+		got, err := AnalyzeBytesSharded(context.Background(), encodeTrace(t, tr), 100, shards, &stats)
+		if err != nil {
+			t.Fatalf("%d shards: %v", shards, err)
+		}
+		mustEqualAnalyses(t, "unsorted/sh"+itoa(shards), got, want)
+		if stats.Shards != nil {
+			t.Fatalf("%d shards: the driver swept an unordered v1 image", shards)
+		}
+	}
+	mustShardEqual(t, "unsorted-sorted", tr, 100, 3)
 }
 
-// TestShardedAdaptiveBoundaries runs the explicit-boundary form with
-// variable-size windows.
+// TestShardedAdaptiveBoundaries runs the driver's explicit-boundary
+// entry with variable-size windows.
 func TestShardedAdaptiveBoundaries(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	tr := randomSweepTrace(rng, 6, 120, 900)
@@ -212,7 +217,7 @@ func TestShardedAdaptiveBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AnalyzeWithBoundariesCtx: %v", err)
 	}
-	for _, shards := range []int{2, 3, 7, 50} {
+	for _, shards := range []int{1, 2, 3, 7, 50} {
 		got, err := analyzeShardedBoundaries(context.Background(), tr, boundaries, shards, nil)
 		if err != nil {
 			t.Fatalf("sharded adaptive (%d): %v", shards, err)

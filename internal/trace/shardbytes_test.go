@@ -5,7 +5,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sync"
@@ -77,6 +80,41 @@ func BenchmarkAnalyzeBytesSharded(b *testing.B) {
 	}
 }
 
+// benchImageV1 is benchImageV2's trace in the fixed-stride v1
+// container (576,000 records, ≈14.4 MB).
+var benchImageV1 = sync.OnceValue(func() []byte {
+	tr, err := ReadBinary(bytes.NewReader(benchImageV2()))
+	if err != nil {
+		panic(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, tr); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+})
+
+// BenchmarkAnalyzeBytesOneShard times the image analysis of the tiled
+// benchmark trace at one shard, in both containers.
+func BenchmarkAnalyzeBytesOneShard(b *testing.B) {
+	for _, img := range []struct {
+		name string
+		data func() []byte
+	}{{"v1", benchImageV1}, {"v2", benchImageV2}} {
+		b.Run(img.name, func(b *testing.B) {
+			data := img.data()
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := AnalyzeBytesSharded(context.Background(), data, benchImageWindow, 1, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // allocBytesPerCall measures the heap bytes one call of f allocates,
 // averaged over runs calls after a warm-up call.
 func allocBytesPerCall(runs int, f func()) uint64 {
@@ -100,11 +138,15 @@ const parentAllocBytes = 41_917_997
 // benchmark image at no more than half parentAllocBytes per call: the
 // block decoder reuses one column scratch per shard and the merge lays
 // the tables out at exact size. It also checks the result against the
-// streaming single-pass analysis, so the saving cannot come from
-// skipped work.
+// in-memory single-pass sweep, so the saving cannot come from skipped
+// work.
 func TestAnalyzeBytesShardedAllocBytes(t *testing.T) {
 	data := benchImageV2()
-	want, err := AnalyzeReader(context.Background(), bytes.NewReader(data), benchImageWindow)
+	tr, err := ReadBinary(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := AnalyzeCtx(context.Background(), tr, benchImageWindow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +195,7 @@ func TestV2DecoderScratchReuse(t *testing.T) {
 	if len(idx) != 2 || idx[1].bh.count >= idx[0].bh.count {
 		t.Fatalf("image has %d blocks; want a full block then a smaller one", len(idx))
 	}
-	collect := func(dec *v2BlockDecoder, ent v2IndexEntry) []Event {
+	collect := func(dec *v2BlockDecoder, ent imageBlock) []Event {
 		var evs []Event
 		err := dec.decode(ent.bh, body[ent.off:ent.off+int(ent.bh.payloadLen)], func(e Event) error {
 			evs = append(evs, e)
@@ -202,11 +244,11 @@ func v2OneBlockImage(count uint32, firstStart, maxEnd int64, payload []byte) []b
 	return append(b, payload...)
 }
 
-// TestV2CorruptBlockErrorsAgree feeds corrupt blocks to the three v2
-// decode paths — the two-shard byte analysis, the streaming analysis
-// and ReadBinary — and expects each to fail with the same error. The
-// valid block holds events [10,+5) sender 0 receiver 1 and [12,+3)
-// sender 1 receiver 0, so its max end is 15.
+// TestV2CorruptBlockErrorsAgree feeds corrupt blocks to the v2 decode
+// paths — the image analysis at one and at two shards, and ReadBinary —
+// and expects each to fail with the same error. The valid block holds
+// events [10,+5) sender 0 receiver 1 and [12,+3) sender 1 receiver 0,
+// so its max end is 15.
 func TestV2CorruptBlockErrorsAgree(t *testing.T) {
 	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
@@ -232,13 +274,13 @@ func TestV2CorruptBlockErrorsAgree(t *testing.T) {
 		{"maxEnd-mismatch", v2OneBlockImage(2, 10, 16, valid),
 			"trace: v2 block: header maxEnd 16 does not match decoded 15"},
 	} {
-		_, errSharded := AnalyzeBytesSharded(context.Background(), tc.image, 4, 2, nil)
-		_, errStream := AnalyzeReader(context.Background(), bytes.NewReader(tc.image), 4)
+		_, errOne := AnalyzeBytesSharded(context.Background(), tc.image, 4, 1, nil)
+		_, errTwo := AnalyzeBytesSharded(context.Background(), tc.image, 4, 2, nil)
 		_, errRead := ReadBinary(bytes.NewReader(tc.image))
 		for _, got := range []struct {
 			path string
 			err  error
-		}{{"AnalyzeBytesSharded", errSharded}, {"AnalyzeReader", errStream}, {"ReadBinary", errRead}} {
+		}{{"AnalyzeBytesSharded/sh1", errOne}, {"AnalyzeBytesSharded/sh2", errTwo}, {"ReadBinary", errRead}} {
 			if got.err == nil || got.err.Error() != tc.wantErr {
 				t.Errorf("%s: %s: err = %v, want %q", tc.name, got.path, got.err, tc.wantErr)
 			}
@@ -247,10 +289,9 @@ func TestV2CorruptBlockErrorsAgree(t *testing.T) {
 }
 
 // TestAnalyzeBytesShardedRejectsPastHorizon: an event that starts at or
-// past the horizon belongs to no window. The streaming reader rejects
-// it, and so must the sharded analysis at every shard count, over v1
-// and v2 images — the last shard owns such events rather than no shard
-// reading them.
+// past the horizon belongs to no window. The image analysis must reject
+// it at every shard count, over v1 and v2 images — the last shard owns
+// such events rather than no shard reading them.
 func TestAnalyzeBytesShardedRejectsPastHorizon(t *testing.T) {
 	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
 	v2 := v2OneBlockImage(2, 150, 155, bytes.Join([][]byte{uv(2), uv(5), uv(3), uv(0), uv(1), uv(1), uv(0), {0}}, nil))
@@ -276,12 +317,77 @@ func TestAnalyzeBytesShardedRejectsPastHorizon(t *testing.T) {
 		{"v1", v1, "trace: event 1 [150,+5) outside horizon 100"},
 		{"v2", v2, "trace: event 0 [150,+5) outside horizon 100"},
 	} {
-		if _, err := AnalyzeReader(context.Background(), bytes.NewReader(tc.image), 4); err == nil || err.Error() != tc.wantErr {
-			t.Fatalf("%s: AnalyzeReader err = %v, want %q", tc.name, err, tc.wantErr)
-		}
 		for _, shards := range []int{1, 2, 3, 25} {
 			if _, err := AnalyzeBytesSharded(context.Background(), tc.image, 4, shards, nil); err == nil || err.Error() != tc.wantErr {
 				t.Errorf("%s: %d shards: err = %v, want %q", tc.name, shards, err, tc.wantErr)
+			}
+		}
+	}
+}
+
+// TestV2CrossBlockOrderAgree: v2 stores starts as in-block deltas, so a
+// block whose first start precedes the previous block's last start is
+// the one way a v2 image can be out of order. The image analysis must
+// reject it at every shard count, before any event reaches a sweep,
+// with ReadBinary's error.
+func TestV2CrossBlockOrderAgree(t *testing.T) {
+	uv := func(v uint64) []byte { return binary.AppendUvarint(nil, v) }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	// Block 1: [10,+5) and [12,+3); block 2: [11,+2) and [13,+2).
+	image := v2OneBlockImage(2, 10, 15, cat(uv(2), uv(5), uv(3), uv(0), uv(1), uv(1), uv(0), []byte{0}))
+	binary.LittleEndian.PutUint64(image[24:], 4) // numEvents
+	second := cat(uv(2), uv(2), uv(2), uv(0), uv(1), uv(1), uv(0), []byte{0})
+	image = binary.LittleEndian.AppendUint32(image, 2)
+	image = binary.LittleEndian.AppendUint32(image, uint32(len(second)))
+	image = binary.LittleEndian.AppendUint64(image, 11)
+	image = binary.LittleEndian.AppendUint64(image, 15)
+	image = append(image, second...)
+
+	const wantErr = "trace: v2 block at event 2 starts at 11, before the previous start 12"
+	if _, err := ReadBinary(bytes.NewReader(image)); err == nil || err.Error() != wantErr {
+		t.Fatalf("ReadBinary: err = %v, want %q", err, wantErr)
+	}
+	for _, shards := range []int{1, 2, 3, 0} {
+		if _, err := AnalyzeBytesSharded(context.Background(), image, 4, shards, nil); err == nil || err.Error() != wantErr {
+			t.Errorf("%d shards: err = %v, want %q", shards, err, wantErr)
+		}
+	}
+}
+
+// TestAnalyzeBytesShardedSizeErrorsAgree: an image with bytes past its
+// last event, or missing some, gets one answer — rejection, with the
+// same error — at every shard count, with a one-window analysis (which
+// always resolves to one shard), and through AnalyzeFileSharded.
+func TestAnalyzeBytesShardedSizeErrorsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tr := sortedCopy(randomSweepTrace(rng, 6, 400, 4000))
+	v1, v2 := encodeTrace(t, tr), encodeTraceV2(t, tr)
+	trailing := func(b []byte) []byte { return append(append([]byte(nil), b...), 1, 2, 3) }
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name    string
+		image   []byte
+		wantErr string
+	}{
+		{"v1-trailing", trailing(v1), "trace: v1 image is 10003 event bytes, header declares 400 events (10000 bytes)"},
+		{"v2-trailing", trailing(v2), "trace: 3 trailing bytes after the last v2 block"},
+		{"v1-truncated", v1[:len(v1)-3], "trace: v1 image is 9997 event bytes, header declares 400 events (10000 bytes)"},
+		{"v2-truncated", v2[:len(v2)-3], "trace: v2 image truncated at block payload (event 0)"},
+	} {
+		path := filepath.Join(dir, tc.name+".trc")
+		if err := os.WriteFile(path, tc.image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, run := range []struct {
+			ws     int64
+			shards int
+		}{{100, 1}, {100, 2}, {100, 0}, {tr.Horizon, 2}, {tr.Horizon, 0}} {
+			tag := fmt.Sprintf("%s ws=%d shards=%d", tc.name, run.ws, run.shards)
+			if _, err := AnalyzeBytesSharded(context.Background(), tc.image, run.ws, run.shards, nil); err == nil || err.Error() != tc.wantErr {
+				t.Errorf("%s: AnalyzeBytesSharded err = %v, want %q", tag, err, tc.wantErr)
+			}
+			if _, err := AnalyzeFileSharded(context.Background(), path, run.ws, run.shards, nil); err == nil || err.Error() != tc.wantErr {
+				t.Errorf("%s: AnalyzeFileSharded err = %v, want %q", tag, err, tc.wantErr)
 			}
 		}
 	}

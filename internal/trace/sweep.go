@@ -1,11 +1,8 @@
 package trace
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
 	"sort"
@@ -422,100 +419,4 @@ func sortEventsByStart(events []Event) []Event {
 		out, scratch = scratch, out
 	}
 	return out
-}
-
-// AnalyzeReader computes the window analysis directly from a binary
-// trace stream (the WriteBinary format) without materializing the
-// event slice: each record updates the sweep frontier and is dropped.
-// Peak memory is the output tables plus O(R) frontier state —
-// independent of the event count — which is what makes multi-hundred-
-// million-event traces analyzable at all.
-//
-// The stream's events must be ordered by nondecreasing start cycle
-// (cycle-accurate simulators emit them that way); an out-of-order
-// record is reported as ErrUnsorted. AnalyzeBytesSharded and
-// AnalyzeFileSharded accept unsorted images by decoding them in memory.
-func AnalyzeReader(ctx context.Context, r io.Reader, ws int64) (*Analysis, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	hdr, err := readBinaryHeader(br)
-	if err != nil {
-		return nil, err
-	}
-	if hdr.numReceivers == 0 {
-		return nil, fmt.Errorf("trace: NumReceivers must be positive")
-	}
-	if hdr.numSenders == 0 {
-		return nil, fmt.Errorf("trace: NumSenders must be positive")
-	}
-	// The analysis tables are O(R²) rows, allocated before the first
-	// event is read; bound the receiver count tighter than the generic
-	// header check so a hostile header cannot commit gigabytes. Real
-	// STbus platforms top out at 32 targets.
-	const maxStreamReceivers = 1 << 12
-	if hdr.numReceivers > maxStreamReceivers {
-		return nil, fmt.Errorf("trace: %d receivers exceeds the streaming-analysis limit %d", hdr.numReceivers, maxStreamReceivers)
-	}
-	if hdr.horizon <= 0 {
-		return nil, fmt.Errorf("trace: Horizon must be positive")
-	}
-	boundaries, err := windowBoundaries(hdr.horizon, ws)
-	if err != nil {
-		return nil, err
-	}
-	nT := int(hdr.numReceivers)
-	nS := int(hdr.numSenders)
-
-	ctx, span := obs.Start(ctx, "trace.analyze")
-	defer span.End()
-	span.SetStr("kernel", "stream")
-	span.SetInt("receivers", int64(nT))
-	span.SetInt("windows", int64(len(boundaries)-1))
-	span.SetInt("events", int64(hdr.numEvents))
-	metAnalyses.Inc()
-	metWindows.Add(int64(len(boundaries) - 1))
-
-	sw := newSweeper(nT, boundaries)
-	if hdr.version == binaryVersionV2 {
-		if err := analyzeReaderV2(ctx, br, hdr, sw, nT, nS); err != nil {
-			return nil, err
-		}
-		a := sw.finish()
-		sw.annotate(span)
-		return a, nil
-	}
-	var buf [binaryEventSize]byte
-	lastStart := int64(-1)
-	for i := uint64(0); i < hdr.numEvents; i++ {
-		if i%sweepCancelStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("trace: analysis canceled: %w", err)
-			}
-		}
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return nil, fmt.Errorf("trace: reading event %d: %w", i, err)
-		}
-		e := decodeBinaryEvent(&buf)
-		if err := validateStreamEvent(i, e, nT, nS, hdr.horizon); err != nil {
-			return nil, err
-		}
-		if e.Start < lastStart {
-			return nil, fmt.Errorf("%w: event %d starts at %d, before the previous start %d — streaming analysis requires start-ordered traces (ReadBinary + AnalyzeCtx sorts in memory)", ErrUnsorted, i, e.Start, lastStart)
-		}
-		lastStart = e.Start
-		sw.feed(e.Start, e.Len, e.Receiver, e.Critical)
-	}
-	a := sw.finish()
-	sw.annotate(span)
-	return a, nil
-}
-
-// decodeBinaryEvent parses one WriteBinary event record.
-func decodeBinaryEvent(buf *[binaryEventSize]byte) Event {
-	return Event{
-		Start:    int64(binary.LittleEndian.Uint64(buf[0:])),
-		Len:      int64(binary.LittleEndian.Uint64(buf[8:])),
-		Sender:   int(binary.LittleEndian.Uint32(buf[16:])),
-		Receiver: int(binary.LittleEndian.Uint32(buf[20:])),
-		Critical: buf[24] != 0,
-	}
 }

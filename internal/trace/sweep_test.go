@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"io"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -248,7 +247,9 @@ func sortedCopy(tr *Trace) *Trace {
 	return &out
 }
 
-func TestAnalyzeReaderMatchesAnalyze(t *testing.T) {
+// TestV1ImageMatchesAnalyze runs the image driver over v1 images of
+// start-sorted random traces at one and two shards.
+func TestV1ImageMatchesAnalyze(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	for trial := 0; trial < 8; trial++ {
 		receivers := 1 + rng.Intn(70)
@@ -258,14 +259,19 @@ func TestAnalyzeReaderMatchesAnalyze(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := AnalyzeReader(context.Background(), bytes.NewReader(encodeTrace(t, tr)), ws)
-		if err != nil {
-			t.Fatalf("AnalyzeReader: %v", err)
+		for _, shards := range []int{1, 2} {
+			got, err := AnalyzeBytesSharded(context.Background(), encodeTrace(t, tr), ws, shards, nil)
+			if err != nil {
+				t.Fatalf("v1 image, %d shards: %v", shards, err)
+			}
+			mustEqualAnalyses(t, "v1 trial "+itoa(trial)+"/sh"+itoa(shards), got, want)
 		}
-		mustEqualAnalyses(t, "stream trial "+itoa(trial), got, want)
 	}
 }
 
+// TestAnalyzeReaderErrors keeps the name of the streaming reader whose
+// error contract it first pinned; its cases run the image driver
+// (AnalyzeBytesSharded) at one and two shards, which must agree.
 func TestAnalyzeReaderErrors(t *testing.T) {
 	tr := &Trace{NumReceivers: 2, NumSenders: 1, Horizon: 100, Events: []Event{
 		{Start: 10, Len: 5, Receiver: 0},
@@ -273,29 +279,48 @@ func TestAnalyzeReaderErrors(t *testing.T) {
 	}}
 	good := encodeTrace(t, tr)
 	ctx := context.Background()
+	mustFail := func(t *testing.T, ctx context.Context, data []byte, ws int64, want string) {
+		t.Helper()
+		var first error
+		for _, shards := range []int{1, 2} {
+			_, err := AnalyzeBytesSharded(ctx, data, ws, shards, nil)
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%d shards: err = %v, want %q", shards, err, want)
+			}
+			if first == nil {
+				first = err
+			} else if err.Error() != first.Error() {
+				t.Fatalf("2 shards: err = %v, 1 shard: %v", err, first)
+			}
+		}
+	}
 
 	t.Run("bad magic", func(t *testing.T) {
 		bad := append([]byte{}, good...)
 		bad[0] = 'X'
-		if _, err := AnalyzeReader(ctx, bytes.NewReader(bad), 10); err == nil || !strings.Contains(err.Error(), "magic") {
-			t.Fatalf("err = %v, want bad magic", err)
-		}
+		mustFail(t, ctx, bad, 10, "magic")
 	})
 	t.Run("truncated event", func(t *testing.T) {
-		if _, err := AnalyzeReader(ctx, bytes.NewReader(good[:len(good)-3]), 10); err == nil || !strings.Contains(err.Error(), "reading event") {
-			t.Fatalf("err = %v, want truncated read", err)
-		}
+		mustFail(t, ctx, good[:len(good)-3], 10, "v1 image is 47 event bytes, header declares 2 events (50 bytes)")
 	})
 	t.Run("bad window size", func(t *testing.T) {
-		if _, err := AnalyzeReader(ctx, bytes.NewReader(good), 0); err == nil || !strings.Contains(err.Error(), "window size") {
-			t.Fatalf("err = %v, want window size error", err)
-		}
+		mustFail(t, ctx, good, 0, "window size")
 	})
 	t.Run("unsorted stream", func(t *testing.T) {
+		// An unordered v1 image is accepted: the in-memory fallback
+		// sorts it.
 		rev := *tr
 		rev.Events = []Event{tr.Events[1], tr.Events[0]}
-		if _, err := AnalyzeReader(ctx, bytes.NewReader(encodeTrace(t, &rev)), 10); err == nil || !strings.Contains(err.Error(), "start-ordered") {
-			t.Fatalf("err = %v, want start-order error", err)
+		want, err := AnalyzeCtx(ctx, tr, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{1, 2} {
+			got, err := AnalyzeBytesSharded(ctx, encodeTrace(t, &rev), 10, shards, nil)
+			if err != nil {
+				t.Fatalf("%d shards: %v", shards, err)
+			}
+			mustEqualAnalyses(t, "unsorted/sh"+itoa(shards), got, want)
 		}
 	})
 	t.Run("receiver out of range", func(t *testing.T) {
@@ -305,105 +330,63 @@ func TestAnalyzeReaderErrors(t *testing.T) {
 		// Patch the receiver field (offset 20 within the 25-byte record)
 		// of the only event, which lives at the end of the buffer.
 		binary.LittleEndian.PutUint32(raw[len(raw)-5:], 7)
-		if _, err := AnalyzeReader(ctx, bytes.NewReader(raw), 10); err == nil || !strings.Contains(err.Error(), "receiver") {
-			t.Fatalf("err = %v, want receiver range error", err)
-		}
+		mustFail(t, ctx, raw, 10, "trace: event 0 receiver 7 out of range [0,2)")
 	})
 	t.Run("canceled", func(t *testing.T) {
 		cctx, cancel := context.WithCancel(ctx)
 		cancel()
-		if _, err := AnalyzeReader(cctx, bytes.NewReader(good), 10); err == nil || !strings.Contains(err.Error(), "canceled") {
-			t.Fatalf("err = %v, want cancellation", err)
-		}
+		mustFail(t, cctx, good, 10, "canceled")
 	})
 	t.Run("hostile receiver count", func(t *testing.T) {
 		raw := append([]byte{}, good...)
 		binary.LittleEndian.PutUint32(raw[8:], 1<<19) // numReceivers field
-		if _, err := AnalyzeReader(ctx, bytes.NewReader(raw), 10); err == nil || !strings.Contains(err.Error(), "streaming-analysis limit") {
-			t.Fatalf("err = %v, want streaming receiver limit", err)
-		}
+		mustFail(t, ctx, raw, 10, "streaming-analysis limit")
 	})
 }
 
-// syntheticStream serves a valid binary trace of the requested size
-// record by record, never materializing it: the memory-boundedness test
-// below streams millions of events from it while asserting the analyzer
-// allocates nothing proportional to the event count.
-type syntheticStream struct {
-	pending   []byte
-	rec       [binaryEventSize]byte
-	emitted   uint64
-	numEvents uint64
-	receivers int
-	horizon   int64
-}
-
-func newSyntheticStream(receivers int, numEvents uint64) *syntheticStream {
-	s := &syntheticStream{
-		numEvents: numEvents,
-		receivers: receivers,
-		horizon:   int64(numEvents/4) + 64,
-	}
-	var hdr bytes.Buffer
-	hdr.Write(binaryMagic[:])
-	for _, v := range []any{uint32(binaryVersion), uint32(receivers), uint32(1), uint64(s.horizon), numEvents} {
-		binary.Write(&hdr, binary.LittleEndian, v)
-	}
-	s.pending = hdr.Bytes()
-	return s
-}
-
-// record fills the reusable record buffer for event i, which starts at
-// cycle i/4 (nondecreasing, coincident in groups of four). Reusing the
-// buffer keeps the stream itself allocation-free so the test's memory
-// accounting sees only the analyzer.
-func (s *syntheticStream) record(i uint64) {
-	binary.LittleEndian.PutUint64(s.rec[0:], i/4)
-	binary.LittleEndian.PutUint64(s.rec[8:], uint64(1+i%13))
-	binary.LittleEndian.PutUint32(s.rec[16:], 0)
-	binary.LittleEndian.PutUint32(s.rec[20:], uint32(i)%uint32(s.receivers))
-	s.rec[24] = 0
-	if i%8 == 0 {
-		s.rec[24] = 1
-	}
-}
-
-func (s *syntheticStream) Read(p []byte) (int, error) {
-	n := 0
-	for n < len(p) {
-		if len(s.pending) == 0 {
-			if s.emitted == s.numEvents {
-				if n == 0 {
-					return 0, io.EOF
-				}
-				return n, nil
-			}
-			s.record(s.emitted)
-			s.emitted++
-			s.pending = s.rec[:]
+// syntheticImage builds a valid v1 image of numEvents records without
+// a Trace: event i starts at cycle i/4 (nondecreasing, coincident in
+// groups of four), lasts 1+i%13 cycles, goes to receiver i mod
+// receivers, and every eighth is critical. The horizon is
+// numEvents/4+64.
+func syntheticImage(receivers int, numEvents uint64) []byte {
+	data := make([]byte, binaryHeaderSize, binaryHeaderSize+numEvents*binaryEventSize)
+	copy(data, binaryMagic[:])
+	binary.LittleEndian.PutUint32(data[4:], binaryVersion)
+	binary.LittleEndian.PutUint32(data[8:], uint32(receivers))
+	binary.LittleEndian.PutUint32(data[12:], 1)
+	binary.LittleEndian.PutUint64(data[16:], numEvents/4+64)
+	binary.LittleEndian.PutUint64(data[24:], numEvents)
+	var rec [binaryEventSize]byte
+	for i := uint64(0); i < numEvents; i++ {
+		binary.LittleEndian.PutUint64(rec[0:], i/4)
+		binary.LittleEndian.PutUint64(rec[8:], 1+i%13)
+		binary.LittleEndian.PutUint32(rec[20:], uint32(i%uint64(receivers)))
+		rec[24] = 0
+		if i%8 == 0 {
+			rec[24] = 1
 		}
-		c := copy(p[n:], s.pending)
-		s.pending = s.pending[c:]
-		n += c
+		data = append(data, rec[:]...)
 	}
-	return n, nil
+	return data
 }
 
-// TestAnalyzeReaderMemoryBounded streams 2M events (≈50 MB on the wire,
-// ≈96 MB as a materialized []Event) and asserts the analyzer's total
-// allocation stays tens of times below that: peak state is the output
-// tables plus the O(R) frontier, independent of the event count.
-func TestAnalyzeReaderMemoryBounded(t *testing.T) {
+// TestAnalyzeBytesShardedMemoryBounded analyzes a 2M-event v1 image
+// (≈50 MB; ≈96 MB as a materialized []Event) at one shard and asserts
+// that the analysis allocates tens of times less than that, the image
+// itself excluded: peak state is the block index, the output tables
+// and the O(R) frontier, independent of the event count.
+func TestAnalyzeBytesShardedMemoryBounded(t *testing.T) {
 	if testing.Short() {
-		t.Skip("streams 2M events")
+		t.Skip("analyzes 2M events")
 	}
 	const numEvents = 2_000_000
-	src := newSyntheticStream(8, numEvents)
+	data := syntheticImage(8, numEvents)
 
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	a, err := AnalyzeReader(context.Background(), src, (int64(numEvents)/4+64)/64)
+	a, err := AnalyzeBytesSharded(context.Background(), data, (int64(numEvents)/4+64)/64, 1, nil)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -414,12 +397,13 @@ func TestAnalyzeReaderMemoryBounded(t *testing.T) {
 	allocated := after.TotalAlloc - before.TotalAlloc
 	const limit = 8 << 20
 	if allocated > limit {
-		t.Errorf("streaming analysis allocated %d bytes for %d events, want < %d (event-count independent)", allocated, numEvents, limit)
+		t.Errorf("one-shard image analysis allocated %d bytes for %d events, want < %d (event-count independent)", allocated, numEvents, limit)
 	}
 
-	// Same stream materialized must agree bit-for-bit.
-	small := newSyntheticStream(8, 50_000)
-	tr, err := ReadBinary(small)
+	// A smaller image of the same shape, materialized, must agree
+	// bit-for-bit.
+	small := syntheticImage(8, 50_000)
+	tr, err := ReadBinary(bytes.NewReader(small))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,11 +411,11 @@ func TestAnalyzeReaderMemoryBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := AnalyzeReader(context.Background(), newSyntheticStream(8, 50_000), 128)
+	got, err := AnalyzeBytesSharded(context.Background(), small, 128, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustEqualAnalyses(t, "synthetic stream vs materialized", got, want)
+	mustEqualAnalyses(t, "synthetic image vs materialized", got, want)
 }
 
 func TestMaxWindowLoadMemoized(t *testing.T) {
