@@ -183,9 +183,7 @@ func runStream(ctx context.Context, path string) error {
 			s, st.Windows, st.Events, float64(st.NS)/1e6, rate/1e6)
 	}
 	fmt.Printf("max window load: %d fully-loaded buses\n", a.MaxWindowLoad())
-	fmt.Printf("overlap table: %d nonzero cells (fill %.2f%%), critical %d (fill %.2f%%)\n",
-		a.Overlap.NNZ(), a.Overlap.FillRatio()*100,
-		a.CritOverlap.NNZ(), a.CritOverlap.FillRatio()*100)
+	fmt.Printf("pair summaries: %d of %d receiver pairs overlap\n", len(a.Pairs), a.NumReceivers*(a.NumReceivers-1)/2)
 
 	var busiest int
 	var busiestCycles int64

@@ -225,21 +225,20 @@ func Audit(d *core.Design, a *trace.Analysis, opts core.Options) *Report {
 	}
 
 	// Eq. 2 / Eq. 7 — conflict pairs must not share a bus. The
-	// conflict matrix is re-derived from the pair overlap values with
-	// the options the design was solved under, and the count of
+	// conflict matrix is re-derived from the pair summaries with the
+	// options the design was solved under, and the count of
 	// conflict pairs must match the one the design reports.
 	conflicts := 0
-	for i := 0; i < nT; i++ {
-		for j := i + 1; j < nT; j++ {
-			if !conflictPair(a, i, j, opts) {
-				continue
-			}
-			conflicts++
-			r.Checked++
-			if d.BusOf[i] == d.BusOf[j] {
-				r.add(Violation{Kind: KindConflict, Bus: d.BusOf[i], Window: -1, ReceiverI: i, ReceiverJ: j,
-					Msg: fmt.Sprintf("conflicting receivers %d and %d share bus %d", i, j, d.BusOf[i])})
-			}
+	for _, p := range a.Pairs {
+		i, j := p.I, p.J
+		if !conflictPair(p, opts) {
+			continue
+		}
+		conflicts++
+		r.Checked++
+		if d.BusOf[i] == d.BusOf[j] {
+			r.add(Violation{Kind: KindConflict, Bus: d.BusOf[i], Window: -1, ReceiverI: i, ReceiverJ: j,
+				Msg: fmt.Sprintf("conflicting receivers %d and %d share bus %d", i, j, d.BusOf[i])})
 		}
 	}
 	r.Checked++
@@ -272,27 +271,19 @@ func Audit(d *core.Design, a *trace.Analysis, opts core.Options) *Report {
 	return r
 }
 
-// conflictPair applies paper Eq. 2 to one receiver pair: the pair
-// conflicts when its overlap in some window exceeds the threshold
-// fraction of that window's length (a negative threshold disables the
-// test), or, with critical separation, when their critical streams
-// overlap in some window. Only stored cells can qualify: an absent
-// cell is a zero overlap.
-func conflictPair(a *trace.Analysis, i, j int, opts core.Options) bool {
-	row := a.PairIndex(i, j)
+// conflictPair applies paper Eq. 2 to one receiver pair from its
+// summary: the pair conflicts when its overlap in some window exceeds
+// the threshold fraction of that window's length (a negative threshold
+// disables the test; every window has a frontier point no longer that
+// overlaps no less), or, with critical separation, when their critical
+// streams overlap in some window.
+func conflictPair(p trace.PairSummary, opts core.Options) bool {
 	if opts.OverlapThreshold >= 0 {
-		for _, c := range a.Overlap.RowCells(row) {
-			if float64(c.Val) > opts.OverlapThreshold*float64(a.WindowLen(int(c.Col))) {
+		for _, pt := range p.Frontier {
+			if float64(pt.Cycles) > opts.OverlapThreshold*float64(pt.Len) {
 				return true
 			}
 		}
 	}
-	if opts.SeparateCritical {
-		for _, c := range a.CritOverlap.RowCells(row) {
-			if c.Val > 0 {
-				return true
-			}
-		}
-	}
-	return false
+	return opts.SeparateCritical && p.Critical
 }

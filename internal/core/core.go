@@ -475,40 +475,27 @@ func probeCloseEvent(k int, optimize bool, res *assignResult, err error) obs.Eve
 // BuildConflicts computes the conflict matrix (paper Eq. 2) from the
 // windowed analysis: pairs whose overlap exceeds the threshold fraction
 // of the window size in any window, and — when SeparateCritical is set
-// — pairs whose critical streams overlap in any window. Only the stored
-// overlap cells are visited: an absent cell is a zero overlap, which
-// never exceeds a nonnegative threshold, so the cost is O(R² + stored
-// cells) however many windows carry no traffic.
+// — pairs whose critical streams overlap in any window. A frontier
+// point of the pair summary exceeds a nonnegative threshold exactly
+// when some window of the pair does, so the cost is O(R² + summary
+// points) however many windows there are.
 func BuildConflicts(a *trace.Analysis, opts Options) [][]bool {
 	nT := a.NumReceivers
 	conflicts := make([][]bool, nT)
 	for i := range conflicts {
 		conflicts[i] = make([]bool, nT)
 	}
-	row := 0 // pair rows are stored in (i, j > i) order
-	for i := 0; i < nT; i++ {
-		for j := i + 1; j < nT; j++ {
-			c := false
-			if opts.OverlapThreshold >= 0 {
-				for _, cell := range a.Overlap.RowCells(row) {
-					limit := opts.OverlapThreshold * float64(a.WindowLen(int(cell.Col)))
-					if float64(cell.Val) > limit {
-						c = true
-						break
-					}
+	for _, p := range a.Pairs {
+		c := opts.SeparateCritical && p.Critical
+		if !c && opts.OverlapThreshold >= 0 {
+			for _, pt := range p.Frontier {
+				if float64(pt.Cycles) > opts.OverlapThreshold*float64(pt.Len) {
+					c = true
+					break
 				}
 			}
-			if !c && opts.SeparateCritical {
-				for _, cell := range a.CritOverlap.RowCells(row) {
-					if cell.Val > 0 {
-						c = true
-						break
-					}
-				}
-			}
-			conflicts[i][j], conflicts[j][i] = c, c
-			row++
 		}
+		conflicts[p.I][p.J], conflicts[p.J][p.I] = c, c
 	}
 	return conflicts
 }

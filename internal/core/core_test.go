@@ -367,7 +367,7 @@ func enumerate(a *trace.Analysis, conflicts [][]bool, maxPerBus int, busOf []int
 			var load int64
 			for r := 0; r <= idx; r++ {
 				if busOf[r] == b {
-					load += a.Comm.At(r, m)
+					load += cellAt(a.Comm, r, m)
 				}
 			}
 			if load > a.WindowLen(m) {

@@ -3,39 +3,99 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/ds"
 	"repro/internal/trace"
 )
 
-// buildConflictsDense is the window-by-window BuildConflicts the
-// stored-cell version replaced, kept as its oracle: every (pair,
-// window) cell is looked up, absent cells included.
-func buildConflictsDense(a *trace.Analysis, opts Options) [][]bool {
+// cellAt returns the element at (r, c) of a sparse table, zero when
+// not stored.
+func cellAt(m *ds.SparseInt64Matrix, r, c int) int64 {
+	for _, cell := range m.RowCells(r) {
+		if int(cell.Col) == c {
+			return cell.Val
+		}
+	}
+	return 0
+}
+
+// pairRows is the dense per-window pair overlap an analysis summarizes:
+// ov[k][m] and crit[k][m] are the overlap and critical overlap of the
+// k-th pair (i, j > i), row-major, in window m.
+type pairRows struct {
+	ov, crit [][]int64
+}
+
+// buildConflictsDense is the window-by-window BuildConflicts, kept as
+// the oracle of the summary-reading version: every (pair, window) cell
+// of the dense rows is read, zero cells included.
+func buildConflictsDense(a *trace.Analysis, rows pairRows, opts Options) [][]bool {
 	nT := a.NumReceivers
 	conflicts := make([][]bool, nT)
 	for i := range conflicts {
 		conflicts[i] = make([]bool, nT)
 	}
+	k := 0
 	for i := 0; i < nT; i++ {
 		for j := i + 1; j < nT; j++ {
 			c := false
 			for m := 0; m < a.NumWindows() && !c; m++ {
 				if opts.OverlapThreshold >= 0 {
 					limit := opts.OverlapThreshold * float64(a.WindowLen(m))
-					if float64(a.PairOverlap(i, j, m)) > limit {
+					if float64(rows.ov[k][m]) > limit {
 						c = true
 					}
 				}
-				if opts.SeparateCritical && a.PairCritOverlap(i, j, m) > 0 {
+				if opts.SeparateCritical && rows.crit[k][m] > 0 {
 					c = true
 				}
 			}
 			conflicts[i][j], conflicts[j][i] = c, c
+			k++
 		}
 	}
 	return conflicts
+}
+
+// summarize folds dense pair rows into pair summaries: the frontier is
+// found by sorting the nonzero windows by ascending length, longest
+// overlap first among equal lengths, and keeping each point that
+// overlaps more than every shorter one. A pair that never overlaps
+// stores an empty summary when storeEmpty is set (no kernel does, but
+// every consumer must treat it as absent), otherwise nothing.
+func summarize(nT int, boundaries []int64, rows pairRows, storeEmpty bool) []trace.PairSummary {
+	var out []trace.PairSummary
+	k := 0
+	for i := 0; i < nT; i++ {
+		for j := i + 1; j < nT; j++ {
+			var pts []trace.WindowOverlap
+			p := trace.PairSummary{I: i, J: j}
+			for m, v := range rows.ov[k] {
+				if v > 0 {
+					pts = append(pts, trace.WindowOverlap{Len: boundaries[m+1] - boundaries[m], Cycles: v})
+				}
+				p.Critical = p.Critical || rows.crit[k][m] > 0
+			}
+			sort.Slice(pts, func(x, y int) bool {
+				if pts[x].Len != pts[y].Len {
+					return pts[x].Len < pts[y].Len
+				}
+				return pts[x].Cycles > pts[y].Cycles
+			})
+			for _, pt := range pts {
+				if n := len(p.Frontier); n == 0 || pt.Cycles > p.Frontier[n-1].Cycles {
+					p.Frontier = append(p.Frontier, pt)
+				}
+			}
+			if len(p.Frontier) > 0 || p.Critical || storeEmpty {
+				out = append(out, p)
+			}
+			k++
+		}
+	}
+	return out
 }
 
 // reduceWindowsDense is the O(W²·R) all-pairs window reduction the
@@ -59,7 +119,7 @@ func reduceWindowsDense(a *trace.Analysis) []int {
 			}
 			dom := true
 			for t := 0; t < nT; t++ {
-				if a.Comm.At(t, m) < a.Comm.At(t, m2) {
+				if cellAt(a.Comm, t, m) < cellAt(a.Comm, t, m2) {
 					dom = false
 					break
 				}
@@ -100,9 +160,10 @@ func sparseFromDense(rng *rand.Rand, dense [][]int64, cols int, zeroP float64) *
 // randomPreprocessAnalysis builds an analysis directly (no trace) with
 // the shapes the window passes must get right: many idle windows,
 // all-idle analyses, identical and equal-length windows, a short idle
-// last window, explicit zero cells in every table, and overlaps that
-// sit exactly on a threshold.
-func randomPreprocessAnalysis(rng *rand.Rand) *trace.Analysis {
+// last window, explicit zero cells in both load tables, empty pair
+// summaries, and overlaps that sit exactly on a threshold. It also
+// returns the dense pair rows the summaries fold.
+func randomPreprocessAnalysis(rng *rand.Rand) (*trace.Analysis, pairRows) {
 	nT := 1 + rng.Intn(7)
 	nW := 1 + rng.Intn(40)
 	lens := []int64{10, 10, 10, 20, 5}
@@ -160,33 +221,34 @@ func randomPreprocessAnalysis(rng *rand.Rand) *trace.Analysis {
 				// threshold exactly now and then.
 				ov[row][m] = min(hi, wl(m)*rng.Int63n(11)/10)
 				cov[row][m] = min(ov[row][m], crit[i][m], crit[j][m])
-				om.AddAt(i, j, ov[row][m])
+				om.Set(i, j, om.At(i, j)+ov[row][m])
 			}
 			row++
 		}
 	}
+	rows := pairRows{ov: ov, crit: cov}
 	return &trace.Analysis{
 		NumReceivers: nT,
 		Boundaries:   boundaries,
 		Comm:         sparseFromDense(rng, comm, nW, zeroP),
 		CritComm:     sparseFromDense(rng, crit, nW, zeroP),
-		Overlap:      sparseFromDense(rng, ov, nW, zeroP),
-		CritOverlap:  sparseFromDense(rng, cov, nW, zeroP),
+		Pairs:        summarize(nT, boundaries, rows, zeroP > 0),
 		OM:           om,
-	}
+	}, rows
 }
 
-// TestBuildConflictsMatchesDenseOracle pins the stored-cell conflict
-// build to the window-by-window oracle at thresholds −1, 0 and 0.3,
-// with critical separation on and off.
+// TestBuildConflictsMatchesDenseOracle pins the summary-reading
+// conflict build to the window-by-window oracle over the dense rows the
+// summaries fold, at thresholds −1, 0 and 0.3, with critical separation
+// on and off.
 func TestBuildConflictsMatchesDenseOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for trial := 0; trial < 600; trial++ {
-		a := randomPreprocessAnalysis(rng)
+		a, rows := randomPreprocessAnalysis(rng)
 		for _, thr := range []float64{-1, 0, 0.3} {
 			for _, sep := range []bool{false, true} {
 				opts := Options{OverlapThreshold: thr, SeparateCritical: sep}
-				got, want := BuildConflicts(a, opts), buildConflictsDense(a, opts)
+				got, want := BuildConflicts(a, opts), buildConflictsDense(a, rows, opts)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("trial %d (threshold %v, critical %v): conflicts %v, oracle %v", trial, thr, sep, got, want)
 				}
@@ -202,15 +264,15 @@ func TestBuildConflictsMatchesDenseOracle(t *testing.T) {
 func TestReduceWindowsMatchesDenseOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 2000; trial++ {
-		a := randomPreprocessAnalysis(rng)
+		a, _ := randomPreprocessAnalysis(rng)
 		keep, comm := reduceWindows(a)
 		if want := reduceWindowsDense(a); !reflect.DeepEqual(keep, want) {
 			t.Fatalf("trial %d (%d receivers, %d windows): kept %v, oracle %v", trial, a.NumReceivers, a.NumWindows(), keep, want)
 		}
 		for r := 0; r < a.NumReceivers; r++ {
 			for k, m := range keep {
-				if comm[r][k] != a.Comm.At(r, m) {
-					t.Fatalf("trial %d: load[%d][window %d] = %d, want %d", trial, r, m, comm[r][k], a.Comm.At(r, m))
+				if comm[r][k] != cellAt(a.Comm, r, m) {
+					t.Fatalf("trial %d: load[%d][window %d] = %d, want %d", trial, r, m, comm[r][k], cellAt(a.Comm, r, m))
 				}
 			}
 		}
@@ -329,8 +391,8 @@ func TestReduceWindowsMatchesDenseOracleWide(t *testing.T) {
 		}
 		for r := 0; r < a.NumReceivers; r++ {
 			for k, m := range keep {
-				if comm[r][k] != a.Comm.At(r, m) {
-					t.Fatalf("trial %d (shape %d): load[%d][window %d] = %d, want %d", trial, shape, r, m, comm[r][k], a.Comm.At(r, m))
+				if comm[r][k] != cellAt(a.Comm, r, m) {
+					t.Fatalf("trial %d (shape %d): load[%d][window %d] = %d, want %d", trial, shape, r, m, comm[r][k], cellAt(a.Comm, r, m))
 				}
 			}
 		}

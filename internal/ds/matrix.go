@@ -37,14 +37,6 @@ func (m *SymMatrix) Set(i, j int, v int64) {
 	m.data[m.index(i, j)] = v
 }
 
-// AddAt adds v at (i, j)/(j, i).
-func (m *SymMatrix) AddAt(i, j int, v int64) {
-	if i == j {
-		panic("ds: SymMatrix diagonal is fixed at zero")
-	}
-	m.data[m.index(i, j)] += v
-}
-
 // Clone returns a deep copy.
 func (m *SymMatrix) Clone() *SymMatrix {
 	out := NewSymMatrix(m.N)

@@ -14,9 +14,9 @@ func TestSymMatrixSymmetry(t *testing.T) {
 	if got := m.At(2, 2); got != 0 {
 		t.Errorf("diagonal At(2,2) = %d, want 0", got)
 	}
-	m.AddAt(3, 1, 3)
+	m.Set(3, 1, m.At(3, 1)+3)
 	if got := m.At(1, 3); got != 10 {
-		t.Errorf("AddAt not reflected: At(1,3) = %d, want 10", got)
+		t.Errorf("Set not reflected: At(1,3) = %d, want 10", got)
 	}
 }
 

@@ -1,9 +1,6 @@
 package ds
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // SparseCell is one stored element of a SparseInt64Matrix: the column
 // index and the value. Columns fit int32 because the trace analysis
@@ -16,18 +13,15 @@ type SparseCell struct {
 // SparseInt64Matrix is a rows×cols matrix of int64 storing only the
 // nonzero elements, row by row in ascending column order (CSR-style:
 // after Compact every row is a slice into one shared backing array).
-// It backs the per-window load and overlap tables of the traffic
-// analysis, which are mostly zero for realistic workloads: at windows
-// shorter than a burst most windows carry no traffic, receivers that
-// never overlap contribute empty rows, and bursty pairs touch few
-// windows.
+// It backs the per-window load tables of the traffic analysis, which
+// are mostly zero for realistic workloads: at windows shorter than a
+// burst most windows carry no traffic.
 //
 // Rows are built by appending cells in nondecreasing column order
 // (Append), which is how both the sweep-line kernel and the legacy
 // pairwise analysis produce them. During building, row storage is
-// carved from shared arena blocks so that growing thousands of pair
-// rows costs a handful of allocations instead of one per row per
-// doubling.
+// carved from shared arena blocks so that growing many rows costs a
+// handful of allocations instead of one per row per doubling.
 type SparseInt64Matrix struct {
 	Rows, Cols int
 	rows       [][]SparseCell
@@ -123,16 +117,6 @@ func (m *SparseInt64Matrix) growRow(row []SparseCell) []SparseCell {
 	return append(seg, row...)
 }
 
-// At returns the element at (r, c), zero when not stored.
-func (m *SparseInt64Matrix) At(r, c int) int64 {
-	row := m.rows[r]
-	i := sort.Search(len(row), func(k int) bool { return int(row[k].Col) >= c })
-	if i < len(row) && int(row[i].Col) == c {
-		return row[i].Val
-	}
-	return 0
-}
-
 // RowCells returns the stored cells of row r in ascending column
 // order. The slice aliases the matrix storage and must not be modified.
 func (m *SparseInt64Matrix) RowCells(r int) []SparseCell { return m.rows[r] }
@@ -177,18 +161,6 @@ func (m *SparseInt64Matrix) DenseColumns() (cols []int, vals []int64) {
 		}
 	}
 	return cols, vals
-}
-
-// NNZ returns the number of stored (nonzero) elements.
-func (m *SparseInt64Matrix) NNZ() int { return m.nnz }
-
-// FillRatio returns NNZ divided by the dense cell count (0 for an
-// empty shape).
-func (m *SparseInt64Matrix) FillRatio() float64 {
-	if m.Rows == 0 || m.Cols == 0 {
-		return 0
-	}
-	return float64(m.nnz) / (float64(m.Rows) * float64(m.Cols))
 }
 
 // Compact repacks every row into one exact-size backing array and

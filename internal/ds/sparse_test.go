@@ -6,6 +6,16 @@ import (
 	"testing"
 )
 
+// at returns the element at (r, c), zero when not stored.
+func at(m *SparseInt64Matrix, r, c int) int64 {
+	for _, cell := range m.RowCells(r) {
+		if int(cell.Col) == c {
+			return cell.Val
+		}
+	}
+	return 0
+}
+
 func TestSparseAppendAt(t *testing.T) {
 	m := NewSparseInt64Matrix(3, 10)
 	m.Append(0, 2, 5)
@@ -14,30 +24,26 @@ func TestSparseAppendAt(t *testing.T) {
 	m.Append(2, 0, 9)
 	m.Append(1, 4, 0) // zero append is dropped
 
-	if got := m.At(0, 2); got != 8 {
-		t.Errorf("At(0,2) = %d, want 8", got)
+	if got := at(m, 0, 2); got != 8 {
+		t.Errorf("at(0,2) = %d, want 8", got)
 	}
-	if got := m.At(0, 7); got != 1 {
-		t.Errorf("At(0,7) = %d, want 1", got)
+	if got := at(m, 0, 7); got != 1 {
+		t.Errorf("at(0,7) = %d, want 1", got)
 	}
-	if got := m.At(0, 3); got != 0 {
-		t.Errorf("At(0,3) = %d, want 0", got)
+	if got := at(m, 0, 3); got != 0 {
+		t.Errorf("at(0,3) = %d, want 0", got)
 	}
-	if got := m.At(1, 4); got != 0 {
-		t.Errorf("zero append stored: At(1,4) = %d", got)
+	if got := at(m, 1, 4); got != 0 {
+		t.Errorf("zero append stored: at(1,4) = %d", got)
 	}
-	if got := m.At(2, 0); got != 9 {
-		t.Errorf("At(2,0) = %d, want 9", got)
+	if got := at(m, 2, 0); got != 9 {
+		t.Errorf("at(2,0) = %d, want 9", got)
 	}
-	if got := m.NNZ(); got != 3 {
+	if got := m.nnz; got != 3 {
 		t.Errorf("NNZ = %d, want 3", got)
 	}
 	if got := m.RowSum(0); got != 9 {
 		t.Errorf("RowSum(0) = %d, want 9", got)
-	}
-	wantFill := 3.0 / 30.0
-	if got := m.FillRatio(); got != wantFill {
-		t.Errorf("FillRatio = %g, want %g", got, wantFill)
 	}
 }
 
@@ -88,10 +94,10 @@ func TestSparseCompactCanonical(t *testing.T) {
 	}
 
 	// Content survives compaction.
-	if got := a.At(2, 99); got != 2106 {
+	if got := at(a, 2, 99); got != 2106 {
 		t.Errorf("At(2,99) = %d, want 2106", got)
 	}
-	if got := a.At(2, 98); got != 0 {
+	if got := at(a, 2, 98); got != 0 {
 		t.Errorf("At(2,98) = %d, want 0", got)
 	}
 }
@@ -107,12 +113,12 @@ func TestSparseGrowthAcrossArenaBlocks(t *testing.T) {
 		}
 	}
 	m.Compact()
-	if m.NNZ() != rows*cols {
-		t.Fatalf("NNZ = %d, want %d", m.NNZ(), rows*cols)
+	if m.nnz != rows*cols {
+		t.Fatalf("NNZ = %d, want %d", m.nnz, rows*cols)
 	}
 	for _, rc := range [][2]int{{0, 0}, {63, 4999}, {17, 2500}, {40, 1}} {
 		want := int64(rc[0]+1) * int64(rc[1]+1)
-		if got := m.At(rc[0], rc[1]); got != want {
+		if got := at(m, rc[0], rc[1]); got != want {
 			t.Errorf("At(%d,%d) = %d, want %d", rc[0], rc[1], got, want)
 		}
 	}
@@ -124,24 +130,24 @@ func TestSparseClone(t *testing.T) {
 	m.Append(1, 7, 4)
 	cl := m.Clone()
 	m.Append(1, 7, 10)
-	if got := cl.At(1, 7); got != 4 {
+	if got := at(cl, 1, 7); got != 4 {
 		t.Errorf("clone mutated: At(1,7) = %d, want 4", got)
 	}
-	if cl.NNZ() != 2 {
-		t.Errorf("clone NNZ = %d, want 2", cl.NNZ())
+	if cl.nnz != 2 {
+		t.Errorf("clone NNZ = %d, want 2", cl.nnz)
 	}
 }
 
 func TestSparseEmptyShapes(t *testing.T) {
 	m := NewSparseInt64Matrix(0, 5)
-	if m.FillRatio() != 0 || m.NNZ() != 0 {
+	if m.nnz != 0 {
 		t.Error("empty matrix not empty")
 	}
 	m.Compact()
 	n := NewSparseInt64Matrix(3, 0)
 	n.Compact()
-	if n.At(2, 0) != 0 {
-		// At on a zero-column matrix is out of contract, but rows exist.
+	if at(n, 2, 0) != 0 {
+		// A zero-column matrix still has its rows.
 		t.Error("unexpected value in zero-column matrix")
 	}
 }
@@ -169,8 +175,8 @@ func TestSparseDenseColumns(t *testing.T) {
 	}
 	for k, c := range cols {
 		for r := 0; r < m.Rows; r++ {
-			if got := vals[k*m.Rows+r]; got != m.At(r, c) {
-				t.Errorf("vals[%d][%d] = %d, At = %d", k, r, got, m.At(r, c))
+			if got := vals[k*m.Rows+r]; got != at(m, r, c) {
+				t.Errorf("vals[%d][%d] = %d, At = %d", k, r, got, at(m, r, c))
 			}
 		}
 	}
@@ -232,8 +238,8 @@ func TestConcatColumnsMatchesAppend(t *testing.T) {
 		}
 		want.Compact()
 		got := ConcatColumns(parts, offsets, cols)
-		if got.NNZ() != want.NNZ() || !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: ConcatColumns (nnz %d) differs from Append+Compact (nnz %d)", trial, got.NNZ(), want.NNZ())
+		if got.nnz != want.nnz || !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: ConcatColumns (nnz %d) differs from Append+Compact (nnz %d)", trial, got.nnz, want.nnz)
 		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 // which makes entries written under the old stream misses instead of
 // aliases. A failure here without a tag bump is a cache-format break.
 func TestFingerprintPinMat2(t *testing.T) {
-	const want = "5864b3b9c6544042dbd54f4c09c1d5250135678f9ff2c1709b143cf4a846b9db"
+	const want = "15f4931c5b08fee75f0a6ce5a3bd608b0769b73d5138a8a21d7a61ff22e95101"
 	run, err := Prepare(workloads.Mat2(Seed))
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -436,6 +437,42 @@ func TestBadRequests(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("GET %s: status %d, want 404", path, resp.StatusCode)
+		}
+	}
+}
+
+// TestReceiverCapRejected: a trace declaring more receivers than the
+// analysis accepts gets a classified 400 (reason bad_request) on the
+// JSON path and on both binary paths, in memory and spooled, before any
+// analysis runs. A spooled body over the cap used to be spooled and
+// then fail its job as internal (500).
+func TestReceiverCapRejected(t *testing.T) {
+	cfg := testConfig()
+	cfg.SpoolThreshold = 64
+	cfg.SpoolDir = t.TempDir()
+	_, hs := newTestServer(t, cfg)
+	binaryHeader := append([]byte("STBT"), make([]byte, 28)...)
+	binary.LittleEndian.PutUint32(binaryHeader[4:], 1)
+	binary.LittleEndian.PutUint32(binaryHeader[8:], 4097)
+	binary.LittleEndian.PutUint32(binaryHeader[12:], 1)
+	binary.LittleEndian.PutUint64(binaryHeader[16:], 32)
+	spooled := append(binary.LittleEndian.AppendUint64(binaryHeader[:24:24], 4), make([]byte, 4*25)...)
+	for _, tc := range []struct{ ct, body string }{
+		{"application/json", `{"num_receivers":4097,"num_senders":1,"horizon":32,"events":[]}`},
+		{"application/octet-stream", string(binaryHeader)},
+		{"application/octet-stream", string(spooled)},
+	} {
+		resp, err := http.Post(hs.URL+"/v1/design?window=8", tc.ct, strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("POST %s: %v", tc.ct, err)
+		}
+		var e errorJSON
+		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+			t.Errorf("%s: error body not JSON: %v", tc.ct, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || e.Reason != "bad_request" || !strings.Contains(e.Error, "4097 receivers exceeds the limit 4096") {
+			t.Errorf("%s: status %d, reason %q, error %q; want 400 bad_request naming the limit", tc.ct, resp.StatusCode, e.Reason, e.Error)
 		}
 	}
 }

@@ -81,7 +81,7 @@ func TestAdaptiveBoundariesUsableByAnalyze(t *testing.T) {
 	for r := 0; r < tr.NumReceivers; r++ {
 		var sum int64
 		for m := 0; m < a.NumWindows(); m++ {
-			sum += a.Comm.At(r, m)
+			sum += CellAt(a.Comm, r, m)
 		}
 		if sum != totals[r] {
 			t.Errorf("receiver %d: windowed %d != total %d", r, sum, totals[r])

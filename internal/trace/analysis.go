@@ -1,9 +1,11 @@
 package trace
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/ds"
@@ -34,18 +36,11 @@ type Analysis struct {
 	// CritComm[i][m] is the same restricted to critical transfers,
 	// stored sparsely like Comm.
 	CritComm *ds.SparseInt64Matrix
-	// Overlap holds, for every unordered receiver pair (i,j), the
-	// per-window overlap wo_{i,j,m}: Overlap[PairIndex(i,j)][m]. Rows
-	// store only the nonzero windows (most pairs overlap rarely, if at
-	// all, in realistic workloads). PairOverlap looks up one cell;
-	// whole-pair passes walk RowCells(PairIndex(i, j)).
-	Overlap *ds.SparseInt64Matrix
-	// CritOverlap is the per-window overlap restricted to cycles where
-	// both receivers carry critical traffic, stored sparsely like
-	// Overlap.
-	CritOverlap *ds.SparseInt64Matrix
+	// Pairs summarizes the per-window pair overlap wo_{i,j,m} for Eq. 2:
+	// one entry per pair that overlaps somewhere, in (I, J) order.
+	Pairs []PairSummary
 	// OM is the aggregate overlap matrix om_{i,j} = Σ_m wo_{i,j,m}
-	// (paper Eq. 1).
+	// (paper Eq. 1), nonzero exactly at the pairs in Pairs.
 	OM *ds.SymMatrix
 
 	// mwl memoizes MaxWindowLoad (0 = not yet computed; the result is
@@ -69,111 +64,69 @@ func (a *Analysis) WindowLen(m int) int64 { return a.Boundaries[m+1] - a.Boundar
 // multi-gigabyte matrix allocations.
 const maxWindows = 1 << 26
 
-// CheckPair validates a receiver pair against the analysis shape,
-// returning a descriptive error for out-of-range or diagonal indices.
-// The unchecked accessors (PairIndex, PairOverlap, ...) are the hot
-// path and panic on misuse; callers handling untrusted indices should
-// use the *Checked variants instead.
-func (a *Analysis) CheckPair(i, j int) error {
-	if i < 0 || i >= a.NumReceivers || j < 0 || j >= a.NumReceivers {
-		return fmt.Errorf("trace: receiver pair (%d,%d) outside range [0,%d)", i, j, a.NumReceivers)
-	}
-	if i == j {
-		return fmt.Errorf("trace: receiver pair (%d,%d) is the diagonal (pairs are unordered distinct receivers)", i, j)
-	}
-	return nil
+// WindowOverlap is one frontier point of a pair summary: a window of
+// Len cycles in which the pair overlaps for Cycles cycles.
+type WindowOverlap struct{ Len, Cycles int64 }
+
+// PairSummary is what paper Eq. 2 reads of one receiver pair: the
+// Pareto frontier of its (window length L, overlap V) points, ascending
+// in both, and whether its critical streams overlap in some window.
+//
+// Eq. 2 asks whether some window has float64(V) > t·float64(L) for a
+// threshold t ≥ 0. Both sides are monotone, so a window no longer than
+// another that overlaps no less exceeds every threshold the other
+// exceeds, and the frontier (the points no other point dominates with
+// L′ ≤ L and V′ ≥ V) decides Eq. 2 exactly as a scan of every window
+// does. Fixed-size windows have at most two lengths (the last window
+// may be short), so at most two points.
+type PairSummary struct {
+	I, J     int // I < J
+	Frontier []WindowOverlap
+	Critical bool
 }
 
-// checkWindow validates a window index.
-func (a *Analysis) checkWindow(m int) error {
-	if m < 0 || m >= a.NumWindows() {
-		return fmt.Errorf("trace: window %d outside range [0,%d)", m, a.NumWindows())
-	}
-	return nil
+// comparePairs orders pair summaries by (I, J).
+func comparePairs(x, y PairSummary) int {
+	return cmp.Or(cmp.Compare(x.I, y.I), cmp.Compare(x.J, y.J))
 }
 
-// PairIndex maps an unordered receiver pair to its Overlap row. It
-// panics with a descriptive message when either receiver is out of
-// range or i == j (there is no row for the diagonal); PairOverlap and
-// PairCritOverlap tolerate i == j, returning 0.
-func (a *Analysis) PairIndex(i, j int) int {
-	if i < 0 || j < 0 || i >= a.NumReceivers || j >= a.NumReceivers || i == j {
-		panic(fmt.Sprintf("trace: no pair row for (%d,%d) with %d receivers", i, j, a.NumReceivers))
+// summaryPoints returns the number of frontier points of all pairs.
+func (a *Analysis) summaryPoints() int {
+	n := 0
+	for _, p := range a.Pairs {
+		n += len(p.Frontier)
 	}
-	if i > j {
-		i, j = j, i
-	}
-	return i*(2*a.NumReceivers-i-1)/2 + (j - i - 1)
+	return n
 }
 
-// PairOverlap returns wo_{i,j,m}.
-func (a *Analysis) PairOverlap(i, j, m int) int64 {
-	if i == j {
-		return 0
+// addPoint adds p to the frontier f unless a point of f dominates it,
+// dropping the points p dominates. The result depends only on the set
+// of points added, not on their order.
+func addPoint(f []WindowOverlap, p WindowOverlap) []WindowOverlap {
+	if slices.ContainsFunc(f, func(q WindowOverlap) bool { return q.Len <= p.Len && q.Cycles >= p.Cycles }) {
+		return f
 	}
-	return a.Overlap.At(a.PairIndex(i, j), m)
-}
-
-// PairOverlapChecked is PairOverlap with explicit validation of the
-// receiver pair and window index, for callers on untrusted input.
-func (a *Analysis) PairOverlapChecked(i, j, m int) (int64, error) {
-	if err := a.CheckPair(i, j); err != nil {
-		return 0, err
-	}
-	if err := a.checkWindow(m); err != nil {
-		return 0, err
-	}
-	return a.Overlap.At(a.PairIndex(i, j), m), nil
-}
-
-// PairCritOverlap returns the critical-stream overlap of (i,j) in window m.
-func (a *Analysis) PairCritOverlap(i, j, m int) int64 {
-	if i == j {
-		return 0
-	}
-	return a.CritOverlap.At(a.PairIndex(i, j), m)
-}
-
-// PairCritOverlapChecked is PairCritOverlap with explicit validation.
-func (a *Analysis) PairCritOverlapChecked(i, j, m int) (int64, error) {
-	if err := a.CheckPair(i, j); err != nil {
-		return 0, err
-	}
-	if err := a.checkWindow(m); err != nil {
-		return 0, err
-	}
-	return a.CritOverlap.At(a.PairIndex(i, j), m), nil
+	f = slices.DeleteFunc(f, func(q WindowOverlap) bool { return q.Len >= p.Len && q.Cycles <= p.Cycles })
+	k, _ := slices.BinarySearchFunc(f, p, func(q, p WindowOverlap) int { return cmp.Compare(q.Len, p.Len) })
+	return slices.Insert(f, k, p)
 }
 
 // newAnalysis allocates the output tables for nT receivers and the
 // given window edges.
 func newAnalysis(nT int, boundaries []int64) *Analysis {
 	nW := len(boundaries) - 1
-	nPairs := nT * (nT - 1) / 2
 	return &Analysis{
 		NumReceivers: nT,
 		Boundaries:   boundaries,
 		Comm:         ds.NewSparseInt64Matrix(nT, nW),
 		CritComm:     ds.NewSparseInt64Matrix(nT, nW),
-		Overlap:      ds.NewSparseInt64Matrix(nPairs, nW),
-		CritOverlap:  ds.NewSparseInt64Matrix(nPairs, nW),
-		OM:           ds.NewSymMatrix(nT),
 	}
 }
 
-// tables returns the four per-window tables in their canonical order:
-// Comm, CritComm, Overlap, CritOverlap. Every whole-table pass
-// (compaction, merging, fingerprinting, cloning, diffing) walks them
-// through this one list.
-func (a *Analysis) tables() [4]*ds.SparseInt64Matrix {
-	return [4]*ds.SparseInt64Matrix{a.Comm, a.CritComm, a.Overlap, a.CritOverlap}
-}
-
-// compact repacks every per-window table into its canonical CSR layout.
-func (a *Analysis) compact() {
-	for _, t := range a.tables() {
-		t.Compact()
-	}
+// tables returns the two per-window tables in their canonical order,
+// Comm and CritComm, the order fingerprinting and diffing walk them in.
+func (a *Analysis) tables() [2]*ds.SparseInt64Matrix {
+	return [2]*ds.SparseInt64Matrix{a.Comm, a.CritComm}
 }
 
 // windowBoundaries builds the fixed-size window edges for a horizon:

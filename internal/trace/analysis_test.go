@@ -3,6 +3,7 @@ package trace
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -25,14 +26,14 @@ func TestAnalyzeComm(t *testing.T) {
 		t.Fatalf("NumWindows = %d, want 10", a.NumWindows())
 	}
 	for m := 0; m < 3; m++ {
-		if got := a.Comm.At(0, m); got != 10 {
+		if got := CellAt(a.Comm, 0, m); got != 10 {
 			t.Errorf("Comm[0][%d] = %d, want 10", m, got)
 		}
 	}
-	if got := a.Comm.At(0, 3); got != 0 {
+	if got := CellAt(a.Comm, 0, 3); got != 0 {
 		t.Errorf("Comm[0][3] = %d, want 0", got)
 	}
-	if got := a.Comm.At(1, 6); got != 10 {
+	if got := CellAt(a.Comm, 1, 6); got != 10 {
 		t.Errorf("Comm[1][6] = %d, want 10", got)
 	}
 }
@@ -53,12 +54,11 @@ func TestAnalyzeOverlap(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Receivers 0 and 1 overlap during [10,20) in window 0 and not after
-	// (receiver 0 ends at 20).
-	if got := a.PairOverlap(0, 1, 0); got != 10 {
-		t.Errorf("PairOverlap(0,1,0) = %d, want 10", got)
-	}
-	if got := a.PairOverlap(0, 1, 1); got != 0 {
-		t.Errorf("PairOverlap(0,1,1) = %d, want 0", got)
+	// (receiver 0 ends at 20): one 20-cycle window overlapping 10.
+	// Receiver 2 overlaps nobody, so (0,1) is the only summary.
+	want := []PairSummary{{I: 0, J: 1, Frontier: []WindowOverlap{{Len: 20, Cycles: 10}}}}
+	if !reflect.DeepEqual(a.Pairs, want) {
+		t.Errorf("Pairs = %+v, want %+v", a.Pairs, want)
 	}
 	// Aggregate OM (Eq. 1).
 	if got := a.OM.At(0, 1); got != 10 {
@@ -66,10 +66,6 @@ func TestAnalyzeOverlap(t *testing.T) {
 	}
 	if got := a.OM.At(0, 2); got != 0 {
 		t.Errorf("OM[0][2] = %d, want 0", got)
-	}
-	// Self overlap must be zero.
-	if got := a.PairOverlap(1, 1, 0); got != 0 {
-		t.Errorf("self overlap = %d, want 0", got)
 	}
 }
 
@@ -87,11 +83,12 @@ func TestAnalyzeCritical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.CritComm.At(0, 0); got != 10 {
+	if got := CellAt(a.CritComm, 0, 0); got != 10 {
 		t.Errorf("CritComm[0][0] = %d, want 10", got)
 	}
-	if got := a.PairCritOverlap(0, 1, 0); got != 5 {
-		t.Errorf("PairCritOverlap = %d, want 5", got)
+	want := []PairSummary{{I: 0, J: 1, Frontier: []WindowOverlap{{Len: 20, Cycles: 5}}, Critical: true}}
+	if !reflect.DeepEqual(a.Pairs, want) {
+		t.Errorf("Pairs = %+v, want %+v", a.Pairs, want)
 	}
 }
 
@@ -109,11 +106,10 @@ func TestAnalyzeCriticalOverlapRequiresBothCritical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.PairCritOverlap(0, 1, 0); got != 0 {
-		t.Errorf("critical overlap with non-critical stream = %d, want 0", got)
-	}
-	if got := a.PairOverlap(0, 1, 0); got != 10 {
-		t.Errorf("plain overlap = %d, want 10", got)
+	// A plain overlap of 10, and no critical flag.
+	want := []PairSummary{{I: 0, J: 1, Frontier: []WindowOverlap{{Len: 20, Cycles: 10}}}}
+	if !reflect.DeepEqual(a.Pairs, want) {
+		t.Errorf("Pairs = %+v, want %+v", a.Pairs, want)
 	}
 }
 
@@ -134,7 +130,7 @@ func TestAnalyzeRaggedLastWindow(t *testing.T) {
 	if got := a.WindowLen(2); got != 5 {
 		t.Errorf("last WindowLen = %d, want 5", got)
 	}
-	if got := a.Comm.At(0, 2); got != 3 {
+	if got := CellAt(a.Comm, 0, 2); got != 3 {
 		t.Errorf("Comm in ragged window = %d, want 3", got)
 	}
 }
@@ -165,10 +161,10 @@ func TestAnalyzeVariableWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Comm.At(0, 0); got != 30 {
+	if got := CellAt(a.Comm, 0, 0); got != 30 {
 		t.Errorf("Comm[0][0] = %d, want 30", got)
 	}
-	if got := a.Comm.At(0, 1); got != 70 {
+	if got := CellAt(a.Comm, 0, 1); got != 70 {
 		t.Errorf("Comm[0][1] = %d, want 70", got)
 	}
 }
@@ -184,7 +180,7 @@ func TestSingleWindowEqualsTotals(t *testing.T) {
 	}
 	totals := tr.TotalCycles()
 	for i, want := range totals {
-		if got := a.Comm.At(i, 0); got != want {
+		if got := CellAt(a.Comm, i, 0); got != want {
 			t.Errorf("Comm[%d][0] = %d, want %d", i, got, want)
 		}
 	}
@@ -212,7 +208,8 @@ func TestMaxWindowLoad(t *testing.T) {
 }
 
 // Property: sum of Comm over windows equals total cycles per receiver,
-// and window overlaps sum to OM, for random traces.
+// the legacy kernel's per-window overlaps sum to OM, and exactly the
+// pairs with a nonzero OM carry a summary, for random traces.
 func TestAnalyzeQuickConservation(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -245,27 +242,41 @@ func TestAnalyzeQuickConservation(t *testing.T) {
 		for i := 0; i < tr.NumReceivers; i++ {
 			var sum int64
 			for m := 0; m < a.NumWindows(); m++ {
-				sum += a.Comm.At(i, m)
+				sum += CellAt(a.Comm, i, m)
 			}
 			if sum != busy[i].Len() {
 				t.Logf("receiver %d: windowed sum %d != busy %d", i, sum, busy[i].Len())
 				return false
 			}
 		}
-		// OM equals the window-summed overlaps (Eq. 1) and is symmetric
-		// and bounded by min of the two busy totals.
+		// OM equals the window-summed overlaps (Eq. 1), each bounded
+		// by both receivers' loads.
+		_, rows, err := AnalyzeLegacyRows(context.Background(), tr, ws)
+		if err != nil {
+			t.Logf("AnalyzeLegacyRows failed: %v", err)
+			return false
+		}
+		summarized := map[[2]int]bool{}
+		for _, p := range a.Pairs {
+			summarized[[2]int{p.I, p.J}] = true
+		}
 		for i := 0; i < tr.NumReceivers; i++ {
 			for j := i + 1; j < tr.NumReceivers; j++ {
 				var sum int64
 				for m := 0; m < a.NumWindows(); m++ {
-					sum += a.PairOverlap(i, j, m)
-					if a.PairOverlap(i, j, m) > a.Comm.At(i, m) || a.PairOverlap(i, j, m) > a.Comm.At(j, m) {
+					ov := rows.PairOverlap(i, j, m)
+					sum += ov
+					if ov > CellAt(a.Comm, i, m) || ov > CellAt(a.Comm, j, m) {
 						t.Logf("overlap exceeds comm")
 						return false
 					}
 				}
 				if sum != a.OM.At(i, j) {
 					t.Logf("OM[%d][%d]=%d != summed %d", i, j, a.OM.At(i, j), sum)
+					return false
+				}
+				if summarized[[2]int{i, j}] != (sum > 0) {
+					t.Logf("pair (%d,%d) with OM %d: summary stored %v", i, j, sum, summarized[[2]int{i, j}])
 					return false
 				}
 			}

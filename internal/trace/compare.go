@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ds"
 )
@@ -18,7 +19,7 @@ const diffLimit = 20
 // pairwise kernel to bit-identical outputs. For the sparse per-window
 // tables it compares the stored cell structure, not just values, so a
 // kernel that stores explicit zeros where another stores nothing is
-// caught too.
+// caught too; pair summaries compare entry by entry the same way.
 func DiffAnalyses(a, b *Analysis) []string {
 	var diffs []string
 	add := func(format string, args ...any) bool {
@@ -53,6 +54,14 @@ func DiffAnalyses(a, b *Analysis) []string {
 		}
 	}
 
+	if !slices.EqualFunc(a.Pairs, b.Pairs, func(x, y PairSummary) bool {
+		return x.I == y.I && x.J == y.J && x.Critical == y.Critical && slices.Equal(x.Frontier, y.Frontier)
+	}) {
+		if !add("Pairs: %v vs %v", a.Pairs, b.Pairs) {
+			return diffs
+		}
+	}
+
 	nT := a.NumReceivers
 	for i := 0; i < nT; i++ {
 		for j := i + 1; j < nT; j++ {
@@ -67,19 +76,19 @@ func DiffAnalyses(a, b *Analysis) []string {
 }
 
 // CountDiffs counts the constraint entries on which two same-shape
-// analyses disagree: per-window load cells (Comm, CritComm), per-window
-// overlap cells (Overlap, CritOverlap) and aggregate overlap entries.
-// Cells compare by logical value — a stored zero equals an absent cell
-// — so the count measures problem distance, not build history; it
-// equals the number of differing cells of the dense matrices, at
-// O(R² + nonzeros) cost. It is the delta-size measure the design cache
-// uses to decide whether a cached binding is close enough to
-// warm-start a re-solve. ok is false when the analyses have different
-// shapes (receiver count or window edges), in which case no meaningful
-// entry count exists. Counting stops early once the count exceeds
-// limit (limit <= 0 means unlimited), checked after each receiver's
-// two load rows, each overlap row and each OM row, so probing "is the
-// delta under N?" against a far-away analysis stays cheap.
+// analyses disagree: per-window load cells (Comm, CritComm), pair
+// summaries (a pair whose frontier or critical flag differs counts
+// once) and aggregate overlap entries. Entries compare by logical
+// value — a stored zero cell equals an absent cell, and an empty
+// summary an absent pair — so the count measures problem distance, not
+// build history, at O(R² + stored entries) cost. It is the delta-size
+// measure the design cache uses to decide whether a cached binding is
+// close enough to warm-start a re-solve. ok is false when the analyses
+// have different shapes (receiver count or window edges), in which
+// case no meaningful entry count exists. Counting stops early once the
+// count exceeds limit (limit <= 0 means unlimited), checked after each
+// receiver's two load rows, each pair and each OM row, so probing "is
+// the delta under N?" against a far-away analysis stays cheap.
 func CountDiffs(a, b *Analysis, limit int) (diffs int, ok bool) {
 	if a.NumReceivers != b.NumReceivers || len(a.Boundaries) != len(b.Boundaries) {
 		return 0, false
@@ -99,13 +108,27 @@ func CountDiffs(a, b *Analysis, limit int) (diffs int, ok bool) {
 			return diffs, true
 		}
 	}
-	for _, pair := range [2][2]*ds.SparseInt64Matrix{{a.Overlap, b.Overlap}, {a.CritOverlap, b.CritOverlap}} {
-		am, bm := pair[0], pair[1]
-		for r := 0; r < am.Rows; r++ {
-			diffs += countSparseRowDiffs(am.RowCells(r), bm.RowCells(r))
-			if over() {
-				return diffs, true
-			}
+	// Merge-walk the (I, J)-ordered summaries; a pair missing on one
+	// side compares as the zero summary.
+	for i, j := 0, 0; i < len(a.Pairs) || j < len(b.Pairs); {
+		var x, y PairSummary
+		c := 1
+		if j == len(b.Pairs) {
+			c = -1
+		} else if i < len(a.Pairs) {
+			c = comparePairs(a.Pairs[i], b.Pairs[j])
+		}
+		if c <= 0 {
+			x, i = a.Pairs[i], i+1
+		}
+		if c >= 0 {
+			y, j = b.Pairs[j], j+1
+		}
+		if x.Critical != y.Critical || !slices.Equal(x.Frontier, y.Frontier) {
+			diffs++
+		}
+		if over() {
+			return diffs, true
 		}
 	}
 	for i := 0; i < nT; i++ {
@@ -149,7 +172,7 @@ func countSparseRowDiffs(x, y []ds.SparseCell) int {
 }
 
 // tableNames labels the Analysis.tables entries in DiffAnalyses output.
-var tableNames = [4]string{"Comm", "CritComm", "Overlap", "CritOverlap"}
+var tableNames = [2]string{"Comm", "CritComm"}
 
 // diffSparse compares the stored cells of one sparse per-window table.
 func diffSparse(add func(string, ...any) bool, name string, am, bm *ds.SparseInt64Matrix) bool {
@@ -157,19 +180,8 @@ func diffSparse(add func(string, ...any) bool, name string, am, bm *ds.SparseInt
 		return add("%s shape: %dx%d vs %dx%d", name, am.Rows, am.Cols, bm.Rows, bm.Cols)
 	}
 	for r := 0; r < am.Rows; r++ {
-		x, y := am.RowCells(r), bm.RowCells(r)
-		if len(x) != len(y) {
-			if !add("%s row %d: %d cells vs %d cells", name, r, len(x), len(y)) {
-				return false
-			}
-			continue
-		}
-		for k := range x {
-			if x[k] != y[k] {
-				if !add("%s row %d cell %d: (col %d, %d) vs (col %d, %d)", name, r, k, x[k].Col, x[k].Val, y[k].Col, y[k].Val) {
-					return false
-				}
-			}
+		if x, y := am.RowCells(r), bm.RowCells(r); !slices.Equal(x, y) && !add("%s row %d: %v vs %v", name, r, x, y) {
+			return false
 		}
 	}
 	return true

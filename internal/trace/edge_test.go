@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -55,8 +56,9 @@ func TestAnalyzeWindowLargerThanHorizon(t *testing.T) {
 		if a.WindowLen(0) != 50 {
 			t.Fatalf("ws=%d: window length %d, want the 50-cycle horizon", ws, a.WindowLen(0))
 		}
-		if got := a.PairOverlap(0, 1, 0); got != 3 {
-			t.Fatalf("ws=%d: overlap %d, want 3", ws, got)
+		want := []PairSummary{{I: 0, J: 1, Frontier: []WindowOverlap{{Len: 50, Cycles: 3}}}}
+		if !reflect.DeepEqual(a.Pairs, want) {
+			t.Fatalf("ws=%d: Pairs %+v, want %+v", ws, a.Pairs, want)
 		}
 	}
 }
@@ -114,14 +116,13 @@ func TestAnalyzeShortLastWindow(t *testing.T) {
 	if a.WindowLen(2) != 5 {
 		t.Fatalf("last window length %d, want 5", a.WindowLen(2))
 	}
-	if got := a.Comm.At(0, 2); got != 3 {
+	if got := CellAt(a.Comm, 0, 2); got != 3 {
 		t.Fatalf("tail comm %d, want 3", got)
 	}
 }
 
 // TestAnalyzeSingleReceiver covers the zero-pair case: one receiver
-// means no overlap rows at all, and every pair accessor must stay
-// coherent about that.
+// means no pair summaries and an empty OM, on every path.
 func TestAnalyzeSingleReceiver(t *testing.T) {
 	tr := &Trace{NumReceivers: 1, NumSenders: 1, Horizon: 40, Events: []Event{
 		{Start: 0, Len: 10, Sender: 0, Receiver: 0},
@@ -130,56 +131,61 @@ func TestAnalyzeSingleReceiver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Overlap.Rows != 0 {
-		t.Fatalf("%d overlap rows, want 0", a.Overlap.Rows)
+	if len(a.Pairs) != 0 {
+		t.Fatalf("%d pair summaries, want 0", len(a.Pairs))
 	}
-	if got := a.PairOverlap(0, 0, 0); got != 0 {
-		t.Fatalf("diagonal overlap %d, want 0", got)
+	if a.OM == nil || a.OM.N != 1 || a.OM.Total() != 0 {
+		t.Fatalf("OM %+v, want an empty 1×1 matrix", a.OM)
 	}
-	if _, err := a.PairOverlapChecked(0, 1, 0); err == nil {
-		t.Fatal("pair (0,1) of a 1-receiver analysis passed the check")
+	for _, shards := range []int{1, 2} {
+		got, err := AnalyzeBytesSharded(context.Background(), encodeTrace(t, tr), 20, shards, nil)
+		if err != nil {
+			t.Fatalf("%d shards: %v", shards, err)
+		}
+		mustEqualAnalyses(t, "single-receiver/sh"+itoa(shards), got, a)
 	}
 }
 
-// TestPairAccessOutOfRange is the regression test for the opaque
-// index panic: out-of-range receivers must yield a descriptive error
-// from the checked accessors and a descriptive panic (naming the pair
-// and the range) from PairIndex — not a bare slice-bounds fault.
-func TestPairAccessOutOfRange(t *testing.T) {
-	tr := &Trace{NumReceivers: 3, NumSenders: 1, Horizon: 30, Events: []Event{
-		{Start: 0, Len: 5, Sender: 0, Receiver: 0},
-		{Start: 2, Len: 5, Sender: 0, Receiver: 1},
-	}}
-	a, err := AnalyzeCtx(context.Background(), tr, 30)
-	if err != nil {
-		t.Fatal(err)
+// mkHeader returns a 32-byte v1 header and nothing else.
+func mkHeader(receivers, senders uint32, horizon, events uint64) []byte {
+	hdr := append([]byte("STBT"), make([]byte, 28)...)
+	binary.LittleEndian.PutUint32(hdr[4:], 1)
+	binary.LittleEndian.PutUint32(hdr[8:], receivers)
+	binary.LittleEndian.PutUint32(hdr[12:], senders)
+	binary.LittleEndian.PutUint64(hdr[16:], horizon)
+	binary.LittleEndian.PutUint64(hdr[24:], events)
+	return hdr
+}
+
+// TestReceiverCap pins one receiver cap, maxReceivers, on every ingest
+// path: Validate (which every in-memory analysis and ReadJSON run),
+// ReadBinary and ReadHeader after the header parse, and the image
+// analysis, which keeps its own message. It never analyzes a trace
+// over the cap.
+func TestReceiverCap(t *testing.T) {
+	over := &Trace{NumReceivers: maxReceivers + 1, NumSenders: 1, Horizon: 32}
+	if err := over.Validate(); err == nil || !strings.Contains(err.Error(), "exceeds the limit 4096") {
+		t.Errorf("Validate on %d receivers: %v, want the limit", over.NumReceivers, err)
 	}
-	for _, pair := range [][2]int{{-1, 0}, {0, 3}, {7, 9}, {2, 2}} {
-		if err := a.CheckPair(pair[0], pair[1]); err == nil {
-			t.Errorf("CheckPair(%d,%d) accepted", pair[0], pair[1])
-		}
-		if _, err := a.PairOverlapChecked(pair[0], pair[1], 0); err == nil {
-			t.Errorf("PairOverlapChecked(%d,%d,0) accepted", pair[0], pair[1])
-		}
-		if _, err := a.PairCritOverlapChecked(pair[0], pair[1], 0); err == nil {
-			t.Errorf("PairCritOverlapChecked(%d,%d,0) accepted", pair[0], pair[1])
-		}
+	atCap := &Trace{NumReceivers: maxReceivers, NumSenders: 1, Horizon: 32}
+	if err := atCap.Validate(); err != nil {
+		t.Errorf("Validate on %d receivers: %v", atCap.NumReceivers, err)
 	}
-	if _, err := a.PairOverlapChecked(0, 1, 5); err == nil || !strings.Contains(err.Error(), "window") {
-		t.Errorf("out-of-range window not rejected clearly: %v", err)
+
+	hdr := mkHeader(maxReceivers+1, 1, 32, 0)
+	if _, err := ReadBinary(bytes.NewReader(hdr)); err == nil || !strings.Contains(err.Error(), "exceeds the limit 4096") {
+		t.Errorf("ReadBinary on a %d-receiver header: %v, want the limit", maxReceivers+1, err)
 	}
-	func() {
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Fatal("PairIndex(0,9) did not panic")
-			}
-			if msg, ok := r.(string); !ok || !strings.Contains(msg, "pair") {
-				t.Fatalf("PairIndex panic is not descriptive: %v", r)
-			}
-		}()
-		a.PairIndex(0, 9)
-	}()
+	if _, err := ReadHeader(bytes.NewReader(hdr)); err == nil || !strings.Contains(err.Error(), "exceeds the limit 4096") {
+		t.Errorf("ReadHeader on a %d-receiver header: %v, want the limit", maxReceivers+1, err)
+	}
+	if _, err := AnalyzeBytesSharded(context.Background(), hdr, 8, 1, nil); err == nil || !strings.Contains(err.Error(), "streaming-analysis limit 4096") {
+		t.Errorf("image analysis of a %d-receiver header: %v, want the limit", maxReceivers+1, err)
+	}
+	tr, err := ReadBinary(bytes.NewReader(mkHeader(maxReceivers, 1, 32, 0)))
+	if err != nil || tr.NumReceivers != maxReceivers {
+		t.Errorf("ReadBinary on a %d-receiver header: %v", maxReceivers, err)
+	}
 }
 
 // TestReadBinaryHeaderBombs is the regression test for the decoder
@@ -188,15 +194,6 @@ func TestPairAccessOutOfRange(t *testing.T) {
 // fast on the truncated payload with bounded allocation, and reject
 // implausible core counts outright.
 func TestReadBinaryHeaderBombs(t *testing.T) {
-	mkHeader := func(receivers, senders uint32, horizon, events uint64) []byte {
-		hdr := append([]byte("STBT"), make([]byte, 28)...)
-		binary.LittleEndian.PutUint32(hdr[4:], 1)
-		binary.LittleEndian.PutUint32(hdr[8:], receivers)
-		binary.LittleEndian.PutUint32(hdr[12:], senders)
-		binary.LittleEndian.PutUint64(hdr[16:], horizon)
-		binary.LittleEndian.PutUint64(hdr[24:], events)
-		return hdr
-	}
 
 	var before, after runtime.MemStats
 	runtime.GC()

@@ -134,6 +134,9 @@ func ReadHeader(r io.Reader) (Header, error) {
 	if err != nil {
 		return Header{}, err
 	}
+	if hdr.numReceivers > maxReceivers {
+		return Header{}, fmt.Errorf("trace: %d receivers exceeds the limit %d", hdr.numReceivers, maxReceivers)
+	}
 	return Header{
 		Version:      int(hdr.version),
 		NumReceivers: int(hdr.numReceivers),
@@ -149,6 +152,9 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 	hdr, err := readBinaryHeader(br)
 	if err != nil {
 		return nil, err
+	}
+	if hdr.numReceivers > maxReceivers {
+		return nil, fmt.Errorf("trace: %d receivers exceeds the limit %d", hdr.numReceivers, maxReceivers)
 	}
 	const maxEvents = 1 << 28 // sanity bound against corrupt headers
 	if hdr.numEvents > maxEvents {

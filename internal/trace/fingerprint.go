@@ -5,12 +5,13 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
+	"slices"
 )
 
 // Fingerprint is a stable content hash used to address designs in the
 // cross-request cache (internal/cache). Two analyses with equal
 // solver-visible content — same receiver count, window edges, per-window
-// loads, overlap tables and aggregate overlap matrix — fingerprint
+// loads, pair summaries and aggregate overlap matrix — fingerprint
 // equal regardless of which kernel produced them, in what order their
 // sparse rows were built, or whether a table stores explicit zeros.
 type Fingerprint [sha256.Size]byte
@@ -22,7 +23,7 @@ func (f Fingerprint) String() string { return hex.EncodeToString(f[:]) }
 // analysisFPTag versions the canonical encoding below. Bump it whenever
 // the byte layout changes so stale cache entries can never alias fresh
 // fingerprints.
-const analysisFPTag = "stbus.analysis.v2"
+const analysisFPTag = "stbus.analysis.v3"
 
 // fpWriter streams fixed-width little-endian words into a hash through
 // a small buffer, keeping the per-value cost at a few appends instead
@@ -68,10 +69,12 @@ func (a *Analysis) Fingerprint() Fingerprint {
 }
 
 // fingerprint serializes the canonical form: a version tag, the shape,
-// the four per-window tables (Analysis.tables order) as per-row nonzero
+// the two per-window tables (Analysis.tables order) as per-row nonzero
 // counts followed by their (column, value) pairs — zero-valued stored
 // cells skipped, so the hash depends on logical content, not on which
-// kernel happened to store an explicit zero — and the aggregate overlap
+// kernel happened to store an explicit zero — then each pair summary as
+// (I, J, critical flag, point count, points) closed by a −1, empty
+// summaries skipped for the same reason, and the aggregate overlap
 // upper triangle. The cost is O(R² + nonzeros), independent of the
 // number of empty windows.
 func (a *Analysis) fingerprint() Fingerprint {
@@ -102,6 +105,23 @@ func (a *Analysis) fingerprint() Fingerprint {
 			}
 		}
 	}
+	for _, p := range a.Pairs {
+		crit := int64(0)
+		if p.Critical {
+			crit = 1
+		} else if len(p.Frontier) == 0 {
+			continue
+		}
+		w.i64(int64(p.I))
+		w.i64(int64(p.J))
+		w.i64(crit)
+		w.i64(int64(len(p.Frontier)))
+		for _, pt := range p.Frontier {
+			w.i64(pt.Len)
+			w.i64(pt.Cycles)
+		}
+	}
+	w.i64(-1)
 	for i := 0; i < nT; i++ {
 		for j := i + 1; j < nT; j++ {
 			w.i64(a.OM.At(i, j))
@@ -118,13 +138,16 @@ func (a *Analysis) fingerprint() Fingerprint {
 // Fingerprint) are not carried over: a clone is typically about to be
 // perturbed.
 func (a *Analysis) Clone() *Analysis {
+	pairs := slices.Clone(a.Pairs)
+	for k := range pairs {
+		pairs[k].Frontier = slices.Clone(pairs[k].Frontier)
+	}
 	return &Analysis{
 		NumReceivers: a.NumReceivers,
 		Boundaries:   append([]int64(nil), a.Boundaries...),
 		Comm:         a.Comm.Clone(),
 		CritComm:     a.CritComm.Clone(),
-		Overlap:      a.Overlap.Clone(),
-		CritOverlap:  a.CritOverlap.Clone(),
+		Pairs:        pairs,
 		OM:           a.OM.Clone(),
 	}
 }

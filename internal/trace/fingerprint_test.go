@@ -53,7 +53,7 @@ func TestFingerprintDistinguishesContent(t *testing.T) {
 
 	// Perturbing a single Comm cell changes the hash.
 	c := a.Clone()
-	c.Comm = withCell(c.Comm, 0, 0, c.Comm.At(0, 0)+1, false)
+	c.Comm = withCell(c.Comm, 0, 0, CellAt(c.Comm, 0, 0)+1, false)
 	if c.Fingerprint() == a.Fingerprint() {
 		t.Fatal("Comm perturbation did not change the fingerprint")
 	}
@@ -97,14 +97,22 @@ func TestCloneIsDeepAndEquivalent(t *testing.T) {
 	for k, ct := range c.tables() {
 		for r := 0; r < ct.Rows; r++ {
 			if cells := ct.RowCells(r); len(cells) > 0 {
-				before := a.tables()[k].At(r, int(cells[0].Col))
+				before := CellAt(a.tables()[k], r, int(cells[0].Col))
 				cells[0].Val += 7
-				if a.tables()[k].At(r, int(cells[0].Col)) != before {
+				if CellAt(a.tables()[k], r, int(cells[0].Col)) != before {
 					t.Fatalf("clone shares %s storage with original", tableNames[k])
 				}
 				break
 			}
 		}
+	}
+	if len(a.Pairs) == 0 {
+		t.Fatal("no pair summaries; pick another trace")
+	}
+	before := a.Pairs[0].Frontier[0]
+	c.Pairs[0].Frontier[0].Cycles += 7
+	if a.Pairs[0].Frontier[0] != before {
+		t.Fatal("clone shares pair frontier storage with original")
 	}
 }
 
@@ -118,7 +126,7 @@ func TestCountDiffs(t *testing.T) {
 	}
 
 	c := a.Clone()
-	c.Comm = withCell(c.Comm, 0, 0, c.Comm.At(0, 0)+1, false)
+	c.Comm = withCell(c.Comm, 0, 0, CellAt(c.Comm, 0, 0)+1, false)
 	if d, ok := CountDiffs(a, c, 0); !ok || d != 1 {
 		t.Fatalf("one perturbed cell: diffs=%d ok=%v, want 1 true", d, ok)
 	}

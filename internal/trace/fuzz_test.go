@@ -2,10 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -197,7 +199,7 @@ func FuzzAnalyze(f *testing.F) {
 		for ii, i := range active {
 			for m := 0; m < nW; m++ {
 				want := countIn(busy[i], a.Boundaries[m], a.Boundaries[m+1])
-				if got := a.Comm.At(i, m); got != want {
+				if got := CellAt(a.Comm, i, m); got != want {
 					t.Fatalf("Comm(%d,%d) = %d, oracle %d", i, m, got, want)
 				}
 			}
@@ -207,16 +209,21 @@ func FuzzAnalyze(f *testing.F) {
 					both[c] = busy[i][c] && busy[j][c]
 				}
 				var total int64
+				var pts []WindowOverlap
 				for m := 0; m < nW; m++ {
-					want := countIn(both, a.Boundaries[m], a.Boundaries[m+1])
-					got, err := a.PairOverlapChecked(i, j, m)
-					if err != nil {
-						t.Fatalf("PairOverlapChecked(%d,%d,%d): %v", i, j, m, err)
+					if v := countIn(both, a.Boundaries[m], a.Boundaries[m+1]); v > 0 {
+						pts = append(pts, WindowOverlap{Len: a.WindowLen(m), Cycles: v})
+						total += v
 					}
-					if got != want {
-						t.Fatalf("PairOverlap(%d,%d,%d) = %d, oracle %d", i, j, m, got, want)
+				}
+				var got []WindowOverlap
+				for _, p := range a.Pairs {
+					if p.I == i && p.J == j {
+						got = p.Frontier
 					}
-					total += want
+				}
+				if want := bruteFrontier(pts); !slices.Equal(got, want) {
+					t.Fatalf("pair (%d,%d) frontier %v, oracle %v", i, j, got, want)
 				}
 				if got := a.OM.At(i, j); got != total {
 					t.Fatalf("OM(%d,%d) = %d, oracle %d", i, j, got, total)
@@ -224,6 +231,27 @@ func FuzzAnalyze(f *testing.F) {
 			}
 		}
 	})
+}
+
+// bruteFrontier returns the points of pts that no other point
+// dominates (no longer and overlapping no less), once each, by
+// ascending length: the frontier by its definition, in O(n²).
+func bruteFrontier(pts []WindowOverlap) []WindowOverlap {
+	var out []WindowOverlap
+	for k, p := range pts {
+		kept := true
+		for l, q := range pts {
+			if q.Len <= p.Len && q.Cycles >= p.Cycles && (q != p || l < k) {
+				kept = false
+				break
+			}
+		}
+		if kept {
+			out = append(out, p)
+		}
+	}
+	slices.SortFunc(out, func(x, y WindowOverlap) int { return cmp.Compare(x.Len, y.Len) })
+	return out
 }
 
 // FuzzShardedAnalyze cross-checks the image driver against the

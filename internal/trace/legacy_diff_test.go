@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/check"
+	"repro/internal/core"
 	"repro/internal/trace"
 )
 
@@ -90,5 +91,44 @@ func TestSweepMatchesLegacyDifferential(t *testing.T) {
 				t.Errorf("case %d: %s", seed, d)
 			}
 		})
+	}
+}
+
+// TestEq2SummaryMatchesLegacyRows pins the exactness of the pair
+// summaries: on the 220 cases of the solver differential
+// (check.RandomCase), paper Eq. 2 decided from the sweep's summaries
+// (core.BuildConflicts) equals Eq. 2 decided window by window from the
+// legacy kernel's dense pair rows, at thresholds 0, 0.1, 0.5 and 1,
+// with critical separation on and off.
+func TestEq2SummaryMatchesLegacyRows(t *testing.T) {
+	ctx := context.Background()
+	for seed := int64(1); seed <= 220; seed++ {
+		c := check.RandomCase(seed, check.DefaultGenParams())
+		a, err := trace.AnalyzeCtx(ctx, c.Trace, c.WindowSize)
+		if err != nil {
+			t.Fatalf("case %d: %v", seed, err)
+		}
+		_, rows, err := trace.AnalyzeLegacyRows(ctx, c.Trace, c.WindowSize)
+		if err != nil {
+			t.Fatalf("case %d: legacy kernel: %v", seed, err)
+		}
+		for _, thr := range []float64{0, 0.1, 0.5, 1} {
+			for _, sep := range []bool{false, true} {
+				got := core.BuildConflicts(a, core.Options{OverlapThreshold: thr, SeparateCritical: sep})
+				for i := 0; i < a.NumReceivers; i++ {
+					for j := i + 1; j < a.NumReceivers; j++ {
+						want := false
+						for m := 0; m < a.NumWindows() && !want; m++ {
+							want = float64(rows.PairOverlap(i, j, m)) > thr*float64(a.WindowLen(m)) ||
+								(sep && rows.PairCritOverlap(i, j, m) > 0)
+						}
+						if got[i][j] != want {
+							t.Fatalf("case %d (threshold %v, critical %v): pair (%d,%d) conflicts %v from the summary, %v window by window",
+								seed, thr, sep, i, j, got[i][j], want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

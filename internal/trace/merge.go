@@ -17,9 +17,10 @@ import (
 //
 // Mechanically the scenarios' windows are concatenated (window
 // constraints are per-window and independent, so the union of window
-// sets is exactly the intersection of the scenarios' feasible sets)
-// and their aggregate overlap matrices are added. Boundaries are
-// re-based onto a synthetic concatenated timeline.
+// sets is exactly the intersection of the scenarios' feasible sets),
+// their pair summaries are united and their aggregate overlap
+// matrices are added. Boundaries are re-based onto a synthetic
+// concatenated timeline.
 func MergeAnalyses(analyses ...*Analysis) (*Analysis, error) {
 	if len(analyses) == 0 {
 		return nil, errors.New("trace: nothing to merge")
@@ -45,41 +46,46 @@ func MergeAnalyses(analyses ...*Analysis) (*Analysis, error) {
 			boundaries = append(boundaries, boundaries[len(boundaries)-1]+a.WindowLen(m))
 		}
 	}
-	merged := concatAnalyses(nT, boundaries, analyses, offsets)
-	// Sum the scenarios' aggregate overlap matrices.
-	for _, a := range analyses {
-		for i := 0; i < nT; i++ {
-			for j := i + 1; j < nT; j++ {
-				if v := a.OM.At(i, j); v != 0 {
-					merged.OM.AddAt(i, j, v)
-				}
-			}
-		}
-	}
-	return merged, nil
+	return mergeParts(nT, boundaries, analyses, offsets), nil
 }
 
-// concatAnalyses builds the analysis over boundaries whose per-window
-// tables concatenate those of parts along the window axis, part i's
-// windows starting at window offsets[i]. OM is left empty for the
-// caller to fill.
-func concatAnalyses(nT int, boundaries []int64, parts []*Analysis, offsets []int) *Analysis {
-	nW := len(boundaries) - 1
-	var t [4]*ds.SparseInt64Matrix
-	cols := make([]*ds.SparseInt64Matrix, len(parts))
-	for k := range t {
+// mergeParts completes the analysis over boundaries from partial
+// analyses that own disjoint window ranges, part i's windows starting
+// at window offsets[i]: the shards of a sweep, or MergeAnalyses'
+// scenarios. Each load-table row concatenates the parts' rows
+// (ds.ConcatColumns lays them out at exact size), the cells a single
+// pass over all windows appends, in its order. A pair's frontier and
+// critical flag are functions of its set of windows, so they merge as
+// the frontier of the parts' points and the OR of their flags, and OM
+// sums. Several parts are only read; a lone part already spans every
+// window and is completed in place, which lays out the same structure
+// without a second set of row headers.
+func mergeParts(nT int, boundaries []int64, parts []*Analysis, offsets []int) *Analysis {
+	a := parts[0]
+	if len(parts) == 1 {
+		a.Comm.Compact()
+		a.CritComm.Compact()
+	} else {
+		a = &Analysis{NumReceivers: nT, Boundaries: boundaries}
+		comm, crit := make([]*ds.SparseInt64Matrix, len(parts)), make([]*ds.SparseInt64Matrix, len(parts))
+		pairs := pairTable{nT: nT}
 		for i, p := range parts {
-			cols[i] = p.tables()[k]
+			comm[i], crit[i] = p.Comm, p.CritComm
+			for _, s := range p.Pairs {
+				q := pairs.get(s.I, s.J)
+				for _, pt := range s.Frontier {
+					q.Frontier = addPoint(q.Frontier, pt)
+				}
+				q.Critical = q.Critical || s.Critical
+				q.total += p.OM.At(s.I, s.J)
+			}
 		}
-		t[k] = ds.ConcatColumns(cols, offsets, nW)
+		a.Comm = ds.ConcatColumns(comm, offsets, len(boundaries)-1)
+		a.CritComm = ds.ConcatColumns(crit, offsets, len(boundaries)-1)
+		pairs.finish(a)
 	}
-	return &Analysis{
-		NumReceivers: nT,
-		Boundaries:   boundaries,
-		Comm:         t[0],
-		CritComm:     t[1],
-		Overlap:      t[2],
-		CritOverlap:  t[3],
-		OM:           ds.NewSymMatrix(nT),
+	if a.OM == nil {
+		a.OM = ds.NewSymMatrix(nT) // no pair overlaps
 	}
+	return a
 }

@@ -27,13 +27,13 @@ func TestMergeAnalysesWindowsConcatenated(t *testing.T) {
 	}
 	// Scenario A's window 0 carries receiver 0's 80 cycles; scenario
 	// B's second window (index 2+1=3 in the merge) carries receiver 1.
-	if got := m.Comm.At(0, 0); got != 80 {
+	if got := CellAt(m.Comm, 0, 0); got != 80 {
 		t.Errorf("merged Comm[0][0] = %d, want 80", got)
 	}
-	if got := m.Comm.At(1, aA.NumWindows()+1); got != 90 {
+	if got := CellAt(m.Comm, 1, aA.NumWindows()+1); got != 90 {
 		t.Errorf("merged Comm[1][3] = %d, want 90", got)
 	}
-	if got := m.CritComm.At(1, aA.NumWindows()+1); got != 90 {
+	if got := CellAt(m.CritComm, 1, aA.NumWindows()+1); got != 90 {
 		t.Errorf("merged CritComm = %d, want 90", got)
 	}
 	// Boundaries strictly increasing, correct count.

@@ -93,7 +93,7 @@ type imageBlock struct {
 // analyzeImage is the analysis driver for binary images, v1 and v2, at
 // every shard count. It builds the block index, cuts the window range
 // into shards, sweeps each shard on the worker pool and merges the
-// per-shard tables.
+// per-shard analyses.
 //
 // Cuts are event-count balanced: the s-th cut aims at event
 // numEvents·s/shards and snaps down to the boundary of the window
@@ -207,7 +207,7 @@ func analyzeImage(ctx context.Context, body []byte, hdr binHeader, boundaries []
 				return err
 			}
 		}
-		parts[s] = sw.finishTables()
+		parts[s] = sw.finish()
 		stat[s] = ShardStat{Windows: cutW[s+1] - cutW[s], Events: fed, NS: time.Since(ts).Nanoseconds()}
 		return nil
 	})
@@ -219,32 +219,10 @@ func analyzeImage(ctx context.Context, body []byte, hdr binHeader, boundaries []
 	}
 
 	tm := time.Now()
-	a := mergeShards(nT, boundaries, cutW[:shards], parts)
+	a := mergeParts(nT, boundaries, parts, cutW[:shards])
 	if stats != nil {
 		*stats = ShardStats{Shards: stat, PlanNS: planNS, MergeNS: time.Since(tm).Nanoseconds()}
 	}
-	span.SetInt("sparse_cells", int64(a.Overlap.NNZ()+a.CritOverlap.NNZ()))
+	span.SetInt("sparse_cells", int64(a.summaryPoints()))
 	return a, nil
-}
-
-// mergeShards assembles the global analysis from the per-shard partial
-// tables, shard s starting at window offsets[s]. Every window belongs
-// to exactly one shard, so each row of every table is the ordered
-// concatenation of the shards' cells with their columns rebased — the
-// cells the single-pass sweep appends, in its order — which
-// ConcatColumns lays out as the same compacted CSR structure at exact
-// size. A lone part already spans every window and is compacted in
-// place instead, which lays out the same structure without a second
-// set of row headers. OM is derived from the merged rows exactly as the
-// single-pass finish does.
-func mergeShards(nT int, boundaries []int64, offsets []int, parts []*Analysis) *Analysis {
-	var a *Analysis
-	if len(parts) == 1 {
-		a = parts[0]
-		a.compact()
-	} else {
-		a = concatAnalyses(nT, boundaries, parts, offsets)
-	}
-	deriveOM(a)
-	return a
 }

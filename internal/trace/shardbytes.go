@@ -69,13 +69,8 @@ func readImageHeader(data []byte) (binHeader, error) {
 	if hdr.numSenders == 0 {
 		return hdr, fmt.Errorf("trace: NumSenders must be positive")
 	}
-	// The analysis tables are O(R²) rows, allocated before the first
-	// event is read; bound the receiver count tighter than the generic
-	// header check so a hostile header cannot commit gigabytes. Real
-	// STbus platforms top out at 32 targets.
-	const maxStreamReceivers = 1 << 12
-	if hdr.numReceivers > maxStreamReceivers {
-		return hdr, fmt.Errorf("trace: %d receivers exceeds the streaming-analysis limit %d", hdr.numReceivers, maxStreamReceivers)
+	if hdr.numReceivers > maxReceivers {
+		return hdr, fmt.Errorf("trace: %d receivers exceeds the streaming-analysis limit %d", hdr.numReceivers, maxReceivers)
 	}
 	if hdr.horizon <= 0 {
 		return hdr, fmt.Errorf("trace: Horizon must be positive")

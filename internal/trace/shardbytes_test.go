@@ -163,6 +163,39 @@ func TestAnalyzeBytesShardedAllocBytes(t *testing.T) {
 	}
 }
 
+// TestEventFreeAllocBytes: an analysis allocates per receiver and per
+// overlapping pair, not per receiver pair up front, so on an
+// event-free trace every path — the in-memory sweep and the image
+// driver at one and two shards — allocates at most the OM triangle
+// plus 256 KiB. Sizes stop at R = 512; the growth is the point.
+func TestEventFreeAllocBytes(t *testing.T) {
+	ctx := context.Background()
+	for _, nT := range []int{64, 256, 512} {
+		tr := &Trace{NumReceivers: nT, NumSenders: 1, Horizon: 1000}
+		image := encodeTrace(t, tr)
+		limit := uint64(8*nT*(nT-1)/2 + 256<<10)
+		paths := []struct {
+			name string
+			run  func() (*Analysis, error)
+		}{
+			{"sweep", func() (*Analysis, error) { return AnalyzeCtx(ctx, tr, 10) }},
+			{"image/sh1", func() (*Analysis, error) { return AnalyzeBytesSharded(ctx, image, 10, 1, nil) }},
+			{"image/sh2", func() (*Analysis, error) { return AnalyzeBytesSharded(ctx, image, 10, 2, nil) }},
+		}
+		for _, p := range paths {
+			var err error
+			perCall := allocBytesPerCall(3, func() { _, err = p.run() })
+			if err != nil {
+				t.Fatalf("R=%d %s: %v", nT, p.name, err)
+			}
+			t.Logf("R=%d %s: %d bytes per call (limit %d)", nT, p.name, perCall, limit)
+			if perCall > limit {
+				t.Errorf("R=%d %s: %d bytes per call, want at most %d", nT, p.name, perCall, limit)
+			}
+		}
+	}
+}
+
 // TestV2DecoderScratchReuse decodes a two-block image whose second
 // block is smaller than its first through one decoder, as every stream
 // and shard does, and checks each block against a fresh decoder's

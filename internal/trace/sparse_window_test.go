@@ -3,10 +3,22 @@ package trace
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/ds"
 )
+
+// CellAt returns the element at (r, c) of a sparse table, zero when not
+// stored. Exported for the external trace_test package.
+func CellAt(m *ds.SparseInt64Matrix, r, c int) int64 {
+	for _, cell := range m.RowCells(r) {
+		if int(cell.Col) == c {
+			return cell.Val
+		}
+	}
+	return 0
+}
 
 // withCell returns a compacted copy of m with the element at (r, c)
 // replaced by v. With storeZero a zero v stays stored as an explicit
@@ -43,11 +55,22 @@ func withCell(m *ds.SparseInt64Matrix, r, c int, v int64, storeZero bool) *ds.Sp
 	return out
 }
 
-// countDiffsDense is the dense CountDiffs the sparse one replaced, kept
-// as its oracle: every (receiver, window) load cell is compared through
-// At, and the early-exit checkpoints sit where the production code puts
-// them (after each receiver's two load rows, each overlap row and each
-// OM row).
+// pairAt returns the summary of pair (i, j), empty when none is
+// stored.
+func pairAt(a *Analysis, i, j int) PairSummary {
+	for _, p := range a.Pairs {
+		if p.I == i && p.J == j {
+			return p
+		}
+	}
+	return PairSummary{I: i, J: j}
+}
+
+// countDiffsDense is the dense CountDiffs, kept as the oracle of the
+// stored-entry one: every (receiver, window) load cell and every
+// receiver pair's summary is looked up, absent ones included, and the
+// early-exit checkpoints sit where the production code puts them
+// (after each receiver's two load rows, each pair and each OM row).
 func countDiffsDense(a, b *Analysis, limit int) (diffs int, ok bool) {
 	if a.NumReceivers != b.NumReceivers || len(a.Boundaries) != len(b.Boundaries) {
 		return 0, false
@@ -61,10 +84,10 @@ func countDiffsDense(a, b *Analysis, limit int) (diffs int, ok bool) {
 	nT, nW := a.NumReceivers, a.NumWindows()
 	for i := 0; i < nT; i++ {
 		for m := 0; m < nW; m++ {
-			if a.Comm.At(i, m) != b.Comm.At(i, m) {
+			if CellAt(a.Comm, i, m) != CellAt(b.Comm, i, m) {
 				diffs++
 			}
-			if a.CritComm.At(i, m) != b.CritComm.At(i, m) {
+			if CellAt(a.CritComm, i, m) != CellAt(b.CritComm, i, m) {
 				diffs++
 			}
 		}
@@ -72,15 +95,14 @@ func countDiffsDense(a, b *Analysis, limit int) (diffs int, ok bool) {
 			return diffs, true
 		}
 	}
-	for _, pair := range [2][2]*ds.SparseInt64Matrix{{a.Overlap, b.Overlap}, {a.CritOverlap, b.CritOverlap}} {
-		for r := 0; r < pair[0].Rows; r++ {
-			for m := 0; m < nW; m++ {
-				if pair[0].At(r, m) != pair[1].At(r, m) {
-					diffs++
+	for i := 0; i < nT; i++ {
+		for j := i + 1; j < nT; j++ {
+			x, y := pairAt(a, i, j), pairAt(b, i, j)
+			if x.Critical != y.Critical || !slices.Equal(x.Frontier, y.Frontier) {
+				diffs++
+				if over() {
+					return diffs, true
 				}
-			}
-			if over() {
-				return diffs, true
 			}
 		}
 	}
@@ -97,13 +119,56 @@ func countDiffsDense(a, b *Analysis, limit int) (diffs int, ok bool) {
 	return diffs, true
 }
 
-// perturbCells rewrites n random cells of random tables of a clone of
-// a: a new value, a removed cell, or an explicit stored zero.
+// withPair returns a with the summary of pair (i, j) replaced by p, or
+// removed when p is nil, keeping Pairs in (I, J) order. a.Pairs is
+// copied, not modified.
+func withPair(a *Analysis, i, j int, p *PairSummary) []PairSummary {
+	var out []PairSummary
+	for _, q := range a.Pairs {
+		if q.I == i && q.J == j {
+			continue
+		}
+		out = append(out, q)
+	}
+	if p != nil {
+		p.I, p.J = i, j
+		k, _ := slices.BinarySearchFunc(out, *p, comparePairs)
+		out = slices.Insert(out, k, *p)
+	}
+	return out
+}
+
+// perturbCells rewrites n random entries of a clone of a: a load cell
+// gets a new value, is removed or becomes an explicit stored zero; a
+// pair summary gets a new point, loses its summary, flips its critical
+// flag or becomes an explicit empty summary.
 func perturbCells(rng *rand.Rand, a *Analysis, n int) *Analysis {
 	c := a.Clone()
 	for k := 0; k < n; k++ {
 		t := c.tables()
-		which := rng.Intn(len(t))
+		which := rng.Intn(len(t) + 1)
+		if which == len(t) {
+			if c.NumReceivers < 2 {
+				continue
+			}
+			i := rng.Intn(c.NumReceivers - 1)
+			j := i + 1 + rng.Intn(c.NumReceivers-1-i)
+			p := pairAt(c, i, j)
+			p.Frontier = slices.Clone(p.Frontier)
+			switch rng.Intn(4) {
+			case 0:
+				p.Frontier = addPoint(p.Frontier, WindowOverlap{Len: 1 + rng.Int63n(20), Cycles: 1 + rng.Int63n(20)})
+			case 1:
+				c.Pairs = withPair(c, i, j, nil)
+				continue
+			case 2:
+				p.Critical = !p.Critical
+			default:
+				p = PairSummary{}
+			}
+			c.Pairs = withPair(c, i, j, &p)
+			continue
+		}
 		m := t[which]
 		if m.Rows == 0 {
 			continue
@@ -120,7 +185,7 @@ func perturbCells(rng *rand.Rand, a *Analysis, n int) *Analysis {
 			v, storeZero = 0, true
 		}
 		t[which] = withCell(m, r, col, v, storeZero)
-		c.Comm, c.CritComm, c.Overlap, c.CritOverlap = t[0], t[1], t[2], t[3]
+		c.Comm, c.CritComm = t[0], t[1]
 	}
 	if c.NumReceivers >= 2 && rng.Intn(2) == 0 {
 		c.OM.Set(0, 1, c.OM.At(0, 1)+1)
@@ -128,10 +193,11 @@ func perturbCells(rng *rand.Rand, a *Analysis, n int) *Analysis {
 	return c
 }
 
-// TestCountDiffsMatchesDenseOracle pins the sparse CountDiffs to the
-// dense cell-by-cell count, both the count and the early-exit result,
-// at several limits, over random analyses (many with idle windows)
-// perturbed by changed, removed and explicitly zeroed cells.
+// TestCountDiffsMatchesDenseOracle pins the stored-entry CountDiffs to
+// the dense count, both the count and the early-exit result, at
+// several limits, over random analyses (many with idle windows)
+// perturbed by changed, removed and explicitly zeroed load cells and
+// changed, removed and explicitly empty pair summaries.
 func TestCountDiffsMatchesDenseOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 300; trial++ {
@@ -158,8 +224,9 @@ func TestCountDiffsMatchesDenseOracle(t *testing.T) {
 }
 
 // TestFingerprintIgnoresStoredZeros: an explicit zero cell stored in
-// any of the four per-window tables is logically absent, so it must
-// not change the content hash; a nonzero value in the same place must.
+// either per-window table, or an empty pair summary, is logically
+// absent, so it must not change the content hash; a nonzero value in
+// the same place must.
 func TestFingerprintIgnoresStoredZeros(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tr := randomSweepTrace(rng, 4, 30, 2000)
@@ -183,15 +250,42 @@ func TestFingerprintIgnoresStoredZeros(t *testing.T) {
 			same bool
 		}{{0, true}, {3, false}} {
 			c := a.Clone()
-			t4 := c.tables()
-			t4[k] = withCell(m, 0, col, tc.v, true)
-			c.Comm, c.CritComm, c.Overlap, c.CritOverlap = t4[0], t4[1], t4[2], t4[3]
-			if tc.v == 0 && t4[k].NNZ() != m.NNZ()+1 {
+			t2 := c.tables()
+			t2[k] = withCell(m, 0, col, tc.v, true)
+			c.Comm, c.CritComm = t2[0], t2[1]
+			if tc.v == 0 && len(t2[k].RowCells(0)) != len(m.RowCells(0))+1 {
 				t.Fatalf("%s: stored zero not stored", tableNames[k])
 			}
 			if got := c.Fingerprint(); (got == want) != tc.same {
 				t.Errorf("%s: cell (0,%d)=%d changed fingerprint: %v, want %v", tableNames[k], col, tc.v, got != want, !tc.same)
 			}
+		}
+	}
+	// A pair without a summary.
+	i, j := -1, -1
+	for x := 0; x < a.NumReceivers && i < 0; x++ {
+		for y := x + 1; y < a.NumReceivers; y++ {
+			if len(pairAt(a, x, y).Frontier) == 0 {
+				i, j = x, y
+				break
+			}
+		}
+	}
+	if i < 0 {
+		t.Fatal("every pair overlaps; pick another trace")
+	}
+	for _, tc := range []struct {
+		p    PairSummary
+		same bool
+	}{
+		{PairSummary{}, true},
+		{PairSummary{Frontier: []WindowOverlap{{Len: 37, Cycles: 1}}}, false},
+		{PairSummary{Critical: true}, false},
+	} {
+		c := a.Clone()
+		c.Pairs = withPair(c, i, j, &tc.p)
+		if got := c.Fingerprint(); (got == want) != tc.same {
+			t.Errorf("summary %+v at (%d,%d) changed fingerprint: %v, want %v", tc.p, i, j, got != want, !tc.same)
 		}
 	}
 }

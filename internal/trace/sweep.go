@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/ds"
@@ -12,8 +13,8 @@ import (
 )
 
 // Sweep-kernel instruments: coverage segments credited (one per maximal
-// per-receiver busy interval), sparse overlap cells produced, and the
-// peak size of the active-receiver set of the last analysis.
+// per-receiver busy interval), pair-summary points stored, and the peak
+// size of the active-receiver set of the last analysis.
 var (
 	metSweepSegments = obs.NewCounter("trace.sweep.segments")
 	metSparseCells   = obs.NewCounter("trace.sweep.sparse_cells")
@@ -24,15 +25,14 @@ var (
 // traffic, or the critical subset). Events must be fed in
 // nondecreasing Start order; the stream maintains, per receiver, the
 // current maximal busy interval ("coverage") and an active-receiver
-// bitset, and credits the output tables when a coverage interval
-// closes:
+// bitset, and credits the outputs when a coverage interval closes:
 //
 //   - Comm[i] gets the closed interval, split across windows;
 //   - for every receiver j still active, the pair (i,j) gets the
 //     intersection [max(since_i, since_j), until_i), split across
-//     windows into the sparse Overlap row — each maximal pairwise
-//     overlap interval is credited exactly once, when its earlier
-//     endpoint closes.
+//     windows (the critical class sets the pair's flag instead) — each
+//     maximal pairwise overlap interval is credited exactly once, when
+//     its earlier endpoint closes.
 //
 // Deactivations are processed in nondecreasing coverage-end order, so
 // at i's deactivation every active j satisfies until_j ≥ until_i and
@@ -45,18 +45,15 @@ var (
 // windows actually touched — versus the legacy kernel's
 // O(R²·intervals) allocated interval-set intersections.
 type sweepStream struct {
-	nT         int
 	boundaries []int64
 
-	// comm and overlap are the class's load and pair-overlap tables.
-	// Deactivations arrive in nondecreasing end order, so each
-	// receiver's Comm row and each pair's Overlap row receive their
-	// credits in nondecreasing window order, as Append requires.
-	comm, overlap *ds.SparseInt64Matrix
-
-	// pairBase turns the triangular pair-row formula into one lookup:
-	// row(i, j) = pairBase[i] + j for i < j.
-	pairBase []int
+	// comm is the class's load table and pairs the summaries both
+	// classes share; the critical class's pair credits set the flag.
+	// Deactivations arrive in nondecreasing end order, so Comm rows and
+	// pairs get their credits in nondecreasing window order.
+	comm     *ds.SparseInt64Matrix
+	pairs    *pairTable
+	critical bool
 
 	active      []uint64 // active-receiver bitset (1 word for R ≤ 64)
 	activeCount int
@@ -81,23 +78,18 @@ type sweepStream struct {
 	hiWin int
 }
 
-func newSweepStream(nT int, boundaries []int64, comm, overlap *ds.SparseInt64Matrix) *sweepStream {
-	s := &sweepStream{
-		nT:         nT,
+func newSweepStream(nT int, boundaries []int64, comm *ds.SparseInt64Matrix, pairs *pairTable, critical bool) *sweepStream {
+	return &sweepStream{
 		boundaries: boundaries,
 		comm:       comm,
-		overlap:    overlap,
-		pairBase:   make([]int, nT),
+		pairs:      pairs,
+		critical:   critical,
 		active:     make([]uint64, (nT+63)/64),
 		since:      make([]int64, nT),
 		until:      make([]int64, nT),
 		minUntil:   math.MaxInt64,
 		minRecv:    -1,
 	}
-	for i := 0; i < nT; i++ {
-		s.pairBase[i] = i*(2*nT-i-1)/2 - i - 1
-	}
-	return s
 }
 
 // apply feeds one busy interval [start, end) of receiver r. Start
@@ -195,7 +187,11 @@ func (s *sweepStream) deactivate(r int) {
 				lo = s.since[j]
 			}
 			if lo < end {
-				s.creditPair(r, j, lo, end)
+				if s.critical {
+					s.pairs.get(r, j).Critical = true
+				} else {
+					s.pairs.credit(r, j, lo, end, s.hiWin)
+				}
 			}
 		}
 	}
@@ -220,45 +216,101 @@ func (s *sweepStream) creditComm(i int, lo, hi int64) {
 	}
 }
 
-// creditPair adds the overlap [lo, hi) of receivers i and j to their
-// sparse Overlap row, split across windows. The aggregate OM is not
-// updated here: it is the row sums of the finished Overlap table, and
-// summing the compacted cells once at the end is far cheaper than an
-// extra triangular-matrix update on every credit.
-func (s *sweepStream) creditPair(i, j int, lo, hi int64) {
-	if i > j {
-		i, j = j, i
+// pairTable builds pair summaries: the sweep credits per-window overlap
+// into it, and the merges add whole summaries. A pair's state is
+// created on its first credit, never up front. Until finish, OM's cell
+// of a pair holds 1 + the position of its state (0: none yet); finish
+// overwrites those cells with the pairs' totals (paper Eq. 1), so no
+// other pair index is needed. OM is allocated on the first credit.
+type pairTable struct {
+	nT         int
+	boundaries []int64
+	om         *ds.SymMatrix
+	state      []pairState
+}
+
+// pairState is a summary under construction: the frontier of the
+// closed windows, the open window win (−1: none) with its overlap val,
+// and the total over all windows.
+type pairState struct {
+	PairSummary
+	win        int
+	val, total int64
+}
+
+// get returns the state of pair (i, j), creating it on first use.
+func (t *pairTable) get(i, j int) *pairState {
+	if t.om == nil {
+		t.om = ds.NewSymMatrix(t.nT)
 	}
-	row := s.pairBase[i] + j
-	m := s.hiWin
-	for s.boundaries[m] > lo {
+	k := t.om.At(i, j)
+	if k == 0 {
+		t.state = append(t.state, pairState{PairSummary: PairSummary{I: min(i, j), J: max(i, j)}, win: -1})
+		k = int64(len(t.state))
+		t.om.Set(i, j, k)
+	}
+	return &t.state[k-1]
+}
+
+// credit adds the overlap [lo, hi) of receivers i and j, split across
+// windows; m is a window at or after lo's. A pair's credits arrive in
+// nondecreasing window order, so one open window per pair suffices.
+func (t *pairTable) credit(i, j int, lo, hi int64, m int) {
+	p := t.get(i, j)
+	for t.boundaries[m] > lo {
 		m--
 	}
-	for lo < hi {
-		wEnd := s.boundaries[m+1]
-		if wEnd > hi {
-			wEnd = hi
+	for ; lo < hi; m++ {
+		end := min(t.boundaries[m+1], hi)
+		if m != p.win {
+			t.close(p)
+			p.win, p.val = m, 0
 		}
-		s.overlap.Append(row, m, wEnd-lo)
-		lo = wEnd
-		m++
+		p.val += end - lo
+		p.total += end - lo
+		lo = end
 	}
+}
+
+// close folds the open window of p into its frontier.
+func (t *pairTable) close(p *pairState) {
+	if p.win >= 0 {
+		p.Frontier = addPoint(p.Frontier, WindowOverlap{t.boundaries[p.win+1] - t.boundaries[p.win], p.val})
+	}
+}
+
+// finish closes the open windows and stores the summaries in (I, J)
+// order and the totals in OM. Pairs and OM stay nil when no pair
+// overlaps.
+func (t *pairTable) finish(a *Analysis) {
+	if len(t.state) == 0 {
+		return
+	}
+	slices.SortFunc(t.state, func(x, y pairState) int { return comparePairs(x.PairSummary, y.PairSummary) })
+	a.Pairs = make([]PairSummary, len(t.state))
+	for k := range t.state {
+		p := &t.state[k]
+		t.close(p)
+		a.Pairs[k] = p.PairSummary
+		t.om.Set(p.I, p.J, p.total)
+	}
+	a.OM = t.om
 }
 
 // sweeper drives the two per-class streams over one start-ordered
 // event feed and assembles the Analysis.
 type sweeper struct {
 	a          *Analysis
+	pairs      pairTable
 	busy, crit *sweepStream
 }
 
 func newSweeper(nT int, boundaries []int64) *sweeper {
 	a := newAnalysis(nT, boundaries)
-	return &sweeper{
-		a:    a,
-		busy: newSweepStream(nT, boundaries, a.Comm, a.Overlap),
-		crit: newSweepStream(nT, boundaries, a.CritComm, a.CritOverlap),
-	}
+	sw := &sweeper{a: a, pairs: pairTable{nT: nT, boundaries: boundaries}}
+	sw.busy = newSweepStream(nT, boundaries, a.Comm, &sw.pairs, false)
+	sw.crit = newSweepStream(nT, boundaries, a.CritComm, &sw.pairs, true)
+	return sw
 }
 
 func (sw *sweeper) feed(start, length int64, recv int, critical bool) {
@@ -269,39 +321,14 @@ func (sw *sweeper) feed(start, length int64, recv int, critical bool) {
 	}
 }
 
-// finish flushes both streams, compacts the sparse tables, derives the
-// aggregate OM and returns the completed analysis.
+// finish flushes both streams and stores the pair summaries: the
+// partial analysis of one shard (the whole trace, for the in-memory
+// sweep), which mergeParts completes.
 func (sw *sweeper) finish() *Analysis {
-	sw.finishTables()
-	sw.a.compact()
-	deriveOM(sw.a)
-	return sw.a
-}
-
-// finishTables flushes both streams without compacting the sparse
-// tables or deriving OM — the per-shard half of the sharded drivers,
-// whose partial tables are read once by the merge (which lays out the
-// merged tables at exact size) and then dropped.
-func (sw *sweeper) finishTables() *Analysis {
 	sw.busy.finish()
 	sw.crit.finish()
+	sw.pairs.finish(sw.a)
 	return sw.a
-}
-
-// deriveOM fills the aggregate OM from the compacted overlap rows
-// (om_{i,j} = Σ_m wo_{i,j,m}, stored only when positive, exactly as the
-// legacy kernel does).
-func deriveOM(a *Analysis) {
-	nT := a.NumReceivers
-	row := 0
-	for i := 0; i < nT; i++ {
-		for j := i + 1; j < nT; j++ {
-			if total := a.Overlap.RowSum(row); total > 0 {
-				a.OM.Set(i, j, total)
-			}
-			row++
-		}
-	}
 }
 
 // annotate records the kernel's instruments on the span and the
@@ -309,7 +336,7 @@ func deriveOM(a *Analysis) {
 func (sw *sweeper) annotate(span *obs.Span) {
 	segments := sw.busy.segments + sw.crit.segments
 	metSweepSegments.Add(segments)
-	metSparseCells.Add(int64(sw.a.Overlap.NNZ() + sw.a.CritOverlap.NNZ()))
+	metSparseCells.Add(int64(sw.a.summaryPoints()))
 	gagActivePeak.Set(int64(sw.busy.peakActive))
 	span.SetInt("segments", segments)
 	span.SetInt("active_peak", int64(sw.busy.peakActive))
@@ -350,7 +377,7 @@ func analyzeSweep(ctx context.Context, tr *Trace, boundaries []int64) (*Analysis
 		e := &events[k]
 		sw.feed(e.Start, e.Len, e.Receiver, e.Critical)
 	}
-	a := sw.finish()
+	a := mergeParts(nT, boundaries, []*Analysis{sw.finish()}, []int{0})
 	sw.annotate(span)
 	return a, nil
 }

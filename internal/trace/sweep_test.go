@@ -391,7 +391,7 @@ func TestAnalyzeBytesShardedMemoryBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Comm.At(0, 0); got <= 0 {
+	if got := CellAt(a.Comm, 0, 0); got <= 0 {
 		t.Fatal("analysis came back empty")
 	}
 	allocated := after.TotalAlloc - before.TotalAlloc

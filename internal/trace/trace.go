@@ -48,10 +48,19 @@ type Trace struct {
 	Events []Event
 }
 
+// maxReceivers caps the receiver count on every ingest path (Validate,
+// ReadBinary and ReadHeader after the header parse, the image
+// analysis): an analysis keeps a dense R(R−1)/2-word OM. Real STbus
+// platforms top out at 32 targets.
+const maxReceivers = 1 << 12
+
 // Validate checks structural invariants of the trace.
 func (tr *Trace) Validate() error {
 	if tr.NumReceivers <= 0 {
 		return errors.New("trace: NumReceivers must be positive")
+	}
+	if tr.NumReceivers > maxReceivers {
+		return fmt.Errorf("trace: %d receivers exceeds the limit %d", tr.NumReceivers, maxReceivers)
 	}
 	if tr.NumSenders <= 0 {
 		return errors.New("trace: NumSenders must be positive")
