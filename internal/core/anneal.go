@@ -17,15 +17,16 @@ const (
 	annealPollInterval = 1024 // moves between stop-context polls
 )
 
-// bindAnytime is the binding probe at k buses: the branch and bound,
-// from the warm incumbent seedBus when one is given (see solveSeeded).
-// A decided search returns its answer. A search the node budget cuts
-// short is followed, on the same goroutine, by an anneal from the
-// greedy binding run to completion, and the probe returns the strictly
-// better of the search's incumbent and the annealed binding, capped. A
-// canceled context fails the probe with ErrCanceled.
+// bindAnytime is the binding probe at k buses: the two-pass branch and
+// bound, from the warm incumbent seedBus when one is given (see
+// bindExact and solveSeeded). A decided search returns its answer. A
+// search the node budget cuts short is followed, on the same
+// goroutine, by an anneal from the greedy binding run to completion,
+// and the probe returns the strictly better of the search's incumbent
+// and the annealed binding, capped. A canceled context fails the probe
+// with ErrCanceled.
 func (p *assignProblem) bindAnytime(ctx context.Context, k int, seedBus []int, seedObj int64) (*assignResult, error) {
-	res, err := p.solveSeeded(ctx, k, true, seedBus, seedObj)
+	res, err := p.bindExact(ctx, k, seedBus, seedObj)
 	if err != nil || !res.capped {
 		return res, err
 	}
@@ -42,7 +43,7 @@ func (p *assignProblem) bindAnytime(ctx context.Context, k int, seedBus []int, s
 	}
 	obs.FlightRecorderFrom(ctx).Emit(obs.Event{Kind: obs.EvIncumbent, K: k, Val: obj, Who: "anneal"})
 	if obj < res.maxOverlap {
-		return &assignResult{feasible: true, busOf: busOf, maxOverlap: obj, nodes: res.nodes, capped: true}, nil
+		res.busOf, res.maxOverlap = busOf, obj
 	}
 	return res, nil
 }

@@ -111,7 +111,8 @@ func TestAnnealMatchesExactOnEasyInstances(t *testing.T) {
 func TestAnnealStopsOnCanceledContext(t *testing.T) {
 	a := stressAnalysis(t, 1)
 	p := annealProblem(a, DefaultOptions())
-	k := greedyUpperBound(p, p.lowerBound(), a.NumReceivers)
+	lb, _ := p.lowerBound()
+	k := greedyUpperBound(p, lb, a.NumReceivers)
 	if k < 0 {
 		t.Fatal("greedy found no binding near the lower bound")
 	}

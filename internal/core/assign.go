@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"math"
 	"math/bits"
 	"slices"
@@ -29,8 +31,17 @@ type assignProblem struct {
 	conflict  [][]bool
 	maxPerBus int
 	om        *ds.SymMatrix
-	order     []int // visit order (decreasing total demand)
+	order     []int     // visit order (decreasing total demand)
+	suffix    [][]int64 // suffix[idx][w]: demand of targets order[idx:]
 	maxNodes  int64
+	// greedy memoizes the last greedyBinding: a binding probe's passes
+	// and its anneal all start from the greedy binding at one count.
+	greedy struct {
+		k     int // 0: empty
+		busOf []int
+		obj   int64
+		ok    bool
+	}
 }
 
 // assignResult is the outcome of one solve.
@@ -43,6 +54,11 @@ type assignResult struct {
 	// before the search tree was exhausted: busOf is the best incumbent
 	// found, not a proven optimum.
 	capped bool
+	// pass1Nodes and pass1Cut report a binding probe's best-first
+	// first pass: the nodes it spent (counted in nodes too) and whether
+	// the budget cut it short (see bindExact).
+	pass1Nodes int64
+	pass1Cut   bool
 }
 
 const defaultMaxNodes = 20_000_000
@@ -75,6 +91,15 @@ func newAssignProblem(a *trace.Analysis, conflicts [][]bool, maxPerBus int, maxN
 		}
 	}
 	sort.SliceStable(p.order, func(x, y int) bool { return totals[p.order[x]] > totals[p.order[y]] })
+	nW := len(keep)
+	p.suffix = make([][]int64, nT+1)
+	p.suffix[nT] = make([]int64, nW)
+	for idx := nT - 1; idx >= 0; idx-- {
+		p.suffix[idx] = make([]int64, nW)
+		for w, c := range p.comm[p.order[idx]] {
+			p.suffix[idx][w] = p.suffix[idx+1][w] + c
+		}
+	}
 	return p
 }
 
@@ -284,58 +309,117 @@ func radixSortStable(order []int32, key []uint64) []int32 {
 }
 
 // lowerBound computes an analytic lower bound on the feasible bus
-// count: peak windowed demand, the targets-per-bus cap, and a greedy
-// clique of the conflict graph.
-func (p *assignProblem) lowerBound() int {
-	lb := 1
-	// Bandwidth bound per reduced window.
+// count and names the bound that sets it ("bandwidth", "cardinality",
+// "cap" or "clique"; on a tie the earlier one in that order):
+//
+//   - bandwidth: a window's total load over its length;
+//   - cardinality: a bus holds at most j receivers that each carry
+//     more than 1/(j+1) of a window, since j+1 of them overload it, so
+//     the n_j such receivers need ⌈n_j/j⌉ buses (the simplest
+//     dual-feasible-function bound of Fekete and Schepers, 2001);
+//   - cap: the receivers over the targets-per-bus cap;
+//   - clique: a conflict clique, whose members need distinct buses.
+//
+// Receiver t qualifies for j exactly when j ≥ ⌊ws/comm⌋, so n_j does
+// not fall as j grows. Bucketing the receivers by that quotient and
+// taking prefix sums gives every n_j of a window in O(nT + maxPerBus).
+// j stops at maxPerBus, beyond which the cap bound is at least as
+// strong, or at the largest quotient present, beyond which n_j stays
+// put and ⌈n_j/j⌉ can only fall.
+func (p *assignProblem) lowerBound() (int, string) {
+	var band, card int
+	byQuot := make([]int, p.maxPerBus+1) // receivers per ⌊ws/comm⌋ ≤ maxPerBus
 	for wi, ws := range p.ws {
 		var sum int64
+		top := 0 // largest quotient bucketed
 		for t := 0; t < p.nT; t++ {
-			sum += p.comm[t][wi]
+			c := p.comm[t][wi]
+			sum += c
+			if c > 0 && ws/c <= int64(p.maxPerBus) {
+				q := int(ws / c)
+				byQuot[q]++
+				top = max(top, q)
+			}
 		}
-		if need := int((sum + ws - 1) / ws); need > lb {
-			lb = need
+		band = max(band, int((sum+ws-1)/ws))
+		n := byQuot[0]
+		byQuot[0] = 0
+		for j := 1; j <= top; j++ {
+			n += byQuot[j]
+			byQuot[j] = 0
+			card = max(card, (n+j-1)/j)
 		}
 	}
-	// Cap bound.
-	if need := (p.nT + p.maxPerBus - 1) / p.maxPerBus; need > lb {
-		lb = need
+	lb, kind := 0, ""
+	for _, b := range []struct {
+		need int
+		kind string
+	}{
+		{band, "bandwidth"},
+		{card, "cardinality"},
+		{(p.nT + p.maxPerBus - 1) / p.maxPerBus, "cap"},
+		// Exact at STbus sizes (see clique.go).
+		{maxClique(p.conflict), "clique"},
+	} {
+		if b.need > lb {
+			lb, kind = b.need, b.kind
+		}
 	}
-	// Conflict-clique bound: all members of a clique need distinct
-	// buses. Exact at STbus sizes (see clique.go).
-	if c := maxClique(p.conflict); c > lb {
-		lb = c
-	}
-	return lb
+	return lb, kind
 }
 
 // searchState is the mutable backtracking state of one solve.
 type searchState struct {
-	p        *assignProblem
-	ctx      context.Context
-	nB       int
-	busOf    []int     // target -> bus (-1 unassigned)
-	load     [][]int64 // load[bus][reduced window]
-	count    []int     // targets per bus
-	overlap  []int64   // per-bus aggregate pairwise overlap
-	total    []int64   // summed load per reduced window (for the global prune)
-	suffix   [][]int64 // suffix[idx][w]: demand of targets order[idx:]
-	used     int       // buses opened so far
-	nodes    int64
-	flushed  int64               // nodes already published to the core.solver_nodes metric
-	rec      *obs.FlightRecorder // flight journal (nil-safe; looked up once per solve)
-	best     int64               // incumbent objective (binding mode)
-	bestBus  []int
-	optimize bool
-	capped   bool  // node budget exhausted
-	stopErr  error // context cancellation observed mid-search
+	p         *assignProblem
+	ctx       context.Context
+	nB        int
+	busOf     []int       // target -> bus (-1 unassigned)
+	load      [][]int64   // load[bus][reduced window]
+	count     []int       // targets per bus
+	overlap   []int64     // per-bus aggregate pairwise overlap
+	total     []int64     // summed load per reduced window (for the global prune)
+	cands     []candidate // candidate buses of every node on the current path
+	used      int         // buses opened so far
+	nodes     int64
+	maxNodes  int64               // node budget of this solve
+	flushed   int64               // nodes already published to the core.solver_nodes metric
+	rec       *obs.FlightRecorder // flight journal (nil-safe; looked up once per solve)
+	best      int64               // incumbent objective (binding mode)
+	bestBus   []int
+	optimize  bool
+	bestFirst bool  // try each node's buses by the overlap they would reach
+	stopAt    int64 // binding mode: stop at the first binding this good (-1: never)
+	capped    bool  // node budget exhausted
+	stopErr   error // context cancellation observed mid-search
+}
+
+// candidate is a bus that can take the target placed at a node, and
+// the overlap the target would add to it.
+type candidate struct {
+	bus   int
+	added int64
 }
 
 // cancelCheckMask throttles context polling in the hot search loop:
 // the context is consulted once every cancelCheckMask+1 nodes, cheap
 // enough to be invisible yet prompt against any realistic deadline.
 const cancelCheckMask = 1023
+
+// pass1Divisor sets the node budget of a binding probe's best-first
+// first pass to MaxNodes/pass1Divisor (see bindExact).
+const pass1Divisor = 16
+
+// searchPass tunes one solve beyond the plain index-order search.
+type searchPass struct {
+	// bestFirst tries the buses at each node in ascending order of the
+	// overlap they would reach, ties in index order.
+	bestFirst bool
+	// maxNodes overrides the problem's node budget when positive.
+	maxNodes int64
+	// proven marks the seed's objective as the proven optimum: the
+	// search stops at the first binding that attains it.
+	proven bool
+}
 
 // solve finds a feasible assignment into nB buses; with optimize set it
 // continues to the minimum-max-overlap binding (branch and bound seeded
@@ -370,6 +454,58 @@ func (p *assignProblem) solve(ctx context.Context, nB int, optimize bool) (*assi
 // short with no binding at all returns ErrSearchLimit together with a
 // result that holds only the nodes it spent.
 func (p *assignProblem) solveSeeded(ctx context.Context, nB int, optimize bool, seedBus []int, seedObj int64) (*assignResult, error) {
+	return p.search(ctx, nB, optimize, seedBus, seedObj, searchPass{})
+}
+
+// bindExact is the exact binding probe at k buses, in two passes.
+//
+// Pass 1 tries the buses best-first and is seeded like any binding
+// search. It usually meets the optimum opt early, so the bound prunes
+// hard from then on, and running to completion it proves opt. Among
+// the bindings that attain opt it may end on another than the
+// index-order search would.
+//
+// Pass 2 is the index-order search seeded with pass 1's binding, so
+// under the bound opt+1, and it stops at its first complete binding.
+// Every binding it can reach attains opt, and by solveSeeded's argument
+// the first one is the binding the unseeded index-order search
+// returns: the answer does not depend on pass 1. When the greedy
+// incumbent already attains opt, it is that answer, and pass 2 does not
+// run.
+//
+// Pass 1 may spend MaxNodes/pass1Divisor nodes. When it is cut short
+// it is discarded, and the index-order search runs from the warm seed
+// alone under the full budget, as a one-pass probe would: capped
+// designs do not move. The result counts the nodes of both passes.
+func (p *assignProblem) bindExact(ctx context.Context, k int, seedBus []int, seedObj int64) (*assignResult, error) {
+	first, err := p.search(ctx, k, true, seedBus, seedObj,
+		searchPass{bestFirst: true, maxNodes: max(1, p.maxNodes/pass1Divisor)})
+	cut := errors.Is(err, ErrSearchLimit) || err == nil && first.capped
+	if err != nil && !cut {
+		return nil, err
+	}
+	_, greedyObj, greedyOK := p.greedyBinding(k) // memoized by pass 1
+	var res *assignResult
+	switch {
+	case cut:
+		res, err = p.solveSeeded(ctx, k, true, seedBus, seedObj)
+	case !first.feasible:
+		res = &assignResult{} // pass 1 proved k buses infeasible
+	case greedyOK && greedyObj <= first.maxOverlap:
+		// Pass 1 never left the greedy incumbent, which is the answer.
+		res = &assignResult{feasible: true, busOf: first.busOf, maxOverlap: first.maxOverlap}
+	default:
+		res, err = p.search(ctx, k, true, first.busOf, first.maxOverlap, searchPass{proven: true})
+	}
+	if res != nil {
+		res.nodes += first.nodes
+		res.pass1Nodes, res.pass1Cut = first.nodes, cut
+	}
+	return res, err
+}
+
+// search is solveSeeded tuned by pass.
+func (p *assignProblem) search(ctx context.Context, nB int, optimize bool, seedBus []int, seedObj int64, pass searchPass) (*assignResult, error) {
 	if nB <= 0 {
 		return &assignResult{}, nil
 	}
@@ -377,6 +513,10 @@ func (p *assignProblem) solveSeeded(ctx context.Context, nB int, optimize bool, 
 		return nil, canceledErr(ctx)
 	}
 	st := p.newSearchState(ctx, nB, optimize)
+	st.bestFirst = pass.bestFirst
+	if pass.maxNodes > 0 {
+		st.maxNodes = pass.maxNodes
+	}
 	seeded := false
 
 	if optimize {
@@ -393,6 +533,9 @@ func (p *assignProblem) solveSeeded(ctx context.Context, nB int, optimize bool, 
 			st.best = seedObj + 1
 			st.bestBus = append([]int(nil), seedBus...)
 			seeded = true
+		}
+		if pass.proven {
+			st.stopAt = seedObj
 		}
 	}
 
@@ -446,9 +589,10 @@ func (p *assignProblem) newSearchState(ctx context.Context, nB int, optimize boo
 		count:    make([]int, nB),
 		overlap:  make([]int64, nB),
 		total:    make([]int64, nW),
-		suffix:   make([][]int64, p.nT+1),
+		maxNodes: p.maxNodes,
 		optimize: optimize,
 		best:     int64(1) << 62,
+		stopAt:   -1,
 	}
 	for t := range st.busOf {
 		st.busOf[t] = -1
@@ -456,26 +600,19 @@ func (p *assignProblem) newSearchState(ctx context.Context, nB int, optimize boo
 	for b := range st.load {
 		st.load[b] = make([]int64, nW)
 	}
-	st.suffix[p.nT] = make([]int64, nW)
-	for idx := p.nT - 1; idx >= 0; idx-- {
-		st.suffix[idx] = make([]int64, nW)
-		t := p.order[idx]
-		for w := 0; w < nW; w++ {
-			st.suffix[idx][w] = st.suffix[idx+1][w] + p.comm[t][w]
-		}
-	}
 	return st
 }
 
 // dfs places targets order[idx:]; curMax is the running binding
 // objective. In feasibility mode it returns true at the first complete
 // assignment (leaving st.busOf filled); in optimize mode it records
-// improvements into st.bestBus and always returns false so the search
-// exhausts (subject to pruning).
+// improvements into st.bestBus and returns false so the search
+// exhausts (subject to pruning), unless an improvement reaches
+// st.stopAt.
 func (st *searchState) dfs(idx int, curMax int64) bool {
 	p := st.p
 	st.nodes++
-	if st.nodes > p.maxNodes {
+	if st.nodes > st.maxNodes {
 		st.capped = true
 		return false
 	}
@@ -496,6 +633,7 @@ func (st *searchState) dfs(idx int, curMax int64) bool {
 				st.best = curMax
 				st.bestBus = append([]int(nil), st.busOf...)
 				st.rec.Emit(obs.Event{Kind: obs.EvIncumbent, K: st.nB, Val: curMax, Who: "bb"})
+				return curMax <= st.stopAt
 			}
 			return false
 		}
@@ -506,7 +644,7 @@ func (st *searchState) dfs(idx int, curMax int64) bool {
 	// Global capacity prune: remaining demand must fit the remaining
 	// capacity across all buses.
 	for w := 0; w < nW; w++ {
-		if st.suffix[idx][w] > int64(st.nB)*p.ws[w]-st.total[w] {
+		if p.suffix[idx][w] > int64(st.nB)*p.ws[w]-st.total[w] {
 			return false
 		}
 	}
@@ -514,77 +652,107 @@ func (st *searchState) dfs(idx int, curMax int64) bool {
 	if limit >= st.nB {
 		limit = st.nB - 1 // no new bus available
 	}
-	for b := 0; b <= limit; b++ {
-		if st.count[b] >= p.maxPerBus {
-			continue
-		}
-		// Conflict check against current members of bus b.
-		ok := true
-		for other, ob := range st.busOf {
-			if ob == b && p.conflict[t][other] {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		// Bandwidth check (Eq. 4) on the reduced windows.
-		for w := 0; w < nW; w++ {
-			if st.load[b][w]+p.comm[t][w] > p.ws[w] {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		// Binding objective bookkeeping and bound.
-		var added int64
-		if st.optimize {
-			for other, ob := range st.busOf {
-				if ob == b {
-					added += p.om.At(t, other)
+	if !st.bestFirst {
+		for b := 0; b <= limit; b++ {
+			if added, ok := st.admits(t, b); ok {
+				if st.branch(idx, t, b, added, curMax) {
+					return true
+				}
+				if st.capped {
+					return false
 				}
 			}
-			newOv := st.overlap[b] + added
-			if newOv >= st.best {
-				continue // cannot improve the incumbent
-			}
 		}
-		// Place.
-		newBus := b == st.used
-		if newBus {
-			st.used++
+		return false
+	}
+	// Best first: gather the buses that can take t onto the candidate
+	// stack, above the entries of the nodes on the path to this one,
+	// and try them by the overlap they would reach.
+	base := len(st.cands)
+	for b := 0; b <= limit; b++ {
+		if added, ok := st.admits(t, b); ok {
+			st.cands = append(st.cands, candidate{bus: b, added: added})
 		}
-		st.busOf[t] = b
-		st.count[b]++
-		st.overlap[b] += added
-		for w := 0; w < nW; w++ {
-			st.load[b][w] += p.comm[t][w]
-			st.total[w] += p.comm[t][w]
+	}
+	end := len(st.cands)
+	slices.SortStableFunc(st.cands[base:end], func(x, y candidate) int {
+		return cmp.Compare(st.overlap[x.bus]+x.added, st.overlap[y.bus]+y.added)
+	})
+	for i := base; i < end; i++ {
+		b, added := st.cands[i].bus, st.cands[i].added
+		if st.overlap[b]+added >= st.best {
+			break // the incumbent improved since b was gathered
 		}
-		next := curMax
-		if st.overlap[b] > next {
-			next = st.overlap[b]
-		}
-		if st.dfs(idx+1, next) {
-			return true // feasibility mode: keep the assignment in place
-		}
-		// Undo.
-		st.busOf[t] = -1
-		st.count[b]--
-		st.overlap[b] -= added
-		for w := 0; w < nW; w++ {
-			st.load[b][w] -= p.comm[t][w]
-			st.total[w] -= p.comm[t][w]
-		}
-		if newBus {
-			st.used--
+		if st.branch(idx, t, b, added, curMax) {
+			return true
 		}
 		if st.capped {
 			return false
 		}
+	}
+	st.cands = st.cands[:base]
+	return false
+}
+
+// admits reports whether bus b can take target t under the cap, the
+// conflicts (Eq. 7) and the bandwidth of every reduced window (Eq. 4)
+// and, in binding mode, whether the overlap t would add to it keeps
+// the bus below the incumbent; added is that overlap.
+func (st *searchState) admits(t, b int) (added int64, ok bool) {
+	p := st.p
+	if st.count[b] >= p.maxPerBus {
+		return 0, false
+	}
+	for other, ob := range st.busOf {
+		if ob == b && p.conflict[t][other] {
+			return 0, false
+		}
+	}
+	for w, ws := range p.ws {
+		if st.load[b][w]+p.comm[t][w] > ws {
+			return 0, false
+		}
+	}
+	if st.optimize {
+		for other, ob := range st.busOf {
+			if ob == b {
+				added += p.om.At(t, other)
+			}
+		}
+		if st.overlap[b]+added >= st.best {
+			return 0, false // cannot improve the incumbent
+		}
+	}
+	return added, true
+}
+
+// branch places target t, the idx-th in visit order, on bus b, searches
+// the rest, and undoes the placement unless the search ended there.
+func (st *searchState) branch(idx, t, b int, added, curMax int64) bool {
+	p := st.p
+	newBus := b == st.used
+	if newBus {
+		st.used++
+	}
+	st.busOf[t] = b
+	st.count[b]++
+	st.overlap[b] += added
+	for w, c := range p.comm[t] {
+		st.load[b][w] += c
+		st.total[w] += c
+	}
+	if st.dfs(idx+1, max(curMax, st.overlap[b])) {
+		return true // keep the assignment in place
+	}
+	st.busOf[t] = -1
+	st.count[b]--
+	st.overlap[b] -= added
+	for w, c := range p.comm[t] {
+		st.load[b][w] -= c
+		st.total[w] -= c
+	}
+	if newBus {
+		st.used--
 	}
 	return false
 }
@@ -632,8 +800,19 @@ func (p *assignProblem) validBinding(nB int, busOf []int) bool {
 
 // greedyBinding builds a feasible binding by placing each target on the
 // admissible bus that increases its overlap the least (ties: lightest
-// bus). Returns ok=false if the greedy order dead-ends.
+// bus). Returns ok=false if the greedy order dead-ends. The binding is
+// the caller's own: a memoized one is copied.
 func (p *assignProblem) greedyBinding(nB int) (busOf []int, obj int64, ok bool) {
+	g := &p.greedy
+	if g.k != nB {
+		g.busOf, g.obj, g.ok = p.greedyScan(nB)
+		g.k = nB
+	}
+	return slices.Clone(g.busOf), g.obj, g.ok
+}
+
+// greedyScan computes greedyBinding.
+func (p *assignProblem) greedyScan(nB int) (busOf []int, obj int64, ok bool) {
 	nW := len(p.ws)
 	busOf = make([]int, p.nT)
 	for t := range busOf {

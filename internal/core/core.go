@@ -268,16 +268,16 @@ func DesignCrossbarCtx(ctx context.Context, a *trace.Analysis, opts Options) (*D
 
 	prob := newAssignProblem(a, conflicts, maxPerBus, opts.MaxNodes)
 
-	lb := prob.lowerBound()
+	lb, lbKind := prob.lowerBound()
 	if opts.MinBuses > lb {
-		lb = opts.MinBuses
+		lb, lbKind = opts.MinBuses, "min_buses"
 	}
 	ub := nT
 	if opts.MaxBuses > 0 && opts.MaxBuses < ub {
 		ub = opts.MaxBuses
 	}
 	if lb > ub {
-		lb = ub
+		lb, lbKind = ub, "max_buses"
 	}
 
 	// Near-hit warm start: a binding cached for a nearby problem. It is
@@ -324,6 +324,10 @@ func DesignCrossbarCtx(ctx context.Context, a *trace.Analysis, opts Options) (*D
 		var err error
 		if optimize {
 			res, err = prob.bindAnytime(ctx, k, seedBus, seedObj)
+			if res != nil {
+				sp.SetInt("pass1_nodes", res.pass1Nodes)
+				sp.SetBool("pass1_cut", res.pass1Cut)
+			}
 		} else {
 			res, err = prob.solve(ctx, k, false)
 		}
@@ -346,6 +350,7 @@ func DesignCrossbarCtx(ctx context.Context, a *trace.Analysis, opts Options) (*D
 	// (searchBelowIncumbent).
 	sctx, searchSpan := obs.Start(ctx, "core.search")
 	searchSpan.SetInt("lb", int64(lb))
+	searchSpan.SetStr("lb_kind", lbKind)
 	searchSpan.SetInt("ub", int64(ub))
 	var (
 		best          int

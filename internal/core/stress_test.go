@@ -90,7 +90,7 @@ func TestLargeInstanceOptimality(t *testing.T) {
 		{"analysis512", benchprobs.Analysis512(), 171},
 	} {
 		prob := testProblem(t, tc.a, 0)
-		if lb := prob.lowerBound(); lb != tc.buses {
+		if lb, _ := prob.lowerBound(); lb != tc.buses {
 			t.Fatalf("%s: lower bound %d, want %d (clique bound should be exact)", tc.name, lb, tc.buses)
 		}
 		opts := DefaultOptions()
