@@ -824,6 +824,7 @@ func (p *assignProblem) greedyScan(nB int) (busOf []int, obj int64, ok bool) {
 	}
 	count := make([]int, nB)
 	overlap := make([]int64, nB)
+	total := make([]int64, nB) // sum of load[b] over the windows
 	for _, t := range p.order {
 		bestBus, bestAdd, bestLoad := -1, int64(1)<<62, int64(1)<<62
 		for b := 0; b < nB; b++ {
@@ -855,12 +856,8 @@ func (p *assignProblem) greedyScan(nB int) (busOf []int, obj int64, ok bool) {
 					added += p.om.At(t, other)
 				}
 			}
-			var totalLoad int64
-			for w := 0; w < nW; w++ {
-				totalLoad += load[b][w]
-			}
-			if added < bestAdd || (added == bestAdd && totalLoad < bestLoad) {
-				bestBus, bestAdd, bestLoad = b, added, totalLoad
+			if added < bestAdd || (added == bestAdd && total[b] < bestLoad) {
+				bestBus, bestAdd, bestLoad = b, added, total[b]
 			}
 		}
 		if bestBus == -1 {
@@ -871,6 +868,7 @@ func (p *assignProblem) greedyScan(nB int) (busOf []int, obj int64, ok bool) {
 		overlap[bestBus] += bestAdd
 		for w := 0; w < nW; w++ {
 			load[bestBus][w] += p.comm[t][w]
+			total[bestBus] += p.comm[t][w]
 		}
 	}
 	for _, v := range overlap {

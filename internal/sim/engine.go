@@ -13,6 +13,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
+	"sort"
 
 	"repro/internal/obs"
 )
@@ -58,28 +61,53 @@ const (
 	evRespDone
 )
 
-// event is one scheduled occurrence. Events fire in (cycle, seq)
-// order; seq is the scheduling order, so same-cycle events run first
-// scheduled, first fired.
-type event struct {
+// wheelSpan is the number of cycles the timing wheel covers, one FIFO
+// slot per cycle; a power of two so a cycle's slot is a mask away.
+// Almost every event is due within a few hundred cycles of being
+// scheduled; the rest wait in the far list.
+const (
+	wheelSpan = 1024
+	wheelMask = wheelSpan - 1
+)
+
+// node is one event waiting in a wheel slot; next links the slot's
+// FIFO (or the free list) by index into engine.nodes, 0 ending it.
+type node struct {
+	next int32
+	kind eventKind
+	arg  int32
+}
+
+// farEvent is an event due wheelSpan or more cycles after it was
+// scheduled.
+type farEvent struct {
 	cycle int64
-	seq   int64
 	kind  eventKind
 	arg   int32
 }
 
-func (a *event) before(b *event) bool {
-	return a.cycle < b.cycle || (a.cycle == b.cycle && a.seq < b.seq)
-}
-
-// engine is a deterministic discrete-event clock over a typed event
-// queue: a 4-ary min-heap of event values in one slice, so scheduling
-// and firing allocate nothing once the slice has grown to the run's
-// peak number of pending events.
+// engine is a deterministic discrete-event clock over a timing wheel
+// (Varghese & Lauck, SOSP 1987) keyed on the cycle. Events fire in
+// (cycle, scheduling order). The wheel holds every event due in
+// [now, now+wheelSpan): slot cycle&wheelMask is the FIFO of that cycle
+// and occ marks the non-empty slots. Events due later wait in far,
+// sorted by cycle, and move into the wheel as soon as now comes within
+// the span, before anything fires at the new now; an event scheduled
+// straight into the same slot is scheduled later still, so FIFO order
+// is scheduling order. Slot FIFOs are linked lists over one node
+// slice with a free list, so scheduling and firing allocate nothing
+// once the nodes have grown to the run's peak number of pending events.
+// The zero value is an empty engine at cycle 0.
 type engine struct {
-	now int64
-	q   []event
-	seq int64
+	now        int64
+	head, tail [wheelSpan]int32 // per-slot FIFO ends; 0 is empty
+	occ        [wheelSpan / 64]uint64
+	inWheel    int
+	nodes      []node // nodes[0] is unused, so index 0 means "none"
+	free       int32
+	// far is sorted by cycle, latest first; equal cycles keep
+	// scheduling order from the back, so the next due is far[len-1].
+	far []farEvent
 }
 
 // at schedules an event at the given cycle. Scheduling in the past
@@ -89,57 +117,94 @@ func (e *engine) at(cycle int64, kind eventKind, arg int32) {
 	if cycle < e.now {
 		cycle = e.now
 	}
-	ev := event{cycle: cycle, seq: e.seq, kind: kind, arg: arg}
-	e.seq++
-	e.q = append(e.q, ev)
-	q := e.q
-	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !ev.before(&q[p]) {
-			break
-		}
-		q[i] = q[p]
-		i = p
+	if cycle-e.now >= wheelSpan {
+		// After every pending event due at or before cycle, before
+		// every one due later.
+		i := sort.Search(len(e.far), func(i int) bool { return e.far[i].cycle <= cycle })
+		e.far = slices.Insert(e.far, i, farEvent{cycle, kind, arg})
+		return
 	}
-	q[i] = ev
+	e.push(int(cycle)&wheelMask, kind, arg)
 }
 
 // after schedules an event delay cycles from now.
 func (e *engine) after(delay int64, kind eventKind, arg int32) { e.at(e.now+delay, kind, arg) }
 
-// pop removes and returns the earliest event; the queue must not be
-// empty.
-func (e *engine) pop() event {
-	q := e.q
-	top := q[0]
-	n := len(q) - 1
-	last := q[n]
-	q = q[:n]
-	e.q = q
-	if n == 0 {
-		return top
+// push appends an event to the FIFO of a wheel slot.
+func (e *engine) push(slot int, kind eventKind, arg int32) {
+	i := e.free
+	if i != 0 {
+		e.free = e.nodes[i].next
+		e.nodes[i] = node{kind: kind, arg: arg}
+	} else {
+		if len(e.nodes) == 0 {
+			e.nodes = append(e.nodes, node{})
+		}
+		i = int32(len(e.nodes))
+		e.nodes = append(e.nodes, node{kind: kind, arg: arg})
 	}
-	i := 0
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		m := c
-		for j := c + 1; j < c+4 && j < n; j++ {
-			if q[j].before(&q[m]) {
-				m = j
-			}
-		}
-		if !q[m].before(&last) {
-			break
-		}
-		q[i] = q[m]
-		i = m
+	if t := e.tail[slot]; t != 0 {
+		e.nodes[t].next = i
+	} else {
+		e.head[slot] = i
+		e.occ[slot>>6] |= 1 << (slot & 63)
 	}
-	q[i] = last
-	return top
+	e.tail[slot] = i
+	e.inWheel++
+}
+
+// next returns the cycle of the earliest pending event.
+func (e *engine) next() (int64, bool) {
+	if e.inWheel == 0 {
+		if n := len(e.far); n > 0 {
+			return e.far[n-1].cycle, true
+		}
+		return 0, false
+	}
+	// Every wheel event is due in [now, now+wheelSpan), so the first
+	// occupied slot at or after now's, wrapping around, is the
+	// earliest. The last probe revisits now's word for the slots
+	// before it.
+	cur := int(e.now) & wheelMask
+	w := cur >> 6
+	if m := e.occ[w] >> (cur & 63); m != 0 {
+		return e.now + int64(bits.TrailingZeros64(m)), true
+	}
+	for i := 1; i <= len(e.occ); i++ {
+		j := (w + i) & (len(e.occ) - 1)
+		if m := e.occ[j]; m != 0 {
+			slot := j<<6 | bits.TrailingZeros64(m)
+			return e.now + int64((slot-cur)&wheelMask), true
+		}
+	}
+	panic("sim: timing wheel count disagrees with its bitmap")
+}
+
+// advance moves the clock to cycle, no earlier than any pending event,
+// and brings the far events now within the span into the wheel.
+func (e *engine) advance(cycle int64) {
+	e.now = cycle
+	for n := len(e.far); n > 0 && e.far[n-1].cycle-cycle < wheelSpan; n-- {
+		f := e.far[n-1]
+		e.far = e.far[:n-1]
+		e.push(int(f.cycle)&wheelMask, f.kind, f.arg)
+	}
+}
+
+// pop removes the first event of now's slot; it must not be empty.
+func (e *engine) pop() (eventKind, int32) {
+	slot := int(e.now) & wheelMask
+	i := e.head[slot]
+	n := e.nodes[i]
+	e.head[slot] = n.next
+	if n.next == 0 {
+		e.tail[slot] = 0
+		e.occ[slot>>6] &^= 1 << (slot & 63)
+	}
+	e.nodes[i].next = e.free
+	e.free = i
+	e.inWheel--
+	return n.kind, n.arg
 }
 
 // run fires events in order through dispatch until the queue drains or
@@ -149,10 +214,15 @@ func (e *engine) pop() event {
 // cycle and returns an error wrapping ErrCanceled.
 func (e *engine) run(ctx context.Context, horizon int64, dispatch func(kind eventKind, arg int32)) (int64, error) {
 	var processed, flushed int64
-	for len(e.q) > 0 && e.q[0].cycle <= horizon {
-		ev := e.pop()
-		e.now = ev.cycle
-		dispatch(ev.kind, ev.arg)
+	for {
+		cycle, ok := e.next()
+		if !ok || cycle > horizon {
+			break
+		}
+		if cycle != e.now {
+			e.advance(cycle)
+		}
+		dispatch(e.pop())
 		processed++
 		if processed&cancelCheckMask == 0 {
 			metEvents.Add(processed - flushed)
@@ -164,7 +234,7 @@ func (e *engine) run(ctx context.Context, horizon int64, dispatch func(kind even
 		}
 	}
 	if e.now < horizon {
-		e.now = horizon
+		e.advance(horizon)
 	}
 	metEvents.Add(processed - flushed)
 	return e.now, nil

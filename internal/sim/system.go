@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/stats"
@@ -171,11 +173,22 @@ type system struct {
 	sems  []semaphore // by target; only SemTargets entries are used
 	bars  []barrier   // barriers with arrivals pending
 
-	// Output buffers, sized from the programs. The Result gets exact
+	// Output buffers, borrowed from outPool. The Result gets exact
 	// copies, so it retains no spare capacity.
+	out *outBuffers
+}
+
+// outBuffers collect a run's latency samples and trace events. They
+// are reused across runs without clearing: a run only reads back what
+// it appended.
+type outBuffers struct {
 	samples               []stats.Sample
 	reqEvents, respEvents []trace.Event
 }
+
+// outPool keeps outBuffers between runs, so a run neither zeroes nor
+// regrows its collection buffers once the pool is warm.
+var outPool = sync.Pool{New: func() any { return new(outBuffers) }}
 
 type core struct {
 	program []Op
@@ -244,23 +257,38 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: response fabric: %w", err)
 	}
+	s := &system{
+		cfg:   &cfg,
+		req:   req,
+		resp:  resp,
+		cores: make([]core, cfg.NumInitiators),
+		sems:  make([]semaphore, cfg.NumTargets),
+		out:   outPool.Get().(*outBuffers),
+	}
+	defer outPool.Put(s.out)
 	// Every bus op is one transaction with one sample and one transfer
 	// per direction; only lock retries add more.
 	accesses := busOps(cfg.Programs)
-	s := &system{
-		cfg:     &cfg,
-		eng:     engine{q: make([]event, 0, 2*cfg.NumInitiators)},
-		req:     req,
-		resp:    resp,
-		cores:   make([]core, cfg.NumInitiators),
-		sems:    make([]semaphore, cfg.NumTargets),
-		samples: make([]stats.Sample, 0, accesses),
-	}
+	out := s.out
+	out.samples = slices.Grow(out.samples[:0], accesses)
 	if cfg.CollectTrace {
-		s.reqEvents = make([]trace.Event, 0, accesses)
-		s.respEvents = make([]trace.Event, 0, accesses)
-		req.Probe = func(ev trace.Event) { s.reqEvents = append(s.reqEvents, ev) }
-		resp.Probe = func(ev trace.Event) { s.respEvents = append(s.respEvents, ev) }
+		// A trace holds the transfers granted before the horizon, a
+		// transfer running past it cut there.
+		horizon := cfg.Horizon
+		collect := func(events *[]trace.Event) func(trace.Event) {
+			*events = slices.Grow((*events)[:0], accesses)
+			return func(ev trace.Event) {
+				if ev.Start >= horizon {
+					return
+				}
+				if ev.End() > horizon {
+					ev.Len = horizon - ev.Start
+				}
+				*events = append(*events, ev)
+			}
+		}
+		req.Probe = collect(&out.reqEvents)
+		resp.Probe = collect(&out.respEvents)
 	}
 	for i := range s.cores {
 		s.cores[i] = core{program: cfg.Programs[i], writeCredits: cfg.MaxOutstandingWrites}
@@ -273,10 +301,8 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	metCycles.Add(end)
 	span.SetInt("end_cycle", end)
 
-	samples := make([]stats.Sample, len(s.samples))
-	copy(samples, s.samples)
 	res := &Result{
-		Latency:    stats.RecorderOf(samples),
+		Latency:    stats.RecorderOf(exact(out.samples)),
 		ReqUtil:    req.BusUtilization(end),
 		RespUtil:   resp.BusUtilization(end),
 		ReqGrants:  req.Grants(),
@@ -291,11 +317,26 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}
 	if cfg.CollectTrace {
-		res.ReqTrace = buildTrace(s.reqEvents, cfg.NumInitiators, cfg.NumTargets, end)
-		res.RespTrace = buildTrace(s.respEvents, cfg.NumTargets, cfg.NumInitiators, end)
+		res.ReqTrace = &trace.Trace{
+			NumSenders:   cfg.NumInitiators,
+			NumReceivers: cfg.NumTargets,
+			Horizon:      end,
+			Events:       exact(out.reqEvents),
+		}
+		res.RespTrace = &trace.Trace{
+			NumSenders:   cfg.NumTargets,
+			NumReceivers: cfg.NumInitiators,
+			Horizon:      end,
+			Events:       exact(out.respEvents),
+		}
 	}
 	return res, nil
 }
+
+// exact returns a copy of s, never nil, whose capacity is its length.
+// Appending to an empty slice writes each element once: only the
+// allocation's rounding slack past the length is cleared.
+func exact[T any](s []T) []T { return slices.Clip(append(make([]T, 0), s...)) }
 
 // busOps counts the ops of the programs that go over the interconnect.
 func busOps(programs [][]Op) int {
@@ -317,27 +358,6 @@ func (r *Result) Throughput() float64 {
 		return 0
 	}
 	return float64(r.ReqBeats+r.RespBeats) / float64(r.EndCycle)
-}
-
-// buildTrace clamps collected events to the horizon and copies them
-// into a trace of their own, so a Result holds no spare capacity.
-func buildTrace(events []trace.Event, numSenders, numReceivers int, horizon int64) *trace.Trace {
-	kept := make([]trace.Event, 0, len(events))
-	for _, e := range events {
-		if e.Start >= horizon {
-			continue
-		}
-		if e.End() > horizon {
-			e.Len = horizon - e.Start
-		}
-		kept = append(kept, e)
-	}
-	return &trace.Trace{
-		NumSenders:   numSenders,
-		NumReceivers: numReceivers,
-		Horizon:      horizon,
-		Events:       kept,
-	}
 }
 
 // dispatch fires one event.
@@ -492,7 +512,7 @@ func (s *system) issue(id int32, op *Op, blocking bool) {
 // access waits for the other participants.
 func (s *system) complete(t *txn) {
 	now := s.eng.now
-	s.samples = append(s.samples, stats.Sample{
+	s.out.samples = append(s.out.samples, stats.Sample{
 		Latency:   now - t.issue,
 		Packet:    now - t.respLen + 1 - t.issue,
 		Initiator: int(t.core),

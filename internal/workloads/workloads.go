@@ -133,6 +133,7 @@ func build(p profile, seed int64, critical criticalSpec) *App {
 		Name:            p.name,
 		NumInitiators:   n,
 		NumTargets:      n + 3,
+		Programs:        make([][]sim.Op, n),
 		PrivateOf:       make([]int, n),
 		SharedTarget:    n,
 		SemTarget:       n + 1,
@@ -168,7 +169,7 @@ func build(p profile, seed int64, critical criticalSpec) *App {
 			rngSeed = seed*1000003 + int64(i%p.groups)
 		}
 		rng := rand.New(rand.NewSource(rngSeed))
-		app.Programs = append(app.Programs, coreProgram(p, app, i, rng, critical[i]))
+		app.Programs[i] = coreProgram(p, app, i, rng, critical[i])
 	}
 	return app
 }
@@ -187,9 +188,33 @@ func phaseEstimate(p profile) int64 {
 	return reads + writes
 }
 
-// coreProgram emits one initiator's op sequence.
+// programLen is the number of ops coreProgram emits for core coreID.
+func programLen(p profile, coreID int) int {
+	n := 0
+	if p.stagger > 0 {
+		n++
+	}
+	accesses := p.reads + p.writes
+	perIter := 1 + 2*accesses + 1 // barrier, accesses with their gaps, idle tail
+	if p.burstAccesses > 0 {
+		perIter = 1 + accesses + accesses/p.burstAccesses + 1
+	}
+	if p.groups > 1 && coreID%p.groups > 0 {
+		perIter++ // the stage delay
+	}
+	n += p.iters * perIter
+	for it := 0; p.sharedEvery > 0 && it < p.iters; it++ {
+		if (it+coreID)%p.sharedEvery == 0 {
+			n += 4 // lock, read, write, unlock
+		}
+	}
+	return n
+}
+
+// coreProgram emits one initiator's op sequence into a slice of
+// exactly its length.
 func coreProgram(p profile, app *App, coreID int, rng *rand.Rand, critical bool) []sim.Op {
-	var ops []sim.Op
+	ops := make([]sim.Op, 0, programLen(p, coreID))
 	priv := app.PrivateOf[coreID]
 	jit := func(base int64) int64 {
 		if p.jitter <= 0 {
@@ -401,6 +426,7 @@ func Synthetic(seed int64, burstLen int64) *App {
 		NumInitiators:   nCores,
 		NumTargets:      nCores,
 		PrivateOf:       make([]int, nCores),
+		Programs:        make([][]sim.Op, nCores),
 		SharedTarget:    -1,
 		SemTarget:       -1,
 		InterruptTarget: -1,
@@ -417,7 +443,8 @@ func Synthetic(seed int64, burstLen int64) *App {
 		burst := burstLen * int64(3+i) / 10
 		period := basePeriod + int64(i)*burstLen/10
 		gap := period - burst - 5
-		prog := []sim.Op{sim.Compute(rng.Int63n(basePeriod))}
+		prog := make([]sim.Op, 1, 1+2*iters)
+		prog[0] = sim.Compute(rng.Int63n(basePeriod))
 		for it := 0; it < iters; it++ {
 			// One long streaming write: occupies the initiator→target
 			// bus for 1+burst cycles contiguously.
@@ -426,7 +453,7 @@ func Synthetic(seed int64, burstLen int64) *App {
 				sim.Compute(gap-16+rng.Int63n(32)),
 			)
 		}
-		app.Programs = append(app.Programs, prog)
+		app.Programs[i] = prog
 	}
 	return app
 }

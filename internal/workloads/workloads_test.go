@@ -54,6 +54,21 @@ func TestProgramsValidate(t *testing.T) {
 	}
 }
 
+// TestProgramsPresized checks that every program is allocated once at
+// its final length: a miscount would either regrow the slice or leave
+// spare capacity behind.
+func TestProgramsPresized(t *testing.T) {
+	apps := All(1)
+	apps = append(apps, Synthetic(1, 1000), Mat2Critical(1, 0, 3))
+	for _, app := range apps {
+		for i, prog := range app.Programs {
+			if len(prog) != cap(prog) {
+				t.Errorf("%s core %d: %d ops in a slice of capacity %d", app.Name, i, len(prog), cap(prog))
+			}
+		}
+	}
+}
+
 func TestDeterministicGeneration(t *testing.T) {
 	a, b := Mat2(7), Mat2(7)
 	if len(a.Programs) != len(b.Programs) {
