@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/explore"
 	"repro/internal/oracle"
 	"repro/internal/sim"
 	"repro/internal/stbus"
@@ -366,18 +365,6 @@ func BenchmarkAdapterDelay(b *testing.B) {
 			}
 			b.ReportMetric(avg, "avg-packet-cycles")
 		})
-	}
-}
-
-// BenchmarkExploreSweep times the full design-space sweep on QSort.
-func BenchmarkExploreSweep(b *testing.B) {
-	app := workloads.QSort(experiments.Seed)
-	grid := explore.DefaultGrid(app.WindowSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := explore.Sweep(app, grid); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stbus"
 	"repro/internal/trace"
-	"repro/internal/vcd"
 	"repro/internal/workloads"
 )
 
@@ -32,7 +31,6 @@ var (
 	dumpTraces = flag.String("dump-traces", "", "prefix for binary trace dumps (<prefix>.req.trc, <prefix>.resp.trc)")
 	asJSON     = flag.Bool("json-traces", false, "dump traces as JSON instead of binary")
 	traceFmt   = flag.String("trace-format", "v1", "binary trace container: v1 (fixed 25-byte records) or v2 (columnar delta-encoded, ~5x smaller)")
-	vcdOut     = flag.String("vcd", "", "write a VCD waveform of the bus activity to this file")
 )
 
 func main() { cli.Main("stbus-sim", run) }
@@ -90,21 +88,6 @@ func run(ctx context.Context) (err error) {
 			return err
 		}
 		fmt.Printf("  traces written to %s.req.trc and %s.resp.trc\n", *dumpTraces, *dumpTraces)
-	}
-
-	if *vcdOut != "" {
-		f, err := os.Create(*vcdOut)
-		if err != nil {
-			return err
-		}
-		if err := vcd.FromTraces(f, req, res.ReqTrace, resp, res.RespTrace); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("  waveform written to %s\n", *vcdOut)
 	}
 	return nil
 }

@@ -1,5 +1,5 @@
 // Package conc provides the small concurrency toolkit the design
-// engine is built on: a bounded errgroup-style Group and a
+// engine is built on: an errgroup-style Group and a
 // deterministic indexed ForEach. The repository is dependency-free, so
 // this substitutes for golang.org/x/sync/errgroup.
 //
@@ -27,13 +27,11 @@ import (
 
 // Worker-pool instruments (see internal/obs): conc.active is the
 // number of currently running tasks/workers across every Group and
-// ForEach in the process, conc.queued the tasks blocked on a Group's
-// concurrency limit, conc.tasks / conc.items the totals. Updates are
-// per-task (not per-inner-iteration) atomic adds, so the pool's
+// ForEach in the process, conc.tasks / conc.items the totals. Updates
+// are per-task (not per-inner-iteration) atomic adds, so the pool's
 // utilization is observable live at negligible cost.
 var (
 	metActive = obs.NewGauge("conc.active")
-	metQueued = obs.NewGauge("conc.queued")
 	metTasks  = obs.NewCounter("conc.tasks")
 	metItems  = obs.NewCounter("conc.items")
 )
@@ -71,11 +69,10 @@ func Protect(fn func() error) (err error) {
 	return fn()
 }
 
-// Group is a bounded goroutine group with first-error capture, an
-// errgroup clone. The zero value is usable and unbounded.
+// Group is a goroutine group with first-error capture, an errgroup
+// clone. The zero value is usable.
 type Group struct {
 	wg      sync.WaitGroup
-	sem     chan struct{}
 	errOnce sync.Once
 	err     error
 	cancel  context.CancelCauseFunc
@@ -89,33 +86,15 @@ func WithContext(ctx context.Context) (*Group, context.Context) {
 	return &Group{cancel: cancel}, ctx
 }
 
-// SetLimit bounds the number of concurrently running tasks. It must be
-// called before the first Go.
-func (g *Group) SetLimit(n int) {
-	if n <= 0 {
-		g.sem = nil
-		return
-	}
-	g.sem = make(chan struct{}, n)
-}
-
-// Go runs fn on a new goroutine, blocking first if the group is at its
-// concurrency limit. A panic in fn is the task's error, a *PanicError.
+// Go runs fn on a new goroutine. A panic in fn is the task's error, a
+// *PanicError.
 func (g *Group) Go(fn func() error) {
 	metTasks.Inc()
-	if g.sem != nil {
-		metQueued.Add(1)
-		g.sem <- struct{}{}
-		metQueued.Add(-1)
-	}
 	g.wg.Add(1)
 	go func() {
 		metActive.Add(1)
 		defer func() {
 			metActive.Add(-1)
-			if g.sem != nil {
-				<-g.sem
-			}
 			g.wg.Done()
 		}()
 		if err := Protect(fn); err != nil {

@@ -116,32 +116,6 @@ func TestForEachEmpty(t *testing.T) {
 	}
 }
 
-func TestGroupLimitBoundsConcurrency(t *testing.T) {
-	var g Group
-	g.SetLimit(2)
-	var running, peak atomic.Int32
-	for i := 0; i < 20; i++ {
-		g.Go(func() error {
-			cur := running.Add(1)
-			for {
-				p := peak.Load()
-				if cur <= p || peak.CompareAndSwap(p, cur) {
-					break
-				}
-			}
-			time.Sleep(time.Millisecond)
-			running.Add(-1)
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if p := peak.Load(); p > 2 {
-		t.Errorf("peak concurrency %d, limit 2", p)
-	}
-}
-
 func TestGroupWithContextCancelsOnError(t *testing.T) {
 	g, ctx := WithContext(context.Background())
 	boom := errors.New("boom")

@@ -1,7 +1,6 @@
 // Package ds provides small data structures shared across the repository:
-// interval lists for cycle-accurate occupancy tracking, bitsets for
-// branch-and-bound search state, and the symmetric and CSR sparse
-// matrices of the traffic analysis.
+// interval lists for cycle-accurate occupancy tracking and the
+// symmetric and CSR sparse matrices of the traffic analysis.
 package ds
 
 import (

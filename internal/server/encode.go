@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"strconv"
@@ -251,6 +252,10 @@ func (s *Server) ingestBinaryTrace(body io.Reader, req *designRequest) error {
 	return nil
 }
 
+// maxSyntheticBurst is the longest burst whose synthetic application
+// horizon fits in an int64.
+const maxSyntheticBurst = math.MaxInt64 / 255
+
 // lookupApp resolves an application spec against the paper's benchmark
 // suite.
 func lookupApp(spec appSpec) (*stbusgen.App, error) {
@@ -273,6 +278,11 @@ func lookupApp(spec appSpec) (*stbusgen.App, error) {
 		burst := spec.Burst
 		if burst <= 0 {
 			burst = 600
+		}
+		// Shorter bursts give core 0 an empty burst or a negative gap;
+		// longer ones overflow the horizon, 255 bursts long.
+		if burst < 6 || burst > maxSyntheticBurst {
+			return nil, badRequest("burst: %d cycles outside [6, %d]", burst, maxSyntheticBurst)
 		}
 		return stbusgen.Synthetic(seed, burst), nil
 	}

@@ -9,6 +9,7 @@ import (
 	stbusgen "repro"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 // jobState is the lifecycle of one design job.
@@ -111,6 +112,8 @@ func failureReason(err error) (reason string, status int) {
 		return "canceled", 503
 	case errors.Is(err, core.ErrSearchLimit):
 		return "search_limit", 422
+	case errors.Is(err, trace.ErrTooManyWindows):
+		return "too_many_windows", 422
 	}
 	return "internal", 500
 }

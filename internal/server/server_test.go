@@ -396,9 +396,9 @@ func TestJobPanicRecovered(t *testing.T) {
 	s.Close()
 }
 
-// TestBadRequests pins the rejection surface: unknown app, bad content
-// type, and garbage binary bodies all answer 4xx with a JSON error,
-// never a 500.
+// TestBadRequests pins the rejection surface: unknown app, synthetic
+// bursts the application cannot be built from, bad content type, and
+// garbage binary bodies all answer 4xx with a JSON error, never a 500.
 func TestBadRequests(t *testing.T) {
 	_, hs := newTestServer(t, testConfig())
 	cases := []struct {
@@ -406,6 +406,8 @@ func TestBadRequests(t *testing.T) {
 		want                int
 	}{
 		{"unknown app", "/v1/design", "application/json", `{"app":"nope"}`, 400},
+		{"synthetic burst too short", "/v1/design", "application/json", `{"app":"synthetic","burst":5}`, 400},
+		{"synthetic burst overflows", "/v1/design", "application/json", `{"app":"synthetic","burst":4611686018427387904}`, 400},
 		{"bad content type", "/v1/design", "text/csv", "a,b", 415},
 		{"garbage binary", "/v1/design", "application/octet-stream", "not a trace", 400},
 		{"bad mode", "/v1/design?mode=wat", "application/json", `{"app":"mat1"}`, 400},
@@ -473,6 +475,28 @@ func TestReceiverCapRejected(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest || e.Reason != "bad_request" || !strings.Contains(e.Error, "4097 receivers exceeds the limit 4096") {
 			t.Errorf("%s: status %d, reason %q, error %q; want 400 bad_request naming the limit", tc.ct, resp.StatusCode, e.Reason, e.Error)
+		}
+	}
+}
+
+// TestTooManyWindowsRejected: a window size that cuts the horizon into
+// more windows than the analysis supports is the request's fault, so
+// the job fails as too_many_windows (422), in memory and spooled.
+func TestTooManyWindowsRejected(t *testing.T) {
+	body := append([]byte("STBT"), make([]byte, 28)...)
+	binary.LittleEndian.PutUint32(body[4:], 1)
+	binary.LittleEndian.PutUint32(body[8:], 2)
+	binary.LittleEndian.PutUint32(body[12:], 1)
+	binary.LittleEndian.PutUint64(body[16:], 1<<26+1)
+	for _, threshold := range []int64{0, 31} {
+		cfg := testConfig()
+		cfg.SpoolThreshold = threshold
+		cfg.SpoolDir = t.TempDir()
+		_, hs := newTestServer(t, cfg)
+		j, code := postDesign(t, hs.URL+"/v1/design?window=1", body)
+		if code != http.StatusUnprocessableEntity || j.Reason != "too_many_windows" || !strings.Contains(j.Error, "67108865 windows") {
+			t.Errorf("spool threshold %d: status %d, reason %q, error %q; want 422 too_many_windows naming the count",
+				threshold, code, j.Reason, j.Error)
 		}
 	}
 }

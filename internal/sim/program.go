@@ -64,11 +64,6 @@ func CriticalRead(target int, burst int64) Op {
 	return Op{Kind: OpRead, Target: target, Burst: burst, Critical: true}
 }
 
-// CriticalWrite returns a write op flagged as real-time traffic.
-func CriticalWrite(target int, burst int64) Op {
-	return Op{Kind: OpWrite, Target: target, Burst: burst, Critical: true}
-}
-
 // Lock returns a semaphore-acquire op.
 func Lock(semTarget int) Op { return Op{Kind: OpLock, Target: semTarget} }
 

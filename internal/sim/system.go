@@ -60,53 +60,58 @@ type Config struct {
 // Validate checks the configuration. Every failure wraps
 // ErrInvalidConfig.
 func (c *Config) Validate() error {
-	if err := c.validate(); err != nil {
-		return fmt.Errorf("%w: %w", ErrInvalidConfig, err)
-	}
-	return nil
+	_, err := c.validate()
+	return err
 }
 
-func (c *Config) validate() error {
+// validate is Validate that also counts the ops that go over the
+// interconnect, in the same walk over every program.
+func (c *Config) validate() (busOps int, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("%w: %w", ErrInvalidConfig, err)
+		}
+	}()
 	if c.NumInitiators <= 0 || c.NumTargets <= 0 {
-		return errors.New("sim: need at least one initiator and one target")
+		return 0, errors.New("sim: need at least one initiator and one target")
 	}
 	if len(c.Programs) != c.NumInitiators {
-		return fmt.Errorf("sim: %d programs for %d initiators", len(c.Programs), c.NumInitiators)
+		return 0, fmt.Errorf("sim: %d programs for %d initiators", len(c.Programs), c.NumInitiators)
 	}
 	if c.Horizon <= 0 {
-		return errors.New("sim: Horizon must be positive")
+		return 0, errors.New("sim: Horizon must be positive")
 	}
 	if c.MemWait < 0 || c.ReqCycles <= 0 {
-		return errors.New("sim: MemWait must be >= 0 and ReqCycles > 0")
+		return 0, errors.New("sim: MemWait must be >= 0 and ReqCycles > 0")
 	}
 	if c.MemWaitOf != nil {
 		if len(c.MemWaitOf) != c.NumTargets {
-			return fmt.Errorf("sim: MemWaitOf has %d entries, want %d", len(c.MemWaitOf), c.NumTargets)
+			return 0, fmt.Errorf("sim: MemWaitOf has %d entries, want %d", len(c.MemWaitOf), c.NumTargets)
 		}
 		for t, w := range c.MemWaitOf {
 			if w < 0 {
-				return fmt.Errorf("sim: MemWaitOf[%d] is negative", t)
+				return 0, fmt.Errorf("sim: MemWaitOf[%d] is negative", t)
 			}
 		}
 	}
 	if c.MaxOutstandingWrites < 0 {
-		return errors.New("sim: MaxOutstandingWrites must be >= 0")
+		return 0, errors.New("sim: MaxOutstandingWrites must be >= 0")
 	}
 	if c.Req == nil || c.Resp == nil {
-		return errors.New("sim: both interconnect directions must be configured")
+		return 0, errors.New("sim: both interconnect directions must be configured")
 	}
 	if c.Req.NumSenders != c.NumInitiators || c.Req.NumReceivers != c.NumTargets {
-		return fmt.Errorf("sim: request fabric is %d→%d, want %d→%d",
+		return 0, fmt.Errorf("sim: request fabric is %d→%d, want %d→%d",
 			c.Req.NumSenders, c.Req.NumReceivers, c.NumInitiators, c.NumTargets)
 	}
 	if c.Resp.NumSenders != c.NumTargets || c.Resp.NumReceivers != c.NumInitiators {
-		return fmt.Errorf("sim: response fabric is %d→%d, want %d→%d",
+		return 0, fmt.Errorf("sim: response fabric is %d→%d, want %d→%d",
 			c.Resp.NumSenders, c.Resp.NumReceivers, c.NumTargets, c.NumInitiators)
 	}
 	isSem := make([]bool, c.NumTargets)
 	for _, t := range c.SemTargets {
 		if t < 0 || t >= c.NumTargets {
-			return fmt.Errorf("sim: semaphore target %d out of range", t)
+			return 0, fmt.Errorf("sim: semaphore target %d out of range", t)
 		}
 		isSem[t] = true
 	}
@@ -115,24 +120,25 @@ func (c *Config) validate() error {
 			switch op.Kind {
 			case OpRead, OpWrite:
 				if op.Burst <= 0 {
-					return fmt.Errorf("sim: core %d op %d: burst must be positive", i, pc)
+					return 0, fmt.Errorf("sim: core %d op %d: burst must be positive", i, pc)
 				}
 				fallthrough
 			case OpLock, OpUnlock, OpBarrier:
+				busOps++
 				if op.Target < 0 || op.Target >= c.NumTargets {
-					return fmt.Errorf("sim: core %d op %d: target %d out of range", i, pc, op.Target)
+					return 0, fmt.Errorf("sim: core %d op %d: target %d out of range", i, pc, op.Target)
 				}
 				if (op.Kind == OpLock || op.Kind == OpUnlock) && !isSem[op.Target] {
-					return fmt.Errorf("sim: core %d op %d: %v of target %d, which is not a semaphore", i, pc, op.Kind, op.Target)
+					return 0, fmt.Errorf("sim: core %d op %d: %v of target %d, which is not a semaphore", i, pc, op.Kind, op.Target)
 				}
 			case OpCompute:
 				if op.Cycles < 0 {
-					return fmt.Errorf("sim: core %d op %d: negative compute", i, pc)
+					return 0, fmt.Errorf("sim: core %d op %d: negative compute", i, pc)
 				}
 			}
 		}
 	}
-	return nil
+	return busOps, nil
 }
 
 // Result is what a simulation run produces.
@@ -234,7 +240,8 @@ func Run(cfg Config) (*Result, error) {
 // ctx and a cancellation aborts the simulation with an error wrapping
 // ErrCanceled. A completed run is unaffected by the context.
 func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	accesses, err := cfg.validate()
+	if err != nil {
 		return nil, err
 	}
 	ctx, span := obs.Start(ctx, "sim.run")
@@ -268,7 +275,6 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	defer outPool.Put(s.out)
 	// Every bus op is one transaction with one sample and one transfer
 	// per direction; only lock retries add more.
-	accesses := busOps(cfg.Programs)
 	out := s.out
 	out.samples = slices.Grow(out.samples[:0], accesses)
 	if cfg.CollectTrace {
@@ -337,28 +343,6 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 // Appending to an empty slice writes each element once: only the
 // allocation's rounding slack past the length is cleared.
 func exact[T any](s []T) []T { return slices.Clip(append(make([]T, 0), s...)) }
-
-// busOps counts the ops of the programs that go over the interconnect.
-func busOps(programs [][]Op) int {
-	n := 0
-	for _, prog := range programs {
-		for _, op := range prog {
-			if op.Kind != OpCompute {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// Throughput returns the aggregate delivered words per cycle over both
-// directions.
-func (r *Result) Throughput() float64 {
-	if r.EndCycle == 0 {
-		return 0
-	}
-	return float64(r.ReqBeats+r.RespBeats) / float64(r.EndCycle)
-}
 
 // dispatch fires one event.
 func (s *system) dispatch(kind eventKind, arg int32) {

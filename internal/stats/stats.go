@@ -59,7 +59,9 @@ type Summary struct {
 
 // Summarize computes the summary of transaction latencies over all
 // samples.
-func (r *Recorder) Summarize() Summary { return summarize(r.samples, nil) }
+func (r *Recorder) Summarize() Summary {
+	return summarizeBy(r.samples, nil, func(s Sample) int64 { return s.Latency })
+}
 
 // SummarizePacket computes the summary of per-packet latencies
 // (issue to first response beat) over all samples.
@@ -71,25 +73,6 @@ func (r *Recorder) SummarizePacket() Summary {
 // samples matching the filter.
 func (r *Recorder) SummarizePacketWhere(keep func(Sample) bool) Summary {
 	return summarizeBy(r.samples, keep, func(s Sample) int64 { return s.Packet })
-}
-
-// SummarizeCritical computes the summary over critical samples only.
-func (r *Recorder) SummarizeCritical() Summary {
-	return summarize(r.samples, func(s Sample) bool { return s.Critical })
-}
-
-// SummarizeTarget computes the summary over samples to one target.
-func (r *Recorder) SummarizeTarget(target int) Summary {
-	return summarize(r.samples, func(s Sample) bool { return s.Target == target })
-}
-
-// SummarizeWhere computes the summary over samples matching the filter.
-func (r *Recorder) SummarizeWhere(keep func(Sample) bool) Summary {
-	return summarize(r.samples, keep)
-}
-
-func summarize(samples []Sample, keep func(Sample) bool) Summary {
-	return summarizeBy(samples, keep, func(s Sample) int64 { return s.Latency })
 }
 
 func summarizeBy(samples []Sample, keep func(Sample) bool, metric func(Sample) int64) Summary {

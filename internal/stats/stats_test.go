@@ -37,34 +37,13 @@ func TestSummarizeEmpty(t *testing.T) {
 	}
 }
 
-func TestSummarizeCritical(t *testing.T) {
-	r := NewRecorder()
-	r.Add(Sample{Latency: 100, Critical: false})
-	r.Add(Sample{Latency: 10, Critical: true})
-	r.Add(Sample{Latency: 20, Critical: true})
-	s := r.SummarizeCritical()
-	if s.Count != 2 || s.Avg != 15 {
-		t.Errorf("critical summary = %+v, want count 2, avg 15", s)
-	}
-}
-
-func TestSummarizeTarget(t *testing.T) {
-	r := NewRecorder()
-	r.Add(Sample{Latency: 5, Target: 0})
-	r.Add(Sample{Latency: 15, Target: 1})
-	r.Add(Sample{Latency: 25, Target: 1})
-	s := r.SummarizeTarget(1)
-	if s.Count != 2 || s.Avg != 20 {
-		t.Errorf("target summary = %+v, want count 2, avg 20", s)
-	}
-}
-
 func TestSummarizeWhere(t *testing.T) {
 	r := NewRecorder()
-	r.Add(Sample{Latency: 5, Initiator: 0})
-	r.Add(Sample{Latency: 10, Initiator: 1})
-	s := r.SummarizeWhere(func(s Sample) bool { return s.Initiator == 1 })
-	if s.Count != 1 || s.Max != 10 {
+	r.Add(Sample{Latency: 5, Packet: 2, Initiator: 0})
+	r.Add(Sample{Latency: 10, Packet: 4, Initiator: 1})
+	r.Add(Sample{Latency: 20, Packet: 8, Initiator: 1, Target: 1})
+	s := r.SummarizePacketWhere(func(s Sample) bool { return s.Initiator == 1 && s.Target == 0 })
+	if s.Count != 1 || s.Max != 4 {
 		t.Errorf("filtered summary = %+v", s)
 	}
 }

@@ -64,6 +64,11 @@ func (a *Analysis) WindowLen(m int) int64 { return a.Boundaries[m+1] - a.Boundar
 // multi-gigabyte matrix allocations.
 const maxWindows = 1 << 26
 
+// ErrTooManyWindows is wrapped around every analysis refused because
+// its window size cuts the horizon into more than maxWindows windows:
+// the request asks too much, the analysis did not fail.
+var ErrTooManyWindows = errors.New("trace: too many windows")
+
 // WindowOverlap is one frontier point of a pair summary: a window of
 // Len cycles in which the pair overlaps for Cycles cycles.
 type WindowOverlap struct{ Len, Cycles int64 }
@@ -143,7 +148,7 @@ func windowBoundaries(horizon, ws int64) ([]int64, error) {
 		numWindows64++
 	}
 	if numWindows64 > maxWindows {
-		return nil, fmt.Errorf("trace: window size %d yields %d windows, more than the %d supported", ws, numWindows64, maxWindows)
+		return nil, fmt.Errorf("%w: window size %d yields %d windows, more than the %d supported", ErrTooManyWindows, ws, numWindows64, maxWindows)
 	}
 	numWindows := int(numWindows64)
 	boundaries := make([]int64, numWindows+1)
