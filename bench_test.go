@@ -10,8 +10,10 @@
 package stbusgen_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -243,6 +245,75 @@ func BenchmarkWindowAnalysis(b *testing.B) {
 		if _, err := trace.AnalyzeCtx(context.Background(), res.ReqTrace, app.WindowSize); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// spoolShapeWindow and spoolShapeTiles fix the spool-large request
+// shape: the Mat2 request trace tiled 60 times into one v2 body,
+// analyzed at 800-cycle windows.
+const (
+	spoolShapeWindow = 800
+	spoolShapeTiles  = 60
+)
+
+// spoolShapeImage tiles the Mat2 request trace at experiments.Seed
+// spoolShapeTiles times into a v2 image: each copy starts on a window
+// boundary and the events are written in start order, as the
+// out-of-core path requires (576,000 events, ≈2.4 MB).
+func spoolShapeImage(b *testing.B) []byte {
+	b.Helper()
+	app := workloads.Mat2(experiments.Seed)
+	req, resp := app.FullConfig()
+	res, err := sim.Run(app.SimConfig(req, resp))
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := res.ReqTrace
+	evs := append([]trace.Event(nil), tr.Events...)
+	sort.Slice(evs, func(i, j int) bool {
+		if evs[i].Start != evs[j].Start {
+			return evs[i].Start < evs[j].Start
+		}
+		return evs[i].Receiver < evs[j].Receiver
+	})
+	period := (tr.Horizon + spoolShapeWindow - 1) / spoolShapeWindow * spoolShapeWindow
+	var buf bytes.Buffer
+	vw, err := trace.NewV2Writer(&buf, tr.NumReceivers, tr.NumSenders, period*spoolShapeTiles, uint64(len(evs)*spoolShapeTiles))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for t := int64(0); t < spoolShapeTiles; t++ {
+		for _, e := range evs {
+			e.Start += t * period
+			if err := vw.Add(e); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := vw.Close(); err != nil {
+		b.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// BenchmarkAnalyzeSpoolShape times the out-of-core window analysis of
+// the spool-large request body (the mmap'd image driver, without the
+// spool and the design) at one and at two shards.
+func BenchmarkAnalyzeSpoolShape(b *testing.B) {
+	data := spoolShapeImage(b)
+	for _, bc := range []struct {
+		name   string
+		shards int
+	}{{"one", 1}, {"two", 2}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := trace.AnalyzeBytesSharded(context.Background(), data, spoolShapeWindow, bc.shards, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -203,10 +203,13 @@ func (s *Server) ingestBinaryTrace(body io.Reader, req *designRequest) error {
 		return nil
 	}
 
-	head := make([]byte, threshold+1)
+	// Read past the threshold, and never less than the header, which
+	// the spool path checks before it commits to disk.
+	head := make([]byte, max(threshold+1, trace.HeaderSize))
 	n, err := io.ReadFull(body, head)
 	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		// The whole body fits under the threshold: the in-memory path.
+		// The whole body fits in head (at most the threshold, or
+		// shorter than a header): the in-memory path.
 		tr, err := trace.ReadBinary(bytes.NewReader(head[:n]))
 		if err != nil {
 			return badRequest("binary trace: %v", err)

@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -815,6 +816,41 @@ func TestStreamingIngest(t *testing.T) {
 	}
 	if ents, _ := os.ReadDir(spoolDir); len(ents) != 0 {
 		t.Fatalf("corrupt body left %d spool files", len(ents))
+	}
+}
+
+// TestSpoolThresholdBelowHeader: a spool threshold below the 32-byte
+// trace header still routes larger bodies to the spool, which reads the
+// whole header before checking it. A spooled v1 body gets the design
+// the in-memory path gives; it used to fail every spooled body with
+// 400 "reading header: unexpected EOF". With a spool directory that
+// cannot hold the file the same body fails as a spool error, so the
+// design did come through the spool.
+func TestSpoolThresholdBelowHeader(t *testing.T) {
+	tr := benchprobs.TraceN(16)
+	sort.SliceStable(tr.Events, func(i, j int) bool { return tr.Events[i].Start < tr.Events[j].Start })
+	body := traceBody(t, tr)
+	const query = "/v1/design?window=500"
+
+	_, mem := newTestServer(t, testConfig())
+	want, code := postDesign(t, mem.URL+query, body)
+	if code != http.StatusOK || want.Design == nil {
+		t.Fatalf("in memory: status %d, job %+v", code, want)
+	}
+
+	cfg := testConfig()
+	cfg.SpoolThreshold = 16
+	cfg.SpoolDir = t.TempDir()
+	_, spool := newTestServer(t, cfg)
+	got, code := postDesign(t, spool.URL+query, body)
+	if code != http.StatusOK || got.Design == nil || !designEqual(got.Design, want.Design) {
+		t.Fatalf("spooled at threshold 16: status %d, error %q, design %+v; want 200 and %+v", code, got.Error, got.Design, want.Design)
+	}
+
+	cfg.SpoolDir = filepath.Join(t.TempDir(), "missing")
+	_, broken := newTestServer(t, cfg)
+	if j, code := postDesign(t, broken.URL+query, body); code == http.StatusOK || !strings.Contains(j.Error, "spooling trace body") {
+		t.Errorf("missing spool dir: status %d, error %q; want a spool failure", code, j.Error)
 	}
 }
 

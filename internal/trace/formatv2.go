@@ -86,34 +86,45 @@ func (bh *v2BlockHeader) validate(remaining uint64) error {
 	return nil
 }
 
-// v2BlockDecoder holds the column scratch of the v2 block decoder.
-// Each decoding goroutine (ReadBinary, a shard) keeps one and
-// reuses it for every block, so a trace costs one set of columns sized
-// to its largest block rather than four fresh columns per block.
+// blockDecoder holds the column scratch of the block decoder: one
+// block's events as parallel columns plus its critical bitmap
+// (LSB-first). Each decoding goroutine (ReadBinary, a shard) keeps one
+// and reuses it for every block, so a trace costs one set of columns
+// sized to its largest block rather than four fresh columns per block.
 // Every column entry below the block's count is written before it is
 // read, so a smaller block after a larger one never sees stale values.
-type v2BlockDecoder struct {
+type blockDecoder struct {
 	starts, lens   []int64
 	senders, recvs []uint32
+	crit           []byte // the v2 payload's bitmap, or bits
+	bits           []byte // bitmap scratch for v1 records
 }
 
-// decode decodes one block payload, yielding events in order. It
-// performs the structural checks — varints in bounds, payload fully
-// consumed, first start matching the header, nonnegative spans, and
-// the decoded max end equal to the header's maxEnd (the summary the
-// sharded reader plans with). Every column and the bitmap length are
-// checked before the first event is yielded; maxEnd is checked after
-// the last. Semantic validation (receiver ranges, horizon) is the
-// caller's, matching the v1 paths.
-func (d *v2BlockDecoder) decode(bh v2BlockHeader, payload []byte, yield func(Event) error) error {
-	n := int(bh.count)
-	if int(bh.payloadLen) != len(payload) {
-		return fmt.Errorf("trace: v2 block payload: got %d bytes, header says %d", len(payload), bh.payloadLen)
-	}
+// grow sizes the columns for an n-event block.
+func (d *blockDecoder) grow(n int) {
 	if cap(d.starts) < n {
 		d.starts, d.lens = make([]int64, n), make([]int64, n)
 		d.senders, d.recvs = make([]uint32, n), make([]uint32, n)
 	}
+}
+
+// critical reports the critical flag of the block's k-th event.
+func (d *blockDecoder) critical(k int) bool { return d.crit[k>>3]&(1<<(k&7)) != 0 }
+
+// v2Columns decodes one v2 block payload into the columns. It performs
+// the structural checks — varints in bounds, start deltas and lengths
+// that fit an int64, plausible senders and receivers, payload fully
+// consumed by the columns and the bitmap — in that order, column by
+// column. The per-event span check (v2SpanError) and the maxEnd check
+// (v2MaxEndError) are the caller's, in its pass over the columns, as
+// is semantic validation (receiver ranges, horizon), matching the v1
+// paths.
+func (d *blockDecoder) v2Columns(bh v2BlockHeader, payload []byte) error {
+	n := int(bh.count)
+	if int(bh.payloadLen) != len(payload) {
+		return fmt.Errorf("trace: v2 block payload: got %d bytes, header says %d", len(payload), bh.payloadLen)
+	}
+	d.grow(n)
 	starts, lens, senders, recvs := d.starts[:n], d.lens[:n], d.senders[:n], d.recvs[:n]
 
 	starts[0] = bh.firstStart
@@ -175,32 +186,57 @@ func (d *v2BlockDecoder) decode(bh v2BlockHeader, payload []byte, yield func(Eve
 	if len(payload)-pos != bitmapLen {
 		return fmt.Errorf("trace: v2 block: %d payload bytes after columns, want %d bitmap bytes", len(payload)-pos, bitmapLen)
 	}
-	bitmap := payload[pos:]
-
-	maxEnd := int64(0)
-	for k := 0; k < n; k++ {
-		end := starts[k] + lens[k]
-		if end < starts[k] {
-			return fmt.Errorf("trace: v2 block: event %d span overflows", k)
-		}
-		if end > maxEnd {
-			maxEnd = end
-		}
-		ev := Event{
-			Start:    starts[k],
-			Len:      lens[k],
-			Sender:   int(senders[k]),
-			Receiver: int(recvs[k]),
-			Critical: bitmap[k/8]&(1<<(k%8)) != 0,
-		}
-		if err := yield(ev); err != nil {
-			return err
-		}
-	}
-	if maxEnd != bh.maxEnd {
-		return fmt.Errorf("trace: v2 block: header maxEnd %d does not match decoded %d", bh.maxEnd, maxEnd)
-	}
+	d.crit = payload[pos:]
 	return nil
+}
+
+// v1Columns decodes the fixed-stride records of one v1 index block
+// into the columns, with the flag bytes packed into the bitmap. A v1
+// record has no structure to check.
+func (d *blockDecoder) v1Columns(payload []byte) {
+	n := len(payload) / binaryEventSize
+	d.grow(n)
+	d.bits = growTo(d.bits, (n+7)/8)
+	clear(d.bits)
+	for k := 0; k < n; k++ {
+		rec := payload[k*binaryEventSize : (k+1)*binaryEventSize]
+		d.starts[k] = int64(binary.LittleEndian.Uint64(rec[0:]))
+		d.lens[k] = int64(binary.LittleEndian.Uint64(rec[8:]))
+		d.senders[k] = binary.LittleEndian.Uint32(rec[16:])
+		d.recvs[k] = binary.LittleEndian.Uint32(rec[20:])
+		if rec[24] != 0 {
+			d.bits[k>>3] |= 1 << (k & 7)
+		}
+	}
+	d.crit = d.bits
+}
+
+// v2SpanError reports a v2 event whose start plus length overflows.
+func v2SpanError(k int) error {
+	return fmt.Errorf("trace: v2 block: event %d span overflows", k)
+}
+
+// v2MaxEndError reports a v2 block whose decoded max end differs from
+// its header's maxEnd (the summary the image driver plans with).
+func v2MaxEndError(header, decoded int64) error {
+	return fmt.Errorf("trace: v2 block: header maxEnd %d does not match decoded %d", header, decoded)
+}
+
+// v2EventStart returns the start of the j-th event of a v2 block by
+// summing its first j start deltas: the shard planner's cut inside a
+// block. A truncated varint or an overflowing sum yields the block's
+// first start instead; the shards that decode the block reject it.
+func v2EventStart(payload []byte, firstStart int64, j int) int64 {
+	s, pos := firstStart, 0
+	for ; j > 0; j-- {
+		v, k := binary.Uvarint(payload[pos:])
+		if k <= 0 || int64(v) < 0 || s+int64(v) < s {
+			return firstStart
+		}
+		s += int64(v)
+		pos += k
+	}
+	return s
 }
 
 // v2Uvarint is the multi-byte half of the block decoder's varint
@@ -379,7 +415,7 @@ func WriteBinaryV2(w io.Writer, tr *Trace) error {
 // decoded events to the trace (the ReadBinary half of v2 support).
 func readV2Events(br *bufio.Reader, hdr binHeader, tr *Trace) error {
 	var hb [v2BlockHeaderSize]byte
-	var dec v2BlockDecoder
+	var dec blockDecoder
 	payload := make([]byte, 0, 1<<16)
 	var done uint64
 	lastStart := int64(-1)
@@ -398,14 +434,29 @@ func readV2Events(br *bufio.Reader, hdr binHeader, tr *Trace) error {
 		if _, err := io.ReadFull(br, payload); err != nil {
 			return fmt.Errorf("trace: reading v2 block payload at event %d: %w", done, err)
 		}
-		err := dec.decode(bh, payload, func(e Event) error {
-			tr.Events = append(tr.Events, e)
-			lastStart = e.Start
-			return nil
-		})
-		if err != nil {
+		if err := dec.v2Columns(bh, payload); err != nil {
 			return err
 		}
+		n := int(bh.count)
+		maxEnd := int64(0)
+		for k, start := range dec.starts[:n] {
+			end := start + dec.lens[k]
+			if end < start {
+				return v2SpanError(k)
+			}
+			maxEnd = max(maxEnd, end)
+			tr.Events = append(tr.Events, Event{
+				Start:    start,
+				Len:      dec.lens[k],
+				Sender:   int(dec.senders[k]),
+				Receiver: int(dec.recvs[k]),
+				Critical: dec.critical(k),
+			})
+		}
+		if maxEnd != bh.maxEnd {
+			return v2MaxEndError(bh.maxEnd, maxEnd)
+		}
+		lastStart = dec.starts[n-1]
 		done += uint64(bh.count)
 	}
 	return nil
@@ -420,8 +471,10 @@ func growTo(buf []byte, n int) []byte {
 	return make([]byte, n)
 }
 
-// validateStreamEvent applies the per-record semantic checks shared by
-// the image analysis at every shard count.
+// validateStreamEvent applies Trace.Validate's per-event checks, in
+// its order and with its texts. The image driver runs the same checks
+// inline over a block's columns and calls it only to build the error
+// of an event that fails one.
 func validateStreamEvent(i uint64, e Event, nT, nS int, horizon int64) error {
 	switch {
 	case e.Receiver < 0 || e.Receiver >= nT:

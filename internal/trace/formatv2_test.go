@@ -124,14 +124,14 @@ func TestV2Corrupt(t *testing.T) {
 		}
 	}
 	check("truncated-payload", func(b []byte) []byte { return b[:len(b)-3] })
-	check("truncated-block-header", func(b []byte) []byte { return b[:binaryHeaderSize+10] })
+	check("truncated-block-header", func(b []byte) []byte { return b[:HeaderSize+10] })
 	check("corrupt-maxEnd", func(b []byte) []byte {
-		off := binaryHeaderSize + 16 // first block's maxEnd
+		off := HeaderSize + 16 // first block's maxEnd
 		binary.LittleEndian.PutUint64(b[off:], binary.LittleEndian.Uint64(b[off:])+7)
 		return b
 	})
 	check("corrupt-count", func(b []byte) []byte {
-		binary.LittleEndian.PutUint32(b[binaryHeaderSize:], 0)
+		binary.LittleEndian.PutUint32(b[HeaderSize:], 0)
 		return b
 	})
 
@@ -213,7 +213,7 @@ func TestAnalyzeBytesShardedUnsortedV1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := analyzeImage(context.Background(), data[binaryHeaderSize:], hdr, boundaries, 1, nil); !errors.Is(err, errUnsorted) {
+	if _, err := analyzeImage(context.Background(), data[HeaderSize:], hdr, boundaries, 1, nil); !errors.Is(err, errUnsorted) {
 		t.Fatalf("driver on an unordered v1 image: got %v, want errUnsorted", err)
 	}
 	decoded, err := ReadBinary(bytes.NewReader(data))

@@ -322,7 +322,8 @@ func FuzzShardedAnalyze(f *testing.F) {
 // reject alike, and an accepted image must decode with ReadBinary to a
 // trace whose in-memory analysis is bit-identical. The window size is a
 // quarter of the declared horizon, so the analysis has a few windows
-// whatever the header says. The seeds are a valid v1 and v2 image.
+// whatever the header says. The seeds are a valid v1 and v2 image and
+// a v2 image with a corrupt start delta.
 func FuzzAnalyzeImage(f *testing.F) {
 	valid := &Trace{NumReceivers: 3, NumSenders: 2, Horizon: 64, Events: []Event{
 		{Start: 0, Len: 20, Sender: 0, Receiver: 0, Critical: true},
@@ -339,11 +340,18 @@ func FuzzAnalyzeImage(f *testing.F) {
 	}
 	f.Add(v1.Bytes())
 	f.Add(v2.Bytes())
+	// A corrupt start delta before the two-shard cut's target event
+	// (event 3 of 6, in the first of two blocks): the planner falls back
+	// to the block's first start, and both counts reject the image.
+	corrupt := append([]Event(nil), valid.Events...)
+	corrupt = append(corrupt, Event{Start: 44, Len: 2, Sender: 1, Receiver: 1}, Event{Start: 50, Len: 4, Sender: 0, Receiver: 2})
+	corrupt[2].Start = corrupt[1].Start - 1
+	f.Add(rawV2Image(valid.Horizon, corrupt, 4))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The tables are O(R²) rows, so a large declared receiver count
 		// only costs memory here.
-		if len(data) < binaryHeaderSize || binary.LittleEndian.Uint32(data[8:]) > 256 {
+		if len(data) < HeaderSize || binary.LittleEndian.Uint32(data[8:]) > 256 {
 			return
 		}
 		ws := max(1, int64(binary.LittleEndian.Uint64(data[16:])/4))

@@ -98,17 +98,18 @@ type imageBlock struct {
 // Cuts are event-count balanced: the s-th cut aims at event
 // numEvents·s/shards and snaps down to the boundary of the window
 // holding that event's start (a v1 record is read directly; a v2 cut
-// uses its block's first start), so every window belongs to exactly
-// one shard. A shard decodes every block whose [firstStart, maxEnd)
-// range meets its cycle range [lo, hi) and feeds each event clipped to
-// it, which keeps the merged result bit-identical to the single-pass
-// sweep. The shard holding a block's first start (the last shard, for
-// a block starting at or past the horizon) always decodes it, so every
-// record is validated. It returns errUnsorted for an out-of-order v1
-// image.
+// sums the start deltas of the block holding the event), so every
+// window belongs to exactly one shard. A shard decodes every block
+// whose [firstStart, maxEnd) range meets its cycle range [lo, hi) into
+// columns, and one loop over the columns validates each event and feeds
+// it clipped to [lo, hi), which keeps the merged result bit-identical
+// to the single-pass sweep. The shard holding a block's first start
+// (the last shard, for a block starting at or past the horizon) always
+// decodes it, so every record is validated. It returns errUnsorted for
+// an out-of-order v1 image.
 func analyzeImage(ctx context.Context, body []byte, hdr binHeader, boundaries []int64, shards int, stats *ShardStats) (*Analysis, error) {
 	nW := len(boundaries) - 1
-	nT, nS := int(hdr.numReceivers), int(hdr.numSenders)
+	nT, nS, horizon := int(hdr.numReceivers), int(hdr.numSenders), hdr.horizon
 	shards = resolveShards(shards, nW)
 	v2 := hdr.version == binaryVersionV2
 
@@ -143,12 +144,12 @@ func analyzeImage(ctx context.Context, body []byte, hdr binHeader, boundaries []
 			te := hdr.numEvents * uint64(s) / uint64(shards)
 			var cs int64
 			if v2 {
-				bi := sort.Search(len(idx), func(i int) bool { return idx[i].cumEvents > te }) - 1
-				cs = idx[bi].bh.firstStart
+				b := idx[sort.Search(len(idx), func(i int) bool { return idx[i].cumEvents > te })-1]
+				cs = v2EventStart(body[b.off:b.off+int(b.bh.payloadLen)], b.bh.firstStart, int(te-b.cumEvents))
 			} else {
-				cs = int64(min(binary.LittleEndian.Uint64(body[te*binaryEventSize:]), uint64(hdr.horizon)))
+				cs = int64(min(binary.LittleEndian.Uint64(body[te*binaryEventSize:]), uint64(horizon)))
 			}
-			cs = min(cs, hdr.horizon-1) // a start past the horizon: the last shard rejects it
+			cs = min(cs, horizon-1) // a start past the horizon: the last shard rejects it
 			w = sort.Search(nW, func(m int) bool { return boundaries[m+1] > cs })
 		}
 		cutW[s] = min(max(w, cutW[s-1]), nW) // a zero-length shard is kept, and sweeps nothing
@@ -157,11 +158,15 @@ func analyzeImage(ctx context.Context, body []byte, hdr binHeader, boundaries []
 
 	parts := make([]*Analysis, shards)
 	stat := make([]ShardStat, shards)
-	err = conc.ForEach(ctx, shards, 0, func(ctx context.Context, s int) error {
+	// A shard stops for the caller's cancellation, not for a sibling's
+	// failure: the lowest failing shard then holds the image's first
+	// error in file order, which is the one-shard error, and ForEach
+	// returns the lowest shard's error.
+	err = conc.ForEach(ctx, shards, 0, func(_ context.Context, s int) error {
 		ts := time.Now()
 		lo, hi := boundaries[cutW[s]], boundaries[cutW[s+1]]
 		sw := newSweeper(nT, boundaries[cutW[s]:cutW[s+1]+1])
-		var dec v2BlockDecoder
+		var dec blockDecoder
 		var fed int64
 		last := int64(-1) // start of the last decoded event
 		for _, b := range idx {
@@ -182,30 +187,37 @@ func analyzeImage(ctx context.Context, body []byte, hdr binHeader, boundaries []
 			if b.bh.firstStart < last {
 				return fmt.Errorf("trace: v2 block at event %d starts at %d, before the previous start %d", b.cumEvents, b.bh.firstStart, last)
 			}
-			i := b.cumEvents
-			feed := func(e Event) error {
-				if err := validateStreamEvent(i, e, nT, nS, hdr.horizon); err != nil {
+			payload := body[b.off : b.off+int(b.bh.payloadLen)]
+			n := int(b.bh.count)
+			if v2 {
+				if err := dec.v2Columns(b.bh, payload); err != nil {
 					return err
 				}
-				i++
-				last = e.Start
-				start, end := max(e.Start, lo), min(e.End(), hi)
-				if start < end {
-					sw.feed(start, end-start, e.Receiver, e.Critical)
+			} else {
+				dec.v1Columns(payload)
+			}
+			lens, senders, recvs := dec.lens[:n], dec.senders[:n], dec.recvs[:n]
+			maxEnd := int64(0)
+			for k, start := range dec.starts[:n] {
+				length := lens[k]
+				end := start + length
+				if end < start && v2 {
+					return v2SpanError(k)
+				}
+				maxEnd = max(maxEnd, end)
+				r, snd := int(recvs[k]), int(senders[k])
+				if r >= nT || snd >= nS || length <= 0 || start < 0 || start >= horizon || length > horizon-start {
+					return validateStreamEvent(b.cumEvents+uint64(k), Event{Start: start, Len: length, Sender: snd, Receiver: r}, nT, nS, horizon)
+				}
+				if cs, ce := max(start, lo), min(end, hi); cs < ce {
+					sw.feed(cs, ce-cs, r, dec.critical(k))
 					fed++
 				}
-				return nil
 			}
-			payload := body[b.off : b.off+int(b.bh.payloadLen)]
-			var err error
-			if v2 {
-				err = dec.decode(b.bh, payload, feed)
-			} else {
-				err = decodeV1Block(payload, feed)
+			if v2 && maxEnd != b.bh.maxEnd {
+				return v2MaxEndError(b.bh.maxEnd, maxEnd)
 			}
-			if err != nil {
-				return err
-			}
+			last = dec.starts[n-1]
 		}
 		parts[s] = sw.finish()
 		stat[s] = ShardStat{Windows: cutW[s+1] - cutW[s], Events: fed, NS: time.Since(ts).Nanoseconds()}

@@ -3,7 +3,11 @@ package trace
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -265,5 +269,190 @@ func TestShardedStats(t *testing.T) {
 	// horizon-long grant necessarily straddles at least one cut.
 	if fed <= int64(len(tr.Events)) {
 		t.Fatalf("shard events sum to %d, want > %d (the straddling grant must be split)", fed, len(tr.Events))
+	}
+}
+
+// TestShardCutsBalanced: a cut lands on the window holding its target
+// event's own start, so at 2 and 3 shards each shard sweeps within one
+// window's events of n/shards — on the multi-block benchmark image and
+// on a one-block image, where a cut at the block's first start would
+// leave all but the last shard empty — and the merged analysis equals
+// the one-shard one.
+func TestShardCutsBalanced(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(11))
+	oneBlock := &Trace{NumReceivers: 6, NumSenders: 3, Horizon: 40000}
+	start := int64(0)
+	for k := 0; k < 5000; k++ {
+		start += rng.Int63n(8)
+		oneBlock.Events = append(oneBlock.Events, Event{Start: start, Len: 1 + rng.Int63n(20),
+			Sender: rng.Intn(3), Receiver: rng.Intn(6), Critical: rng.Intn(4) == 0})
+	}
+	for _, img := range []struct {
+		name string
+		data []byte
+		ws   int64
+	}{
+		{"bench-image", benchImageV2(), benchImageWindow},
+		{"one-block", encodeTraceV2(t, oneBlock), 100},
+	} {
+		tr, err := ReadBinary(bytes.NewReader(img.data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A cut moves at most the events of the window it snaps in: those
+		// starting there before the target, plus those straddling the
+		// window's lower edge, which both shards are fed.
+		meet := make([]int64, (tr.Horizon+img.ws-1)/img.ws)
+		for _, e := range tr.Events {
+			for w := e.Start / img.ws; w <= (e.End()-1)/img.ws; w++ {
+				meet[w]++
+			}
+		}
+		tol := slices.Max(meet) + 1 // +1 for n/shards rounding
+		want, err := AnalyzeBytesSharded(ctx, img.data, img.ws, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{2, 3} {
+			var stats ShardStats
+			got, err := AnalyzeBytesSharded(ctx, img.data, img.ws, shards, &stats)
+			if err != nil {
+				t.Fatalf("%s: %d shards: %v", img.name, shards, err)
+			}
+			if diffs := DiffAnalyses(got, want); len(diffs) > 0 {
+				t.Fatalf("%s: %d shards vs one:\n%s", img.name, shards, strings.Join(diffs, "\n"))
+			}
+			target := int64(len(tr.Events) / shards)
+			for s, st := range stats.Shards {
+				if d := st.Events - target; d > tol || d < -tol {
+					t.Errorf("%s: %d shards: shard %d swept %d events, want %d ± %d", img.name, shards, s, st.Events, target, tol)
+				}
+			}
+		}
+	}
+}
+
+// rawV2Image encodes events as a v2 image of 4 receivers, 2 senders
+// and the given horizon, in blocks of blockEvents events, with no
+// checks: every field is written as given (a start below the previous
+// one becomes an overflowing start delta), and each block header's
+// maxEnd is the max of start+len over its events.
+func rawV2Image(horizon int64, events []Event, blockEvents int) []byte {
+	b := append([]byte(nil), binaryMagic[:]...)
+	b = binary.LittleEndian.AppendUint32(b, binaryVersionV2)
+	b = binary.LittleEndian.AppendUint32(b, 4)
+	b = binary.LittleEndian.AppendUint32(b, 2)
+	b = binary.LittleEndian.AppendUint64(b, uint64(horizon))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(events)))
+	for k0 := 0; k0 < len(events); k0 += blockEvents {
+		blk := events[k0:min(k0+blockEvents, len(events))]
+		var p []byte
+		for k := 1; k < len(blk); k++ {
+			p = binary.AppendUvarint(p, uint64(blk[k].Start-blk[k-1].Start))
+		}
+		maxEnd := int64(0)
+		for _, e := range blk {
+			p = binary.AppendUvarint(p, uint64(e.Len))
+			maxEnd = max(maxEnd, e.End())
+		}
+		for _, e := range blk {
+			p = binary.AppendUvarint(p, uint64(e.Sender))
+		}
+		for _, e := range blk {
+			p = binary.AppendUvarint(p, uint64(e.Receiver))
+		}
+		bits := make([]byte, (len(blk)+7)/8)
+		for k, e := range blk {
+			if e.Critical {
+				bits[k/8] |= 1 << (k % 8)
+			}
+		}
+		p = append(p, bits...)
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(blk)))
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(p)))
+		b = binary.LittleEndian.AppendUint64(b, uint64(blk[0].Start))
+		b = binary.LittleEndian.AppendUint64(b, uint64(maxEnd))
+		b = append(b, p...)
+	}
+	return b
+}
+
+// TestMidBlockErrorsAgree puts one bad event inside a block that a
+// 2- or 3-shard cut falls in, a few events before and after the cut's
+// target event, and expects the image analysis at 1, 2 and 3 shards and
+// ReadBinary to fail with the same error. The corrupt start delta
+// before a target also sends the planner to its first-start fallback.
+func TestMidBlockErrorsAgree(t *testing.T) {
+	const n, blockEvents = 5000, 1000
+	rng := rand.New(rand.NewSource(13))
+	base := make([]Event, n)
+	start := int64(0)
+	for k := range base {
+		start += rng.Int63n(20)
+		base[k] = Event{Start: start, Len: 1 + rng.Int63n(30), Sender: rng.Intn(2), Receiver: rng.Intn(4), Critical: rng.Intn(5) == 0}
+	}
+	horizon := start + 100
+
+	// The premise: at 2 shards the cut falls inside block 2.
+	var stats ShardStats
+	if _, err := AnalyzeBytesSharded(context.Background(), rawV2Image(horizon, base, blockEvents), 100, 2, &stats); err != nil {
+		t.Fatalf("valid image: %v", err)
+	}
+	if ev := stats.Shards[0].Events; ev <= 2*blockEvents || ev >= 3*blockEvents {
+		t.Fatalf("2-shard cut after %d events, want inside block 2 (events 2000..2999)", ev)
+	}
+
+	for _, p := range []int{n/3 - 3, n/3 + 3, n/2 - 3, n/2 + 3, 2*n/3 - 3, 2*n/3 + 3} {
+		for _, tc := range []struct {
+			name    string
+			corrupt func(e *Event)
+			wantErr string
+		}{
+			{"receiver", func(e *Event) { e.Receiver = 4 }, fmt.Sprintf("trace: event %d receiver 4 out of range [0,4)", p)},
+			{"sender", func(e *Event) { e.Sender = 2 }, fmt.Sprintf("trace: event %d sender 2 out of range [0,2)", p)},
+			{"zero-length", func(e *Event) { e.Len = 0 }, fmt.Sprintf("trace: event %d has non-positive length 0", p)},
+			{"past-horizon", func(e *Event) { e.Len = horizon }, fmt.Sprintf("trace: event %d [%d,+%d) outside horizon %d", p, base[p].Start, horizon, horizon)},
+			{"start-delta", func(e *Event) { e.Start = base[p-1].Start - 1 }, fmt.Sprintf("trace: v2 block: start delta overflows at event %d", p%blockEvents)},
+		} {
+			events := slices.Clone(base)
+			tc.corrupt(&events[p])
+			image := rawV2Image(horizon, events, blockEvents)
+			for _, shards := range []int{1, 2, 3} {
+				if _, err := AnalyzeBytesSharded(context.Background(), image, 100, shards, nil); err == nil || err.Error() != tc.wantErr {
+					t.Errorf("%s at event %d: %d shards: err = %v, want %q", tc.name, p, shards, err, tc.wantErr)
+				}
+			}
+			if _, err := ReadBinary(bytes.NewReader(image)); err == nil || err.Error() != tc.wantErr {
+				t.Errorf("%s at event %d: ReadBinary: err = %v, want %q", tc.name, p, err, tc.wantErr)
+			}
+		}
+	}
+}
+
+// TestFirstErrorWinsAtEveryShardCount: an image with a bad event near
+// the end of the first shard's range and another in the second
+// shard's first block fails with the first one, as at one shard, at
+// every shard count and however the shards are scheduled. The second
+// shard reaches its error first, so a first shard that gave up on its
+// sibling's failure would report the second.
+func TestFirstErrorWinsAtEveryShardCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	events := make([]Event, 20000)
+	start := int64(0)
+	for k := range events {
+		start += rng.Int63n(20)
+		events[k] = Event{Start: start, Len: 1 + rng.Int63n(30), Sender: rng.Intn(2), Receiver: rng.Intn(4)}
+	}
+	events[8950].Receiver = 4
+	events[10050].Sender = 2
+	image := rawV2Image(start+100, events, 1000)
+	const wantErr = "trace: event 8950 receiver 4 out of range [0,4)"
+	for _, shards := range []int{1, 2, 3} {
+		for run := 0; run < 20; run++ {
+			if _, err := AnalyzeBytesSharded(context.Background(), image, 100, shards, nil); err == nil || err.Error() != wantErr {
+				t.Fatalf("%d shards, run %d: err = %v, want %q", shards, run, err, wantErr)
+			}
+		}
 	}
 }

@@ -11,8 +11,9 @@ import (
 	"os"
 )
 
-// binaryHeaderSize is the fixed v1/v2 file header: magic + five fields.
-const binaryHeaderSize = 4 + 4 + 4 + 4 + 8 + 8
+// HeaderSize is the fixed header that starts every binary trace, v1 or
+// v2: magic + five fields.
+const HeaderSize = 4 + 4 + 4 + 4 + 8 + 8
 
 // v1BlockEvents is the record stride of a v1 image's block index: a
 // few thousand records keep the index small (40 bytes per block) and a
@@ -45,7 +46,7 @@ func AnalyzeBytesSharded(ctx context.Context, data []byte, ws int64, shards int,
 // that end at the header's horizon: the image driver, with the
 // in-memory fallback for an out-of-order v1 image.
 func analyzeBytes(ctx context.Context, data []byte, hdr binHeader, boundaries []int64, shards int, stats *ShardStats) (*Analysis, error) {
-	a, err := analyzeImage(ctx, data[binaryHeaderSize:], hdr, boundaries, shards, stats)
+	a, err := analyzeImage(ctx, data[HeaderSize:], hdr, boundaries, shards, stats)
 	if !errors.Is(err, errUnsorted) {
 		return a, err
 	}
@@ -126,17 +127,6 @@ func parseV1Index(body []byte, hdr binHeader) ([]imageBlock, error) {
 	return idx, nil
 }
 
-// decodeV1Block yields the fixed-stride records of one v1 index block
-// in order.
-func decodeV1Block(payload []byte, yield func(Event) error) error {
-	for off := 0; off < len(payload); off += binaryEventSize {
-		if err := yield(decodeBinaryEvent((*[binaryEventSize]byte)(payload[off:]))); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // AnalyzeFileSharded memory-maps a binary trace file (v1 or v2) and
 // runs the sharded analysis over the mapping: the out-of-core entry
 // point, with peak heap bounded by the output tables plus per-shard
@@ -152,7 +142,7 @@ func AnalyzeFileSharded(ctx context.Context, path string, ws int64, shards int, 
 	if err != nil {
 		return nil, err
 	}
-	if fi.Size() < binaryHeaderSize {
+	if fi.Size() < HeaderSize {
 		return nil, fmt.Errorf("trace: %s: %d bytes is smaller than a trace header", path, fi.Size())
 	}
 	data, unmap, err := mapFile(f, int(fi.Size()))

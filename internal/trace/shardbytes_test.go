@@ -220,7 +220,7 @@ func TestV2DecoderScratchReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := data[binaryHeaderSize:]
+	body := data[HeaderSize:]
 	idx, err := parseV2Index(body, hdr)
 	if err != nil {
 		t.Fatal(err)
@@ -228,22 +228,21 @@ func TestV2DecoderScratchReuse(t *testing.T) {
 	if len(idx) != 2 || idx[1].bh.count >= idx[0].bh.count {
 		t.Fatalf("image has %d blocks; want a full block then a smaller one", len(idx))
 	}
-	collect := func(dec *v2BlockDecoder, ent imageBlock) []Event {
-		var evs []Event
-		err := dec.decode(ent.bh, body[ent.off:ent.off+int(ent.bh.payloadLen)], func(e Event) error {
-			evs = append(evs, e)
-			return nil
-		})
-		if err != nil {
+	collect := func(dec *blockDecoder, ent imageBlock) []Event {
+		if err := dec.v2Columns(ent.bh, body[ent.off:ent.off+int(ent.bh.payloadLen)]); err != nil {
 			t.Fatal(err)
+		}
+		evs := make([]Event, ent.bh.count)
+		for k := range evs {
+			evs[k] = Event{Start: dec.starts[k], Len: dec.lens[k], Sender: int(dec.senders[k]), Receiver: int(dec.recvs[k]), Critical: dec.critical(k)}
 		}
 		return evs
 	}
-	var shared v2BlockDecoder
+	var shared blockDecoder
 	var all []Event
 	for b, ent := range idx {
 		got := collect(&shared, ent)
-		if want := collect(&v2BlockDecoder{}, ent); !reflect.DeepEqual(got, want) {
+		if want := collect(&blockDecoder{}, ent); !reflect.DeepEqual(got, want) {
 			t.Fatalf("block %d: reused decoder disagrees with a fresh one", b)
 		}
 		all = append(all, got...)

@@ -350,7 +350,7 @@ func TestAnalyzeReaderErrors(t *testing.T) {
 // receivers, and every eighth is critical. The horizon is
 // numEvents/4+64.
 func syntheticImage(receivers int, numEvents uint64) []byte {
-	data := make([]byte, binaryHeaderSize, binaryHeaderSize+numEvents*binaryEventSize)
+	data := make([]byte, HeaderSize, HeaderSize+numEvents*binaryEventSize)
 	copy(data, binaryMagic[:])
 	binary.LittleEndian.PutUint32(data[4:], binaryVersion)
 	binary.LittleEndian.PutUint32(data[8:], uint32(receivers))
