@@ -59,7 +59,7 @@ var (
 	maxBody      = flag.Int64("max-body", 0, "request body size bound in bytes (0 = 64 MiB)")
 	spoolLimit   = flag.Int64("spool-threshold", 0, "binary trace bodies above this many bytes are spooled to disk and analyzed out-of-core via the sharded driver (0 = 8 MiB, negative = always decode in memory)")
 	spoolDir     = flag.String("spool-dir", "", "directory for spooled trace bodies (empty = system temp dir)")
-	history      = flag.Int("history", 0, "finished jobs kept pollable (0 = 512)")
+	history      = flag.Int("history", 0, "job-table bound: the oldest finished jobs are forgotten once more than history + -queue + -jobs jobs are kept, so up to that many stay pollable (0 = 512)")
 	cacheDir     = flag.String("cache-dir", "", "design-cache disk tier directory (empty = memory only)")
 	cacheEntries = flag.Int("cache-entries", 0, "design-cache in-memory entry bound (0 = default)")
 	cacheDelta   = flag.Float64("cache-delta", -2, "warm-start delta tolerance as a cell fraction; 0 = exact hits only, negative = warm tier off, unset = default")

@@ -27,7 +27,7 @@ import (
 
 var (
 	tracePath  = flag.String("trace", "", "trace file (binary or JSON)")
-	window     = flag.Int64("window", 0, "analysis window size in cycles (0 = horizon/100)")
+	window     = flag.Int64("window", 0, "analysis window size in cycles (0 = the trace's window-size hint: twice the mean burst length, or horizon/100 for a burst-free trace)")
 	threshold  = flag.Float64("threshold", 0.30, "overlap threshold as a fraction of the window (negative disables)")
 	maxtb      = flag.Int("maxtb", 4, "maximum receivers per bus (0 = unlimited)")
 	noBind     = flag.Bool("no-binding", false, "skip the optimal-binding phase")

@@ -138,6 +138,19 @@ func TestOptionsPartitionKeys(t *testing.T) {
 	}
 }
 
+// diskCorruptions are the damaged entry files the disk tier must reject:
+// TestDiskTierRoundTrip applies them to a real entry, and FuzzCacheEntry
+// seeds its corpus with them.
+var diskCorruptions = []struct {
+	name   string
+	mutate func([]byte) []byte
+}{
+	{"bit-flipped", func(b []byte) []byte { b[len(b)-1] ^= 0x40; return b }},
+	{"truncated", func(b []byte) []byte { return b[:len(b)/2] }},
+	{"stale-version", func(b []byte) []byte { b[8] ^= 0xFF; return b }},
+	{"foreign-magic", func(b []byte) []byte { b[0] = 'X'; return b }},
+}
+
 // TestDiskTierRoundTrip: a second Store instance over the same
 // directory serves the entry; corruption, truncation, a stale version
 // and a foreign magic are each rejected as misses.
@@ -165,19 +178,14 @@ func TestDiskTierRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corrupt := func(name string, mutate func([]byte) []byte) {
-		t.Helper()
-		if err := os.WriteFile(path, mutate(append([]byte(nil), raw...)), 0o644); err != nil {
+	for _, c := range diskCorruptions {
+		if err := os.WriteFile(path, c.mutate(append([]byte(nil), raw...)), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if _, ok := fresh().Lookup(testCtx, a, opts); ok {
-			t.Fatalf("%s entry was trusted", name)
+			t.Fatalf("%s entry was trusted", c.name)
 		}
 	}
-	corrupt("bit-flipped", func(b []byte) []byte { b[len(b)-1] ^= 0x40; return b })
-	corrupt("truncated", func(b []byte) []byte { return b[:len(b)/2] })
-	corrupt("stale-version", func(b []byte) []byte { b[8] ^= 0xFF; return b })
-	corrupt("foreign-magic", func(b []byte) []byte { b[0] = 'X'; return b })
 	// Restore the pristine bytes: the entry must be trusted again
 	// (proves the rejections above were each due to the mutation).
 	if err := os.WriteFile(path, raw, 0o644); err != nil {

@@ -1,6 +1,9 @@
 package ds
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // SparseCell is one stored element of a SparseInt64Matrix: the column
 // index and the value. Columns fit int32 because the trace analysis
@@ -11,48 +14,76 @@ type SparseCell struct {
 }
 
 // SparseInt64Matrix is a rows×cols matrix of int64 storing only the
-// nonzero elements, row by row in ascending column order (CSR-style:
-// after Compact every row is a slice into one shared backing array).
-// It backs the per-window load tables of the traffic analysis, which
-// are mostly zero for realistic workloads: at windows shorter than a
-// burst most windows carry no traffic.
+// nonzero elements, row by row in ascending column order. Laid out, it
+// is a compacted CSR: one exact-size array of cells and the offset of
+// every row in it. It backs the per-window load tables of the traffic
+// analysis, which are mostly zero for realistic workloads: at windows
+// shorter than a burst most windows carry no traffic.
 //
 // Rows are built by appending cells in nondecreasing column order
 // (Append), which is how both the sweep-line kernel and the legacy
-// pairwise analysis produce them. During building, row storage is
-// carved from shared arena blocks so that growing many rows costs a
-// handful of allocations instead of one per row per doubling.
+// pairwise analysis produce them. While building, each row keeps its
+// last cell open for accumulation and every closed cell goes to one
+// slab shared by all rows, in append order; Compact (or the first read)
+// then counts the cells per row and places them into the CSR in one
+// pass. A laid-out matrix is immutable: Append on it panics.
 type SparseInt64Matrix struct {
 	Rows, Cols int
-	rows       [][]SparseCell
-	nnz        int
 
-	// arena is the current block new row segments are carved from;
-	// arenaBlock is the size of the next block to allocate. Both are
-	// reset by Compact, after which the matrix is immutable in shape.
-	arena      []SparseCell
-	arenaBlock int
+	// rowStart[r] is the offset of row r's first cell in cells, and
+	// rowStart[Rows] is the cell count: the CSR, nil while building.
+	rowStart []int
+	cells    []SparseCell
+
+	// open holds each row's last cell while building, and the slab the
+	// rows' earlier cells, interleaved in append order, in chunks that
+	// are never copied: the full chunks in slab, then cur[:curLen]. A
+	// cell is stored into cur by index, so appending writes no slice
+	// header. All are nil once the matrix is laid out.
+	open   []openCell
+	slab   [][]slabCell
+	cur    []slabCell
+	curLen int
 }
 
-// sparseArenaStart and sparseArenaMax bound the arena block sizes: the
-// first block is small so tiny matrices stay cheap, later blocks double
-// up to the max so huge analyses stay at a handful of allocations.
+// openCell is the last cell of a row being built; col is noCol while
+// the row is empty. The column is a full int so that Append's
+// accumulate test needs no conversion and inlines.
+type openCell struct {
+	col int
+	val int64
+}
+
+// noCol marks an empty open cell: no valid column equals it.
+const noCol = math.MinInt
+
+// slabCell is a closed cell of a matrix being built, tagged with its
+// row. It takes the 16 bytes of a SparseCell: the row fills what is
+// padding there.
+type slabCell struct {
+	row, col int32
+	val      int64
+}
+
+// slabChunkMin and slabChunkMax bound the slab's chunk sizes in cells:
+// the first chunk is small so tiny matrices stay cheap, later chunks
+// double up to the max, which bounds the unused tail of the last one.
 const (
-	sparseArenaStart = 256
-	sparseArenaMax   = 1 << 16
+	slabChunkMin = 256
+	slabChunkMax = 4096
 )
 
-// NewSparseInt64Matrix returns an empty rows×cols sparse matrix.
+// NewSparseInt64Matrix returns an empty rows×cols sparse matrix, ready
+// for Append.
 func NewSparseInt64Matrix(rows, cols int) *SparseInt64Matrix {
-	if rows < 0 || cols < 0 {
+	if rows < 0 || cols < 0 || rows > math.MaxInt32 || cols > math.MaxInt32 {
 		panic(fmt.Sprintf("ds: invalid matrix shape %dx%d", rows, cols))
 	}
-	return &SparseInt64Matrix{
-		Rows:       rows,
-		Cols:       cols,
-		rows:       make([][]SparseCell, rows),
-		arenaBlock: sparseArenaStart,
+	open := make([]openCell, rows)
+	for r := range open {
+		open[r].col = noCol
 	}
+	return &SparseInt64Matrix{Rows: rows, Cols: cols, open: open}
 }
 
 // Append adds v to the element at (r, c). The column must be at or
@@ -61,19 +92,20 @@ func NewSparseInt64Matrix(rows, cols int) *SparseInt64Matrix {
 // the stored structure holds nonzeros only.
 //
 // The same-column accumulate case is split out so it inlines: it is the
-// hot path of the sweep kernel, which credits the same (pair, window)
-// cell once per overlap interval — typically many times per cell.
+// hot path of the sweep kernel, which credits the same (receiver,
+// window) cell once per busy interval — typically many times per cell.
 func (m *SparseInt64Matrix) Append(r, c int, v int64) {
-	if row := m.rows[r]; len(row) > 0 && int(row[len(row)-1].Col) == c {
-		row[len(row)-1].Val += v
-		return
+	o := &m.open[r]
+	if o.col == c {
+		o.val += v
+	} else {
+		m.appendNew(r, c, v)
 	}
-	m.appendNew(r, c, v)
 }
 
 // appendNew handles the Append cases beyond same-column accumulation:
-// validation, zero dropping and cell creation (growing the row through
-// the arena when full).
+// validation, zero dropping, and closing the row's open cell into the
+// slab.
 func (m *SparseInt64Matrix) appendNew(r, c int, v int64) {
 	if c < 0 || c >= m.Cols {
 		panic(fmt.Sprintf("ds: sparse column %d outside [0,%d)", c, m.Cols))
@@ -81,50 +113,56 @@ func (m *SparseInt64Matrix) appendNew(r, c int, v int64) {
 	if v == 0 {
 		return
 	}
-	row := m.rows[r]
-	if n := len(row); n > 0 && int(row[n-1].Col) > c {
-		panic(fmt.Sprintf("ds: sparse append to row %d column %d after column %d", r, c, row[n-1].Col))
+	o := &m.open[r]
+	if o.col > c {
+		panic(fmt.Sprintf("ds: sparse append to row %d column %d after column %d", r, c, o.col))
 	}
-	if len(row) == cap(row) {
-		row = m.growRow(row)
+	if o.col != noCol {
+		m.toSlab(slabCell{row: int32(r), col: int32(o.col), val: o.val})
 	}
-	m.rows[r] = append(row, SparseCell{Col: int32(c), Val: v})
-	m.nnz++
+	*o = openCell{col: c, val: v}
 }
 
-// growRow moves row into a fresh segment with quadrupled capacity,
-// carved from the shared arena. The 4× factor keeps the amortized copy
-// cost per cell at ~n/3 (vs ~n for doubling) — the dominant cost when a
-// fine-windowed analysis appends millions of cells — while the
-// abandoned segments stay transient: Compact repacks to exact size.
-func (m *SparseInt64Matrix) growRow(row []SparseCell) []SparseCell {
-	newCap := 4 * len(row)
-	if newCap < 4 {
-		newCap = 4
+// toSlab appends a closed cell to the slab.
+func (m *SparseInt64Matrix) toSlab(c slabCell) {
+	if m.curLen == len(m.cur) {
+		m.nextChunk()
 	}
-	if len(m.arena) < newCap {
-		block := m.arenaBlock
-		if block < newCap {
-			block = newCap
-		}
-		m.arena = make([]SparseCell, block)
-		if m.arenaBlock < sparseArenaMax {
-			m.arenaBlock *= 2
-		}
+	m.cur[m.curLen] = c
+	m.curLen++
+}
+
+// nextChunk files the full current chunk and starts one twice its size,
+// up to slabChunkMax.
+func (m *SparseInt64Matrix) nextChunk() {
+	size := slabChunkMin
+	if m.cur != nil {
+		m.slab = append(m.slab, m.cur)
+		size = min(2*len(m.cur), slabChunkMax)
 	}
-	seg := m.arena[:0:newCap]
-	m.arena = m.arena[newCap:]
-	return append(seg, row...)
+	m.cur, m.curLen = make([]slabCell, size), 0
+}
+
+// chunks returns the slab's chunks in append order, in a new slice.
+func (m *SparseInt64Matrix) chunks() [][]slabCell {
+	return append(m.slab[:len(m.slab):len(m.slab)], m.cur[:m.curLen])
 }
 
 // RowCells returns the stored cells of row r in ascending column
 // order. The slice aliases the matrix storage and must not be modified.
-func (m *SparseInt64Matrix) RowCells(r int) []SparseCell { return m.rows[r] }
+// On a matrix still being built it compacts the matrix first, so a
+// matrix shared between goroutines must be compacted before it is
+// shared.
+func (m *SparseInt64Matrix) RowCells(r int) []SparseCell {
+	m.Compact()
+	end := m.rowStart[r+1]
+	return m.cells[m.rowStart[r]:end:end]
+}
 
 // RowSum returns the sum of row r's stored values.
 func (m *SparseInt64Matrix) RowSum(r int) int64 {
 	var s int64
-	for _, c := range m.rows[r] {
+	for _, c := range m.RowCells(r) {
 		s += c.Val
 	}
 	return s
@@ -137,13 +175,12 @@ func (m *SparseInt64Matrix) RowSum(r int) int64 {
 // cost of O(Cols + NNZ + len(cols)·Rows) instead of Rows·Cols lookups.
 // Stored zero cells do not make a column nonzero.
 func (m *SparseInt64Matrix) DenseColumns() (cols []int, vals []int64) {
+	m.Compact()
 	// slot[c] is 1 + the position of column c in cols, 0 when empty.
 	slot := make([]int32, m.Cols)
-	for _, row := range m.rows {
-		for _, c := range row {
-			if c.Val != 0 {
-				slot[c.Col] = 1
-			}
+	for _, c := range m.cells {
+		if c.Val != 0 {
+			slot[c.Col] = 1
 		}
 	}
 	for c, s := range slot {
@@ -153,8 +190,8 @@ func (m *SparseInt64Matrix) DenseColumns() (cols []int, vals []int64) {
 		}
 	}
 	vals = make([]int64, len(cols)*m.Rows)
-	for r, row := range m.rows {
-		for _, c := range row {
+	for r := 0; r < m.Rows; r++ {
+		for _, c := range m.cells[m.rowStart[r]:m.rowStart[r+1]] {
 			if c.Val != 0 {
 				vals[int(slot[c.Col]-1)*m.Rows+r] = c.Val
 			}
@@ -163,37 +200,32 @@ func (m *SparseInt64Matrix) DenseColumns() (cols []int, vals []int64) {
 	return cols, vals
 }
 
-// Compact repacks every row into one exact-size backing array and
-// releases the build arena, leaving the canonical CSR layout: memory
-// is exactly the live cells, and two matrices with equal content are
-// deeply equal regardless of their build histories.
+// Compact lays the matrix out in its canonical compacted CSR, releasing
+// the build slab and open cells: memory is then exactly the live cells
+// plus one offset per row, and two matrices with equal content are
+// deeply equal regardless of their build histories. Compacting a
+// laid-out matrix does nothing.
 func (m *SparseInt64Matrix) Compact() {
-	backing := make([]SparseCell, 0, m.nnz)
-	for r, row := range m.rows {
-		start := len(backing)
-		backing = append(backing, row...)
-		m.rows[r] = backing[start:len(backing):len(backing)]
+	if m.rowStart == nil {
+		*m = *layout([]*SparseInt64Matrix{m}, []int{0}, m.Rows, m.Cols)
 	}
-	m.arena = nil
-	m.arenaBlock = sparseArenaStart
 }
 
 // ConcatColumns builds the compacted rows×cols matrix whose columns
 // [offsets[i], offsets[i]+parts[i].Cols) hold parts[i]: each output row
 // is the concatenation of the parts' rows in order, their columns
-// rebased by the part's offset. The parts need not be compacted. The
-// result is deeply equal to Appending every cell of the parts in that
-// order and compacting, at one exact-size allocation instead of growing
-// rows: the stored cells are counted first, then copied once. A stored
-// zero cell of a part stays stored, where Append would drop it; every
-// consumer treats the two alike. parts must be nonempty, share one row
-// count, and lie in order without overlapping inside [0, cols).
+// rebased by the part's offset. The parts need not be compacted, and
+// are only read. The result is deeply equal to Appending every cell of
+// the parts in that order and compacting. A stored zero cell of a part
+// stays stored, where Append would drop it; every consumer treats the
+// two alike. parts must be nonempty, share one row count, and lie in
+// order without overlapping inside [0, cols).
 func ConcatColumns(parts []*SparseInt64Matrix, offsets []int, cols int) *SparseInt64Matrix {
 	if len(parts) == 0 || len(parts) != len(offsets) {
 		panic(fmt.Sprintf("ds: %d parts with %d offsets", len(parts), len(offsets)))
 	}
 	rows := parts[0].Rows
-	nnz, end := 0, 0
+	end := 0
 	for i, p := range parts {
 		if p.Rows != rows {
 			panic(fmt.Sprintf("ds: part %d has %d rows, want %d", i, p.Rows, rows))
@@ -202,33 +234,76 @@ func ConcatColumns(parts []*SparseInt64Matrix, offsets []int, cols int) *SparseI
 			panic(fmt.Sprintf("ds: part %d columns [%d,%d) overlap the previous part or leave [0,%d)", i, offsets[i], offsets[i]+p.Cols, cols))
 		}
 		end = offsets[i] + p.Cols
-		nnz += p.nnz
 	}
-	out := NewSparseInt64Matrix(rows, cols)
-	out.nnz = nnz
-	backing := make([]SparseCell, 0, nnz)
-	for r := range out.rows {
-		start := len(backing)
-		for i, p := range parts {
-			off := int32(offsets[i])
-			for _, c := range p.rows[r] {
-				backing = append(backing, SparseCell{Col: c.Col + off, Val: c.Val})
-			}
-		}
-		out.rows[r] = backing[start:len(backing):len(backing)]
-	}
-	return out
+	return layout(parts, offsets, rows, cols)
 }
 
-// Clone returns a compacted deep copy.
+// Clone returns a compacted deep copy; m is only read.
 func (m *SparseInt64Matrix) Clone() *SparseInt64Matrix {
-	out := NewSparseInt64Matrix(m.Rows, m.Cols)
-	out.nnz = m.nnz
-	backing := make([]SparseCell, 0, m.nnz)
-	for r, row := range m.rows {
-		start := len(backing)
-		backing = append(backing, row...)
-		out.rows[r] = backing[start:len(backing):len(backing)]
+	return layout([]*SparseInt64Matrix{m}, []int{0}, m.Rows, m.Cols)
+}
+
+// layout places the cells of parts, each laid out or still building,
+// into a new compacted rows×cols matrix at one exact-size allocation: a
+// counting pass sizes every row, and a placing pass copies each part's
+// cells in order, columns rebased by the part's offset. A building
+// part's cells of one row sit in its slab in column order, followed by
+// the row's open cell, so each output row comes out in ascending column
+// order.
+func layout(parts []*SparseInt64Matrix, offsets []int, rows, cols int) *SparseInt64Matrix {
+	// start[r+1] counts row r's cells; the prefix sum turns start[r+1]
+	// into row r's start, the placing cursor, which ends at row r's end.
+	start := make([]int, rows+1)
+	for _, p := range parts {
+		if p.rowStart != nil {
+			for r := range rows {
+				start[r+1] += p.rowStart[r+1] - p.rowStart[r]
+			}
+			continue
+		}
+		for _, chunk := range p.chunks() {
+			for _, c := range chunk {
+				start[c.row+1]++
+			}
+		}
+		for r, o := range p.open {
+			if o.col != noCol {
+				start[r+1]++
+			} else if o.val != 0 {
+				panic(fmt.Sprintf("ds: sparse column %d outside [0,%d)", o.col, p.Cols))
+			}
+		}
 	}
-	return out
+	nnz := 0
+	for r := 1; r <= rows; r++ {
+		start[r], nnz = nnz, nnz+start[r]
+	}
+	cells := make([]SparseCell, nnz)
+	for i, p := range parts {
+		off := int32(offsets[i])
+		if p.rowStart != nil {
+			for r := range rows {
+				dst := cells[start[r+1]:]
+				n := copy(dst, p.cells[p.rowStart[r]:p.rowStart[r+1]])
+				for k := range dst[:n] {
+					dst[k].Col += off
+				}
+				start[r+1] += n
+			}
+			continue
+		}
+		for _, chunk := range p.chunks() {
+			for _, c := range chunk {
+				cells[start[c.row+1]] = SparseCell{Col: c.col + off, Val: c.val}
+				start[c.row+1]++
+			}
+		}
+		for r, o := range p.open {
+			if o.col != noCol {
+				cells[start[r+1]] = SparseCell{Col: int32(o.col) + off, Val: o.val}
+				start[r+1]++
+			}
+		}
+	}
+	return &SparseInt64Matrix{Rows: rows, Cols: cols, rowStart: start, cells: cells}
 }

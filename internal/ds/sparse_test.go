@@ -39,7 +39,7 @@ func TestSparseAppendAt(t *testing.T) {
 	if got := at(m, 2, 0); got != 9 {
 		t.Errorf("at(2,0) = %d, want 9", got)
 	}
-	if got := m.nnz; got != 3 {
+	if got := len(m.cells); got != 3 {
 		t.Errorf("NNZ = %d, want 3", got)
 	}
 	if got := m.RowSum(0); got != 9 {
@@ -70,7 +70,7 @@ func TestSparseColumnRangePanics(t *testing.T) {
 
 // TestSparseCompactCanonical: two matrices with the same content but
 // different build histories (different interleavings, accumulation
-// patterns, arena states) are deeply equal after Compact.
+// patterns, slab layouts) are deeply equal after Compact.
 func TestSparseCompactCanonical(t *testing.T) {
 	a := NewSparseInt64Matrix(4, 100)
 	b := NewSparseInt64Matrix(4, 100)
@@ -103,8 +103,8 @@ func TestSparseCompactCanonical(t *testing.T) {
 }
 
 func TestSparseGrowthAcrossArenaBlocks(t *testing.T) {
-	// Grow many rows in parallel so rows repeatedly relocate across
-	// arena blocks; every stored value must survive.
+	// Grow many rows in parallel so their cells interleave across many
+	// slab chunks; every stored value must survive the layout.
 	const rows, cols = 64, 5000
 	m := NewSparseInt64Matrix(rows, cols)
 	for c := 0; c < cols; c++ {
@@ -113,13 +113,37 @@ func TestSparseGrowthAcrossArenaBlocks(t *testing.T) {
 		}
 	}
 	m.Compact()
-	if m.nnz != rows*cols {
-		t.Fatalf("NNZ = %d, want %d", m.nnz, rows*cols)
+	if len(m.cells) != rows*cols {
+		t.Fatalf("NNZ = %d, want %d", len(m.cells), rows*cols)
 	}
 	for _, rc := range [][2]int{{0, 0}, {63, 4999}, {17, 2500}, {40, 1}} {
 		want := int64(rc[0]+1) * int64(rc[1]+1)
 		if got := at(m, rc[0], rc[1]); got != want {
 			t.Errorf("At(%d,%d) = %d, want %d", rc[0], rc[1], got, want)
+		}
+	}
+}
+
+// TestSparseAppendAfterCompactPanics: a laid-out matrix is immutable,
+// whether Compact or a first read laid it out.
+func TestSparseAppendAfterCompactPanics(t *testing.T) {
+	for _, layOut := range []func(*SparseInt64Matrix){
+		(*SparseInt64Matrix).Compact,
+		func(m *SparseInt64Matrix) { m.RowCells(0) },
+	} {
+		m := NewSparseInt64Matrix(2, 10)
+		m.Append(0, 2, 5)
+		layOut(m)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("Append on a laid-out matrix did not panic")
+				}
+			}()
+			m.Append(0, 2, 1)
+		}()
+		if got := at(m, 0, 2); got != 5 {
+			t.Errorf("at(0,2) = %d after the refused append, want 5", got)
 		}
 	}
 }
@@ -133,17 +157,17 @@ func TestSparseClone(t *testing.T) {
 	if got := at(cl, 1, 7); got != 4 {
 		t.Errorf("clone mutated: At(1,7) = %d, want 4", got)
 	}
-	if cl.nnz != 2 {
-		t.Errorf("clone NNZ = %d, want 2", cl.nnz)
+	if len(cl.cells) != 2 {
+		t.Errorf("clone NNZ = %d, want 2", len(cl.cells))
 	}
 }
 
 func TestSparseEmptyShapes(t *testing.T) {
 	m := NewSparseInt64Matrix(0, 5)
-	if m.nnz != 0 {
+	m.Compact()
+	if len(m.cells) != 0 {
 		t.Error("empty matrix not empty")
 	}
-	m.Compact()
 	n := NewSparseInt64Matrix(3, 0)
 	n.Compact()
 	if at(n, 2, 0) != 0 {
@@ -238,8 +262,8 @@ func TestConcatColumnsMatchesAppend(t *testing.T) {
 		}
 		want.Compact()
 		got := ConcatColumns(parts, offsets, cols)
-		if got.nnz != want.nnz || !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: ConcatColumns (nnz %d) differs from Append+Compact (nnz %d)", trial, got.nnz, want.nnz)
+		if len(got.cells) != len(want.cells) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: ConcatColumns (nnz %d) differs from Append+Compact (nnz %d)", trial, len(got.cells), len(want.cells))
 		}
 	}
 }

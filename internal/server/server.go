@@ -94,8 +94,11 @@ type Config struct {
 	// analysis is bit-identical at any setting. In-memory trace bodies
 	// are always analyzed in one pass (trace.AnalyzeCtx).
 	Shards int
-	// JobHistory bounds how many finished jobs stay pollable before the
-	// oldest are forgotten. 0 means 512.
+	// JobHistory sizes the job table: the oldest finished jobs are
+	// forgotten once the table holds more than JobHistory + QueueDepth
+	// + Concurrency jobs, so up to that many finished jobs stay pollable
+	// (and keep their results) when nothing is queued or running: 578
+	// at the defaults on two cores. 0 means 512.
 	JobHistory int
 	// Cache is the shared design cache every job runs through — the
 	// daemon's headline win: a repeated identical request is served in
@@ -356,8 +359,9 @@ func (s *Server) admit(req *designRequest) (*job, error) {
 	}
 }
 
-// evictHistoryLocked forgets the oldest *finished* jobs beyond the
-// history bound. Queued and running jobs are never evicted — their
+// evictHistoryLocked forgets the oldest *finished* jobs while the job
+// table holds more than JobHistory + QueueDepth + Concurrency jobs, live
+// or finished. Queued and running jobs are never evicted — their
 // clients still hold the id. Caller holds s.jobMu.
 func (s *Server) evictHistoryLocked() {
 	limit := s.cfg.JobHistory + s.cfg.QueueDepth + s.cfg.Concurrency

@@ -116,18 +116,6 @@ func addPoint(f []WindowOverlap, p WindowOverlap) []WindowOverlap {
 	return slices.Insert(f, k, p)
 }
 
-// newAnalysis allocates the output tables for nT receivers and the
-// given window edges.
-func newAnalysis(nT int, boundaries []int64) *Analysis {
-	nW := len(boundaries) - 1
-	return &Analysis{
-		NumReceivers: nT,
-		Boundaries:   boundaries,
-		Comm:         ds.NewSparseInt64Matrix(nT, nW),
-		CritComm:     ds.NewSparseInt64Matrix(nT, nW),
-	}
-}
-
 // tables returns the two per-window tables in their canonical order,
 // Comm and CritComm, the order fingerprinting and diffing walk them in.
 func (a *Analysis) tables() [2]*ds.SparseInt64Matrix {

@@ -101,12 +101,17 @@ func analyzeLegacy(ctx context.Context, tr *Trace, boundaries []int64) (*Analysi
 	metAnalyses.Inc()
 	metWindows.Add(int64(nW))
 
-	a := newAnalysis(nT, boundaries)
-	a.OM = ds.NewSymMatrix(nT)
+	a := &Analysis{
+		NumReceivers: nT,
+		Boundaries:   boundaries,
+		Comm:         ds.NewSparseInt64Matrix(nT, nW),
+		CritComm:     ds.NewSparseInt64Matrix(nT, nW),
+		OM:           ds.NewSymMatrix(nT),
+	}
 	busy, critical := tr.busyByReceiver()
 
 	// The sparse rows are not safe for concurrent appends to
-	// *different* rows (they share the build arena), so the load rows
+	// *different* rows (they share the build slab), so the load rows
 	// are buffered densely per shard and appended serially after the
 	// parallel phase.
 	commRows := make([][]int64, nT)

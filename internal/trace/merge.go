@@ -3,6 +3,7 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/ds"
 )
@@ -46,46 +47,71 @@ func MergeAnalyses(analyses ...*Analysis) (*Analysis, error) {
 			boundaries = append(boundaries, boundaries[len(boundaries)-1]+a.WindowLen(m))
 		}
 	}
-	return mergeParts(nT, boundaries, analyses, offsets), nil
+	parts := make([]part, len(analyses))
+	for i, a := range analyses {
+		parts[i] = part{comm: a.Comm, crit: a.CritComm, pairs: a.Pairs, totals: make([]int64, len(a.Pairs))}
+		for k, s := range a.Pairs {
+			parts[i].totals[k] = a.OM.At(s.I, s.J)
+		}
+	}
+	return mergeParts(nT, boundaries, parts, offsets), nil
 }
 
-// mergeParts completes the analysis over boundaries from partial
-// analyses that own disjoint window ranges, part i's windows starting
-// at window offsets[i]: the shards of a sweep, or MergeAnalyses'
-// scenarios. Each load-table row concatenates the parts' rows
-// (ds.ConcatColumns lays them out at exact size), the cells a single
-// pass over all windows appends, in its order. A pair's frontier and
-// critical flag are functions of its set of windows, so they merge as
-// the frontier of the parts' points and the OR of their flags, and OM
-// sums. Several parts are only read; a lone part already spans every
-// window and is completed in place, which lays out the same structure
-// without a second set of row headers.
-func mergeParts(nT int, boundaries []int64, parts []*Analysis, offsets []int) *Analysis {
-	a := parts[0]
+// part is a partial analysis that owns a range of windows: one sweep's
+// load tables (laid out or still building) and its pair summaries in
+// (I, J) order with their overlap totals, or a whole analysis being
+// merged. A part carries no OM: mergeParts allocates the one triangle.
+type part struct {
+	comm, crit *ds.SparseInt64Matrix
+	pairs      []PairSummary
+	totals     []int64
+}
+
+// mergeParts completes the analysis over boundaries from parts that own
+// disjoint window ranges, part i's windows starting at window
+// offsets[i]: the shards of a sweep, or MergeAnalyses' scenarios. Each
+// load-table row concatenates the parts' rows (ds.ConcatColumns lays
+// them out at exact size), the cells a single pass over all windows
+// appends, in its order; a lone part's tables are compacted in place. A
+// pair's frontier and critical flag are functions of its set of
+// windows, so they merge as the frontier of the parts' points and the
+// OR of their flags, and OM sums the totals. Parts are only read, but a
+// lone part's tables and summaries become the analysis's.
+func mergeParts(nT int, boundaries []int64, parts []part, offsets []int) *Analysis {
+	a := &Analysis{NumReceivers: nT, Boundaries: boundaries, OM: ds.NewSymMatrix(nT)}
 	if len(parts) == 1 {
-		a.Comm.Compact()
-		a.CritComm.Compact()
-	} else {
-		a = &Analysis{NumReceivers: nT, Boundaries: boundaries}
-		comm, crit := make([]*ds.SparseInt64Matrix, len(parts)), make([]*ds.SparseInt64Matrix, len(parts))
-		pairs := pairTable{nT: nT}
-		for i, p := range parts {
-			comm[i], crit[i] = p.Comm, p.CritComm
-			for _, s := range p.Pairs {
-				q := pairs.get(s.I, s.J)
-				for _, pt := range s.Frontier {
-					q.Frontier = addPoint(q.Frontier, pt)
-				}
-				q.Critical = q.Critical || s.Critical
-				q.total += p.OM.At(s.I, s.J)
-			}
+		p := parts[0]
+		p.comm.Compact()
+		p.crit.Compact()
+		a.Comm, a.CritComm, a.Pairs = p.comm, p.crit, p.pairs
+		for k, s := range p.pairs {
+			a.OM.Set(s.I, s.J, p.totals[k])
 		}
-		a.Comm = ds.ConcatColumns(comm, offsets, len(boundaries)-1)
-		a.CritComm = ds.ConcatColumns(crit, offsets, len(boundaries)-1)
-		pairs.finish(a)
+		return a
 	}
-	if a.OM == nil {
-		a.OM = ds.NewSymMatrix(nT) // no pair overlaps
+	comm, crit := make([]*ds.SparseInt64Matrix, len(parts)), make([]*ds.SparseInt64Matrix, len(parts))
+	var all []pairState
+	for i, p := range parts {
+		comm[i], crit[i] = p.comm, p.crit
+		for k, s := range p.pairs {
+			all = append(all, pairState{PairSummary: s, total: p.totals[k]})
+		}
+	}
+	a.Comm = ds.ConcatColumns(comm, offsets, len(boundaries)-1)
+	a.CritComm = ds.ConcatColumns(crit, offsets, len(boundaries)-1)
+	slices.SortFunc(all, func(x, y pairState) int { return comparePairs(x.PairSummary, y.PairSummary) })
+	for k := 0; k < len(all); {
+		q := PairSummary{I: all[k].I, J: all[k].J}
+		var total int64
+		for ; k < len(all) && all[k].I == q.I && all[k].J == q.J; k++ {
+			for _, pt := range all[k].Frontier {
+				q.Frontier = addPoint(q.Frontier, pt)
+			}
+			q.Critical = q.Critical || all[k].Critical
+			total += all[k].total
+		}
+		a.Pairs = append(a.Pairs, q)
+		a.OM.Set(q.I, q.J, total)
 	}
 	return a
 }

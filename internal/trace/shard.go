@@ -156,7 +156,7 @@ func analyzeImage(ctx context.Context, body []byte, hdr binHeader, boundaries []
 	}
 	planNS := time.Since(t0).Nanoseconds()
 
-	parts := make([]*Analysis, shards)
+	parts := make([]part, shards)
 	stat := make([]ShardStat, shards)
 	// A shard stops for the caller's cancellation, not for a sibling's
 	// failure: the lowest failing shard then holds the image's first

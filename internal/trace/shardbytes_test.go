@@ -128,18 +128,21 @@ func allocBytesPerCall(runs int, f func()) uint64 {
 	return (m1.TotalAlloc - m0.TotalAlloc) / uint64(runs)
 }
 
-// parentAllocBytes is what one AnalyzeBytesSharded call on the
-// benchmark image allocated (Go 1.24, linux/amd64) when every v2 block
-// decode made four fresh columns and the shard merge re-Appended every
-// cell into growing rows before compacting.
-const parentAllocBytes = 41_917_997
+// allocBytesLimit pins one AnalyzeBytesSharded call on the benchmark
+// image (Go 1.24, linux/amd64) at 9.0 MB, half of the 18.0 MB it
+// allocated while the analysis kept per-window pair tables (41.9 MB
+// when every v2 block decode made fresh columns and the merge
+// re-Appended every cell). The load tables' build slab, which copies no
+// cell while it grows, and their exact-size layout bring a call to
+// about 5.9 MB; the per-row arena they replaced made it 12.9 MB.
+const allocBytesLimit = 9_000_000
 
 // TestAnalyzeBytesShardedAllocBytes pins the sharded analysis of the
-// benchmark image at no more than half parentAllocBytes per call: the
-// block decoder reuses one column scratch per shard and the merge lays
-// the tables out at exact size. It also checks the result against the
-// in-memory single-pass sweep, so the saving cannot come from skipped
-// work.
+// benchmark image at no more than allocBytesLimit per call: the block
+// decoder reuses one column scratch per shard, the shards collect
+// their load-table cells in slabs and the merge lays the tables out at
+// exact size. It also checks the result against the in-memory
+// single-pass sweep, so the saving cannot come from skipped work.
 func TestAnalyzeBytesShardedAllocBytes(t *testing.T) {
 	data := benchImageV2()
 	tr, err := ReadBinary(bytes.NewReader(data))
@@ -157,9 +160,9 @@ func TestAnalyzeBytesShardedAllocBytes(t *testing.T) {
 		}
 	})
 	mustEqualAnalyses(t, "bench-image/sh2", got, want)
-	t.Logf("%d bytes per call (%.0f%% of %d)", perCall, 100*float64(perCall)/parentAllocBytes, parentAllocBytes)
-	if perCall > parentAllocBytes/2 {
-		t.Errorf("AnalyzeBytesSharded allocates %d bytes per call, want at most %d", perCall, parentAllocBytes/2)
+	t.Logf("%d bytes per call (limit %d)", perCall, allocBytesLimit)
+	if perCall > allocBytesLimit {
+		t.Errorf("AnalyzeBytesSharded allocates %d bytes per call, want at most %d", perCall, allocBytesLimit)
 	}
 }
 

@@ -41,9 +41,11 @@ var (
 // the minimum coverage end: the scan is O(active), the same order as
 // the pair-credit loop every deactivation already pays, and far
 // cheaper in constants than a heap at the active-set sizes real
-// traffic produces. Total work is O(E + active · segments) plus the
-// windows actually touched — versus the legacy kernel's
-// O(R²·intervals) allocated interval-set intersections.
+// traffic produces. A closing interval that lies inside one window is
+// credited without walking windows, and so is every pair overlap it
+// bounds. Total work is O(E + active · segments) plus the windows
+// actually touched — versus the legacy kernel's O(R²·intervals)
+// allocated interval-set intersections.
 type sweepStream struct {
 	boundaries []int64
 
@@ -157,7 +159,7 @@ func (s *sweepStream) advance(t int64) {
 func (s *sweepStream) finish() { s.advance(math.MaxInt64) }
 
 func (s *sweepStream) deactivate(r int) {
-	end := s.until[r]
+	since, end := s.since[r], s.until[r]
 	s.active[r>>6] &^= 1 << uint(r&63)
 	s.activeCount--
 	s.segments++
@@ -168,12 +170,20 @@ func (s *sweepStream) deactivate(r int) {
 	for s.hiWin < nW-1 && s.boundaries[s.hiWin+1] < end {
 		s.hiWin++
 	}
-
-	s.creditComm(r, s.since[r], end)
-	lo0 := s.since[r]
+	m := s.hiWin
+	// A segment inside window m (the common case at windows longer than
+	// a burst) is credited in one step, and so is every pair overlap it
+	// bounds, which starts no earlier than the segment.
+	one := s.boundaries[m] <= since
+	if one {
+		s.comm.Append(r, m, end-since)
+	} else {
+		s.creditComm(r, since, end)
+	}
 	// The credit loop already visits every remaining active receiver, so
 	// the next deactivation candidate falls out for free.
 	nextMin, nextRecv := int64(math.MaxInt64), -1
+	var slots []int32 // r's pair slots, fetched on its first overlap
 	for wi, w := range s.active {
 		base := wi << 6
 		for w != 0 {
@@ -182,16 +192,25 @@ func (s *sweepStream) deactivate(r int) {
 			if u := s.until[j]; u < nextMin {
 				nextMin, nextRecv = u, j
 			}
-			lo := lo0
-			if s.since[j] > lo {
-				lo = s.since[j]
+			lo := max(since, s.since[j])
+			if lo >= end {
+				continue
 			}
-			if lo < end {
-				if s.critical {
-					s.pairs.get(r, j).Critical = true
-				} else {
-					s.pairs.credit(r, j, lo, end, s.hiWin)
-				}
+			if slots == nil {
+				slots = s.pairs.slotRow(r)
+			}
+			k := slots[j]
+			if k == 0 {
+				k = s.pairs.create(slots, r, j)
+			}
+			p := &s.pairs.state[k-1]
+			switch {
+			case s.critical:
+				p.Critical = true
+			case one:
+				s.pairs.add(p, m, end-lo)
+			default:
+				s.pairs.credit(p, lo, end, m)
 			}
 		}
 	}
@@ -216,16 +235,20 @@ func (s *sweepStream) creditComm(i int, lo, hi int64) {
 	}
 }
 
-// pairTable builds pair summaries: the sweep credits per-window overlap
-// into it, and the merges add whole summaries. A pair's state is
-// created on its first credit, never up front. Until finish, OM's cell
-// of a pair holds 1 + the position of its state (0: none yet); finish
-// overwrites those cells with the pairs' totals (paper Eq. 1), so no
-// other pair index is needed. OM is allocated on the first credit.
+// pairTable builds the pair summaries of one sweep: both classes credit
+// per-window overlap into it. A pair's state is created on its first
+// credit, never up front, and found through per-receiver slot rows: in
+// receiver i's row, slot j is 1 + the position of pair (i, j)'s state
+// (0: none yet). A pair is entered in both receivers' rows, so the
+// closing receiver's row finds every partner. A row is allocated on its
+// receiver's first overlap, so the index costs 4 bytes per receiver
+// plus at most one nT×nT int32 table, half the bytes of the OM triangle
+// that mergeParts allocates once the sweeps are done.
 type pairTable struct {
 	nT         int
 	boundaries []int64
-	om         *ds.SymMatrix
+	rowOf      []int32   // 1 + the position of receiver i's slot row (0: none yet)
+	slots      [][]int32 // the slot rows, in allocation order
 	state      []pairState
 }
 
@@ -238,36 +261,51 @@ type pairState struct {
 	val, total int64
 }
 
-// get returns the state of pair (i, j), creating it on first use.
-func (t *pairTable) get(i, j int) *pairState {
-	if t.om == nil {
-		t.om = ds.NewSymMatrix(t.nT)
+// slotRow returns receiver i's slot row, allocating it on first use.
+func (t *pairTable) slotRow(i int) []int32 {
+	if t.rowOf == nil {
+		t.rowOf = make([]int32, t.nT)
 	}
-	k := t.om.At(i, j)
-	if k == 0 {
-		t.state = append(t.state, pairState{PairSummary: PairSummary{I: min(i, j), J: max(i, j)}, win: -1})
-		k = int64(len(t.state))
-		t.om.Set(i, j, k)
+	if k := t.rowOf[i]; k != 0 {
+		return t.slots[k-1]
 	}
-	return &t.state[k-1]
+	row := make([]int32, t.nT)
+	t.slots = append(t.slots, row)
+	t.rowOf[i] = int32(len(t.slots))
+	return row
 }
 
-// credit adds the overlap [lo, hi) of receivers i and j, split across
-// windows; m is a window at or after lo's. A pair's credits arrive in
-// nondecreasing window order, so one open window per pair suffices.
-func (t *pairTable) credit(i, j int, lo, hi int64, m int) {
-	p := t.get(i, j)
+// create enters pair (i, j) in both receivers' slot rows (slots is
+// i's) and returns 1 + the position of its new state.
+func (t *pairTable) create(slots []int32, i, j int) int32 {
+	t.state = append(t.state, pairState{PairSummary: PairSummary{I: min(i, j), J: max(i, j)}, win: -1})
+	k := int32(len(t.state))
+	slots[j] = k
+	t.slotRow(j)[i] = k
+	return k
+}
+
+// add credits v cycles of overlap in window m to p. A pair's credits
+// arrive in nondecreasing window order, so one open window per pair
+// suffices.
+func (t *pairTable) add(p *pairState, m int, v int64) {
+	if m != p.win {
+		t.close(p)
+		p.win, p.val = m, 0
+	}
+	p.val += v
+	p.total += v
+}
+
+// credit adds the overlap [lo, hi) to p, split across windows; m is a
+// window at or after lo's.
+func (t *pairTable) credit(p *pairState, lo, hi int64, m int) {
 	for t.boundaries[m] > lo {
 		m--
 	}
 	for ; lo < hi; m++ {
 		end := min(t.boundaries[m+1], hi)
-		if m != p.win {
-			t.close(p)
-			p.win, p.val = m, 0
-		}
-		p.val += end - lo
-		p.total += end - lo
+		t.add(p, m, end-lo)
 		lo = end
 	}
 }
@@ -279,37 +317,35 @@ func (t *pairTable) close(p *pairState) {
 	}
 }
 
-// finish closes the open windows and stores the summaries in (I, J)
-// order and the totals in OM. Pairs and OM stay nil when no pair
-// overlaps.
-func (t *pairTable) finish(a *Analysis) {
+// finish closes the open windows and returns the summaries in (I, J)
+// order with their totals; both are nil when no pair overlaps.
+func (t *pairTable) finish() ([]PairSummary, []int64) {
 	if len(t.state) == 0 {
-		return
+		return nil, nil
 	}
+	t.rowOf, t.slots = nil, nil // the positions are about to move
 	slices.SortFunc(t.state, func(x, y pairState) int { return comparePairs(x.PairSummary, y.PairSummary) })
-	a.Pairs = make([]PairSummary, len(t.state))
+	pairs, totals := make([]PairSummary, len(t.state)), make([]int64, len(t.state))
 	for k := range t.state {
 		p := &t.state[k]
 		t.close(p)
-		a.Pairs[k] = p.PairSummary
-		t.om.Set(p.I, p.J, p.total)
+		pairs[k], totals[k] = p.PairSummary, p.total
 	}
-	a.OM = t.om
+	return pairs, totals
 }
 
 // sweeper drives the two per-class streams over one start-ordered
-// event feed and assembles the Analysis.
+// event feed.
 type sweeper struct {
-	a          *Analysis
 	pairs      pairTable
 	busy, crit *sweepStream
 }
 
 func newSweeper(nT int, boundaries []int64) *sweeper {
-	a := newAnalysis(nT, boundaries)
-	sw := &sweeper{a: a, pairs: pairTable{nT: nT, boundaries: boundaries}}
-	sw.busy = newSweepStream(nT, boundaries, a.Comm, &sw.pairs, false)
-	sw.crit = newSweepStream(nT, boundaries, a.CritComm, &sw.pairs, true)
+	nW := len(boundaries) - 1
+	sw := &sweeper{pairs: pairTable{nT: nT, boundaries: boundaries}}
+	sw.busy = newSweepStream(nT, boundaries, ds.NewSparseInt64Matrix(nT, nW), &sw.pairs, false)
+	sw.crit = newSweepStream(nT, boundaries, ds.NewSparseInt64Matrix(nT, nW), &sw.pairs, true)
 	return sw
 }
 
@@ -321,22 +357,23 @@ func (sw *sweeper) feed(start, length int64, recv int, critical bool) {
 	}
 }
 
-// finish flushes both streams and stores the pair summaries: the
-// partial analysis of one shard (the whole trace, for the in-memory
-// sweep), which mergeParts completes.
-func (sw *sweeper) finish() *Analysis {
+// finish flushes both streams and returns the partial analysis of the
+// sweep's windows (every window, for the in-memory sweep), which
+// mergeParts completes.
+func (sw *sweeper) finish() part {
 	sw.busy.finish()
 	sw.crit.finish()
-	sw.pairs.finish(sw.a)
-	return sw.a
+	p := part{comm: sw.busy.comm, crit: sw.crit.comm}
+	p.pairs, p.totals = sw.pairs.finish()
+	return p
 }
 
-// annotate records the kernel's instruments on the span and the
-// package metrics.
-func (sw *sweeper) annotate(span *obs.Span) {
+// annotate records the kernel's instruments for the analysis a it
+// produced on the span and the package metrics.
+func (sw *sweeper) annotate(span *obs.Span, a *Analysis) {
 	segments := sw.busy.segments + sw.crit.segments
 	metSweepSegments.Add(segments)
-	metSparseCells.Add(int64(sw.a.summaryPoints()))
+	metSparseCells.Add(int64(a.summaryPoints()))
 	gagActivePeak.Set(int64(sw.busy.peakActive))
 	span.SetInt("segments", segments)
 	span.SetInt("active_peak", int64(sw.busy.peakActive))
@@ -377,8 +414,8 @@ func analyzeSweep(ctx context.Context, tr *Trace, boundaries []int64) (*Analysis
 		e := &events[k]
 		sw.feed(e.Start, e.Len, e.Receiver, e.Critical)
 	}
-	a := mergeParts(nT, boundaries, []*Analysis{sw.finish()}, []int{0})
-	sw.annotate(span)
+	a := mergeParts(nT, boundaries, []part{sw.finish()}, []int{0})
+	sw.annotate(span, a)
 	return a, nil
 }
 
