@@ -119,17 +119,28 @@ func newAssignProblem(a *trace.Analysis, conflicts [][]bool, maxPerBus int, maxN
 // before it dominates it (dominance is transitive): nothing kept is
 // ever evicted, and each window is tested once against the kept set.
 // The order comes from stable radix passes over an int32 permutation,
-// by length (skipped when every busy window is equally long), then by
-// total.
+// keyed by total and length together (by length first, in a pass of
+// its own, when the two do not fit one 64-bit key).
 //
-// The kept set is stored entry by entry in contiguous arrays. A scan
-// streams the kept loads of the candidate's peak receiver, and only
-// an entry at least as loaded there is tested further: its 64-bit
-// support mask (bit t mod 64 for every busy receiver t, a necessary
-// condition at any receiver count) must cover the candidate's, its
-// length must be no greater, and its loads must cover the candidate's
-// over the support. The entry that dominated the previous dominated
-// window is tried first: periodic traffic repeats its dominators.
+// The kept set is searched through a bitset dominance index. Each
+// receiver's load is one dimension and, when busy windows differ in
+// length, maxLen − len is one more, so a dominator is at least the
+// candidate in every dimension. A value v sits at level v >> shift,
+// where the dimension's shift keeps its largest value below 64 levels
+// (exact, shift 0, when that value is below 64). For each block of 64
+// kept entries the index holds one word per (dimension, level ≥ 1)
+// whose bit i is set when entry i reaches that level. A query ANDs,
+// block by block, the words at the candidate's nonzero levels: the bits
+// left are the entries at least the candidate's level everywhere. When
+// every dimension is exact those are exactly its dominators; otherwise
+// each is tested in full: its 64-bit support mask (bit t mod 64 for
+// every busy receiver t, a necessary condition at any receiver count)
+// must cover the candidate's, its length must be no greater, and its
+// loads must cover the candidate's over the support. The entry that
+// dominated the previous dominated window is tested first: periodic
+// traffic repeats its dominators. The index holds at most 63 words per
+// block and dimension, under one per (kept entry, dimension) in every
+// full block.
 //
 // A window without traffic is dominated by every window at most as
 // long, so at most one survives: the lowest-indexed of the shortest,
@@ -140,93 +151,145 @@ func reduceWindows(a *trace.Analysis) (keep []int, comm [][]int64) {
 	column := func(k int) []int64 { return vals[k*nT : (k+1)*nT] }
 
 	type window struct {
-		len, total int64
-		mask       uint64 // bit t mod 64 set for every busy receiver t
-		peak       int    // receiver with the largest load
+		len  int64
+		mask uint64 // bit t mod 64 set for every busy receiver t
 	}
 	ws := make([]window, len(cols))
+	key := make([]uint64, len(cols)) // the total load, then the visit key
+	top := make([]int64, nT+1)       // each dimension's largest value
 	minLen, maxLen, maxTotal := int64(math.MaxInt64), int64(0), int64(0)
 	for k, m := range cols {
 		w := window{len: a.WindowLen(m)}
-		c := column(k)
-		for t, v := range c {
-			w.total += v
+		var total int64
+		for t, v := range column(k) {
+			total += v
 			w.mask |= uint64(min(v, 1)) << (t & 63) // loads are ≥ 0
-			if v > c[w.peak] {
-				w.peak = t
-			}
+			top[t] = max(top[t], v)
 		}
-		ws[k] = w
-		minLen, maxLen, maxTotal = min(minLen, w.len), max(maxLen, w.len), max(maxTotal, w.total)
+		ws[k], key[k] = w, uint64(total)
+		minLen, maxLen, maxTotal = min(minLen, w.len), max(maxLen, w.len), max(maxTotal, total)
 	}
 	order := make([]int32, len(cols))
 	for k := range order {
 		order[k] = int32(k)
 	}
-	key := make([]uint64, len(cols))
-	if minLen < maxLen {
+	lenBits := bits.Len64(uint64(maxLen - minLen))
+	if lenBits+bits.Len64(uint64(maxTotal)) > 64 {
+		byLen := make([]uint64, len(cols))
 		for k, w := range ws {
-			key[k] = uint64(w.len - minLen)
+			byLen[k] = uint64(w.len - minLen)
 		}
-		order = radixSortStable(order, key)
+		order = radixSortStable(order, byLen)
+		lenBits = 0
 	}
 	for k, w := range ws {
-		key[k] = uint64(maxTotal - w.total)
+		key[k] = (uint64(maxTotal)-key[k])<<lenBits | uint64(w.len-minLen)&(1<<lenBits-1)
 	}
 	order = radixSortStable(order, key)
 
-	// The kept set, one entry per kept window in visit order: support
-	// masks, lengths, and loads receiver-major (front[t][i] is receiver
-	// t's load in entry i), so the peak scan streams one row.
-	var (
-		fMask []uint64
-		fLen  []int64
-	)
-	front := make([][]int64, nT)
-	kept := make([]bool, len(cols))
+	// Each block of the index is stride words: level l ≥ 1 of dimension
+	// d is word dim[d].base+l−1, for l up to top[d] >> dim[d].shift.
+	if minLen < maxLen {
+		top[nT] = maxLen - minLen
+	} else {
+		top = top[:nT]
+	}
+	type dimension struct{ shift, base int }
+	dim := make([]dimension, len(top))
+	stride, exact := 0, true
+	for d, v := range top {
+		sh := max(0, bits.Len64(uint64(v))-6)
+		dim[d] = dimension{sh, stride}
+		stride += int(v >> sh)
+		exact = exact && sh == 0
+	}
+
+	// The kept entries' windows overwrite the visited prefix of order:
+	// order[i] is entry i's window once i < kept.
+	var idx []uint64
+	type span struct{ from, to int } // a nonzero level's words, 1..level
+	query := make([]span, 0, len(dim))
+	add := func(d int, v int64) {
+		if l := int(v >> dim[d].shift); l > 0 {
+			query = append(query, span{dim[d].base, dim[d].base + l})
+		}
+	}
+	kept := 0
 	hint := 0 // the entry that dominated the last dominated window
 	for _, k32 := range order {
 		k := int(k32)
 		w, c := ws[k], column(k)
-		peakLoad := c[w.peak]
 		covers := func(i int) bool {
-			if w.mask&^fMask[i] != 0 || fLen[i] > w.len {
+			e := ws[order[i]]
+			if w.mask&^e.mask != 0 || e.len > w.len {
 				return false
 			}
+			ec := column(int(order[i]))
 			if nT <= 64 { // the mask is the exact support
 				for m := w.mask; m != 0; m &= m - 1 {
-					if t := bits.TrailingZeros64(m); front[t][i] < c[t] {
+					if t := bits.TrailingZeros64(m); ec[t] < c[t] {
 						return false
 					}
 				}
 				return true
 			}
 			for t, v := range c {
-				if front[t][i] < v {
+				if ec[t] < v {
 					return false
 				}
 			}
 			return true
 		}
-		if hint < len(fLen) && covers(hint) {
+		if hint < kept && covers(hint) {
 			continue
 		}
+		query = query[:0]
+		if nT <= 64 {
+			for m := w.mask; m != 0; m &= m - 1 {
+				t := bits.TrailingZeros64(m)
+				add(t, c[t])
+			}
+		} else {
+			for t, v := range c {
+				add(t, v)
+			}
+		}
+		if len(dim) > nT {
+			add(nT, maxLen-w.len)
+		}
 		dominated := false
-		for i, fp := range front[w.peak] {
-			if fp >= peakLoad && covers(i) {
-				dominated, hint = true, i
-				break
+		for lo := 0; lo < kept && !dominated; lo += 64 {
+			blk := idx[lo/64*stride:]
+			live := ^uint64(0)
+			if n := kept - lo; n < 64 {
+				live = 1<<n - 1
+			}
+			for _, q := range query {
+				if live &= blk[q.to-1]; live == 0 {
+					break
+				}
+			}
+			for ; live != 0; live &= live - 1 {
+				if i := lo + bits.TrailingZeros64(live); exact || covers(i) {
+					dominated, hint = true, i
+					break
+				}
 			}
 		}
 		if dominated {
 			continue
 		}
-		fMask = append(fMask, w.mask)
-		fLen = append(fLen, w.len)
-		for t, v := range c {
-			front[t] = append(front[t], v)
+		if kept%64 == 0 {
+			idx = append(idx, make([]uint64, stride)...)
 		}
-		kept[k] = true
+		blk, bit := idx[kept/64*stride:], uint64(1)<<(kept%64)
+		for _, q := range query {
+			for o := q.from; o < q.to; o++ {
+				blk[o] |= bit
+			}
+		}
+		order[kept] = k32
+		kept++
 	}
 
 	// The shortest window with traffic is matched by a kept one:
@@ -242,11 +305,11 @@ func reduceWindows(a *trace.Analysis) (keep []int, comm [][]int64) {
 		}
 	}
 
-	keep = make([]int, 0, len(fLen)+1)
-	for k, ok := range kept {
-		if ok {
-			keep = append(keep, cols[k])
-		}
+	byWindow := order[:kept]
+	slices.Sort(byWindow)
+	keep = make([]int, 0, kept+1)
+	for _, k := range byWindow {
+		keep = append(keep, cols[k])
 	}
 	if empty >= 0 {
 		i, _ := slices.BinarySearch(keep, empty)
@@ -256,15 +319,12 @@ func reduceWindows(a *trace.Analysis) (keep []int, comm [][]int64) {
 	for t := range comm {
 		comm[t] = make([]int64, len(keep))
 	}
-	wi := 0 // keep and kept are both in ascending window order
-	for k, ok := range kept {
-		if !ok {
-			continue
-		}
+	wi := 0 // keep and byWindow are both in ascending window order
+	for _, k := range byWindow {
 		if keep[wi] == empty {
 			wi++
 		}
-		for t, v := range column(k) {
+		for t, v := range column(int(k)) {
 			comm[t][wi] = v
 		}
 		wi++

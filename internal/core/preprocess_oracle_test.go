@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -393,6 +395,215 @@ func TestReduceWindowsMatchesDenseOracleWide(t *testing.T) {
 			for k, m := range keep {
 				if comm[r][k] != cellAt(a.Comm, r, m) {
 					t.Fatalf("trial %d (shape %d): load[%d][window %d] = %d, want %d", trial, shape, r, m, comm[r][k], cellAt(a.Comm, r, m))
+				}
+			}
+		}
+	}
+}
+
+// quantizedCase is one shape of randomQuantizedAnalysis: how many
+// windows survive the reduction, how many receivers there are, how
+// large the loads are, and the lengths windows draw from.
+type quantizedCase struct {
+	kept, nT int
+	big      bool    // loads of 64 and above: the load dimensions bucket
+	scale    int64   // every load is multiplied by scale
+	lens     []int64 // ascending
+}
+
+// randomQuantizedAnalysis builds a Comm-only analysis whose reduction
+// keeps exactly c.kept busy windows: an antichain of distinct columns
+// with equal totals (none dominates another, whatever their lengths),
+// where column j puts its largest load on receiver j mod nT. Mixed in,
+// in random window order, are windows the antichain dominates:
+// identical copies, copies at a longer length, copies with one load
+// lowered, and, with big loads, a small load on one antichain member's
+// largest receiver at the longest length, whose every value buckets to
+// level 0 so its query is empty. A few idle windows at the longest
+// length are mixed in too.
+func randomQuantizedAnalysis(rng *rand.Rand, c quantizedCase) *trace.Analysis {
+	peak, rest := int64(40), int64(20)
+	if c.big {
+		peak, rest = 1024, 600
+	}
+	maxLen := c.lens[len(c.lens)-1]
+	type window struct {
+		len int64
+		col []int64
+	}
+	var ws []window
+	seen := map[string]bool{}
+	for len(ws) < c.kept {
+		col := make([]int64, c.nT)
+		col[len(ws)%c.nT] = peak
+		for left := rest; left > 0; {
+			v := 1 + rng.Int63n(min(left, rest/4+1))
+			col[rng.Intn(c.nT)] += v
+			left -= v
+		}
+		if key := fmt.Sprint(col); !seen[key] {
+			seen[key] = true
+			for t := range col {
+				col[t] *= c.scale
+			}
+			ws = append(ws, window{c.lens[rng.Intn(len(c.lens))], col})
+		}
+	}
+	for n := c.kept/2 + rng.Intn(c.kept); n > 0; n-- {
+		w := ws[rng.Intn(c.kept)]
+		w.col = slices.Clone(w.col)
+		switch rng.Intn(4) {
+		case 0: // identical
+		case 1: // longer, when a longer length exists
+			if i := sort.Search(len(c.lens), func(i int) bool { return c.lens[i] > w.len }); i < len(c.lens) {
+				w.len = c.lens[i+rng.Intn(len(c.lens)-i)]
+			}
+		case 2: // one load lowered
+			t := rng.Intn(c.nT)
+			w.col[t] = max(0, w.col[t]-1-rng.Int63n(w.col[t]+1))
+		default: // below level 1 everywhere, when loads bucket
+			if !c.big {
+				continue
+			}
+			t := slices.Index(w.col, slices.Max(w.col))
+			clear(w.col)
+			w.col[t], w.len = 1+rng.Int63n(15), maxLen
+		}
+		ws = append(ws, w)
+	}
+	for n := rng.Intn(4); n > 0; n-- {
+		ws = append(ws, window{maxLen, make([]int64, c.nT)})
+	}
+	rng.Shuffle(len(ws), func(i, j int) { ws[i], ws[j] = ws[j], ws[i] })
+
+	boundaries := make([]int64, len(ws)+1)
+	comm := make([][]int64, c.nT)
+	for t := range comm {
+		comm[t] = make([]int64, len(ws))
+	}
+	for m, w := range ws {
+		boundaries[m+1] = boundaries[m] + w.len
+		for t, v := range w.col {
+			comm[t][m] = v
+		}
+	}
+	return &trace.Analysis{
+		NumReceivers: c.nT,
+		Boundaries:   boundaries,
+		Comm:         sparseFromDense(rng, comm, len(ws), 0.05),
+	}
+}
+
+// randomDustAnalysis builds a small analysis whose surviving windows
+// include some with an empty query. Each receiver peaks at 512 or more
+// in a spike window of the longest length L, so its loads below 16
+// bucket to level 0; one short window, L−100 long, spreads the lengths
+// so a length 1 short of L buckets to level 0 too. The dust windows are
+// L−1 long with loads below 16: no spike dominates them (spikes are
+// longer), and they are visited while the kept set still fits in its
+// last 64-entry block.
+func randomDustAnalysis(rng *rand.Rand, nT int) *trace.Analysis {
+	const L = 1000
+	var lens []int64
+	var cols [][]int64
+	add := func(ln int64, col []int64) {
+		lens, cols = append(lens, ln), append(cols, col)
+	}
+	for t := 0; t < nT; t++ {
+		col := make([]int64, nT)
+		col[t] = 512 + rng.Int63n(512)
+		add(L, col)
+	}
+	dust := func() []int64 {
+		col := make([]int64, nT)
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			col[rng.Intn(nT)] = 1 + rng.Int63n(15)
+		}
+		return col
+	}
+	add(L-100, dust())
+	for n := 1 + rng.Intn(40); n > 0; n-- {
+		add(L-1, dust())
+	}
+	perm := rng.Perm(len(cols))
+	boundaries := make([]int64, len(cols)+1)
+	comm := make([][]int64, nT)
+	for t := range comm {
+		comm[t] = make([]int64, len(cols))
+	}
+	for m, p := range perm {
+		boundaries[m+1] = boundaries[m] + lens[p]
+		for t, v := range cols[p] {
+			comm[t][m] = v
+		}
+	}
+	return &trace.Analysis{
+		NumReceivers: nT,
+		Boundaries:   boundaries,
+		Comm:         sparseFromDense(rng, comm, len(cols), 0.05),
+	}
+}
+
+// TestReduceWindowsMatchesDenseOracleQuantized pins the window
+// reduction to the all-pairs oracle where its dominance index buckets
+// values: loads of 64 and above, lengths 64 or more apart, candidates
+// whose query is empty, more than 64 receivers, and identical windows.
+// Small loads at lengths under 64 apart keep every level exact; the
+// 2^40-cycle lengths with 2^30-scaled loads do not fit one packed
+// visit key. The kept counts 63, 64, 65 and 200 put the last
+// surviving window on either side of a 64-entry block edge, and
+// randomDustAnalysis keeps windows whose query is empty.
+func TestReduceWindowsMatchesDenseOracleQuantized(t *testing.T) {
+	// check compares one reduction with the oracle and returns how many
+	// busy windows it keeps.
+	check := func(name string, a *trace.Analysis) (busy int) {
+		t.Helper()
+		keep, comm := reduceWindows(a)
+		if want := reduceWindowsDense(a); !reflect.DeepEqual(keep, want) {
+			t.Fatalf("%s (%d receivers, %d windows): kept %v, oracle %v", name, a.NumReceivers, a.NumWindows(), keep, want)
+		}
+		for k, m := range keep {
+			var load int64
+			for r := 0; r < a.NumReceivers; r++ {
+				if comm[r][k] != cellAt(a.Comm, r, m) {
+					t.Fatalf("%s: load[%d][window %d] = %d, want %d", name, r, m, comm[r][k], cellAt(a.Comm, r, m))
+				}
+				load += comm[r][k]
+			}
+			if load > 0 {
+				busy++
+			}
+		}
+		return busy
+	}
+	rng := rand.New(rand.NewSource(24))
+	for trial := 0; trial < 200; trial++ {
+		check(fmt.Sprintf("dust trial %d", trial), randomDustAnalysis(rng, []int{6, 70}[trial%2]))
+	}
+	trials := 3
+	if raceEnabled { // one goroutine: the detector only slows the oracle
+		trials = 1
+	}
+	spreads := []struct {
+		lens  []int64
+		scale int64
+	}{
+		{[]int64{100}, 1},
+		{[]int64{100, 120, 163}, 1},
+		{[]int64{100, 164, 400, 1000}, 1},
+		{[]int64{1 << 40, 1<<40 + 64, 3 << 40}, 1 << 30},
+	}
+	for _, kept := range []int{63, 64, 65, 200} {
+		for _, nT := range []int{6, 70} {
+			for _, big := range []bool{false, true} {
+				for _, sp := range spreads {
+					c := quantizedCase{kept: kept, nT: nT, big: big, scale: sp.scale, lens: sp.lens}
+					for trial := 0; trial < trials; trial++ {
+						name := fmt.Sprintf("%+v trial %d", c, trial)
+						if busy := check(name, randomQuantizedAnalysis(rng, c)); busy != kept {
+							t.Fatalf("%s: %d busy windows kept, built for %d", name, busy, kept)
+						}
+					}
 				}
 			}
 		}

@@ -175,6 +175,27 @@ func BenchmarkReduceWindows(b *testing.B) {
 	}
 }
 
+// BenchmarkDesignHint designs each paper trace at its WindowSizeHint
+// with DefaultOptions, the cold solve a request of the trace-cold
+// workload makes after analysis, so the solver layer can be sized
+// without the service. The spool-large shape is skipped.
+func BenchmarkDesignHint(b *testing.B) {
+	ctx := context.Background()
+	opts := DefaultOptions()
+	for _, f := range paperWindowAnalyses(b) {
+		if f.name == "mat2.req.tiled60" {
+			continue
+		}
+		b.Run(f.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := DesignCrossbarCtx(ctx, f.a, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // TestRadixSortStable checks the visit-order sort against a stable
 // comparison sort, with key ranges from a single digit up to full
 // 64-bit keys (several passes) and many ties.

@@ -178,11 +178,14 @@ func (m *SparseInt64Matrix) DenseColumns() (cols []int, vals []int64) {
 	m.Compact()
 	// slot[c] is 1 + the position of column c in cols, 0 when empty.
 	slot := make([]int32, m.Cols)
+	busy := 0
 	for _, c := range m.cells {
-		if c.Val != 0 {
+		if c.Val != 0 && slot[c.Col] == 0 {
 			slot[c.Col] = 1
+			busy++
 		}
 	}
+	cols = make([]int, 0, busy)
 	for c, s := range slot {
 		if s != 0 {
 			cols = append(cols, c)
